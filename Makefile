@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-baseline typecheck sanitize-test bench \
-	bench-compare bench-pytest bench-smoke batch-smoke bench-full \
+.PHONY: install test lint lint-baseline typecheck sanitize-test \
+	bench-pytest bench-smoke batch-smoke bench-full \
 	obs-smoke sdn-smoke population-smoke examples docs clean
 
 install:
@@ -47,17 +47,6 @@ sanitize-test:
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-
-# Perf trajectory baseline: the fixed scenario matrix, cache-cold and
-# cache-warm, written to BENCH_runner.json at the repo root.
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.bench
-
-# Diff a fresh benchmark run against the committed BENCH_runner.json;
-# exits 1 when any subsystem lost >25% of its baseline sessions/sec.
-# Cross-machine numbers are informational (CI runs this non-blocking).
-bench-compare:
-	PYTHONPATH=src $(PYTHON) tools/bench_compare.py
 
 # The pytest-benchmark micro-suite (per-component timings).
 bench-pytest:

@@ -13,7 +13,8 @@ import numpy as np
 
 from conftest import scaled
 
-from repro.studies.provider import analyze_table1, synthesize_provider_year
+from repro.studies.population import synthesize_provider_year
+from repro.studies.provider import analyze_table1
 
 
 def rows_with(n_calls, seed=0, **overrides):

@@ -32,7 +32,7 @@ the *slow* channel state (Gilbert sojourns, shadowing sequence, oven
 episodes, scenario parameters) sample-path exactly from the same
 :class:`~repro.sim.random.RandomRouter` streams, and matches fading /
 MAC / queueing behaviour statistically (the contract of
-``tests/test_channel_fast.py``, enforced per-population by
+``tests/test_batch_equivalence.py``, enforced per-population by
 :mod:`repro.batch.sanity`).
 """
 
@@ -42,7 +42,6 @@ from repro.batch.driver import (
     BATCH_TASK,
     batch_wild_metrics,
     population_block_metrics,
-    render_block_metrics,
 )
 from repro.batch.population import PopulationSpec, SessionSetup
 from repro.batch.render import TraceBlock, render_block
@@ -60,7 +59,6 @@ __all__ = [
     "check_block_equivalence",
     "population_block_metrics",
     "render_block",
-    "render_block_metrics",
     "session_payloads",
     "strategy_suite",
 ]

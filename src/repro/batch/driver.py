@@ -38,9 +38,8 @@ from repro.obs.runtime import active_registry, collecting
 from repro.runner import RunnerConfig, map_configs
 from repro.sim.sanitize import sanitizer_enabled
 
-#: runner entry points
+#: runner entry point
 BATCH_TASK = "repro.batch.driver:population_block_metrics"
-RENDER_TASK = "repro.batch.driver:render_block_metrics"
 
 
 def _population_spec(start: int, count: int, root_seed: int,
@@ -128,29 +127,6 @@ def population_block_metrics(start: int, *, count: int, root_seed: int,
         with collecting():
             check_block_equivalence(spec, block)
     return payloads
-
-
-def render_block_metrics(start: int, *, count: int, root_seed: int,
-                         deltas: Sequence[float] = (),
-                         mimo_branches: int = 1,
-                         highrate: bool = False,
-                         duration_s: Optional[float] = None,
-                         scenario: Optional[str] = None,
-                         max_lag: int = 20) -> Dict[str, Any]:
-    """Render-only task (the ``batch_render`` bench subsystem): trace
-    matrices are produced and summarized to per-session link loss/RSSI
-    without the strategy/score reduction."""
-    spec = _population_spec(start, count, root_seed, deltas,
-                            mimo_branches, highrate, duration_s,
-                            scenario, max_lag)
-    block = _render_with_spans(spec, start, count)
-    _observe_block(block)
-    loss = (~block.delivered).mean(axis=2)
-    return {
-        "scenarios": list(block.scenarios),
-        "loss": [[float(v) for v in row] for row in loss],
-        "rssi_dbm": [[float(v) for v in row] for row in block.rssi_dbm],
-    }
 
 
 def batch_wild_metrics(n_runs: int, seed: int,

@@ -1,12 +1,14 @@
 """Whole-population trace rendering as numpy arrays.
 
-Generalizes :class:`repro.channel.fast.FastLinkRenderer` from one static
-link of one call to *B sessions x 2 links x T packet-slots*, adding the
-pieces the per-call renderer does not cover: mobility / environment
+Renders *B sessions x 2 links x T packet-slots* in one shot:
+Gilbert–Elliott spans, path loss and shadowing, mobility / environment
 drift (piecewise-constant slow state on the shadowing-update grid),
-shared and per-link interference processes, MIMO selection diversity,
-temporal-offset replica copies — and, crucially, the *per-attempt*
-structure of the MAC retry burst.  The event MAC re-evaluates the
+Rayleigh / Rician fading, shared and per-link interference processes,
+MIMO selection diversity, temporal-offset replica copies — and,
+crucially, the *per-attempt* structure of the MAC retry burst.  A single
+static link without interference is the special case
+:func:`render_session` handles with a hand-built
+:class:`~repro.scenarios.ScenarioSetup`.  The event MAC re-evaluates the
 channel at every retry, and the burst (mean exponential backoff plus
 airtime, ~15 ms end to end) straddles mains half-cycles of a microwave
 oven and the tail of a deep Rayleigh fade; collapsing it to
@@ -36,9 +38,9 @@ stream *names* but not its per-attempt draw order: retry backoffs use
 their expected durations, attempts are conditionally independent given
 the rendered channel state, and congestion collisions are integrated
 analytically (a per-attempt mixture of the clean and penalized PER).
-Those are distribution-level (statistical) matches — the same contract
-``tests/test_channel_fast.py`` validates for the per-call renderer,
-enforced per-population by :mod:`repro.batch.sanity`.
+Those are distribution-level (statistical) matches, validated against
+the event path by ``tests/test_batch_equivalence.py`` and enforced
+per-population by :mod:`repro.batch.sanity`.
 """
 
 from __future__ import annotations
@@ -121,12 +123,12 @@ def _attempt_backoff_means_s(config: LinkConfig) -> FloatArray:
 
 def ar1_complex(n: int, rho: float,
                 rng: np.random.Generator) -> np.ndarray:
-    """Unit-power AR(1) complex Gaussian sequence (scipy-free).
+    """Unit-power AR(1) complex Gaussian sequence.
 
-    Consumes the same draws in the same order as
-    :func:`repro.channel.fast._ar1_complex`; the recursion is evaluated
-    as a truncated-kernel convolution (direct or FFT) so results match
-    ``lfilter`` to ~1e-15 without a Python loop or a scipy dependency.
+    ``x[0] = e[0]`` and ``x[i] = rho * x[i-1] + sqrt(1 - rho^2) * e[i]``
+    for unit-power complex innovations ``e``; the recursion is evaluated
+    as a truncated-kernel convolution (direct or FFT), matching the
+    sequential loop to ~1e-15 without a Python loop.
     """
     innovations = (rng.normal(0.0, 1.0, size=n)
                    + 1j * rng.normal(0.0, 1.0, size=n)) * np.sqrt(0.5)

@@ -9,7 +9,7 @@ and checks:
   scenario name, exactly (the substream-derivation contract);
 * **statistical equivalence** — per-link loss rate and mean delivered
   delay, pooled over the sample, must agree within the tolerances
-  ``tests/test_channel_fast.py`` grants the per-call fast renderer
+  ``tests/test_batch_equivalence.py`` grants the batch renderer
   (loss: ``|b - e| <= max(1.0 * e, 0.01)``; delay: relative 50% or
   10 ms, whichever is looser — means over a multi-session sample are
   much tighter in practice).
@@ -32,7 +32,7 @@ from repro.core.packet import LinkTrace
 from repro.scenarios import generate_wild_run
 from repro.sim.sanitize import SanitizerError
 
-#: loss-rate tolerance (test_channel_fast.py: approx(rel=1.0, abs=0.01))
+#: loss-rate tolerance (pytest.approx(rel=1.0, abs=0.01))
 LOSS_REL_TOL = 1.0
 LOSS_ABS_TOL = 0.01
 

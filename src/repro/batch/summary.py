@@ -20,8 +20,8 @@ import numpy as np
 from repro.batch.render import TraceBlock
 from repro.batch.strategies import strategy_suite
 from repro.core.types import BoolArray, FloatArray
-from repro.voice.quality import BPL_G711, IE_G711, R0
 from repro.voice.pcr import POOR_MOS_THRESHOLD, WORST_WINDOW_WEIGHT
+from repro.voice.quality import emodel_r_factor, r_to_mos
 
 #: strategies scored for PCR / burst structure (section4 constants)
 POOR_STRATEGIES = ("stronger", "cross-link")
@@ -95,30 +95,6 @@ def burst_contribution_rows(missing: BoolArray
     } for row in range(b)]
 
 
-def _r_factor_rows(loss: FloatArray, one_way_s: FloatArray,
-                   mean_burst: FloatArray) -> FloatArray:
-    """Vectorized G.711 E-model R factor (repro.voice.quality math)."""
-    d_ms = np.maximum(one_way_s, 0.0) * 1000.0
-    delay_imp = np.where(
-        d_ms < 100.0, d_ms * 0.024,
-        0.024 * d_ms + 0.11 * (d_ms - 177.3) * (d_ms > 177.3))
-    p = np.clip(loss, 0.0, 0.99)
-    random_mean = 1.0 / (1.0 - p)
-    ratio = np.where(mean_burst <= 0, 1.0,
-                     np.maximum(mean_burst / random_mean, 1.0))
-    ppl = np.maximum(loss, 0.0) * 100.0
-    loss_imp = IE_G711 + (95.0 - IE_G711) * ppl \
-        / (ppl / np.maximum(ratio, 1.0) + BPL_G711)
-    return np.clip(R0 - delay_imp - loss_imp, 0.0, 100.0)
-
-
-def _mos_rows(r: FloatArray) -> FloatArray:
-    """Vectorized :func:`repro.voice.quality.r_to_mos` (r in [0, 100])."""
-    mos = 1.0 + 0.035 * r + r * (r - 60.0) * (100.0 - r) * 7e-6
-    mos = np.where(r <= 0.0, 1.0, np.where(r >= 100.0, 4.5, mos))
-    return np.clip(mos, 1.0, 4.5)
-
-
 def mos_rows(delivered: BoolArray, delays: FloatArray,
              spacing_s: float) -> FloatArray:
     """Per-row MOS, the vectorized :func:`repro.voice.pcr.score_call`
@@ -139,10 +115,10 @@ def mos_rows(delivered: BoolArray, delays: FloatArray,
     one_way = EXTRA_ONE_WAY_DELAY_S + np.maximum(median, 0.0) \
         + PLAYOUT_DELAY_S / 2.0
 
-    r_full = _r_factor_rows(loss, one_way, mean_burst)
-    r_worst = _r_factor_rows(worst, one_way, mean_burst)
+    r_full = emodel_r_factor(loss, one_way, mean_burst)
+    r_worst = emodel_r_factor(worst, one_way, mean_burst)
     r = (1.0 - WORST_WINDOW_WEIGHT) * r_full + WORST_WINDOW_WEIGHT * r_worst
-    return _mos_rows(r)
+    return r_to_mos(r)
 
 
 def correlation_rows(x: FloatArray, y: FloatArray,

@@ -12,7 +12,6 @@ controllable cross-correlation for the Section 4 experiments.
 """
 
 from repro.channel.cellular import CellularConfig, CellularLink
-from repro.channel.fast import FastLinkRenderer, render_fast_pair
 from repro.channel.gilbert import (
     GilbertElliott,
     GilbertParams,
@@ -32,10 +31,8 @@ __all__ = [
     "CellularConfig",
     "CellularLink",
     "CongestionProcess",
-    "FastLinkRenderer",
     "GilbertElliott",
     "GilbertParams",
-    "render_fast_pair",
     "sample_loss_array",
     "LinkConfig",
     "LogDistancePathLoss",

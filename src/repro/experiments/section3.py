@@ -28,12 +28,9 @@ from repro.studies.population import (
     ProviderPopulationTables,
     nettest_population_study,
     provider_population_study,
-)
-from repro.studies.provider import (
-    Table1Row,
-    analyze_table1,
     synthesize_provider_year,
 )
+from repro.studies.provider import Table1Row, analyze_table1
 from repro.studies.scan import (
     SURVEY_LOCATIONS,
     SurveyLocation,

@@ -35,7 +35,6 @@ from repro.net.netmetrics import (
     PortStats,
     PortStatsReader,
     RollingLinkMetrics,
-    link_mos,
 )
 from repro.net.sdn import FlowMatch, MatchAction, SdnSwitch
 from repro.net.topology import (
@@ -72,5 +71,4 @@ __all__ = [
     "WanPath",
     "WiredHop",
     "build_npath_topology",
-    "link_mos",
 ]

@@ -8,7 +8,7 @@ controllers of the related work: every ``poll_interval_s`` it
 2. **polls** per-port counters (loss, delay, queue depth) into
    :class:`~repro.net.netmetrics.RollingLinkMetrics`,
 3. **scores** each path with the E-model MOS
-   (:func:`~repro.net.netmetrics.link_mos`), and
+   (:meth:`~repro.net.netmetrics.RollingLinkMetrics.mos`), and
 4. **acts** through the ordinary :class:`~repro.net.sdn.SdnSwitch` /
    :class:`~repro.net.middlebox.Middlebox` APIs.
 

@@ -12,7 +12,7 @@ carry).  This module provides the two halves of that view:
   quiet interval does not erase the memory of a bad link.
 
 The QoE scorer maps a link's rolling (loss, delay) into an E-model MOS
-(:func:`link_mos`) — the same G.107 machinery :mod:`repro.voice.quality`
+(:meth:`RollingLinkMetrics.mos`) — the same G.107 machinery :mod:`repro.voice.quality`
 uses to score whole calls, so a controller decision threshold and a
 call's final score speak the same units.
 """
@@ -133,20 +133,11 @@ class RollingLinkMetrics:
         self.samples += 1
 
     def mos(self, extra_one_way_delay_s: float = 0.05) -> float:
-        """E-model MOS of this link's rolling state (see
-        :func:`link_mos`)."""
-        return link_mos(self.loss_rate,
-                        self.mean_delay_s + extra_one_way_delay_s)
+        """E-model MOS of this link's rolling loss and one-way delay.
 
-
-def link_mos(loss_rate: float, one_way_delay_s: float,
-             mean_burst_len: float = 1.0) -> float:
-    """E-model MOS for a link with the given rolling loss and delay.
-
-    The same G.107 R-factor the voice pipeline scores calls with
-    (:mod:`repro.voice.quality`), evaluated at the link's rolling loss
-    and one-way delay; ``mean_burst_len`` defaults to random loss since
-    poll counters carry no burst structure.
-    """
-    r = emodel_r_factor(loss_rate, one_way_delay_s, mean_burst_len)
-    return r_to_mos(r)
+        The same G.107 R-factor the voice pipeline scores calls with
+        (:mod:`repro.voice.quality`), at random-loss burstiness since
+        poll counters carry no burst structure.
+        """
+        return r_to_mos(emodel_r_factor(
+            self.loss_rate, self.mean_delay_s + extra_one_way_delay_s))

@@ -144,7 +144,7 @@ def record_trace_metrics(registry: MetricsRegistry, trace: object,
     worst-window and burst-distribution evidence is built from.  The
     same instruments are produced whether the trace came from the exact
     :class:`~repro.channel.link.WifiLink` path or the vectorized
-    :class:`~repro.channel.fast.FastLinkRenderer`, which is what the
+    :func:`repro.batch.render.render_session`, which is what the
     renderer-parity test compares.
     """
     # Local imports: analysis is a consumer of obs elsewhere; keep the

@@ -13,9 +13,9 @@ from repro.studies.provider import (
     ProviderDataset,
     Table1Row,
     analyze_table1,
-    synthesize_provider_year,
 )
 from repro.studies.nettest import NetTestDataset, run_nettest_study
+from repro.studies.population import synthesize_provider_year
 from repro.studies.scan import SurveyLocation, run_site_survey
 
 __all__ = [

@@ -10,10 +10,13 @@ scale path:
   provider call block as whole-array numpy draws from the *same* named
   substreams as :func:`repro.studies.provider.synthesize_provider_block`.
   Because a batched ``Generator`` draw consumes the bit stream exactly
-  like the equivalent sequence of scalar draws, and the arithmetic
-  mirrors the scalar expressions op for op (E-model, MOS cubic,
-  half-even rating rounding), the rendered calls are **bit-identical**
-  to the scalar loop (pinned by ``tests/test_population.py``).
+  like the equivalent sequence of scalar draws, the E-model in
+  :mod:`repro.voice.quality` is elementwise (one code path for scalars
+  and arrays), and the remaining arithmetic mirrors the scalar
+  expressions op for op (half-even rating rounding), the rendered calls
+  are **bit-identical** to the scalar loop (pinned by
+  ``tests/test_population.py``).  :func:`synthesize_provider_year` and
+  Table 1 are built on this path.
 
 * **Runner sharding** — blocks are mapped through
   :func:`repro.runner.map_configs` as module-level tasks
@@ -84,6 +87,7 @@ from repro.studies.provider import (
     WIFI_LOSS_MEDIAN,
     WIFI_LOSS_SIGMA,
     PairState,
+    ProviderDataset,
     RatedCall,
     Table1Row,
     _CATEGORY_BY_WIFI_COUNT,
@@ -93,7 +97,7 @@ from repro.studies.provider import (
     n_call_blocks,
     pair_state,
 )
-from repro.voice.quality import BPL_G711, IE_G711, R0
+from repro.voice.quality import emodel_r_factor, r_to_mos
 
 __all__ = [
     "MOS_GRID",
@@ -110,6 +114,7 @@ __all__ = [
     "provider_pass2_metrics",
     "provider_population_study",
     "render_provider_block",
+    "synthesize_provider_year",
 ]
 
 #: runner entry points
@@ -144,42 +149,6 @@ class ProviderBlockArrays:
     rated: np.ndarray       # did the user rate the call?
 
 
-def _burst_ratio_array(loss: np.ndarray,
-                       mean_burst_len: np.ndarray) -> np.ndarray:
-    # Mirrors voice.quality.burst_ratio; mean_burst_len here is always
-    # >= 1.0 so the scalar <= 0 early-out never fires.
-    p = np.minimum(np.maximum(loss, 0.0), 0.99)
-    random_mean = 1.0 / (1.0 - p)
-    return np.maximum(mean_burst_len / random_mean, 1.0)
-
-
-def _delay_impairment_array(one_way_delay_s: np.ndarray) -> np.ndarray:
-    d_ms = np.maximum(one_way_delay_s, 0.0) * 1000.0
-    return np.where(d_ms < 100.0, d_ms * 0.024,
-                    0.024 * d_ms + 0.11 * (d_ms - 177.3) * (d_ms > 177.3))
-
-
-def _loss_impairment_array(loss: np.ndarray,
-                           burst_ratio: np.ndarray) -> np.ndarray:
-    ppl = np.maximum(loss, 0.0) * 100.0
-    burst_r = np.maximum(burst_ratio, 1.0)
-    return IE_G711 + (95.0 - IE_G711) * ppl / (ppl / burst_r + BPL_G711)
-
-
-def _emodel_r_array(loss: np.ndarray, one_way_delay_s: np.ndarray,
-                    mean_burst_len: np.ndarray) -> np.ndarray:
-    br = _burst_ratio_array(loss, mean_burst_len)
-    r = (R0 - _delay_impairment_array(one_way_delay_s)
-         - _loss_impairment_array(loss, br))
-    return np.clip(r, 0.0, 100.0)
-
-
-def _r_to_mos_array(r: np.ndarray) -> np.ndarray:
-    mos = 1.0 + 0.035 * r + r * (r - 60.0) * (100.0 - r) * 7e-6
-    mos = np.minimum(np.maximum(mos, 1.0), 4.5)
-    return np.where(r <= 0, 1.0, np.where(r >= 100, 4.5, mos))
-
-
 def render_provider_block(block: int, count: int, seed: int,
                           pairs: PairState,
                           wifi_loss_median: float = WIFI_LOSS_MEDIAN,
@@ -194,10 +163,10 @@ def render_provider_block(block: int, count: int, seed: int,
 
     Consumes exactly the draw layout documented on
     :func:`repro.studies.provider.synthesize_provider_block`, one
-    whole-block array draw per named substream, and mirrors the scalar
-    arithmetic op for op (the E-model pipeline, the MOS cubic, the
-    half-even rating rounding), so every field equals the scalar path's
-    to the last bit.
+    whole-block array draw per named substream, scores with the same
+    elementwise E-model, and mirrors the remaining scalar arithmetic op
+    for op (the half-even rating rounding), so every field equals the
+    scalar path's to the last bit.
     """
     router = block_router(seed, block)
     n_subnet_pairs = len(pairs.archetype)
@@ -233,8 +202,7 @@ def render_provider_block(block: int, count: int, seed: int,
     burst = 1.0 + 2.5 * np.minimum(loss * 10.0, 1.0)
     delay = pairs.base_delay[archetype] + delay_draw
 
-    r = _emodel_r_array(loss, delay, burst)
-    mos = _r_to_mos_array(r)
+    mos = r_to_mos(emodel_r_factor(loss, delay, burst))
     mos = mos - np.where(pc_class, 0.0, device)
     mos = mos - glitch
     rating = np.clip(np.round(mos + noise), 1.0, 5.0).astype(np.int64)
@@ -258,6 +226,36 @@ def provider_block_calls(arrays: ProviderBlockArrays) -> List[RatedCall]:
         pc_class=bool(arrays.pc_class[i]),
         rating=int(arrays.rating[i]))
         for i in np.nonzero(arrays.rated)[0]]
+
+
+def synthesize_provider_year(n_calls: int = 200_000, seed: int = 0,
+                             n_subnet_pairs: int = 3000,
+                             wifi_loss_median: float = WIFI_LOSS_MEDIAN,
+                             wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
+                             device_penalty_scale: float =
+                             DEVICE_PENALTY_SCALE,
+                             glitch_penalty_scale: float =
+                             GLITCH_PENALTY_SCALE,
+                             response_bias: bool = True
+                             ) -> ProviderDataset:
+    """Generate the synthetic year of rated calls, block by block.
+
+    Every block is vector-rendered; the calls equal those of
+    :func:`repro.studies.provider.synthesize_provider_block` (the scalar
+    reference) bit for bit.
+    """
+    pairs = pair_state(seed, n_subnet_pairs)
+    dataset = ProviderDataset()
+    for block in range(n_call_blocks(n_calls)):
+        count = min(CALL_BLOCK, n_calls - block * CALL_BLOCK)
+        dataset.calls.extend(provider_block_calls(render_provider_block(
+            block, count, seed, pairs,
+            wifi_loss_median=wifi_loss_median,
+            wifi_loss_sigma=wifi_loss_sigma,
+            device_penalty_scale=device_penalty_scale,
+            glitch_penalty_scale=glitch_penalty_scale,
+            response_bias=response_bias)))
+    return dataset
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,10 @@ unconditionally and applied conditionally.  Two consequences:
   ``n`` calls of a population are a prefix of any larger population
   with the same seed.
 
-This scalar path remains the readable reference; the population backend
-is the scale path, and ``tests/test_population.py`` pins their exact
-equality.
+:func:`synthesize_provider_block` remains the readable scalar
+reference; the population backend is the production path (including
+:func:`repro.studies.population.synthesize_provider_year`, which backs
+Table 1), and ``tests/test_population.py`` pins their exact equality.
 """
 
 from __future__ import annotations
@@ -281,31 +282,6 @@ def synthesize_provider_block(block: int, count: int, seed: int,
             subnet_pair=pair, category=category,
             pc_class=pc_class, rating=rating))
     return rated
-
-
-def synthesize_provider_year(n_calls: int = 200_000, seed: int = 0,
-                             n_subnet_pairs: int = 3000,
-                             wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                             wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                             device_penalty_scale: float =
-                             DEVICE_PENALTY_SCALE,
-                             glitch_penalty_scale: float =
-                             GLITCH_PENALTY_SCALE,
-                             response_bias: bool = True
-                             ) -> ProviderDataset:
-    """Generate the synthetic year of rated calls (scalar reference)."""
-    pairs = pair_state(seed, n_subnet_pairs)
-    dataset = ProviderDataset()
-    for block in range(n_call_blocks(n_calls)):
-        count = min(CALL_BLOCK, n_calls - block * CALL_BLOCK)
-        dataset.calls.extend(synthesize_provider_block(
-            block, count, seed, pairs,
-            wifi_loss_median=wifi_loss_median,
-            wifi_loss_sigma=wifi_loss_sigma,
-            device_penalty_scale=device_penalty_scale,
-            glitch_penalty_scale=glitch_penalty_scale,
-            response_bias=response_bias))
-    return dataset
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -84,57 +85,66 @@ def codec_impairment(codec: str, strict: bool = True) -> CodecImpairment:
     return CODEC_IMPAIRMENTS["g711"]
 
 
-def delay_impairment(one_way_delay_s: float) -> float:
-    """Id — G.107's delay impairment (simplified standard approximation)."""
-    d_ms = max(one_way_delay_s, 0.0) * 1000.0
-    # Below 100 ms delay is essentially free; beyond, impairment grows.
-    if d_ms < 100.0:
-        return d_ms * 0.024
-    return 0.024 * d_ms + 0.11 * (d_ms - 177.3) * (d_ms > 177.3)
+#: A float or a float64 array.  Every E-model function below is
+#: elementwise: an array in gives an array out, a scalar in gives a
+#: built-in ``float`` out, bit-identical to the array path per element.
+Level = TypeVar("Level", float, np.ndarray)
 
 
-def loss_impairment(loss_fraction: float, burst_ratio: float = 1.0,
-                    ie: float = IE_G711, bpl: float = BPL_G711) -> float:
+def _scalar_or_array(value: Any) -> Any:
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def delay_impairment(one_way_delay_s: Level) -> Level:
+    """Id — G.107's delay impairment (simplified standard approximation).
+
+    Linear in delay, with a steeper slope beyond 177.3 ms.
+    """
+    d_ms = np.maximum(one_way_delay_s, 0.0) * 1000.0
+    return _scalar_or_array(
+        0.024 * d_ms + 0.11 * (d_ms - 177.3) * (d_ms > 177.3))
+
+
+def loss_impairment(loss_fraction: Level, burst_ratio: Level = 1.0,
+                    ie: float = IE_G711, bpl: float = BPL_G711) -> Level:
     """Ie_eff — packet-loss impairment with burstiness (G.107 eq. 7-29)."""
-    ppl = max(loss_fraction, 0.0) * 100.0
-    burst_r = max(burst_ratio, 1.0)
-    return ie + (95.0 - ie) * ppl / (ppl / burst_r + bpl)
+    ppl = np.maximum(loss_fraction, 0.0) * 100.0
+    burst_r = np.maximum(burst_ratio, 1.0)
+    return _scalar_or_array(ie + (95.0 - ie) * ppl / (ppl / burst_r + bpl))
 
 
-def burst_ratio(loss_fraction: float, mean_burst_len: float) -> float:
+def burst_ratio(loss_fraction: Level, mean_burst_len: Level) -> Level:
     """BurstR = observed mean burst length / expected under random loss.
 
-    Under Bernoulli loss at rate p, bursts have mean length 1/(1-p).
+    Under Bernoulli loss at rate p, bursts have mean length 1/(1-p).  A
+    non-positive ``mean_burst_len`` (no losses observed) gives 1.0.
     """
-    if mean_burst_len <= 0:
-        return 1.0
-    p = min(max(loss_fraction, 0.0), 0.99)
+    p = np.minimum(np.maximum(loss_fraction, 0.0), 0.99)
     random_mean = 1.0 / (1.0 - p)
-    return max(mean_burst_len / random_mean, 1.0)
+    ratio = np.maximum(mean_burst_len / random_mean, 1.0)
+    return _scalar_or_array(np.where(mean_burst_len <= 0, 1.0, ratio))
 
 
-def emodel_r_factor(loss_fraction: float, one_way_delay_s: float,
-                    mean_burst_len: float = 1.0,
-                    codec: str = "g711") -> float:
+def emodel_r_factor(loss_fraction: Level, one_way_delay_s: Level,
+                    mean_burst_len: Level = 1.0,
+                    codec: str = "g711") -> Level:
     """Full-call R factor (codec-aware via the G.113 constants)."""
     constants = codec_impairment(codec)
     br = burst_ratio(loss_fraction, mean_burst_len)
     r = (R0 - delay_impairment(one_way_delay_s)
          - loss_impairment(loss_fraction, br,
                            ie=constants.ie, bpl=constants.bpl))
-    return float(np.clip(r, 0.0, 100.0))
+    return _scalar_or_array(np.clip(r, 0.0, 100.0))
 
 
-def r_to_mos(r: float) -> float:
+def r_to_mos(r: Level) -> Level:
     """G.107 Annex B mapping from R to MOS (1.0 .. 4.5)."""
-    if r <= 0:
-        return 1.0
-    if r >= 100:
-        return 4.5
     mos = 1.0 + 0.035 * r + r * (r - 60.0) * (100.0 - r) * 7e-6
     # The cubic dips fractionally below 1.0 for tiny positive R; MOS is
     # defined on [1, 4.5].
-    return float(min(max(mos, 1.0), 4.5))
+    mos = np.minimum(np.maximum(mos, 1.0), 4.5)
+    return _scalar_or_array(
+        np.where(r <= 0, 1.0, np.where(r >= 100, 4.5, mos)))
 
 
 @dataclass

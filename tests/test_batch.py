@@ -9,11 +9,18 @@ traces.  Statistical batch-vs-event equivalence lives in
 ``tests/test_batch_equivalence.py``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.batch.population import PopulationSpec
-from repro.batch.render import TraceBlock, ar1_complex, render_block
+from repro.batch.population import PopulationSpec, SessionSetup
+from repro.batch.render import (
+    TraceBlock,
+    ar1_complex,
+    render_block,
+    render_session,
+)
 from repro.batch.strategies import strategy_suite
 from repro.batch.summary import (
     correlation_rows,
@@ -21,10 +28,16 @@ from repro.batch.summary import (
     session_payloads,
     worst_window_rows,
 )
-from repro.channel.fast import _ar1_complex
+from repro.channel.gilbert import GilbertParams
+from repro.channel.link import LinkConfig, WifiLink
+from repro.channel.mobility import Position, StaticPosition
 from repro.core import strategies as event_strategies
 from repro.core.config import StreamProfile
+from repro.core.packet import LinkTrace
 from repro.experiments.section4 import wild_run_metrics
+from repro.obs import MetricsRegistry, record_trace_metrics
+from repro.scenarios import ScenarioSetup
+from repro.sim import RandomRouter
 from repro.voice.pcr import POOR_MOS_THRESHOLD, score_call
 
 SPEC = PopulationSpec(n_sessions=6, root_seed=0, deltas=(0.0, 0.1),
@@ -38,13 +51,73 @@ def block():
 
 # ------------------------------------------------------------- rendering
 
-def test_ar1_matches_fast_renderer_exactly():
-    """The batch AR(1) (convolution form) consumes the same draws and
-    produces the same sequence as the fast renderer's lfilter/loop."""
+def test_ar1_matches_direct_recursion():
+    """The convolution form (direct and FFT) equals the AR(1) recursion
+    x[i] = rho*x[i-1] + sqrt(1-rho^2)*e[i] on the same draws."""
     for n, rho in ((1, 0.9), (500, 0.0), (2_000, 0.74), (3_000, 0.999)):
         ours = ar1_complex(n, rho, np.random.default_rng(11))
-        reference = _ar1_complex(n, rho, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        e = (rng.normal(0.0, 1.0, size=n)
+             + 1j * rng.normal(0.0, 1.0, size=n)) * np.sqrt(0.5)
+        reference = np.empty(n, dtype=complex)
+        reference[0] = e[0]
+        for i in range(1, n):
+            reference[i] = (rho * reference[i - 1]
+                            + np.sqrt(1.0 - rho ** 2) * e[i])
         np.testing.assert_allclose(ours, reference, rtol=1e-9, atol=1e-12)
+
+
+def test_ar1_unit_power():
+    x = ar1_complex(50_000, rho=0.9, rng=np.random.default_rng(0))
+    assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.1)
+
+
+def test_ar1_correlation():
+    rho = 0.8
+    x = ar1_complex(100_000, rho=rho, rng=np.random.default_rng(1))
+    measured = np.real(np.mean(x[1:] * np.conj(x[:-1])))
+    assert measured == pytest.approx(rho, abs=0.05)
+
+
+def test_ar1_rho_zero_is_iid():
+    x = ar1_complex(50_000, rho=0.0, rng=np.random.default_rng(2))
+    measured = np.real(np.mean(x[1:] * np.conj(x[:-1])))
+    assert abs(measured) < 0.02
+
+
+def test_batch_and_exact_emit_identical_instrument_schema():
+    """A batch-rendered trace and a WifiLink trace feed the *same*
+    observability surface: identical metric names, labels, kinds and
+    histogram bounds, so dashboards and digests never care which
+    backend produced a trace."""
+    config = LinkConfig(name="check", ap_position=Position(0.0, 0.0),
+                        gilbert=GilbertParams(mean_good_s=3.0,
+                                              mean_bad_s=0.4,
+                                              loss_good=0.0,
+                                              loss_bad=0.97))
+    client = StaticPosition(Position(10.0, 0.0))
+    profile = StreamProfile(duration_s=20.0)
+    exact = WifiLink(config, RandomRouter(0),
+                     mobility=client).generate_trace(profile)
+    setup = ScenarioSetup(name="static", config_a=config,
+                          config_b=dataclasses.replace(config, name="b"),
+                          mobility=client)
+    links, _ = render_session(
+        SessionSetup(index=0, scenario="static", setup=setup,
+                     router=RandomRouter(0)), profile)
+    batch = LinkTrace("check", exact.send_times, links[0].delivered,
+                      links[0].delays)
+
+    def schema(trace):
+        registry = MetricsRegistry()
+        record_trace_metrics(registry, trace, link="check")
+        return [(name, labels, metric.kind, getattr(metric, "bounds", None))
+                for name, labels, metric in registry.items()]
+
+    assert schema(batch) == schema(exact)
+    assert {name for name, _, _, _ in schema(batch)} \
+        == {"trace.packets", "trace.lost", "trace.burst_len",
+            "trace.window_loss_rate"}
 
 
 def test_render_block_deterministic(block):

@@ -3,7 +3,7 @@
 The event engine is the reference.  These tests render populations with
 the batch backend and re-run sessions through
 :func:`repro.scenarios.generate_wild_run`, checking the tolerances of
-``tests/test_channel_fast.py`` — and exercise the sanitizer wiring both
+:mod:`repro.batch.sanity` — and exercise the sanitizer wiring both
 ways: a healthy block passes ``check_block_equivalence``, a corrupted
 one raises :class:`~repro.batch.sanity.BatchEquivalenceError`.
 """
@@ -22,7 +22,7 @@ from repro.batch.sanity import (
 from repro.scenarios import generate_wild_run
 from repro.sim.sanitize import SanitizerError
 
-#: test_channel_fast.py loss tolerance
+#: repro.batch.sanity loss tolerance
 LOSS_REL, LOSS_ABS = 1.0, 0.01
 
 

@@ -23,7 +23,6 @@ from repro.net.netmetrics import (
     PortStats,
     PortStatsReader,
     RollingLinkMetrics,
-    link_mos,
 )
 from repro.net.topology import (
     ClientCapture,
@@ -161,11 +160,13 @@ def test_rolling_metrics_ewma_and_empty_window():
     assert rolling.loss_rate == before   # silence is not evidence
 
 
-def test_link_mos_monotone_in_loss_and_delay():
-    clean = link_mos(0.0, 0.05)
+def test_rolling_mos_monotone_in_loss_and_delay():
+    clean = RollingLinkMetrics().mos()
+    assert isinstance(clean, float)
     assert clean > 4.0
-    assert link_mos(0.05, 0.05) < clean
-    assert link_mos(0.0, 0.40) < clean
+    assert RollingLinkMetrics(loss_rate=0.05).mos() < clean
+    assert RollingLinkMetrics(mean_delay_s=0.35).mos() < clean
+    assert RollingLinkMetrics().mos(extra_one_way_delay_s=0.40) < clean
 
 
 # -------------------------------------------------------- controller

@@ -21,10 +21,11 @@ from repro.studies.population import (
     render_provider_block,
 )
 from repro.studies.provider import (
+    CALL_BLOCK,
+    ProviderDataset,
     analyze_table1,
     pair_state,
     synthesize_provider_block,
-    synthesize_provider_year,
 )
 
 # ------------------------------------------------------- block bit parity
@@ -62,11 +63,16 @@ def test_render_block_response_bias_off_parity():
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_table1_exact_parity_vs_scalar(seed):
-    """Whole-study equality at small N: same rows (labels, deltas,
-    counts), same overall PCR — exactly, not approximately."""
+    """Whole-study equality at small N against the scalar reference
+    blocks: same rows (labels, deltas, counts), same overall PCR —
+    exactly, not approximately."""
     n_calls = 30_000
-    scalar_rows = analyze_table1(
-        synthesize_provider_year(n_calls=n_calls, seed=seed))
+    pairs = pair_state(seed, 3000)
+    scalar = ProviderDataset()
+    for block, start in enumerate(range(0, n_calls, CALL_BLOCK)):
+        scalar.calls.extend(synthesize_provider_block(
+            block, min(CALL_BLOCK, n_calls - start), seed, pairs))
+    scalar_rows = analyze_table1(scalar)
     tables = provider_population_study(n_calls=n_calls, seed=seed)
     assert len(tables.rows) == len(scalar_rows)
     for got, want in zip(tables.rows, scalar_rows):

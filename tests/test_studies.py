@@ -9,11 +9,11 @@ from repro.studies.nettest import (
     CATEGORY_COUNTS,
     run_nettest_study,
 )
+from repro.studies.population import synthesize_provider_year
 from repro.studies.provider import (
     ProviderDataset,
     RatedCall,
     analyze_table1,
-    synthesize_provider_year,
 )
 from repro.studies.scan import (
     SURVEY_LOCATIONS,

@@ -176,6 +176,36 @@ def test_mos_range_and_monotone():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+def _edge_columns():
+    """Every combination of the E-model's edge inputs: loss below 0 and
+    at/above the 0.99 clamp, burst at/below 0, delay at the 100 ms and
+    177.3 ms knees, R outside [0, 100]."""
+    loss, delay, burst = (axis.ravel() for axis in np.meshgrid(
+        [-0.1, 0.0, 0.02, 0.5, 0.99, 1.0, 1.5],
+        [-0.05, 0.0, 0.05, 0.1, 0.1773, 0.3],
+        [-1.0, 0.0, 0.5, 1.0, 4.0], indexing="ij"))
+    r = np.resize([-5.0, 0.0, 1e-3, 50.0, 99.99, 100.0, 120.0], loss.size)
+    return loss, delay, burst, r
+
+
+@pytest.mark.parametrize("fn,columns", [
+    (delay_impairment, (1,)),
+    (loss_impairment, (0, 2)),
+    (burst_ratio, (0, 2)),
+    (emodel_r_factor, (0, 1, 2)),
+    (r_to_mos, (3,)),
+])
+def test_emodel_array_bit_exact_vs_scalar(fn, columns):
+    """One code path: an array input gives, element for element, the
+    exact bits of the scalar call, and a scalar input a built-in float."""
+    args = [_edge_columns()[c] for c in columns]
+    vector = fn(*args)
+    scalars = [fn(*(float(a[i]) for a in args)) for i in range(len(args[0]))]
+    assert all(type(s) is float for s in scalars)
+    assert np.array_equal(np.asarray(vector).view(np.int64),
+                          np.asarray(scalars).view(np.int64))
+
+
 # --------------------------------------------------------------------- PCR
 
 def test_clean_call_not_poor():

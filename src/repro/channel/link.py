@@ -113,8 +113,16 @@ class WifiLink:
         # far below every process's coherence timescale).
         self._query_clock = 0.0
         # Rate adaptation off the initial average SNR; re-run periodically.
-        self._mcs = select_mcs(self.mean_snr_db(0.0), config.phy)
+        initial_snr_db = self.mean_snr_db(0.0)
+        self._mcs = select_mcs(initial_snr_db, config.phy)
         self._last_rate_update = 0.0
+        # A static client in a non-drifting environment never redraws
+        # shadowing, so its slow SNR is one number for the whole call;
+        # attempt_loss_prob reuses it instead of recomputing path loss.
+        self._static_snr_db: Optional[float] = (
+            initial_snr_db
+            if isinstance(self._mobility, StaticPosition)
+            and not config.environment_drift else None)
 
     def _clock(self, time: float) -> float:
         self._query_clock = max(self._query_clock, time)
@@ -163,8 +171,11 @@ class WifiLink:
         """Per-MAC-attempt loss probability at ``time``."""
         time = self._clock(time)
         self._maybe_update_rate(time)
+        mean_snr_db = self._static_snr_db
+        if mean_snr_db is None:
+            mean_snr_db = self.mean_snr_db(time)
         snr = effective_snr_db(
-            self.mean_snr_db(time),
+            mean_snr_db,
             self._fading.fade_db(time),
             self._interference.snr_penalty_db(time))
         p_phy = frame_error_prob(

@@ -4,8 +4,9 @@ The static lint suite (``tools/reprolint``) catches determinism hazards it
 can see in the source; this module catches the ones only visible at run
 time.  With ``REPRO_SANITIZE=1`` in the environment:
 
-* :class:`repro.sim.engine.Simulator` asserts heap order / causality on
-  every popped event and folds the executed event sequence into a
+* :class:`repro.sim.engine.Simulator` asserts causality and key
+  integrity (``Event.time`` still equal to its heap key) on every
+  popped event and folds the executed event sequence into a
   :class:`DeterminismDigest` — two runs of the same scenario and seed must
   produce identical digests, and a digest mismatch pinpoints the first
   divergent run.
@@ -39,7 +40,7 @@ class StreamSharingError(SanitizerError):
 
 
 class HeapOrderError(SanitizerError):
-    """The event queue yielded events out of time order."""
+    """A popped event is out of time order or moved off its heap key."""
 
 
 class DeterminismDigest:

@@ -9,6 +9,7 @@ from repro.channel.link import LinkConfig, WifiLink, paired_links
 from repro.channel.mobility import Position, StaticPosition
 from repro.channel.pathloss import PathLossParams
 from repro.core.config import StreamProfile
+from repro.scenarios import build_office_pair, build_scenario
 from repro.sim import RandomRouter
 
 
@@ -131,3 +132,69 @@ def test_mimo_link_fades_less():
     siso_trace = siso.generate_trace(SHORT)
     mimo_trace = mimo.generate_trace(SHORT)
     assert mimo_trace.loss_rate <= siso_trace.loss_rate
+
+
+# ------------------------------------------------------ static-client SNR cache
+
+def _uncached_twin(seed, **config_kwargs):
+    """The same link as ``make_link(seed, ...)``, forced to recompute
+    the slow SNR through ``mean_snr_db`` on every attempt."""
+    twin = make_link(seed=seed, **config_kwargs)
+    twin._static_snr_db = None
+    return twin
+
+
+def test_static_snr_cache_only_for_static_non_drifting_links():
+    assert make_link()._static_snr_db is not None
+    assert make_link(environment_drift=True)._static_snr_db is None
+    for name, cached in (("benign", True), ("congestion", True),
+                         ("microwave", True), ("weak_link", False),
+                         ("mobility", False)):
+        for link in build_scenario(name, RandomRouter(0)):
+            assert (link._static_snr_db is not None) is cached, name
+    for link in build_office_pair(RandomRouter(0)):
+        assert link._static_snr_db is not None
+
+
+def _recorded_attempts(link, profile):
+    probs = []
+    compute = link.attempt_loss_prob
+
+    def record(time):
+        probs.append(compute(time))
+        return probs[-1]
+
+    link.attempt_loss_prob = record   # the MAC looks it up per packet
+    trace = link.generate_trace(profile)
+    return probs, trace
+
+
+def test_static_snr_cache_is_bit_identical_over_a_call():
+    params = dict(distance=24.0,
+                  gilbert=GilbertParams(mean_good_s=2.0, mean_bad_s=0.3,
+                                        loss_good=0.01, loss_bad=0.9))
+    link = make_link(seed=11, **params)
+    twin = _uncached_twin(11, **params)
+    assert link._static_snr_db is not None
+    probs, trace = _recorded_attempts(link, StreamProfile(duration_s=60.0))
+    twin_probs, twin_trace = _recorded_attempts(
+        twin, StreamProfile(duration_s=60.0))
+    assert len(probs) > trace.send_times.size   # MAC retries happened
+    assert probs == twin_probs
+    assert np.array_equal(trace.delivered, twin_trace.delivered)
+    assert np.array_equal(trace.delays, twin_trace.delays, equal_nan=True)
+
+
+def test_external_snr_queries_advance_query_clock_as_before():
+    link = make_link(seed=4)
+    twin = _uncached_twin(4)
+    for each in (link, twin):
+        each.attempt_loss_prob(1.0)
+        each.mean_snr_db(2.5)
+        each.rssi_dbm(3.0)
+    assert link._query_clock == twin._query_clock == 3.0
+    # An attempt "in the past" is answered at the advanced query clock.
+    assert link.attempt_loss_prob(2.0) == twin.attempt_loss_prob(2.0)
+    assert link._query_clock == 3.0
+    assert link.mean_snr_db(5.0) == twin.mean_snr_db(5.0)
+    assert link._query_clock == twin._query_clock == 5.0

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import HeapOrderError, RandomRouter, SimulationError, Simulator
 
@@ -250,9 +252,23 @@ def test_mutated_event_time_caught_by_sanitizer(monkeypatch):
         sim.run()
 
 
+def test_mutated_event_time_later_caught_by_sanitizer(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    for drive in (Simulator.run, Simulator.step):
+        sim = Simulator()
+        sim.call_at(5.0, lambda: None)
+        rogue = sim.call_at(1.0, lambda: None)
+        # Moving an event *later* keeps the pop order monotonic, so only
+        # the check of Event.time against its heap key can see it.
+        rogue.time = 20.0
+        with pytest.raises(HeapOrderError):
+            drive(sim)
+
+
 def test_mutated_event_time_unnoticed_without_sanitizer(monkeypatch):
     """Documents the hazard the sanitizer exists for: without it the
-    corrupted run completes, silently out of order."""
+    corrupted run completes, each event firing at the time it was
+    scheduled for, whatever its ``time`` now reads."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     sim = Simulator()
     order = []
@@ -260,4 +276,152 @@ def test_mutated_event_time_unnoticed_without_sanitizer(monkeypatch):
     rogue = sim.call_at(10.0, order.append, "b")
     rogue.time = 1.0
     sim.run()
-    assert order == ["a", "b"]   # executed despite t=1.0 < 5.0
+    assert order == ["a", "b"]   # executed despite reading t=1.0 < 5.0
+
+
+# ------------------------------------------- equivalence with a reference model
+
+class _RefEvent:
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time, seq, callback):
+        self.time, self.seq, self.callback = time, seq, callback
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceSimulator:
+    """The engine's contract written out plainly: a list kept sorted by
+    ``(time, seq)``, cancelled entries dropped only when they reach the
+    head, and the depth high-water mark counting them."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []
+        self.seq = 0
+        self.stopped = False
+        self.events_executed = 0
+        self.peak_queue_depth = 0
+
+    def call_at(self, time, callback):
+        if time < self.now - 1e-12:
+            raise SimulationError("past")
+        event = _RefEvent(max(time, self.now), self.seq, callback)
+        self.seq += 1
+        self.pending.append(event)
+        self.pending.sort(key=lambda e: (e.time, e.seq))
+        self.peak_queue_depth = max(self.peak_queue_depth,
+                                    len(self.pending))
+        return event
+
+    def stop(self):
+        self.stopped = True
+
+    def _drop_cancelled_head(self):
+        while self.pending and self.pending[0].cancelled:
+            self.pending.pop(0)
+
+    def _fire_head(self):
+        event = self.pending.pop(0)
+        self.now = event.time
+        event.callback()
+        self.events_executed += 1
+
+    def peek(self):
+        self._drop_cancelled_head()
+        return self.pending[0].time if self.pending else None
+
+    def step(self):
+        self._drop_cancelled_head()
+        if not self.pending:
+            return False
+        self._fire_head()
+        return True
+
+    def run(self, until=None):
+        self.stopped = False
+        while not self.stopped:
+            self._drop_cancelled_head()
+            if not self.pending:
+                break
+            if until is not None and self.pending[0].time > until:
+                self.now = until
+                break
+            self._fire_head()
+        if until is not None and self.now < until and not self.pending:
+            self.now = until
+        return self.now
+
+
+_MAX_EVENTS = 40
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+_CALLBACK_OP = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, _MAX_EVENTS)),
+    st.tuples(st.just("stop")))
+_TOP_OP = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, _MAX_EVENTS)),
+    st.tuples(st.just("peek")),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run"),
+              st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 3.0]))))
+
+
+def _drive(sim, actions, program):
+    """Run ``program`` on ``sim``; the k-th scheduled event performs
+    ``actions[k % len(actions)]`` when it fires.  Returns everything
+    observable."""
+    fired, handles, results = [], [], []
+
+    def schedule(time):
+        if len(handles) < _MAX_EVENTS:
+            k = len(handles)
+            handles.append(sim.call_at(time, lambda: fire(k)))
+
+    def apply(op):
+        if op[0] == "schedule":
+            schedule(sim.now + op[1])
+        elif op[0] == "cancel" and handles:
+            handles[op[1] % len(handles)].cancel()
+        elif op[0] == "stop":
+            sim.stop()
+
+    def fire(k):
+        fired.append((k, sim.now, handles[k].cancelled))
+        for op in actions[k % len(actions)]:
+            apply(op)
+
+    for op in program:
+        if op[0] == "peek":
+            results.append(sim.peek())
+        elif op[0] == "step":
+            results.append(sim.step())
+        elif op[0] == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            results.append(sim.run(until=until))
+        else:
+            apply(op)
+    keys = [(handles[k].time, handles[k].seq) for k, _, _ in fired]
+    return (fired, keys, results, sim.now, sim.events_executed,
+            sim.peak_queue_depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(actions=st.lists(st.lists(_CALLBACK_OP, max_size=3),
+                        min_size=1, max_size=8),
+       program=st.lists(_TOP_OP, min_size=1, max_size=30))
+def test_engine_matches_sorted_list_reference(actions, program):
+    got = _drive(Simulator(), actions, program)
+    want = _drive(_ReferenceSimulator(), actions, program)
+    fired, keys, _, _, executed, _ = got
+    # Execution follows (time, seq) order, never fires a cancelled event
+    # and never runs the clock backwards.
+    assert keys == sorted(keys)
+    assert not any(cancelled for _, _, cancelled in fired)
+    assert executed == len(fired)
+    # Same order, return values, final clock, executed count and peak
+    # depth (cancelled-but-unpopped entries included) as the reference.
+    assert got == want

@@ -61,6 +61,7 @@ from repro.core.replication import PairedRun
 from repro.core.types import BoolArray, FloatArray
 from repro.scenarios import InterferenceSpec, MobilityModel, ScenarioSetup
 from repro.sim.random import RandomRouter
+from repro.wifi.mac import contention_windows
 from repro.wifi.phy import MCS_TABLE, PhyConfig
 
 #: per-MCS curve constants, columnized for vectorized PER evaluation
@@ -109,12 +110,11 @@ def select_mcs_indices(mean_snr_db: FloatArray,
 
 
 def _attempt_backoff_means_s(config: LinkConfig) -> FloatArray:
-    """Expected DIFS + contention backoff per retry stage (the mean of
-    :meth:`repro.wifi.mac.MacLayer._backoff_s`)."""
+    """Expected DIFS + contention backoff per retry stage: the mean of
+    the uniform slot draw :class:`repro.wifi.mac.MacLayer` makes over
+    each window of :func:`repro.wifi.mac.contention_windows`."""
     mac = config.mac
-    attempts = np.arange(mac.retry_limit + 1)
-    cw = np.minimum(mac.cw_min * 2.0 ** attempts + 2.0 ** attempts - 1.0,
-                    float(mac.cw_max))
+    cw = np.asarray(contention_windows(mac), dtype=float)
     return mac.difs_s + cw / 2.0 * mac.slot_time_s
 
 

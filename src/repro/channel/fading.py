@@ -9,31 +9,43 @@ The per-packet *fade margin* in dB is added to the slow-fading SNR before
 the PHY error model.  Multiple MIMO spatial streams draw independent fading
 chains — that is precisely the PHY-layer diversity of Section 4.3, and why
 MIMO helps against multipath fading but not against shadowing/interference.
+
+Each fading object is its stream's only consumer, so its Gaussian draws come
+from a :class:`repro.sim.random.BufferedDraws` block (the same values the
+scalar ``normal`` calls would return); the branches of a
+:class:`SelectionDiversityFading` share one stream and hence one buffer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Union
 
 import numpy as np
+
+from repro.sim.random import BufferedDraws
+
+#: standard deviation of each quadrature of a unit-power complex gain
+_QUADRATURE_SIGMA = math.sqrt(0.5)
 
 
 class RayleighFading:
     """Rayleigh-faded channel gain with AR(1) temporal correlation."""
 
-    def __init__(self, rng: np.random.Generator,
+    def __init__(self, rng: Union[np.random.Generator, BufferedDraws],
                  coherence_time_s: float = 0.050):
         if coherence_time_s <= 0:
             raise ValueError("coherence time must be positive")
-        self._rng = rng
+        self._draws = (rng if isinstance(rng, BufferedDraws)
+                       else BufferedDraws(rng))
         self.coherence_time_s = coherence_time_s
         self._time: Optional[float] = None
         # complex gain, unit average power: Re/Im ~ N(0, 1/2)
         self._gain = self._fresh_gain()
 
     def _fresh_gain(self) -> complex:
-        re, im = self._rng.normal(0.0, np.sqrt(0.5), size=2)
-        return complex(re, im)
+        re = self._draws.normal(_QUADRATURE_SIGMA)
+        return complex(re, self._draws.normal(_QUADRATURE_SIGMA))
 
     def _rho(self, dt: float) -> float:
         # AR(1) correlation decaying on the coherence timescale.
@@ -49,9 +61,10 @@ class RayleighFading:
             raise ValueError("fading process queried backwards")
         if dt > 0:
             rho = self._rho(dt)
-            sigma = np.sqrt(max(0.0, (1.0 - rho ** 2) / 2.0))
-            innovation = complex(self._rng.normal(0.0, sigma),
-                                 self._rng.normal(0.0, sigma))
+            variance = (1.0 - rho ** 2) / 2.0
+            sigma = math.sqrt(variance) if variance > 0.0 else 0.0
+            re = self._draws.normal(sigma)
+            innovation = complex(re, self._draws.normal(sigma))
             self._gain = rho * self._gain + innovation
             self._time = time
         return self._gain
@@ -59,7 +72,7 @@ class RayleighFading:
     def fade_db(self, time: float) -> float:
         """Instantaneous fade relative to average power, in dB."""
         power = abs(self.gain_at(time)) ** 2
-        return float(10.0 * np.log10(max(power, 1e-12)))
+        return 10.0 * float(np.log10(1e-12 if 1e-12 > power else power))
 
 
 class RicianFading(RayleighFading):
@@ -69,19 +82,19 @@ class RicianFading(RayleighFading):
     shallower fades (typical for a client near its AP).
     """
 
-    def __init__(self, rng: np.random.Generator,
+    def __init__(self, rng: Union[np.random.Generator, BufferedDraws],
                  coherence_time_s: float = 0.050,
                  k_factor_db: float = 6.0):
         super().__init__(rng, coherence_time_s)
         k = 10.0 ** (k_factor_db / 10.0)
-        self._los_amplitude = np.sqrt(k / (k + 1.0))
-        self._scatter_scale = np.sqrt(1.0 / (k + 1.0))
+        self._los_amplitude = math.sqrt(k / (k + 1.0))
+        self._scatter_scale = math.sqrt(1.0 / (k + 1.0))
 
     def fade_db(self, time: float) -> float:
         scatter = self.gain_at(time) * self._scatter_scale
         total = self._los_amplitude + scatter
         power = abs(total) ** 2
-        return float(10.0 * np.log10(max(power, 1e-12)))
+        return 10.0 * float(np.log10(1e-12 if 1e-12 > power else power))
 
 
 class SelectionDiversityFading:
@@ -96,7 +109,8 @@ class SelectionDiversityFading:
                  coherence_time_s: float = 0.050):
         if n_branches < 1:
             raise ValueError("need at least one branch")
-        self._branches = [RayleighFading(rng, coherence_time_s)
+        draws = BufferedDraws(rng)
+        self._branches = [RayleighFading(draws, coherence_time_s)
                           for _ in range(n_branches)]
 
     @property

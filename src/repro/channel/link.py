@@ -113,19 +113,27 @@ class WifiLink:
         # far below every process's coherence timescale).
         self._query_clock = 0.0
         # Rate adaptation off the initial average SNR; re-run periodically.
-        initial_snr_db = self.mean_snr_db(0.0)
+        initial_snr_db = float(self.mean_snr_db(0.0))
         self._mcs = select_mcs(initial_snr_db, config.phy)
         self._last_rate_update = 0.0
-        # A static client in a non-drifting environment never redraws
-        # shadowing, so its slow SNR is one number for the whole call;
-        # attempt_loss_prob reuses it instead of recomputing path loss.
+        # A static client's slow SNR changes only when shadowing is
+        # redrawn.  Without environment drift that never happens, so the
+        # SNR is one number for the whole call; with drift it is cached
+        # per shadowing value.  attempt_loss_prob reuses either instead
+        # of recomputing path loss; a moving client takes the full path.
+        static = isinstance(self._mobility, StaticPosition)
         self._static_snr_db: Optional[float] = (
             initial_snr_db
-            if isinstance(self._mobility, StaticPosition)
-            and not config.environment_drift else None)
+            if static and not config.environment_drift else None)
+        self._drift_distance_m: Optional[float] = (
+            self.distance_m(0.0)
+            if static and config.environment_drift else None)
+        self._drift_shadowing_db = self._pathloss.shadowing_db
+        self._drift_snr_db = initial_snr_db
 
     def _clock(self, time: float) -> float:
-        self._query_clock = max(self._query_clock, time)
+        if time > self._query_clock:
+            self._query_clock = time
         return self._query_clock
 
     # ------------------------------------------------------------------
@@ -161,25 +169,39 @@ class WifiLink:
             self._pathloss.redraw_shadowing()
             self._last_shadow_update = time
 
-    def _maybe_update_rate(self, time: float) -> None:
-        if (time - self._last_rate_update
-                >= self.config.rate_update_interval_s):
-            self._mcs = select_mcs(self.mean_snr_db(time), self.config.phy)
-            self._last_rate_update = time
+    def _drift_snr(self, time: float, distance_m: float) -> float:
+        """Slow SNR of a static client in a drifting environment."""
+        self._maybe_update_shadowing(time)
+        shadowing_db = self._pathloss.shadowing_db
+        if shadowing_db != self._drift_shadowing_db:
+            self._drift_shadowing_db = shadowing_db
+            self._drift_snr_db = float(self._pathloss.snr_db(distance_m))
+        return self._drift_snr_db
 
     def attempt_loss_prob(self, time: float) -> float:
         """Per-MAC-attempt loss probability at ``time``."""
-        time = self._clock(time)
-        self._maybe_update_rate(time)
+        # The query clock and the rate-control check, inlined: this runs
+        # once per MAC attempt.
+        if time > self._query_clock:
+            self._query_clock = time
+        else:
+            time = self._query_clock
+        config = self.config
+        if time - self._last_rate_update >= config.rate_update_interval_s:
+            self._mcs = select_mcs(self.mean_snr_db(time), config.phy)
+            self._last_rate_update = time
         mean_snr_db = self._static_snr_db
         if mean_snr_db is None:
-            mean_snr_db = self.mean_snr_db(time)
+            if self._drift_distance_m is not None:
+                mean_snr_db = self._drift_snr(time, self._drift_distance_m)
+            else:
+                mean_snr_db = float(self.mean_snr_db(time))
         snr = effective_snr_db(
             mean_snr_db,
             self._fading.fade_db(time),
             self._interference.snr_penalty_db(time))
         p_phy = frame_error_prob(
-            snr, self._mcs, self.config.phy.reference_frame_bytes)
+            snr, self._mcs, config.phy.reference_frame_bytes)
         p_ge = self._gilbert.loss_probability(time)
         return 1.0 - (1.0 - p_phy) * (1.0 - p_ge)
 

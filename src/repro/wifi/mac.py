@@ -12,7 +12,7 @@ retry burst's actual attempt times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.runtime import active_registry
+from repro.sim.random import BufferedDraws
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,17 @@ class MacConfig:
     cw_max: int = 1023
     #: per-attempt frame airtime (transmission + ACK), overridden by PHY
     attempt_airtime_s: float = 3e-4
+
+
+def contention_windows(config: MacConfig) -> Tuple[int, ...]:
+    """Contention window of each retry stage (``retry_limit + 1`` of them).
+
+    Stage ``k`` backs off a uniform number of slots in ``[0, cw_k]`` with
+    ``cw_k = min((cw_min + 1) * 2**k - 1, cw_max)``.
+    """
+    return tuple(min(config.cw_min * (2 ** attempt) + (2 ** attempt - 1),
+                     config.cw_max)
+                 for attempt in range(config.retry_limit + 1))
 
 
 @dataclass
@@ -62,7 +74,13 @@ class MacLayer:
                  metrics: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.config = config
-        self._rng = rng
+        #: per-stage contention windows, see :func:`contention_windows`
+        self.contention_windows = contention_windows(config)
+        if any(not 0 <= cw < 2 ** 32 for cw in self.contention_windows):
+            raise ValueError("contention windows must lie in [0, 2**32)")
+        # The MAC is its stream's only consumer, so the backoff slots and
+        # loss coins come from prefetched blocks (same values).
+        self._draws = BufferedDraws(rng)
         # Instruments are resolved once here, not per frame: transmit()
         # runs per packet and a dict lookup per counter would be hot.
         registry = metrics if metrics is not None else active_registry()
@@ -79,12 +97,6 @@ class MacLayer:
             self._m_attempt_hist = registry.histogram(
                 "mac.attempts_per_frame", bounds=COUNT_BUCKETS, **labels)
 
-    def _backoff_s(self, attempt: int) -> float:
-        cw = min(self.config.cw_min * (2 ** attempt) + (2 ** attempt - 1),
-                 self.config.cw_max)
-        slots = int(self._rng.integers(0, cw + 1))
-        return self.config.difs_s + slots * self.config.slot_time_s
-
     def transmit(self, start_time: float,
                  attempt_loss_prob: Callable[[float], float],
                  airtime_s: float = None) -> TransmissionResult:
@@ -93,23 +105,28 @@ class MacLayer:
         Returns the result with the cumulative service time (backoffs +
         airtimes across all attempts).
         """
+        config = self.config
         airtime = (airtime_s if airtime_s is not None
-                   else self.config.attempt_airtime_s)
+                   else config.attempt_airtime_s)
+        difs_s = config.difs_s
+        slot_time_s = config.slot_time_s
+        draws = self._draws
         elapsed = 0.0
         result = None
-        for attempt in range(self.config.retry_limit + 1):
-            elapsed += self._backoff_s(attempt)
+        for attempt, cw in enumerate(self.contention_windows):
+            # DIFS plus a backoff of 0..cw slots, drawn uniformly.
+            elapsed += difs_s + draws.integers(cw + 1) * slot_time_s
             tx_time = start_time + elapsed
             elapsed += airtime
             p_loss = attempt_loss_prob(tx_time)
-            if self._rng.random() >= p_loss:
+            if draws.random() >= p_loss:
                 result = TransmissionResult(
                     delivered=True, attempts=attempt + 1,
                     service_time_s=elapsed)
                 break
         if result is None:
             result = TransmissionResult(
-                delivered=False, attempts=self.config.retry_limit + 1,
+                delivered=False, attempts=config.retry_limit + 1,
                 service_time_s=elapsed)
         if self._m_attempts is not None:
             self._m_attempts.inc(result.attempts)

@@ -66,10 +66,12 @@ def frame_error_prob(snr_db: float, mcs: Mcs,
     Logistic in SNR, rescaled for frame length (error probability scales
     roughly with the number of bits at a fixed BER).
     """
-    per_ref = 1.0 / (1.0 + np.exp((snr_db - mcs.snr_mid_db)
-                                  / mcs.snr_slope_db))
+    # np.exp, not math.exp: the two differ in the last bit on some
+    # inputs, and per-attempt loss coins are compared against this.
+    per_ref = 1.0 / (1.0 + float(np.exp((snr_db - mcs.snr_mid_db)
+                                        / mcs.snr_slope_db)))
     if frame_bytes == 1500:
-        return float(per_ref)
+        return per_ref
     # P_frame = 1 - (1 - p_bit)^bits ; invert at reference then rescale.
     per_ref = min(max(per_ref, 1e-12), 1.0 - 1e-12)
     bits_ref = 1500 * 8.0

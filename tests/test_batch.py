@@ -17,6 +17,7 @@ import pytest
 from repro.batch.population import PopulationSpec, SessionSetup
 from repro.batch.render import (
     TraceBlock,
+    _attempt_backoff_means_s,
     ar1_complex,
     render_block,
     render_session,
@@ -39,6 +40,7 @@ from repro.obs import MetricsRegistry, record_trace_metrics
 from repro.scenarios import ScenarioSetup
 from repro.sim import RandomRouter
 from repro.voice.pcr import POOR_MOS_THRESHOLD, score_call
+from repro.wifi.mac import MacConfig, MacLayer
 
 SPEC = PopulationSpec(n_sessions=6, root_seed=0, deltas=(0.0, 0.1),
                       duration_s=10.0)
@@ -83,6 +85,44 @@ def test_ar1_rho_zero_is_iid():
     x = ar1_complex(50_000, rho=0.0, rng=np.random.default_rng(2))
     measured = np.real(np.mean(x[1:] * np.conj(x[:-1])))
     assert abs(measured) < 0.02
+
+
+@pytest.mark.parametrize("mac", [
+    MacConfig(),
+    MacConfig(retry_limit=4, cw_min=31, cw_max=255, slot_time_s=20e-6,
+              difs_s=50e-6),
+    MacConfig(retry_limit=10, cw_min=7, cw_max=4095),
+], ids=["default", "short-retry", "long-retry"])
+def test_batch_backoff_means_mirror_the_mac_windows(mac):
+    """The batch attempt schedule backs off the mean of the scalar MAC's
+    uniform slot draw over each retry stage's contention window, and
+    the MAC really draws its slots from those windows."""
+    layer = MacLayer(mac, np.random.default_rng(0))
+    windows = layer.contention_windows
+    assert windows == tuple(min((mac.cw_min + 1) * 2 ** k - 1, mac.cw_max)
+                            for k in range(mac.retry_limit + 1))
+    if mac == MacConfig():
+        assert windows == (15, 31, 63, 127, 255, 511, 1023, 1023)
+    expected = [mac.difs_s + cw / 2.0 * mac.slot_time_s for cw in windows]
+    assert _attempt_backoff_means_s(
+        LinkConfig(mac=mac)).tolist() == expected
+
+    # Every attempt is lost, so each frame walks all stages; the gap
+    # between consecutive attempt times is DIFS + slots * slot_time
+    # (+ the previous attempt's zero airtime).
+    slots = [[] for _ in windows]
+    for frame in range(400):
+        times = []
+        layer.transmit(float(frame), lambda t: times.append(t) or 1.0,
+                       airtime_s=0.0)
+        previous = float(frame)
+        for stage, t in enumerate(times):
+            slots[stage].append(round((t - previous - mac.difs_s)
+                                      / mac.slot_time_s))
+            previous = t
+    for stage, cw in enumerate(windows):
+        assert min(slots[stage]) >= 0 and max(slots[stage]) <= cw
+    assert set(slots[0]) == set(range(windows[0] + 1))
 
 
 def test_batch_and_exact_emit_identical_instrument_schema():

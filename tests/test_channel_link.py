@@ -198,3 +198,79 @@ def test_external_snr_queries_advance_query_clock_as_before():
     assert link._query_clock == 3.0
     assert link.mean_snr_db(5.0) == twin.mean_snr_db(5.0)
     assert link._query_clock == twin._query_clock == 5.0
+
+
+# ------------------------------------------------ drifting-client SNR cache
+
+def _weak_links(seed, uncached=False):
+    """Both links of a ``weak_link`` call (static client, drifting
+    shadowing); ``uncached`` forces the slow SNR through
+    ``mean_snr_db`` on every attempt."""
+    links = build_scenario("weak_link", RandomRouter(seed))
+    if uncached:
+        for link in links:
+            link._drift_distance_m = None
+    return links
+
+
+def test_drift_snr_cache_only_for_static_drifting_links():
+    assert make_link()._drift_distance_m is None
+    link = make_link(distance=8.0, environment_drift=True)
+    assert link._static_snr_db is None
+    assert link._drift_distance_m == pytest.approx(8.0)
+    for name, cached in (("benign", False), ("congestion", False),
+                         ("microwave", False), ("weak_link", True),
+                         ("mobility", False)):
+        for link in build_scenario(name, RandomRouter(0)):
+            assert (link._drift_distance_m is not None) is cached, name
+
+
+def test_mobility_links_never_take_an_snr_cache():
+    for seed in range(3):
+        for link in build_scenario("mobility", RandomRouter(seed)):
+            assert link._static_snr_db is None
+            assert link._drift_distance_m is None
+            link.generate_trace(SHORT)
+            assert link._static_snr_db is None
+            assert link._drift_distance_m is None
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_drift_snr_cache_is_bit_identical_over_a_call(seed):
+    profile = StreamProfile(duration_s=60.0)
+    for link, twin in zip(_weak_links(seed),
+                          _weak_links(seed, uncached=True)):
+        shadowing = [link._pathloss.shadowing_db]
+        probs, trace = _recorded_attempts(link, profile)
+        twin_probs, twin_trace = _recorded_attempts(twin, profile)
+        shadowing.append(link._pathloss.shadowing_db)
+        assert shadowing[0] != shadowing[1]    # shadowing did drift
+        assert len(probs) > trace.send_times.size   # MAC retries happened
+        assert probs == twin_probs
+        assert np.array_equal(trace.delivered, twin_trace.delivered)
+        assert np.array_equal(trace.delays, twin_trace.delays,
+                              equal_nan=True)
+
+
+def test_shadowing_redraw_refreshes_the_drift_cache():
+    link, _ = _weak_links(1)
+    twin, _ = _weak_links(1, uncached=True)
+    interval = link.config.shadowing_update_s
+    before = link._drift_snr_db
+    # No redraw before the update interval: the cached value stands.
+    assert link.attempt_loss_prob(0.5 * interval) \
+        == twin.attempt_loss_prob(0.5 * interval)
+    assert link._drift_snr_db == before
+    # The next attempt after the interval redraws shadowing.
+    assert link.attempt_loss_prob(1.1 * interval) \
+        == twin.attempt_loss_prob(1.1 * interval)
+    assert link._drift_snr_db != before
+    assert link._drift_snr_db == twin.mean_snr_db(1.1 * interval)
+    # A redraw triggered outside the MAC path (an RSSI sample) is seen
+    # by the next attempt too.
+    refreshed = link._drift_snr_db
+    assert link.rssi_dbm(2.2 * interval) == twin.rssi_dbm(2.2 * interval)
+    assert link.attempt_loss_prob(2.2 * interval) \
+        == twin.attempt_loss_prob(2.2 * interval)
+    assert link._drift_snr_db != refreshed
+    assert link._drift_snr_db == twin.mean_snr_db(2.2 * interval)

@@ -70,20 +70,6 @@ def _observe_block(block: TraceBlock) -> None:
         loss_hist.observe(float(value))
 
 
-def _render_with_spans(spec: PopulationSpec, start: int,
-                       count: int) -> TraceBlock:
-    registry = active_registry()
-    clock = SimulatedClock()
-    tracker = SpanTracker(clock, registry=registry, source="batch") \
-        if registry is not None else None
-    span = tracker.span("batch.render", block=start) if tracker else None
-    block = render_block(spec, range(start, start + count))
-    clock.advance(count * spec.profile.duration_s)
-    if span is not None:
-        span.end()
-    return block
-
-
 def population_block_metrics(start: int, *, count: int, root_seed: int,
                              deltas: Sequence[float] = (),
                              mimo_branches: int = 1,

@@ -229,7 +229,7 @@ def run_command(name: str, runs: Optional[int], seed: int,
     # Elapsed wall-clock reporting is the one sanctioned clock read: it
     # never feeds back into simulated behaviour, only into the "[... 3.2s]"
     # status line, so the determinism lint is suppressed explicitly.
-    start = time.perf_counter()   # reprolint: disable=DET002
+    start = time.perf_counter()   # reproflow: disable=DET002
     with runner_context(jobs=jobs, cache_dir=cache_dir,
                         no_cache=no_cache, on_batch=batches.append):
         if name in _BATCH_COMMANDS:
@@ -238,7 +238,7 @@ def run_command(name: str, runs: Optional[int], seed: int,
             result = runner(runs, seed, calls=calls)
         else:
             result = runner(runs, seed)
-    elapsed = time.perf_counter() - start   # reprolint: disable=DET002
+    elapsed = time.perf_counter() - start   # reproflow: disable=DET002
     print(result.render(), file=out)
     print(f"[{name}: {description}; {elapsed:.1f}s]", file=out)
     _runner_footer(name, batches, jobs, out)

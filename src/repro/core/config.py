@@ -8,7 +8,7 @@ InterPktSpacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,3 @@ class MiddleboxConfig:
     #: +1.1 ms at 1000 streams)
     per_stream_delay_s: float = 1.1e-6
 
-
-@dataclass
-class ExperimentConfig:
-    """Bundle used by experiment drivers."""
-
-    profile: StreamProfile = field(default_factory=StreamProfile)
-    client: ClientConfig = field(default_factory=ClientConfig)
-    ap: APConfig = field(default_factory=APConfig)
-    middlebox: MiddleboxConfig = field(default_factory=MiddleboxConfig)
-    seed: int = 0

@@ -19,7 +19,6 @@ seeds with ``--jobs``, caches per run, and merges deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.core.config import (
     MiddleboxConfig,
     StreamProfile,
 )
-from repro.core.controller import SessionResult, run_session
+from repro.core.controller import run_session
 from repro.experiments.section4 import (
     _burst_contribution,
     _merge_burst_contributions,
@@ -53,24 +52,6 @@ OFFICE_TASK = "repro.experiments.section6:office_run_metrics"
 TCP_TASK = "repro.experiments.section6:tcp_throughput_metrics"
 SWITCH_TASK = "repro.experiments.section6:switch_delay_metrics"
 RETRIEVAL_TASK = "repro.experiments.section6:mbox_retrieval_metrics"
-
-
-@lru_cache(maxsize=4)
-def _office_sessions(n_runs: int, seed0: int
-                     ) -> Dict[str, Tuple[SessionResult, ...]]:
-    sessions: Dict[str, List[SessionResult]] = {m: [] for m in OFFICE_MODES}
-    for seed in range(seed0, seed0 + n_runs):
-        for mode in OFFICE_MODES:
-            sessions[mode].append(run_session(
-                build_office_pair, mode=mode, profile=G711_PROFILE,
-                seed=seed))
-    return {m: tuple(v) for m, v in sessions.items()}
-
-
-def office_sessions(n_runs: int = 61, seed0: int = 0
-                    ) -> Dict[str, Tuple[SessionResult, ...]]:
-    """The shared Section 6 raw-session set (cached in memory)."""
-    return _office_sessions(n_runs, seed0)
 
 
 # ---------------------------------------------------------------------------

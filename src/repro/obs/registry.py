@@ -359,12 +359,6 @@ class MetricsRegistry:
             **labels: LabelValue) -> Optional[Metric]:
         return self._metrics.get((name, _label_items(labels)))
 
-    def close_time_gauges(self, time: float) -> None:
-        """Finalize every time-weighted gauge at simulated ``time``."""
-        for _, _, metric in self.items():
-            if isinstance(metric, TimeWeightedGauge):
-                metric.close(time)
-
     def snapshot(self) -> Dict[str, object]:
         """The canonical plain-data form (sorted, JSON-able)."""
         entries: List[Dict[str, object]] = []

@@ -15,7 +15,7 @@ Execution strategy per batch:
 2. the misses run on a ``concurrent.futures`` process pool with the
    **spawn** start context when ``jobs > 1`` and more than one miss
    remains (fork would inherit sanitizer digests and any lazily created
-   RNG state — reprolint DET004 bans it project-wide);
+   RNG state — reproflow DET004 bans it project-wide);
 3. a crashed pool (``BrokenProcessPool``) is rebuilt and the unfinished
    specs resubmitted up to ``retries`` times, after which the remainder
    falls back to in-process serial execution — the batch always
@@ -85,7 +85,7 @@ def run_batch(specs: Sequence[RunSpec],
     stats = BatchStats(total=len(specs), jobs=config.jobs)
     # Batch wall time is telemetry only (progress lines, CLI footer); it
     # never feeds back into simulated behaviour.
-    batch_start = time.perf_counter()   # reprolint: disable=DET002
+    batch_start = time.perf_counter()   # reproflow: disable=DET002
 
     disk: Optional[ResultCache] = None
     if config.cache_dir is not None:
@@ -117,7 +117,7 @@ def run_batch(specs: Sequence[RunSpec],
             _record(index, result, results, config, disk, stats)
 
     merged = _merge(specs, results, sanitize)
-    stats.wall_time_s = time.perf_counter() - batch_start   # reprolint: disable=DET002
+    stats.wall_time_s = time.perf_counter() - batch_start   # reproflow: disable=DET002
     batch = BatchResult(results=merged, digest=batch_digest(merged),
                         stats=stats)
     if config.on_batch is not None:
@@ -165,9 +165,9 @@ def _lookup(spec: RunSpec, config: RunnerConfig,
         # stays 0.0 because no simulation ran (replaying the original
         # run's elapsed time — or charging the lookup to it — would
         # corrupt the executed-run timing statistics).
-        lookup_start = time.perf_counter()   # reprolint: disable=DET002
+        lookup_start = time.perf_counter()   # reproflow: disable=DET002
         hit = disk.get(spec)
-        lookup_s = time.perf_counter() - lookup_start   # reprolint: disable=DET002
+        lookup_s = time.perf_counter() - lookup_start   # reproflow: disable=DET002
         if hit is not None:
             stats.cache_hits += 1
             stats.hit_wall_times_s.append(lookup_s)

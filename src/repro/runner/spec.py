@@ -181,11 +181,6 @@ class BatchStats:
     #: ``RunResult.hit_wall_time_s``)
     hit_wall_times_s: List[float] = dataclasses.field(default_factory=list)
 
-    @property
-    def simulated_runs(self) -> int:
-        """Runs that actually executed a simulation (cache misses)."""
-        return self.executed
-
     def summary(self) -> str:
         """One-line rendering for status footers."""
         mode = f"{self.jobs} worker(s)" if self.pool_used else "serial"

@@ -8,7 +8,7 @@ the same computation by construction.
 
 Worker code draws randomness exclusively through the task's own
 :mod:`repro.sim.random` streams (seeded from the spec), never from
-module-level ``random``/``numpy.random`` — reprolint's DET001/DET004
+module-level ``random``/``numpy.random`` — reproflow's DET001/DET004
 enforce this statically.
 """
 
@@ -61,8 +61,8 @@ def execute_spec(task: str, config_json: str,
     """
     fn = resolve_task(task)
     config = json.loads(config_json)
-    start = time.perf_counter()   # reprolint: disable=DET002
+    start = time.perf_counter()   # reproflow: disable=DET002
     with collecting() as registry:
         payload = fn(seed, **config)
-    elapsed = time.perf_counter() - start   # reprolint: disable=DET002
+    elapsed = time.perf_counter() - start   # reproflow: disable=DET002
     return canonical_json(payload), to_canonical_json(registry), elapsed

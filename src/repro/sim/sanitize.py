@@ -1,6 +1,6 @@
 """Opt-in runtime invariant sanitizer (``REPRO_SANITIZE=1``).
 
-The static lint suite (``tools/reprolint``) catches determinism hazards it
+The static analysis (``tools/reproflow``) catches determinism hazards it
 can see in the source; this module catches the ones only visible at run
 time.  With ``REPRO_SANITIZE=1`` in the environment:
 

@@ -145,10 +145,6 @@ class WifiManager:
         """Name of the adapter the radio is currently tuned to."""
         return self._active
 
-    @property
-    def is_switching(self) -> bool:
-        return self._switching
-
     def activate(self, adapter_name: str) -> None:
         """Initial activation without a switch handshake (call once)."""
         association = self._require_association(adapter_name)

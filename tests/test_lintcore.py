@@ -1,8 +1,5 @@
-"""Tests for the shared analysis machinery (``tools/lintcore``).
-
-Both pipeline stages (reprolint, reproflow) sit on these pieces:
-findings, tool-scoped suppressions, baselines, path policies and the
-output formatters.
+"""Tests for reproflow's reporting machinery: findings, inline
+suppressions, baselines, path policies and the output formatters.
 """
 
 import io
@@ -13,11 +10,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from lintcore.baseline import filter_new, load_baseline, write_baseline  # noqa: E402
-from lintcore.findings import Finding                                    # noqa: E402
-from lintcore.output import emit, render_github                          # noqa: E402
-from lintcore.policy import PathPolicy                                   # noqa: E402
-from lintcore.suppress import is_suppressed, parse_suppressions          # noqa: E402
+from reproflow.baseline import filter_new, load_baseline, write_baseline  # noqa: E402
+from reproflow.findings import (Finding, emit, is_suppressed,             # noqa: E402
+                                parse_suppressions, render_github)
+from reproflow.policy import PathPolicy                                   # noqa: E402
 
 
 def make_finding(path="src/a.py", rule="X001", line=3, col=4,
@@ -28,20 +24,8 @@ def make_finding(path="src/a.py", rule="X001", line=3, col=4,
 
 # -------------------------------------------------------- suppressions
 
-def test_suppressions_are_tool_scoped():
-    lines = ["x = 1  # reprolint: disable=A001",
-             "y = 2  # reproflow: disable=B001"]
-    stage1 = parse_suppressions(lines, tool="reprolint")
-    stage2 = parse_suppressions(lines, tool="reproflow")
-    assert is_suppressed(stage1, 1, "A001")
-    assert not is_suppressed(stage1, 2, "B001")
-    assert is_suppressed(stage2, 2, "B001")
-    assert not is_suppressed(stage2, 1, "A001")
-
-
 def test_suppression_disable_all():
-    sup = parse_suppressions(["z = 1  # reproflow: disable=all"],
-                             tool="reproflow")
+    sup = parse_suppressions(["z = 1  # reproflow: disable=all"])
     assert is_suppressed(sup, 1, "ANY999")
 
 
@@ -184,7 +168,7 @@ def test_render_github_workflow_command():
 
 def test_emit_json_payload():
     out = io.StringIO()
-    emit([make_finding()], "json", "reproflow", "summary", out)
+    emit([make_finding()], "json", "summary", out)
     payload = json.loads(out.getvalue())
     assert payload["tool"] == "reproflow"
     assert payload["count"] == 1
@@ -194,6 +178,13 @@ def test_emit_json_payload():
 
 def test_emit_text_includes_summary():
     out = io.StringIO()
-    emit([make_finding()], "text", "reprolint", "the-summary", out)
+    emit([make_finding()], "text", "the-summary", out)
     assert "src/a.py:3:5: X001 bad thing" in out.getvalue()
     assert "the-summary" in out.getvalue()
+
+
+def test_only_reproflow_disable_comments_suppress():
+    sup = parse_suppressions(["x = 1  # reprolint: disable=DET001",
+                              "y = 2  # reproflow: disable=DET001"])
+    assert not is_suppressed(sup, 1, "DET001")
+    assert is_suppressed(sup, 2, "DET001")

@@ -146,14 +146,6 @@ def test_family_suppressed_inline(family):
     assert analyze(suppressed) == []
 
 
-def test_reprolint_disable_comment_does_not_silence_reproflow():
-    source = """
-    def jitter(a_ms, b_s):
-        return a_ms + b_s  # reprolint: disable=UNT001
-    """
-    assert "UNT001" in rule_ids(analyze(source))
-
-
 # ------------------------------------------------------------------ UNT
 
 def test_unt001_comparison():

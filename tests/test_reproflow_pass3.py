@@ -406,7 +406,7 @@ def test_pur_sanctioned_telemetry_is_pure():
         import time
 
         def timed_task(seed, config=None):
-            started = time.perf_counter()  # reprolint: disable=DET002
+            started = time.perf_counter()  # reproflow: disable=DET002
             return seed, started
 
         def submit(runner, configs):
@@ -596,7 +596,7 @@ def test_callgraph_effects_and_sanction():
             STATE.append(time.time())
 
         def telemetry():
-            return time.perf_counter()  # reprolint: disable=DET002
+            return time.perf_counter()  # reproflow: disable=DET002
     """})
     impure = graph.nodes["a/mod.py::impure"]
     kinds = {e.kind for e in impure.effects}

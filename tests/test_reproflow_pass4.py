@@ -286,7 +286,7 @@ def test_ser302_rng_default():
 
 def test_ser302_only_fires_for_runner_tasks():
     # The same default on a never-submitted function is not pass 4's
-    # business (stage 1 owns generic mutable-default style).
+    # business (GEN101 owns generic mutable-default style).
     findings = analyze("""
         from threading import Lock
 

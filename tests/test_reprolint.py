@@ -1,8 +1,11 @@
-"""Tests for the determinism lint suite (``tools/reprolint``).
+"""Per-rule completeness tests for reproflow's merged rule set, plus the
+per-file determinism family (DET / GEN / OBS).
 
-Every rule gets at least one triggering fixture and one suppressed
-fixture, plus integration tests that run the real CLI over ``src/repro``
-(must be clean) and over synthetic violations (must fail).
+Every rule id in ``ALL_RULES`` gets a triggering fixture, and the same
+fixture with an inline ``# reproflow: disable=`` on each reported line
+must come back clean.  The DET / GEN / OBS rules get focused tests, and
+the real CLI is run over the ``make lint`` trees (must be clean) and over
+synthetic violations (must fail).
 """
 
 import json
@@ -17,14 +20,19 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from reprolint.baseline import (          # noqa: E402
+from reproflow.baseline import (          # noqa: E402
     filter_new, load_baseline, write_baseline)
-from reprolint.engine import lint_paths, lint_source   # noqa: E402
-from reprolint.rules import ALL_RULES     # noqa: E402
+from reproflow.engine import analyze_paths, analyze_source   # noqa: E402
+from reproflow.filerules import FILE_CHECKERS   # noqa: E402
+from reproflow.rules import ALL_RULES     # noqa: E402
+
+#: the per-file family the focused tests below exercise
+FILE_RULES = sorted(FILE_CHECKERS)
 
 
-def lint(source, path="pkg/module.py", rules=None):
-    return lint_source(textwrap.dedent(source), path, rules=rules)
+def lint(source, path="pkg/module.py", rules=FILE_RULES):
+    """Analyze ``source``; ``rules=None`` runs every rule."""
+    return analyze_source(textwrap.dedent(source), path, rules=rules)
 
 
 def rule_ids(findings):
@@ -32,127 +40,239 @@ def rule_ids(findings):
 
 
 # ------------------------------------------------------------------
-# Per-rule fixtures: (rule, triggering source, suppressed source).
-# The suppressed variant is the same code with an inline disable.
+# Per-rule triggering fixtures.  Each is self-contained: the schemas,
+# streams and runner submissions a rule reasons about are defined in
+# the fixture itself.
 # ------------------------------------------------------------------
 
+_STREAMS = """
+class RandomRouter:
+    def __init__(self, seed=0):
+        self.seed = seed
+    def stream(self, name):
+        return object()
+"""
+
+_PACKETS = """
+from dataclasses import dataclass
+
+@dataclass
+class Packet:
+    seq: int
+    send_time: float
+    flow_id: str = "rt0"
+    link: str = ""
+
+    def copy_for_link(self, link):
+        return Packet(seq=self.seq, send_time=self.send_time,
+                      flow_id=self.flow_id, link=link)
+
+@dataclass
+class DeliveryRecord:
+    seq: int
+    delivered: bool
+    arrival_time: float = float("nan")
+
+@dataclass
+class ClientConfig:
+    inter_packet_spacing_s: float = 0.02
+"""
+
+_SUBMIT = """
+def submit(runner, configs):
+    return runner.map_task("pkg.module:{task}", configs)
+"""
+
 FIXTURES = {
-    "DET001": (
-        """
+    "DET001": """
         import numpy as np
         rng = np.random.default_rng(0)
         """,
-        """
-        import numpy as np
-        rng = np.random.default_rng(0)  # reprolint: disable=DET001
-        """,
-    ),
-    "DET002": (
-        """
+    "DET002": """
         import time
         def elapsed():
             return time.time()
         """,
-        """
-        import time
-        def elapsed():
-            return time.time()  # reprolint: disable=DET002
-        """,
-    ),
-    "DET003": (
-        """
+    "DET003": """
         def arm(sim, links):
             for link in set(links):
                 sim.call_in(0.1, link.poll)
         """,
-        """
-        def arm(sim, links):
-            for link in set(links):  # reprolint: disable=DET003
-                sim.call_in(0.1, link.poll)
-        """,
-    ),
-    "DET004": (
-        """
+    "DET004": """
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         """,
-        """
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")  # reprolint: disable=DET004
-        """,
-    ),
-    "GEN101": (
-        """
+    "GEN101": """
         def collect(items=[]):
             return items
         """,
-        """
-        def collect(items=[]):  # reprolint: disable=GEN101
-            return items
-        """,
-    ),
-    "GEN102": (
-        """
+    "GEN102": """
         def guarded(fn):
             try:
                 fn()
             except Exception:
                 pass
         """,
-        """
-        def guarded(fn):
-            try:
-                fn()
-            except Exception:  # reprolint: disable=GEN102
-                pass
-        """,
-    ),
-    "GEN103": (
-        """
+    "GEN103": """
         def due(event, sim):
             return event.time == sim.now
         """,
-        """
-        def due(event, sim):
-            return event.time == sim.now  # reprolint: disable=GEN103
-        """,
-    ),
-    "GEN104": (
-        """
+    "GEN104": """
         class RetryEvent:
             def __init__(self, when):
                 self.when = when
         """,
-        """
-        class RetryEvent:  # reprolint: disable=GEN104
-            def __init__(self, when):
-                self.when = when
-        """,
-    ),
-    "GEN105": (
-        """
+    "GEN105": """
         def build(router):
             a = router.stream("jitter")
             b = router.stream("jitter")
             return a, b
         """,
-        """
-        def build(router):
-            a = router.stream("jitter")
-            b = router.stream("jitter")  # reprolint: disable=GEN105
-            return a, b
-        """,
-    ),
-    "OBS001": (
-        """
+    "OBS001": """
         def transmit(frame):
             print("sending", frame)
         """,
-        """
-        def transmit(frame):
-            print("sending", frame)  # reprolint: disable=OBS001
+    "UNT001": """
+        def jitter(a_ms, b_s):
+            return a_ms + b_s
         """,
-    ),
+    "UNT002": """
+        def schedule(timeout_s):
+            return timeout_s
+        def arm(delay_ms):
+            return schedule(timeout_s=delay_ms)
+        """,
+    "UNT003": """
+        def convert(spacing_ms):
+            spacing_s = spacing_ms
+            return spacing_s
+        """,
+    "LIF001": _PACKETS + """
+def forward(queue):
+    p = Packet(seq=1, send_time=0.0)
+    queue.append(p)
+    p.link = "secondary"
+""",
+    "LIF002": _PACKETS + """
+def replicate(base):
+    return Packet(seq=base.seq, send_time=base.send_time,
+                  flow_id=base.flow_id, link="secondary")
+""",
+    "LIF003": _PACKETS + """
+def sample(link, seq, t):
+    r = link.transmit(seq, t, 160)
+    return r.delay
+""",
+    "CFG001": _PACKETS + """
+def build():
+    return ClientConfig(inter_packet_spacing=0.02)
+""",
+    "CFG002": _PACKETS + """
+def build():
+    overrides = {"inter_packet_spacing_ms": 20.0}
+    return ClientConfig(**overrides)
+""",
+    "FLO001": _STREAMS + """
+def build(router):
+    shared = router.stream("fading")
+    first = FadingProcess(shared)
+    second = MacLayer(shared)
+    return first, second
+""",
+    "FLO002": _STREAMS + """
+ROUTER = RandomRouter(7)
+SHARED = ROUTER.stream("module.state")
+""",
+    "FLO003": _STREAMS + """
+def run_all(n):
+    routers = []
+    for i in range(n):
+        routers.append(RandomRouter(42))
+    return routers
+""",
+    "PUR101": """
+COUNTER = {"n": 0}
+
+def counting_task(seed, config=None):
+    COUNTER["n"] = COUNTER["n"] + 1
+    return seed
+""" + _SUBMIT.format(task="counting_task"),
+    "PUR102": """
+import time
+
+def slow_task(seed, config=None):
+    time.time()
+    return seed
+""" + _SUBMIT.format(task="slow_task"),
+    "PUR103": """
+import random
+
+def noisy_task(seed, config=None):
+    return random.random()
+""" + _SUBMIT.format(task="noisy_task"),
+    "ORD201": """
+        def merge(metrics):
+            links = {m.link for m in metrics}
+            out = []
+            for link in links:
+                out.append(link)
+            return out
+        """,
+    "ORD202": """
+        def total(delays):
+            pending = set(delays)
+            return sum(pending)
+        """,
+    "SER301": """
+        def submit(runner, configs):
+            return runner.map_task(lambda seed: seed, configs)
+        """,
+    "SER302": """
+from threading import Lock
+
+def guarded_task(seed, lock=Lock(), config=None):
+    return seed
+""" + _SUBMIT.format(task="guarded_task"),
+    "SER303": """
+from threading import Lock
+
+_GUARD = Lock()
+
+def locked_task(seed, config=None):
+    with _GUARD:
+        return seed
+""" + _SUBMIT.format(task="locked_task"),
+    "IMP401": """
+import time
+
+_IMPORT_STAMP = time.time()
+
+def stamped_task(seed, config=None):
+    return seed
+""" + _SUBMIT.format(task="stamped_task"),
+    "IMP402": """
+TOTALS = {}
+
+def tally_task(seed, config=None):
+    TOTALS[seed] = seed
+    return seed
+
+def report():
+    return len(TOTALS)
+""" + _SUBMIT.format(task="tally_task"),
+    "KEY501": """
+import os
+
+def env_task(seed, config=None):
+    return os.getenv("REPRO_SCALE")
+""" + _SUBMIT.format(task="env_task"),
+    "KEY502": """
+import importlib
+
+def plugin_task(seed, config=None):
+    impl = importlib.import_module(config["impl"])
+    return impl.run(seed)
+""" + _SUBMIT.format(task="plugin_task"),
 }
 
 #: rules that only fire on specific paths lint their fixture there
@@ -163,6 +283,14 @@ def fixture_path(rule):
     return FIXTURE_PATHS.get(rule, "pkg/module.py")
 
 
+def with_inline_disable(source, rule, lines):
+    """``source`` with ``# reproflow: disable=<rule>`` on ``lines``."""
+    out = textwrap.dedent(source).splitlines()
+    for lineno in lines:
+        out[lineno - 1] += f"  # reproflow: disable={rule}"
+    return "\n".join(out) + "\n"
+
+
 @pytest.mark.parametrize("rule", sorted(ALL_RULES))
 def test_every_rule_has_fixture(rule):
     assert rule in FIXTURES
@@ -170,14 +298,19 @@ def test_every_rule_has_fixture(rule):
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
 def test_rule_triggers(rule):
-    findings = lint(FIXTURES[rule][0], path=fixture_path(rule))
+    findings = lint(FIXTURES[rule], path=fixture_path(rule), rules=None)
     assert rule in rule_ids(findings), \
         f"{rule} did not fire on its fixture"
 
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
 def test_rule_suppressed_inline(rule):
-    findings = lint(FIXTURES[rule][1], path=fixture_path(rule))
+    fired = [f.line for f in lint(FIXTURES[rule], path=fixture_path(rule),
+                                  rules=None)
+             if f.rule == rule]
+    assert fired
+    suppressed = with_inline_disable(FIXTURES[rule], rule, fired)
+    findings = lint(suppressed, path=fixture_path(rule), rules=None)
     assert rule not in rule_ids(findings), \
         f"{rule} fired despite inline disable"
 
@@ -185,7 +318,7 @@ def test_rule_suppressed_inline(rule):
 def test_disable_all_suppresses_everything():
     findings = lint("""
         import numpy as np
-        rng = np.random.default_rng(0)  # reprolint: disable=all
+        rng = np.random.default_rng(0)  # reproflow: disable=all
         """)
     assert findings == []
 
@@ -194,7 +327,7 @@ def test_disable_list_is_rule_specific():
     # Disabling an unrelated rule must not silence the real one.
     findings = lint("""
         import numpy as np
-        rng = np.random.default_rng(0)  # reprolint: disable=DET002
+        rng = np.random.default_rng(0)  # reproflow: disable=DET002
         """)
     assert rule_ids(findings) == ["DET001"]
 
@@ -384,7 +517,7 @@ def test_obs001_only_fires_in_instrumented_packages():
         == ["OBS001"]
     # cli.py and the tools tree print legitimately; tests too.
     assert lint(source, path="src/repro/cli.py") == []
-    assert lint(source, path="tools/reprolint/cli.py") == []
+    assert lint(source, path="tools/reproflow/cli.py") == []
     assert lint(source, path="tests/test_thing.py") == []
 
 
@@ -435,7 +568,7 @@ def test_baseline_roundtrip_suppresses_known_findings(tmp_path):
         import numpy as np
         rng = np.random.default_rng(0)
         """))
-    findings = lint_paths([str(src)])
+    findings = analyze_paths([str(src)])
     assert rule_ids(findings) == ["DET001"]
     baseline = tmp_path / "baseline.json"
     write_baseline(str(baseline), findings)
@@ -446,18 +579,18 @@ def test_baseline_survives_line_shifts_but_not_edits(tmp_path):
     src = tmp_path / "legacy.py"
     src.write_text("import numpy as np\nrng = np.random.default_rng(0)\n")
     baseline = tmp_path / "baseline.json"
-    write_baseline(str(baseline), lint_paths([str(src)]))
+    write_baseline(str(baseline), analyze_paths([str(src)]))
     # Pushing the violation down the file keeps it baselined...
     src.write_text("import numpy as np\n\n\n"
                    "rng = np.random.default_rng(0)\n")
-    shifted = filter_new(lint_paths([str(src)]),
+    shifted = filter_new(analyze_paths([str(src)]),
                          load_baseline(str(baseline)))
     assert shifted == []
     # ...but a second occurrence is new.
     src.write_text("import numpy as np\n"
                    "rng = np.random.default_rng(0)\n"
                    "rng2 = np.random.default_rng(1)\n")
-    fresh = filter_new(lint_paths([str(src)]),
+    fresh = filter_new(analyze_paths([str(src)]),
                        load_baseline(str(baseline)))
     assert rule_ids(fresh) == ["DET001"]
 
@@ -467,7 +600,7 @@ def test_baseline_file_is_valid_and_empty():
     freeze them (the file exists to demonstrate the workflow and to
     absorb emergencies)."""
     payload = json.loads(
-        (REPO / ".reprolint-baseline.json").read_text())
+        (REPO / ".reproflow-baseline.json").read_text())
     assert payload["findings"] == []
 
 
@@ -478,14 +611,13 @@ def run_cli(*args, cwd=None):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "tools"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     return subprocess.run(
-        [sys.executable, "-m", "reprolint", *args],
+        [sys.executable, "-m", "reproflow", *args],
         capture_output=True, text=True, cwd=cwd or str(REPO), env=env)
 
 
 def test_cli_clean_on_repo_source_tree():
-    """`python -m reprolint src/` over the real tree: zero non-baselined
-    findings (the acceptance criterion for this whole subsystem)."""
-    result = run_cli("src/")
+    """`make lint` over the real trees: zero non-baselined findings."""
+    result = run_cli("src/", "tools/", "tests/")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 new finding(s)" in result.stdout
 
@@ -522,6 +654,23 @@ def test_cli_write_baseline_then_clean(tmp_path):
     assert first.returncode == 0
     second = run_cli(str(bad), "--baseline", str(baseline))
     assert second.returncode == 0, second.stdout
+
+
+def test_cli_write_baseline_rejects_select(tmp_path):
+    # A baseline frozen from one rule's findings would silently drop
+    # every other rule's entries, so the combination is a usage error.
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nt = time.time()\n"
+                   "def f(a_ms, b_s):\n    return a_ms + b_s\n")
+    baseline = tmp_path / "bl.json"
+    assert run_cli(str(bad), "--baseline", str(baseline),
+                   "--write-baseline").returncode == 0
+    frozen = baseline.read_text()
+    result = run_cli(str(bad), "--baseline", str(baseline),
+                     "--write-baseline", "--select", "UNT001")
+    assert result.returncode == 2
+    assert baseline.read_text() == frozen
+    assert run_cli(str(bad), "--baseline", str(baseline)).returncode == 0
 
 
 def test_cli_list_rules_mentions_every_rule():

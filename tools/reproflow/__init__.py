@@ -1,26 +1,26 @@
-"""reproflow — stage 2 of the static-analysis pipeline.
+"""reproflow — the repo's static analysis: one CLI, one parse.
 
-Where :mod:`reprolint` scans one file at a time for determinism hazards,
-reproflow runs a **two-pass, project-wide semantic analysis**:
+Every target file is parsed once and the same trees feed every pass:
 
-* pass 1 (:mod:`reproflow.index`) walks every target file and builds a
+* the per-file family (:mod:`reproflow.filerules`) — **DET** determinism
+  (routed RNG, no wall clocks, ordered scheduling, no fork), **GEN**
+  hygiene and **OBS** observability rules that need one module only;
+* pass 1 (:mod:`reproflow.index`) builds a
   :class:`~reproflow.index.ProjectIndex` — dataclass field schemas with
   units inferred from the ``_s``/``_ms``/``_bytes``/``_dbm``/``_mw``/
   ``_hz`` suffix convention, function and method signatures, and the
   packet/delivery-record class roster;
-* pass 2 (:mod:`reproflow.rules`) runs semantic rule families over each
-  file with the index in hand:
+* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit, **LIF** packet
+  lifecycle and **CFG** config-schema families against that index;
+* pass 3 (:mod:`reproflow.callgraph`, :mod:`reproflow.dataflow`) builds
+  the project call graph with effect summaries and runs the **FLO**
+  stream-flow, **PUR** task-purity and **ORD** ordering families;
+* pass 4 (:mod:`reproflow.parsafe`) runs the **SER**/**IMP**/**KEY**
+  runner-safety families.
 
-  - **UNT** — unit consistency: mixed-unit arithmetic and comparisons,
-    unit-mismatched call arguments and assignments;
-  - **LIF** — packet lifecycle: mutation after handoff, hand-rolled
-    replicas, delay reads without a ``delivered`` guard;
-  - **CFG** — config schemas: keyword arguments and config-dict keys
-    validated against dataclass schemas across modules.
-
-Findings are suppressed with ``# reproflow: disable=RULE`` comments and
-baselined in ``.reproflow-baseline.json`` (same machinery as reprolint,
-shared via :mod:`lintcore`).
+Findings are suppressed per line with ``# reproflow: disable=RULE``
+comments, exempted per path by :mod:`reproflow.policy`, and baselined in
+``.reproflow-baseline.json``.
 """
 
 from reproflow.engine import analyze_paths, analyze_source

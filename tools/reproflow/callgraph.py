@@ -15,10 +15,15 @@ carrying:
   drawing from an unrouted RNG, iterating an unordered collection, and
   (for the stream taint) whether it *returns* a ``RandomRouter`` stream.
 
-Clock reads on lines carrying ``# reprolint: disable=DET002`` are
+Clock reads on lines carrying ``# reproflow: disable=DET002`` are
 *sanctioned telemetry* (the repo-wide convention for wall-time that never
 feeds back into simulated behaviour) and are excluded from the effect
 summary — a task is not impure for reporting how long it took.
+
+The import model (:class:`ImportInfo`) and the clock/RNG classifier
+(:func:`classify_call`) defined here are the only ones in the tool: the
+per-file DET001/DET002 rules and pass 4's env/dispatch checks read the
+same per-module :class:`ImportInfo` the effect collector builds.
 
 Task roots — the ``"module:function"`` entry points handed to
 ``repro.runner.map_task`` / ``map_configs`` / ``RunSpec.build`` — are
@@ -36,10 +41,10 @@ carries ``helper``'s effects).
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from reproflow.findings import parse_suppressions
 from reproflow.index import ProjectIndex
 
 #: effect kinds recorded on a node (and propagated by pass 3b)
@@ -66,8 +71,6 @@ _SEEDED_RNG_CONSTRUCTORS = frozenset({
     "default_rng", "SeedSequence", "Generator", "PCG64", "Philox",
     "SFC64", "MT19937", "RandomState", "Random",
 })
-
-_DET002_SANCTION = re.compile(r"#\s*reprolint:\s*disable=[^#]*\bDET002\b")
 
 
 @dataclass
@@ -151,6 +154,8 @@ class CallGraph:
         self.module_nodes: Dict[str, str] = {}
         #: per-module: names assigned at module scope (pass 4 reads this)
         self._module_assigned: Dict[str, Set[str]] = {}
+        #: path -> the module's import model (shared by every pass)
+        self.imports: Dict[str, ImportInfo] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -226,7 +231,9 @@ def _collect_module(graph: CallGraph, path: str, tree: ast.Module,
     aliased: Set[str] = set()
     module_names: Set[str] = set()
     str_constants: Dict[str, str] = {}
-    sanctioned = _sanctioned_clock_lines(source)
+    sanctioned = {lineno for lineno, rules
+                  in parse_suppressions(source.splitlines()).items()
+                  if "DET002" in rules}
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -250,7 +257,7 @@ def _collect_module(graph: CallGraph, path: str, tree: ast.Module,
     graph._str_constants[path] = str_constants
     graph._module_assigned[path] = module_names
 
-    imports = _ImportInfo(tree)
+    imports = graph.imports[path] = ImportInfo(tree)
 
     def visit(body: Sequence[ast.stmt], prefix: str,
               enclosing_class: Optional[str]) -> None:
@@ -320,17 +327,9 @@ def _is_main_guard(stmt: ast.stmt) -> bool:
     return "__name__" in names and "__main__" in consts
 
 
-def _sanctioned_clock_lines(source: str) -> Set[int]:
-    lines: Set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if _DET002_SANCTION.search(line):
-            lines.add(lineno)
-    return lines
-
-
-class _ImportInfo:
-    """Names the module binds to clock/RNG providers (reprolint's model,
-    condensed)."""
+class ImportInfo:
+    """Names a module binds to clock, RNG, ``os`` and ``importlib``
+    providers."""
 
     def __init__(self, tree: ast.Module):
         self.time_mods: Set[str] = set()
@@ -339,18 +338,23 @@ class _ImportInfo:
         self.random_mods: Set[str] = set()
         self.numpy_mods: Set[str] = set()
         self.numpy_random_mods: Set[str] = set()
+        self.os_mods: Set[str] = set()
+        self.importlib_mods: Set[str] = set()
         self.bare_rng: Set[str] = set()
         self.bare_clock: Set[str] = set()
+        self.environ_names: Set[str] = set()
+        self.bare_getenv: Set[str] = set()
+        self.bare_putenv: Set[str] = set()
+        self.bare_import_module: Set[str] = set()
+        plain = {"time": self.time_mods, "datetime": self.datetime_mods,
+                 "random": self.random_mods, "os": self.os_mods,
+                 "importlib": self.importlib_mods}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "time":
-                        self.time_mods.add(bound)
-                    elif alias.name == "datetime":
-                        self.datetime_mods.add(bound)
-                    elif alias.name == "random":
-                        self.random_mods.add(bound)
+                    if alias.name in plain:
+                        plain[alias.name].add(bound)
                     elif alias.name == "numpy.random" and alias.asname:
                         self.numpy_random_mods.add(alias.asname)
                     elif alias.name == "numpy" \
@@ -372,6 +376,58 @@ class _ImportInfo:
                         self.bare_clock.add(bound)
                     elif module == "os" and alias.name == "urandom":
                         self.bare_clock.add(bound)
+                    elif module == "os" and alias.name == "environ":
+                        self.environ_names.add(bound)
+                    elif module == "os" and alias.name == "getenv":
+                        self.bare_getenv.add(bound)
+                    elif module == "os" and alias.name == "putenv":
+                        self.bare_putenv.add(bound)
+                    elif module == "importlib" \
+                            and alias.name == "import_module":
+                        self.bare_import_module.add(bound)
+
+    def is_environ(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in self.environ_names
+        return (isinstance(node, ast.Attribute)
+                and node.attr == "environ"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in self.os_mods)
+
+
+def classify_call(call: ast.Call, imports: ImportInfo,
+                  seeded_is_routed: bool = True) -> Optional[str]:
+    """``CLOCK_READ``, ``UNROUTED_RNG`` or None for one call.
+
+    Clock reads include host entropy (``os.urandom``).  With
+    ``seeded_is_routed`` a generator built from an explicit seed
+    (``default_rng(seq)``, ``SeedSequence(entropy=...)``) is
+    deterministic routing, not a draw — the RandomRouter itself derives
+    its streams that way.  DET001 passes False: outside the stream
+    factory even a seeded generator bypasses the named streams.
+    """
+    name = _dotted(call.func)
+    if not name:
+        return None
+    head, _, rest = name.partition(".")
+    if ((head in imports.time_mods and rest in _CLOCK_FUNCTIONS)
+            or (head in imports.os_mods and rest == "urandom")
+            or (head in imports.datetime_mods
+                and rest.startswith("datetime.")
+                and rest.split(".")[1] in _DATETIME_FACTORIES)
+            or (head in imports.datetime_classes
+                and rest in _DATETIME_FACTORIES)
+            or ("." not in name and name in imports.bare_clock)):
+        return CLOCK_READ
+    if seeded_is_routed and (call.args or call.keywords) \
+            and name.rsplit(".", 1)[-1] in _SEEDED_RNG_CONSTRUCTORS:
+        return None
+    if ((head in imports.random_mods and rest)
+            or (head in imports.numpy_mods and rest.startswith("random."))
+            or (head in imports.numpy_random_mods and rest)
+            or ("." not in name and name in imports.bare_rng)):
+        return UNROUTED_RNG
+    return None
 
 
 def _dotted(node: ast.AST) -> str:
@@ -403,7 +459,7 @@ def _own_body(func: ast.AST):
 
 
 def _collect_effects(fn: FunctionNode, func: ast.AST,
-                     module_names: Set[str], imports: _ImportInfo,
+                     module_names: Set[str], imports: ImportInfo,
                      sanctioned: Set[int]) -> None:
     global_names: Set[str] = set()
     for node in _own_body(func):
@@ -481,38 +537,19 @@ def _local_bindings(func: ast.AST) -> Set[str]:
 
 
 def _call_effects(fn: FunctionNode, call: ast.Call,
-                  module_names: Set[str], imports: _ImportInfo,
+                  module_names: Set[str], imports: ImportInfo,
                   sanctioned: Set[int], local_names: Set[str]) -> None:
     name = _dotted(call.func)
     if not name:
         return
-    head, _, rest = name.partition(".")
-    # clock reads (sanctioned telemetry lines excluded)
-    is_clock = (
-        (head in imports.time_mods and rest in _CLOCK_FUNCTIONS)
-        or (head in imports.datetime_mods and rest.startswith("datetime.")
-            and rest.split(".")[1] in _DATETIME_FACTORIES)
-        or (head in imports.datetime_classes
-            and rest in _DATETIME_FACTORIES)
-        or ("." not in name and name in imports.bare_clock))
-    if is_clock:
+    kind = classify_call(call, imports)
+    if kind == CLOCK_READ:
         if call.lineno not in sanctioned:
             fn.effects.append(EffectSite(
                 CLOCK_READ, call.lineno, call.col_offset,
                 f"reads the wall clock via '{name}()'"))
         return
-    # unrouted RNG — but constructing a generator from an explicit seed
-    # (default_rng(seq), SeedSequence(entropy=...)) is deterministic
-    # routing, not a draw
-    tail = name.rsplit(".", 1)[-1]
-    if tail in _SEEDED_RNG_CONSTRUCTORS and (call.args or call.keywords):
-        return
-    is_rng = (
-        (head in imports.random_mods and rest)
-        or (head in imports.numpy_mods and rest.startswith("random."))
-        or (head in imports.numpy_random_mods and rest)
-        or ("." not in name and name in imports.bare_rng))
-    if is_rng:
+    if kind == UNROUTED_RNG:
         fn.effects.append(EffectSite(
             UNROUTED_RNG, call.lineno, call.col_offset,
             f"draws from unrouted RNG '{name}()'"))

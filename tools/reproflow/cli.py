@@ -6,37 +6,99 @@ found, 2 on usage errors.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-from typing import List, Optional, Sequence
+from typing import IO, List, Optional
 
-from lintcore import cli as shared
-from lintcore.findings import Finding
-
+from reproflow.baseline import filter_new, load_baseline, write_baseline
 from reproflow.engine import analyze_paths
+from reproflow.findings import FORMATS, emit
+from reproflow.policy import DEFAULT_POLICY
 from reproflow.rules import ALL_RULES, rule_table
 
 DEFAULT_BASELINE = ".reproflow-baseline.json"
 
 
-def _analyze(paths: Sequence[str],
-             rules: Optional[Sequence[str]]) -> List[Finding]:
-    return analyze_paths(paths, rules=rules)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="reproflow",
+        description="Static analysis for the DiversiFi simulator: "
+                    "per-file determinism rules plus project-wide units, "
+                    "packet lifecycle, config schemas, dataflow and "
+                    "runner-safety passes on one shared parse.")
+    parser.add_argument("paths", nargs="*", default=[],
+                        help="files or directories to lint (default: src/)")
+    parser.add_argument("--select", default=None,
+                        help="comma-separated rule ids to run "
+                             "(default: all)")
+    parser.add_argument("--baseline", default=None,
+                        help=f"baseline file (default: {DEFAULT_BASELINE} "
+                             "when it exists)")
+    parser.add_argument("--no-baseline", action="store_true",
+                        help="ignore any baseline file")
+    parser.add_argument("--write-baseline", action="store_true",
+                        help="freeze current findings of all rules into "
+                             "the baseline file and exit 0")
+    parser.add_argument("--format", default="text", choices=FORMATS,
+                        dest="fmt",
+                        help="output format: text (default), json, or "
+                             "github (Actions annotations)")
+    parser.add_argument("--list-rules", action="store_true",
+                        help="print the rule table and path exemptions, "
+                             "then exit")
+    parser.add_argument("-q", "--quiet", action="store_true",
+                        help="suppress per-finding output")
+    return parser
 
 
 def main(argv: Optional[List[str]] = None,
-         out=sys.stdout) -> int:
-    return shared.run(
-        prog="reproflow",
-        description="Project-wide semantic analysis (units, packet "
-                    "lifecycle, config schemas) for the DiversiFi "
-                    "simulator.",
-        all_rules=ALL_RULES,
-        rule_table=rule_table,
-        lint_paths=_analyze,
-        default_baseline=DEFAULT_BASELINE,
-        argv=argv,
-        out=out)
+         out: "IO[str]" = sys.stdout) -> int:
+    """Parse ``argv`` and run the analysis end to end."""
+    args = build_parser().parse_args(argv)
+    if args.list_rules:
+        print(rule_table(), file=out)
+        print("\npath exemptions:\n" + DEFAULT_POLICY.describe(), file=out)
+        return 0
 
+    paths = args.paths or ["src/"]
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        print(f"reproflow: no such path: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
 
-if __name__ == "__main__":   # pragma: no cover
-    sys.exit(main())
+    rules: Optional[List[str]] = None
+    if args.select:
+        # a baseline written from a subset of rules would silently drop
+        # every other rule's frozen entries
+        if args.write_baseline:
+            print("reproflow: --write-baseline freezes all rules; it "
+                  "cannot be combined with --select", file=sys.stderr)
+            return 2
+        rules = [r.strip() for r in args.select.split(",") if r.strip()]
+        unknown = [r for r in rules if r not in ALL_RULES]
+        if unknown:
+            print(f"reproflow: unknown rule(s): {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
+
+    findings = analyze_paths(paths, rules=rules)
+
+    baseline_path = args.baseline or DEFAULT_BASELINE
+    if args.write_baseline:
+        write_baseline(baseline_path, findings)
+        print(f"reproflow: wrote {len(findings)} finding(s) to "
+              f"{baseline_path}", file=out)
+        return 0
+
+    if not args.no_baseline and os.path.exists(baseline_path):
+        findings = filter_new(findings, load_baseline(baseline_path))
+
+    checked = "all rules" if rules is None else ",".join(rules)
+    summary = f"reproflow: {len(findings)} new finding(s) ({checked})"
+    if args.quiet:
+        print(summary, file=out)
+    else:
+        emit(findings, args.fmt, summary, out)
+    return 1 if findings else 0

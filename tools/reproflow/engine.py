@@ -4,9 +4,9 @@ One parse feeds all passes: pass 1 builds the :class:`ProjectIndex`,
 pass 3a builds the :class:`CallGraph` (with effect summaries propagated
 to fixpoint) on the *same* trees, pass 4 folds its
 concurrency/serialization effect sites into the same fixpoint, and the
-per-file analyzers of passes 2, 3b and 4 all run off that shared state
-— ``make lint`` pays for the filesystem walk and parsing exactly once
-no matter how many passes run.
+per-file DET/GEN/OBS rules and the analyzers of passes 2, 3b and 4 all
+run off that shared state — ``make lint`` pays for the filesystem walk
+and parsing exactly once no matter how many passes run.
 
 ``analyze_paths`` always folds ``src/`` into the pass-1 index (when it
 exists) even if only a subset of files was asked for — cross-module
@@ -22,20 +22,33 @@ import ast
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from lintcore.findings import Finding
-from lintcore.policy import PathPolicy
-from lintcore.suppress import is_suppressed, parse_suppressions
-from lintcore.walk import iter_python_files
-
 from reproflow.callgraph import CallGraph, build_callgraph
 from reproflow.dataflow import Pass3Analyzer, Summaries, propagate_effects
+from reproflow.filerules import check_file
+from reproflow.findings import Finding, is_suppressed, parse_suppressions
 from reproflow.index import ProjectIndex, build_index
 from reproflow.parsafe import (GRANULAR_KINDS, ParsafeInfo, Pass4Analyzer,
                                collect_parsafe)
-from reproflow.policy import DEFAULT_POLICY
+from reproflow.policy import DEFAULT_POLICY, PathPolicy
 from reproflow.rules import ALL_RULES, ScopeAnalyzer
 
 __all__ = ["Finding", "analyze_paths", "analyze_source"]
+
+
+def iter_python_files(paths: Iterable[str]) -> List[str]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    out: List[str] = []
+    for path in paths:
+        if os.path.isdir(path):
+            for root, dirs, files in os.walk(path):
+                dirs[:] = sorted(d for d in dirs
+                                 if d not in ("__pycache__", ".git"))
+                for name in sorted(files):
+                    if name.endswith(".py"):
+                        out.append(os.path.join(root, name))
+        else:
+            out.append(path)
+    return sorted(set(out))
 
 
 def _parse(source: str, path: str
@@ -51,18 +64,16 @@ def _parse(source: str, path: str
 def _analyze_tree(path: str, tree: ast.Module, source: str,
                   index: ProjectIndex,
                   rules: Optional[Sequence[str]],
-                  graph: Optional[CallGraph] = None,
-                  summaries: Optional[Summaries] = None,
-                  parsafe: Optional[ParsafeInfo] = None) -> List[Finding]:
+                  graph: CallGraph, summaries: Summaries,
+                  parsafe: ParsafeInfo) -> List[Finding]:
     lines = source.splitlines()
-    suppressions = parse_suppressions(lines, tool="reproflow")
+    suppressions = parse_suppressions(lines)
     selected = set(rules) if rules is not None else set(ALL_RULES)
-    raw = list(ScopeAnalyzer(path, index).analyze(tree))
-    if graph is not None and summaries is not None:
-        raw += Pass3Analyzer(path, index, graph, summaries).analyze(tree)
-        if parsafe is not None:
-            raw += Pass4Analyzer(path, index, graph, summaries,
-                                 parsafe).analyze(tree)
+    raw = check_file(tree, path, graph.imports[path], selected)
+    raw += ScopeAnalyzer(path, index).analyze(tree)
+    raw += Pass3Analyzer(path, index, graph, summaries).analyze(tree)
+    raw += Pass4Analyzer(path, index, graph, summaries,
+                         parsafe).analyze(tree)
     findings: List[Finding] = []
     for lineno, col, rule_id, message in raw:
         if rule_id not in selected:

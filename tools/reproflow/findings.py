@@ -1,0 +1,113 @@
+"""The finding record, inline suppressions, and output formats.
+
+A finding on line *n* is suppressed when line *n* carries a comment of
+the form::
+
+    something()   # reproflow: disable=DET001
+    something()   # reproflow: disable=UNT001,LIF002
+    something()   # reproflow: disable=all
+
+Suppressions are deliberately line-scoped (the flagged statement's first
+physical line) so that every exception is visible right where the rule
+fires — there is no file- or block-level escape hatch short of the
+baseline file.
+
+``--format=github`` emits workflow commands that GitHub Actions turns
+into inline PR-diff annotations; ``json`` is a stable machine-readable
+dump for other tooling.  Both include every finding the text format
+would.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import dataclass
+from typing import IO, Dict, List, Sequence, Set
+
+FORMATS = ("text", "json", "github")
+
+_DISABLE = re.compile(
+    r"#\s*reproflow:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One lint violation."""
+
+    path: str
+    rule: str
+    line: int
+    col: int
+    message: str
+    #: stripped source text of the offending line — the stable part of the
+    #: baseline fingerprint (line numbers drift, code rarely does)
+    text: str
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}:{self.col + 1}: " \
+               f"{self.rule} {self.message}"
+
+
+def parse_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
+    """Map 1-based line numbers to the set of rule ids disabled there.
+
+    The special id ``all`` disables every rule on that line.
+    """
+    suppressions: Dict[int, Set[str]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        match = _DISABLE.search(line)
+        if match:
+            rules = {part.strip() for part in match.group(1).split(",")}
+            suppressions[lineno] = {r for r in rules if r}
+    return suppressions
+
+
+def is_suppressed(suppressions: Dict[int, Set[str]],
+                  lineno: int, rule: str) -> bool:
+    """True if ``rule`` is disabled on ``lineno``."""
+    disabled = suppressions.get(lineno)
+    if not disabled:
+        return False
+    return rule in disabled or "all" in disabled
+
+
+def _github_escape(value: str) -> str:
+    """Escape per the workflow-command property/data rules."""
+    return (value.replace("%", "%25").replace("\r", "%0D")
+            .replace("\n", "%0A"))
+
+
+def render_github(finding: Finding) -> str:
+    return (f"::error file={finding.path},line={finding.line},"
+            f"col={finding.col + 1},title={finding.rule}::"
+            f"{_github_escape(finding.message)}")
+
+
+def emit(findings: List[Finding], fmt: str, summary: str,
+         out: "IO[str]") -> None:
+    """Write ``findings`` to ``out`` in ``fmt``, ending with ``summary``.
+
+    The summary line is always present on text/github output (CI logs and
+    humans both key off it); json folds it into the payload instead.
+    """
+    if fmt == "json":
+        payload = {
+            "tool": "reproflow",
+            "summary": summary,
+            "count": len(findings),
+            "findings": [
+                {"path": f.path.replace("\\", "/"), "rule": f.rule,
+                 "line": f.line, "col": f.col + 1, "message": f.message,
+                 "text": f.text}
+                for f in findings],
+        }
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
+        return
+    for finding in findings:
+        if fmt == "github":
+            print(render_github(finding), file=out)
+        else:
+            print(finding.render(), file=out)
+    print(summary, file=out)

@@ -78,6 +78,7 @@ from reproflow.callgraph import (
     CallGraph,
     EffectSite,
     FunctionNode,
+    ImportInfo,
     _dotted,
     _local_bindings,
     _own_body,
@@ -145,47 +146,8 @@ class ParsafeInfo:
 
 
 # ---------------------------------------------------------------- imports
-# model: which local names mean os / os.environ / importlib, and which
-# project modules an import statement pulls in
-
-class _OsImports:
-    def __init__(self, tree: ast.Module):
-        self.os_mods: Set[str] = set()
-        self.environ_names: Set[str] = set()
-        self.bare_getenv: Set[str] = set()
-        self.bare_putenv: Set[str] = set()
-        self.importlib_mods: Set[str] = set()
-        self.bare_import_module: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "os":
-                        self.os_mods.add(bound)
-                    elif alias.name == "importlib":
-                        self.importlib_mods.add(bound)
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if module == "os" and alias.name == "environ":
-                        self.environ_names.add(bound)
-                    elif module == "os" and alias.name == "getenv":
-                        self.bare_getenv.add(bound)
-                    elif module == "os" and alias.name == "putenv":
-                        self.bare_putenv.add(bound)
-                    elif module == "importlib" \
-                            and alias.name == "import_module":
-                        self.bare_import_module.add(bound)
-
-    def is_environ(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self.environ_names
-        return (isinstance(node, ast.Attribute)
-                and node.attr == "environ"
-                and isinstance(node.value, ast.Name)
-                and node.value.id in self.os_mods)
-
+# which project modules an import statement pulls in (which local names
+# mean os / os.environ / importlib is the call graph's ImportInfo)
 
 def _import_targets(tree: ast.Module, path: str,
                     graph: CallGraph) -> Set[str]:
@@ -259,11 +221,9 @@ def collect_parsafe(graph: CallGraph,
     the same fixpoint).
     """
     info = ParsafeInfo()
-    os_imports: Dict[str, _OsImports] = {}
 
     for path in sorted(trees):
         tree = trees[path]
-        os_imports[path] = _OsImports(tree)
         info.module_imports[path] = _import_targets(tree, path, graph)
         info.handle_names[path] = _module_handles(tree)
         _collect_pokes(graph, path, tree, info)
@@ -271,7 +231,7 @@ def collect_parsafe(graph: CallGraph,
     for node in graph.nodes.values():
         if node.func_ast is None:
             continue
-        _collect_node_effects(graph, node, os_imports[node.path], info)
+        _collect_node_effects(graph, node, graph.imports[node.path], info)
 
     _close_worker_modules(graph, info)
     return info
@@ -341,7 +301,7 @@ def _collect_pokes(graph: CallGraph, path: str, tree: ast.Module,
 
 
 def _collect_node_effects(graph: CallGraph, fn: FunctionNode,
-                          os_info: _OsImports, info: ParsafeInfo) -> None:
+                          imports: ImportInfo, info: ParsafeInfo) -> None:
     func = fn.func_ast
     assert func is not None
     locals_here = _local_bindings(func)
@@ -353,11 +313,11 @@ def _collect_node_effects(graph: CallGraph, fn: FunctionNode,
 
     for node in _own_body(func):
         if isinstance(node, ast.Call):
-            _env_call_effects(fn, node, os_info)
+            _env_call_effects(fn, node, imports)
             _file_read_effects(fn, node)
-            _dispatch_effects(fn, node, os_info)
+            _dispatch_effects(fn, node, imports)
         elif isinstance(node, ast.Subscript):
-            if os_info.is_environ(node.value):
+            if imports.is_environ(node.value):
                 key = node.slice
                 if isinstance(node.ctx, ast.Load):
                     _env_read(fn, node, key)
@@ -421,26 +381,26 @@ def _env_read(fn: FunctionNode, node: ast.AST,
 
 
 def _env_call_effects(fn: FunctionNode, call: ast.Call,
-                      os_info: _OsImports) -> None:
+                      imports: ImportInfo) -> None:
     func = call.func
     dotted = _dotted(func)
     head, _, rest = dotted.partition(".")
     key = call.args[0] if call.args else None
-    if (head in os_info.os_mods and rest == "getenv") \
-            or dotted in os_info.bare_getenv:
+    if (head in imports.os_mods and rest == "getenv") \
+            or dotted in imports.bare_getenv:
         _env_read(fn, call, key)
     elif isinstance(func, ast.Attribute) and func.attr == "get" \
-            and os_info.is_environ(func.value):
+            and imports.is_environ(func.value):
         _env_read(fn, call, key)
-    elif (head in os_info.os_mods and rest in ("putenv", "unsetenv")) \
-            or dotted in os_info.bare_putenv:
+    elif (head in imports.os_mods and rest in ("putenv", "unsetenv")) \
+            or dotted in imports.bare_putenv:
         fn.effects.append(EffectSite(
             ENV_WRITE, call.lineno, call.col_offset,
             f"mutates the environment via '{dotted}()'",
             symbol=_const_str(key) or "<dynamic>"))
     elif isinstance(func, ast.Attribute) \
             and func.attr in _ENV_MUTATORS \
-            and os_info.is_environ(func.value):
+            and imports.is_environ(func.value):
         fn.effects.append(EffectSite(
             ENV_WRITE, call.lineno, call.col_offset,
             f"mutates os.environ via .{func.attr}()",
@@ -476,12 +436,12 @@ def _file_read_effects(fn: FunctionNode, call: ast.Call) -> None:
 
 
 def _dispatch_effects(fn: FunctionNode, call: ast.Call,
-                      os_info: _OsImports) -> None:
+                      imports: ImportInfo) -> None:
     func = call.func
     dotted = _dotted(func)
     head, _, rest = dotted.partition(".")
-    if (head in os_info.importlib_mods and rest == "import_module") \
-            or dotted in os_info.bare_import_module \
+    if (head in imports.importlib_mods and rest == "import_module") \
+            or dotted in imports.bare_import_module \
             or dotted == "__import__":
         if not call.args or _const_str(call.args[0]) is None:
             fn.effects.append(EffectSite(

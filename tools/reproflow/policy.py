@@ -1,79 +1,100 @@
-"""Path-scoped rule exemptions for the project-wide stage.
+"""Path-scoped rule exemptions.
 
-Rationale per entry:
+``make lint`` covers ``src/``, ``tools/`` and ``tests/``, but not every
+rule makes sense everywhere: tests legitimately build throwaway seeded
+RNGs and assert exact event times; command-line tools legitimately read
+the host clock.  The policy names those exemptions *once*, in code, with
+a rationale — instead of scattering hundreds of inline suppressions or
+silently not linting whole trees.  Strict is the default: a path no
+entry covers gets every rule, so a new package needs no registration.
 
 ``tests/``
+    * DET001/DET002 — tests legitimately build throwaway seeded RNGs and
+      measure wall-clock time (e.g. performance smoke tests).
+    * DET003 — test helpers freely schedule from literal collections.
+    * GEN103 — engine unit tests assert *exact* event timestamps they
+      themselves constructed — exactness is the property under test.
+    * GEN105 — several tests request the same stream name twice on
+      purpose to prove the router's same-generator semantics.
     * LIF002 — tests deliberately build packets field-by-field to pin
       down exact constructor behaviour (including tests *about*
-      ``copy_for_link`` itself); demanding ``copy_for_link`` there would
-      invert the point of the test.
+      ``copy_for_link`` itself).
     * LIF003 — tests assert on ``delay``/``arrival_time`` of packets
-      they *know* were delivered (they arranged the loss pattern); a
-      ``delivered`` guard would only obscure the assertion.
+      they *know* were delivered (they arranged the loss pattern).
     * FLO003 — the paired identical-realization methodology *is* seed
-      reuse: determinism tests run the same seed twice (often in a
-      ``for _ in range(2)`` loop) and assert byte-identical digests.
-      Flagging that loop would flag the repo's core test pattern.
-      PUR and the other FLO rules still apply in full — a test that
-      submits an impure task or leaks a stream into module state is a
-      real bug (see the inline PUR102 suppressions in
-      ``tests/test_runner.py`` for the sanctioned sleep-task sites).
+      reuse: determinism tests run the same seed twice and assert
+      byte-identical digests.  PUR and the other FLO rules still apply
+      in full — a test that submits an impure task is a real bug (see
+      the inline PUR102 suppressions in ``tests/test_runner.py`` for the
+      sanctioned sleep-task sites).
 
 ``tools/``
-    is analysis tooling, not simulation code; it has no packets,
-    records, or unit-suffixed schemas of its own, so no exemptions are
-    needed — the families simply have nothing to bite on.  Kept here as
-    an explicit (empty) statement of that decision.
+    * DET002/DET003 — developer tooling runs in real time and schedules
+      nothing on the event heap.
 
-``src/repro/runner/``
-    executes simulation tasks but owns no packets and no unit-suffixed
-    schemas (its quantities are ``wall_time_s``/``timeout_s``, uniformly
-    seconds), so it gets no exemptions either: the UNT/LIF/CFG families
-    apply to it in full.  Recorded explicitly because the runner crosses
-    process boundaries — exactly where a silently mismatched keyword or
-    unit would be hardest to debug.
+Everything else applies everywhere, including to this tool itself.  The
+runner, batch, control-plane and studies packages get no exemption at
+all: their code runs inside cached runner workers, where a stray
+unseeded draw, wall-clock read or ``print`` would break the serial /
+``--jobs`` / warm-cache digest equality.  The pass-4 families (SER, IMP,
+KEY) fire only on code reachable from a submitted task and are exempt
+nowhere.
 
-``src/repro/batch/``
-    the vectorized population backend runs *inside* runner workers (its
-    block tasks are mapped through ``map_configs`` and cached by
-    content address), so it inherits the runner's zero-exemption
-    stance: all rule families apply in full, including the pass-4
-    SER/IMP/KEY checks on its task entry points.
+Two entry shapes:
 
-``src/repro/net/``
-    the SDN control plane (topology, link metrics, QoE controller) is
-    reached from the cached ``controlplane`` runner task, and every
-    controller decision lands in the digested payload, so it inherits
-    the same zero-exemption stance: UNT/LIF/CFG and the pass-3/4
-    dataflow families apply in full.
-
-``src/repro/studies/``
-    the Section 3 studies: the population block tasks (provider pass
-    1/2, nettest) are mapped through ``map_configs`` into runner
-    workers and cached by content address, and the scalar reference
-    paths are the other half of the bit-parity contract, so the
-    package inherits the zero-exemption stance in full.
-
-The pass-4 families (SER — payload picklability under spawn, IMP —
-import-time hazards in worker-imported modules, KEY — cache-key
-soundness) are exempt *nowhere*.  They fire only on code reachable from
-a task actually submitted to the runner, so they cannot produce the
-tests-have-different-idioms noise the exemptions above exist for; and
-the findings they did produce in ``src/`` (the provider study's
-call-time knob fallbacks, KEY501) were fixed at the source rather than
-carved out here.  Entries may also name a single ``.py`` file (see
-:class:`lintcore.policy.PathPolicy`) for one-file exceptions; this
-policy currently needs none.
+* a directory entry ``("tests/", {"DET001", ...})`` exempts the rules
+  for any file whose normalized path starts with, or contains, the
+  ``tests/`` directory component;
+* a file entry ``("tests/conftest.py", {"DET001"})`` — any entry whose
+  last component names a ``.py`` file — exempts the rules for exactly
+  that file (matched against the path's tail, so
+  ``repo/tests/conftest.py`` matches too).  File entries let a policy
+  carve out one deliberate exception without widening it to a whole
+  tree; this policy currently needs none.
 """
 
 from __future__ import annotations
 
-from lintcore.policy import PathPolicy
+from typing import FrozenSet, Iterable, Sequence, Tuple
+
+
+class PathPolicy:
+    """Ordered (directory-prefix or file-path, exempt-rules) pairs."""
+
+    def __init__(self, entries: Sequence[Tuple[str, Iterable[str]]] = ()):
+        normalized = []
+        for prefix, rules in entries:
+            posix = prefix.replace("\\", "/")
+            if not posix.endswith(".py"):
+                posix = posix.rstrip("/") + "/"
+            normalized.append((posix, frozenset(rules)))
+        self._entries: Tuple[Tuple[str, FrozenSet[str]], ...] = tuple(
+            normalized)
+
+    @staticmethod
+    def _covers(entry: str, posix: str) -> bool:
+        if entry.endswith(".py"):
+            return posix == entry or posix.endswith(f"/{entry}")
+        return posix.startswith(entry) or f"/{entry}" in posix
+
+    def exempt(self, path: str, rule: str) -> bool:
+        """True when ``rule`` is exempt for ``path``."""
+        posix = path.replace("\\", "/")
+        for entry, rules in self._entries:
+            if self._covers(entry, posix) and rule in rules:
+                return True
+        return False
+
+    def describe(self) -> str:
+        """Human-readable listing, one line per entry."""
+        lines = []
+        for entry, rules in self._entries:
+            lines.append(f"{entry}  exempt: {', '.join(sorted(rules))}")
+        return "\n".join(lines)
+
 
 DEFAULT_POLICY = PathPolicy((
-    ("tests/", ("LIF002", "LIF003", "FLO003")),
-    ("src/repro/runner/", ()),
-    ("src/repro/batch/", ()),
-    ("src/repro/net/", ()),
-    ("src/repro/studies/", ()),
+    ("tests/", ("DET001", "DET002", "DET003", "GEN103", "GEN105",
+                "LIF002", "LIF003", "FLO003")),
+    ("tools/", ("DET002", "DET003")),
 ))

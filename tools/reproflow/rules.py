@@ -1,9 +1,11 @@
-"""Pass 2: the semantic rule families.
+"""Pass 2: the semantic rule families, and the table of every rule id.
 
 Every rule runs per-file but reasons with the whole-project
 :class:`~reproflow.index.ProjectIndex` in hand, so a ``_ms`` expression
 flowing into a ``_s`` dataclass field *defined three modules away* is
-still caught.
+still caught.  :data:`ALL_RULES` lists these together with the per-file
+DET/GEN/OBS family (:mod:`reproflow.filerules`) and the pass-3/4
+families.
 
 ==========  ============================  ========================================
 id          name                          what it flags
@@ -46,6 +48,7 @@ import difflib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from reproflow.callgraph import _dotted
 from reproflow.index import ClassSchema, FuncSchema, ProjectIndex
 from reproflow.units import UnitInferrer, unit_of_identifier
 
@@ -67,17 +70,6 @@ _NAN_GUARDS = frozenset({
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                 ast.ClassDef)
-
-
-def _dotted(node: ast.AST) -> str:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 def _last_segment(node: ast.AST) -> Optional[str]:
@@ -582,6 +574,30 @@ def _closest(name: str, candidates: Dict[str, object]) -> str:
 
 #: rule id -> (short name, one-line description)
 ALL_RULES: Dict[str, Tuple[str, str]] = {
+    # per-file determinism / hygiene / observability (reproflow.filerules)
+    "DET001": ("unrouted-rng",
+               "Global/unrouted RNG use outside the stream factory."),
+    "DET002": ("wall-clock",
+               "Wall-clock read or OS entropy in simulation code."),
+    "DET003": ("unordered-iteration",
+               "Set iteration inside a function that schedules events."),
+    "DET004": ("fork-start-method",
+               "fork start method, or a ProcessPoolExecutor without "
+               "mp_context."),
+    "GEN101": ("mutable-default-arg",
+               "Mutable default argument shared across calls."),
+    "GEN102": ("overbroad-except",
+               "Bare except / except Exception hides invariant failures."),
+    "GEN103": ("float-time-equality",
+               "Exact ==/!= on a simulated timestamp."),
+    "GEN104": ("event-class-missing-slots",
+               "Hot *Event class without __slots__."),
+    "GEN105": ("shadowed-stream-name",
+               "One stream-name literal requested from two call sites."),
+    "OBS001": ("adhoc-observability",
+               "print / stdout writes / global tallies in instrumented "
+               "simulation packages."),
+    # pass 2 (semantic families — reproflow.rules)
     "UNT001": ("mixed-unit-expression",
                "Arithmetic or comparison between different units."),
     "UNT002": ("unit-mismatched-argument",

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-baseline typecheck sanitize-test \
+.PHONY: install test lint lint-baseline typecheck sanitize-test test-output \
 	bench-pytest bench-smoke batch-smoke bench-full \
 	obs-smoke sdn-smoke population-smoke examples docs clean
 

@@ -13,7 +13,6 @@ This package holds the paper's primary contribution:
 * :mod:`repro.core.config` — every tunable in one place.
 """
 
-from repro.core.adaptation import AdaptationConfig, AdaptiveReplicationPolicy
 from repro.core.config import ClientConfig, StreamProfile
 from repro.core.fec import FecConfig, apply_fec, render_fec_run
 from repro.core.multilink import (
@@ -27,8 +26,6 @@ from repro.core.packet import DeliveryRecord, LinkTrace, Packet, StreamTrace
 from repro.core.uplink import UplinkDiversiFiClient, run_uplink_session
 
 __all__ = [
-    "AdaptationConfig",
-    "AdaptiveReplicationPolicy",
     "ClientConfig",
     "DeliveryRecord",
     "FecConfig",

@@ -2,7 +2,6 @@
 
 Data plane:
 
-* :mod:`repro.net.wan` — WAN path model (base delay + jitter + loss).
 * :mod:`repro.net.lan` — enterprise LAN forwarding (switch fabric).
 * :mod:`repro.net.sdn` — an SDN-capable switch with match-action rules,
   including the packet-replication action DiversiFi installs (Section
@@ -46,7 +45,6 @@ from repro.net.topology import (
     WiredHop,
     build_npath_topology,
 )
-from repro.net.wan import WanPath
 
 __all__ = [
     "CONTROLLER_MODES",
@@ -68,7 +66,6 @@ __all__ = [
     "StreamSource",
     "Topology",
     "TopologyPath",
-    "WanPath",
     "WiredHop",
     "build_npath_topology",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic observability: metrics, spans, exporters.
+"""Deterministic observability: metrics, spans, canonical JSON export.
 
 The paper's evaluation is built on per-window, per-link evidence —
 worst 5-second windows, burst-length distributions, PSM wake/sleep duty
@@ -10,8 +10,8 @@ instead of ad-hoc counters:
   is sorted, never insertion- or hash-ordered;
 * :class:`~repro.obs.spans.SpanTracker` — timed regions layered on
   :class:`~repro.sim.tracing.EventLog`, feeding duration histograms;
-* :mod:`~repro.obs.export` — canonical JSON (the cacheable interchange
-  blob), CSV and Prometheus text exporters, all byte-stable;
+* :mod:`~repro.obs.export` — canonical JSON, the byte-stable,
+  cacheable interchange blob;
 * :func:`~repro.obs.runtime.collecting` — the scope the parallel runner
   installs per task so every instrumented component reports into the
   run's own registry.
@@ -28,8 +28,6 @@ from repro.obs.export import (
     merge_metrics_json,
     record_trace_metrics,
     to_canonical_json,
-    to_csv,
-    to_prometheus,
 )
 from repro.obs.registry import (
     COUNT_BUCKETS,
@@ -65,6 +63,4 @@ __all__ = [
     "merge_metrics_json",
     "record_trace_metrics",
     "to_canonical_json",
-    "to_csv",
-    "to_prometheus",
 ]

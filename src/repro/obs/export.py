@@ -1,34 +1,19 @@
-"""Exporters: canonical JSON, CSV, and Prometheus text format.
+"""Canonical JSON export of a metrics registry.
 
-All three are pure functions of a registry snapshot and iterate it in
-the registry's sorted order, so each format is byte-stable: the same
-simulated runs — serial, parallel or replayed from the result cache —
-export the same bytes.  Canonical JSON (sorted keys, compact
-separators) is the interchange format the runner caches and the CLI's
-``--metrics-out`` writes; CSV and Prometheus are for spreadsheets and
-scrape endpoints respectively.
+The export is a pure function of a registry snapshot, which iterates in
+the registry's sorted order, so it is byte-stable: the same simulated
+runs — serial, parallel or replayed from the result cache — export the
+same bytes.  Canonical JSON (sorted keys, compact separators) is the
+interchange format the runner caches and the CLI's ``--metrics-out``
+writes.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import re
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import List, Union
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    LabelItems,
-    MetricsRegistry,
-    TimeWeightedGauge,
-    _number,
-)
-
-#: characters legal in a Prometheus metric name
-_PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-_PROM_LABEL_BAD = re.compile(r"[^a-zA-Z0-9_]")
+from repro.obs.registry import MetricsRegistry
 
 
 def to_canonical_json(registry: MetricsRegistry) -> str:
@@ -52,86 +37,6 @@ def merge_metrics_json(blobs: List[str]) -> MetricsRegistry:
 
 #: the canonical export of a registry with no instruments
 EMPTY_METRICS_JSON = to_canonical_json(MetricsRegistry())
-
-
-def _labels_cell(labels: LabelItems) -> str:
-    return ";".join(f"{key}={value}" for key, value in labels)
-
-
-def to_csv(registry: MetricsRegistry) -> str:
-    """``name,kind,labels,field,value`` rows (header included)."""
-    out = io.StringIO()
-    out.write("name,kind,labels,field,value\r\n")
-    for name, labels, metric in registry.items():
-        prefix = f"{name},{metric.kind},{_labels_cell(labels)}"
-        for field, value in sorted(metric.snapshot().items()):
-            if isinstance(value, list):
-                rendered = ";".join(str(v) for v in value)
-            elif value is None:
-                rendered = ""
-            else:
-                rendered = str(value)
-            out.write(f"{prefix},{field},{rendered}\r\n")
-    return out.getvalue()
-
-
-def _prom_name(name: str) -> str:
-    return _PROM_NAME_BAD.sub("_", name)
-
-
-def _prom_labels(labels: LabelItems,
-                 extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = [(key, value) for key, value in labels]
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    rendered = ",".join(
-        f'{_PROM_LABEL_BAD.sub("_", key)}="{value}"'
-        for key, value in pairs)
-    return "{" + rendered + "}"
-
-
-def _fmt(value: Union[int, float]) -> str:
-    value = _number(value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition format (0.0.4)."""
-    lines: List[str] = []
-    for name, labels, metric in registry.items():
-        prom = _prom_name(name)
-        if isinstance(metric, Counter):
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom}{_prom_labels(labels)} "
-                         f"{_fmt(metric.value)}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom}{_prom_labels(labels)} "
-                         f"{_fmt(metric.value)}")
-        elif isinstance(metric, TimeWeightedGauge):
-            lines.append(f"# TYPE {prom}_mean gauge")
-            lines.append(f"{prom}_mean{_prom_labels(labels)} "
-                         f"{_fmt(metric.mean)}")
-            lines.append(f"{prom}_seconds_total{_prom_labels(labels)} "
-                         f"{_fmt(metric.duration)}")
-        elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {prom} histogram")
-            cumulative = 0
-            for bound, count in zip(metric.bounds, metric.counts):
-                cumulative += count
-                le = ("le", _fmt(bound))
-                lines.append(f"{prom}_bucket{_prom_labels(labels, le)} "
-                             f"{cumulative}")
-            lines.append(
-                f'{prom}_bucket{_prom_labels(labels, ("le", "+Inf"))} '
-                f"{metric.count}")
-            lines.append(f"{prom}_sum{_prom_labels(labels)} "
-                         f"{_fmt(metric.total)}")
-            lines.append(f"{prom}_count{_prom_labels(labels)} "
-                         f"{metric.count}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def record_trace_metrics(registry: MetricsRegistry, trace: object,

@@ -26,7 +26,6 @@ asserted under ``REPRO_SANITIZE=1``.
 
 from repro.runner.cache import ResultCache, clear_memo
 from repro.runner.context import (
-    ProgressEvent,
     RunnerConfig,
     active_config,
     configure,
@@ -54,7 +53,6 @@ __all__ = [
     "BatchResult",
     "BatchStats",
     "MergeOrderError",
-    "ProgressEvent",
     "ResultCache",
     "RunnerConfig",
     "RunnerError",

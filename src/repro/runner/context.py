@@ -19,25 +19,8 @@ import dataclasses
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
 
-#: progress hook: called with a :class:`ProgressEvent` after every run
-ProgressHook = Callable[["ProgressEvent"], None]
-
 #: batch hook: called with each completed ``BatchResult`` (telemetry)
 BatchHook = Callable[[Any], None]
-
-
-@dataclasses.dataclass(frozen=True)
-class ProgressEvent:
-    """One completed run, as reported to progress hooks."""
-
-    task: str
-    seed: int
-    key: str
-    cached: bool
-    wall_time_s: float
-    completed: int
-    total: int
-    cache_hits: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,8 +31,7 @@ class RunnerConfig:
     over a spawn-context process pool.  ``cache_dir`` enables the on-disk
     content-addressed cache; ``no_cache`` bypasses reads (results are
     still written so the next run is warm).  ``memo`` controls the
-    in-process payload memo.  ``timeout_s`` bounds each run; ``retries``
-    bounds pool-crash retries before the serial fallback.
+    in-process payload memo.  ``timeout_s`` bounds each run.
     """
 
     jobs: int = 1
@@ -57,15 +39,11 @@ class RunnerConfig:
     no_cache: bool = False
     memo: bool = True
     timeout_s: Optional[float] = None
-    retries: int = 2
-    progress: Optional[ProgressHook] = None
     on_batch: Optional[BatchHook] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
 
 _ACTIVE = RunnerConfig()

@@ -17,9 +17,9 @@ Execution strategy per batch:
    remains (fork would inherit sanitizer digests and any lazily created
    RNG state — reproflow DET004 bans it project-wide);
 3. a crashed pool (``BrokenProcessPool``) is rebuilt and the unfinished
-   specs resubmitted up to ``retries`` times, after which the remainder
-   falls back to in-process serial execution — the batch always
-   completes with the same results, just slower;
+   specs resubmitted up to :data:`POOL_RETRIES` times, after which the
+   remainder falls back to in-process serial execution — the batch
+   always completes with the same results, just slower;
 4. a run exceeding ``timeout_s`` aborts the batch with
    :class:`RunTimeoutError` (a stuck simulation is a bug, not a retry
    candidate — the same spec would stick again).
@@ -45,7 +45,7 @@ from typing import (
 from repro.obs.export import from_canonical_json, to_canonical_json
 from repro.runner import cache as cache_mod
 from repro.runner.cache import ResultCache
-from repro.runner.context import ProgressEvent, RunnerConfig, active_config
+from repro.runner.context import RunnerConfig, active_config
 from repro.runner.spec import (
     BatchResult,
     BatchStats,
@@ -56,6 +56,9 @@ from repro.runner.spec import (
 )
 from repro.runner.worker import execute_spec
 from repro.sim.sanitize import SanitizerError, sanitizer_enabled
+
+#: pool rebuilds after a crash before the rest of the batch runs serially
+POOL_RETRIES = 2
 
 
 class RunnerError(RuntimeError):
@@ -83,8 +86,8 @@ def run_batch(specs: Sequence[RunSpec],
         config = active_config()
     sanitize = sanitizer_enabled()
     stats = BatchStats(total=len(specs), jobs=config.jobs)
-    # Batch wall time is telemetry only (progress lines, CLI footer); it
-    # never feeds back into simulated behaviour.
+    # Batch wall time is telemetry only (CLI footer); it never feeds
+    # back into simulated behaviour.
     batch_start = time.perf_counter()   # reproflow: disable=DET002
 
     disk: Optional[ResultCache] = None
@@ -97,8 +100,6 @@ def run_batch(specs: Sequence[RunSpec],
         hit = _lookup(spec, config, disk, stats)
         if hit is not None:
             results[index] = hit
-            _emit_progress(config, stats, hit,
-                           completed=sum(r is not None for r in results))
         else:
             pending.append((index, spec))
 
@@ -192,19 +193,6 @@ def _record(index: int, result: RunResult,
                            result.metrics_json)
     if disk is not None:
         disk.put(result.spec, result.payload_json, result.metrics_json)
-    _emit_progress(config, stats, result,
-                   completed=sum(r is not None for r in results))
-
-
-def _emit_progress(config: RunnerConfig, stats: BatchStats,
-                   result: RunResult, completed: int) -> None:
-    if config.progress is None:
-        return
-    config.progress(ProgressEvent(
-        task=result.spec.task, seed=result.spec.seed, key=result.spec.key,
-        cached=result.cached, wall_time_s=result.wall_time_s,
-        completed=completed, total=stats.total,
-        cache_hits=stats.cache_hits + stats.memo_hits))
 
 
 def _run_pool(pending: List[Tuple[int, RunSpec]],
@@ -214,7 +202,7 @@ def _run_pool(pending: List[Tuple[int, RunSpec]],
     """Execute ``pending`` on a spawn pool.
 
     Returns the specs that still need the serial fallback (empty on the
-    happy path).  Pool crashes are retried up to ``config.retries``
+    happy path).  Pool crashes are retried up to :data:`POOL_RETRIES`
     times; pool *creation* failures (sandboxed platforms without working
     multiprocessing) fall back immediately.
     """
@@ -253,7 +241,7 @@ def _run_pool(pending: List[Tuple[int, RunSpec]],
         except BrokenProcessPool:
             attempt += 1
             stats.retries += 1
-            if attempt > config.retries:
+            if attempt > POOL_RETRIES:
                 return remaining   # bounded retries exhausted: go serial
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

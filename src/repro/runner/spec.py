@@ -166,7 +166,7 @@ class BatchResult:
 
 @dataclasses.dataclass
 class BatchStats:
-    """Batch telemetry surfaced by the CLI and progress hooks."""
+    """Batch telemetry surfaced by the CLI and batch hooks."""
 
     total: int = 0
     executed: int = 0

@@ -56,8 +56,9 @@ def execute_spec(task: str, config_json: str,
     the payload (and into the cache), keeping the metrics as
     reproducible as the results themselves.
 
-    The wall time is telemetry only (per-run progress lines); it never
-    feeds back into simulated behaviour, hence the sanctioned clock read.
+    The wall time is telemetry only (``BatchStats.run_wall_times_s``);
+    it never feeds back into simulated behaviour, hence the sanctioned
+    clock read.
     """
     fn = resolve_task(task)
     config = json.loads(config_json)

@@ -3,12 +3,12 @@
 Everything in the DiversiFi reproduction runs on this engine: channels,
 MAC/AP behaviour, the single-NIC client, middleboxes, and traffic sources.
 The engine is deliberately small — an event heap with a simulated clock and
-deterministic tie-breaking — plus a coroutine-style :class:`Process`
-abstraction and named, reproducible random streams.
+deterministic tie-breaking — plus named, reproducible random streams.
+Components schedule plain callbacks with ``call_at`` / ``call_in``.
 
 Public API::
 
-    from repro.sim import Simulator, Process, RandomRouter
+    from repro.sim import Simulator, RandomRouter
 
     sim = Simulator()
     sim.call_at(1.5, lambda: print("fired at", sim.now))
@@ -16,7 +16,6 @@ Public API::
 """
 
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.process import Process, Timeout, WaitEvent
 from repro.sim.random import RandomRouter
 from repro.sim.sanitize import (
     DeterminismDigest,
@@ -30,13 +29,10 @@ __all__ = [
     "DeterminismDigest",
     "Event",
     "HeapOrderError",
-    "Process",
     "RandomRouter",
     "SanitizerError",
     "SimulationError",
     "Simulator",
     "StreamSharingError",
-    "Timeout",
-    "WaitEvent",
     "sanitizer_enabled",
 ]

@@ -1,10 +1,7 @@
-"""Traffic substrate: RTP packetization, real-time stream sources, and the
-Reno-style TCP source used as the competing flow in Figure 10."""
+"""Traffic substrate: real-time stream sources and the Reno-style TCP
+source used as the competing flow in Figure 10."""
 
-from repro.traffic.rtp import RTP_PROFILES, RtpHeader, profile_for_payload_type
-from repro.traffic.rtcp import ReceiverReport, RtcpReceiver
 from repro.traffic.voip import VoipSender
-from repro.traffic.highrate import HighRateSender
 from repro.traffic.gaming import (
     GameStreamProfile,
     packetize_game_stream,
@@ -15,16 +12,10 @@ from repro.traffic.tcp import TcpReno, TcpStats
 
 __all__ = [
     "GameStreamProfile",
-    "HighRateSender",
-    "RTP_PROFILES",
-    "ReceiverReport",
-    "RtcpReceiver",
-    "RtpHeader",
     "TcpReno",
     "TcpStats",
     "VoipSender",
     "packetize_game_stream",
-    "profile_for_payload_type",
     "score_game_session",
     "transmit_game_stream",
 ]

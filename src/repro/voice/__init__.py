@@ -1,7 +1,7 @@
 """Voice-quality pipeline.
 
-Replays a network trace through a G.711 codec model with a playout buffer
-and loss concealment, then scores the call with the ITU-T E-model (G.107)
+Replays a network trace through a playout buffer and loss concealment,
+counted in 20 ms G.711 frames, then scores the call with the ITU-T E-model (G.107)
 mapped to MOS — the reproduction's stand-in for the paper's PESQ-based
 scoring ([10], [11]).  The poor-call threshold corresponds to the two
 lowest bins of a 5-point user rating scale.
@@ -14,26 +14,14 @@ End to end::
     pcr = poor_call_rate(traces)
 """
 
-from repro.voice.g711 import G711Codec, G711Frame
 from repro.voice.playout import PlayoutBuffer, PlayoutResult
-from repro.voice.adaptive import AdaptivePlayoutBuffer, AdaptivePlayoutConfig
 from repro.voice.concealment import ConcealmentAccounting, account_concealment
 from repro.voice.quality import CallScore, emodel_r_factor, r_to_mos
 from repro.voice.pcr import POOR_MOS_THRESHOLD, poor_call_rate, score_call
-from repro.voice.audio import (
-    ConcealingDecoder,
-    score_call_audio,
-    synthesize_speech,
-)
 
 __all__ = [
-    "AdaptivePlayoutBuffer",
-    "AdaptivePlayoutConfig",
     "CallScore",
-    "ConcealingDecoder",
     "ConcealmentAccounting",
-    "G711Codec",
-    "G711Frame",
     "POOR_MOS_THRESHOLD",
     "PlayoutBuffer",
     "PlayoutResult",
@@ -42,6 +30,4 @@ __all__ = [
     "poor_call_rate",
     "r_to_mos",
     "score_call",
-    "score_call_audio",
-    "synthesize_speech",
 ]

@@ -1,73 +1,11 @@
-"""G.711 codec model.
+"""G.711 frame constants.
 
 G.711 is 64 kbps PCM: 8000 samples/s, 8 bits each.  A 20 ms packet carries
 one 160-sample frame — exactly the paper's "G.711-like" stream (160-byte
-packets at 20 ms spacing).  The model tracks frames and samples (the units
-the concealment accounting needs) and implements the actual mu-law
-encode/decode transfer so the codec path is real, not a stub.
+packets at 20 ms spacing).  Concealment accounting counts in these units.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 SAMPLE_RATE_HZ = 8000
 FRAME_MS = 20
 SAMPLES_PER_FRAME = SAMPLE_RATE_HZ * FRAME_MS // 1000  # 160
 BYTES_PER_FRAME = SAMPLES_PER_FRAME  # 8-bit samples
-
-_MU = 255.0
-_PCM_MAX = 32767.0
-
-
-@dataclass(frozen=True)
-class G711Frame:
-    """One encoded 20 ms frame."""
-
-    seq: int
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.payload) != BYTES_PER_FRAME:
-            raise ValueError(
-                f"G.711 frame must be {BYTES_PER_FRAME} bytes, "
-                f"got {len(self.payload)}")
-
-
-class G711Codec:
-    """Mu-law encode/decode on 16-bit PCM sample blocks."""
-
-    @staticmethod
-    def encode(samples: np.ndarray) -> bytes:
-        """Encode one frame of 160 int16 samples to mu-law bytes."""
-        if len(samples) != SAMPLES_PER_FRAME:
-            raise ValueError(f"expected {SAMPLES_PER_FRAME} samples")
-        x = np.asarray(samples, dtype=float) / _PCM_MAX
-        x = np.clip(x, -1.0, 1.0)
-        y = np.sign(x) * np.log1p(_MU * np.abs(x)) / np.log1p(_MU)
-        quantized = ((y + 1.0) / 2.0 * 255.0).round().astype(np.uint8)
-        return quantized.tobytes()
-
-    @staticmethod
-    def decode(payload: bytes) -> np.ndarray:
-        """Decode mu-law bytes back to int16 PCM samples."""
-        if len(payload) != BYTES_PER_FRAME:
-            raise ValueError(f"expected {BYTES_PER_FRAME} bytes")
-        y = np.frombuffer(payload, dtype=np.uint8).astype(float)
-        y = y / 255.0 * 2.0 - 1.0
-        x = np.sign(y) * ((1.0 + _MU) ** np.abs(y) - 1.0) / _MU
-        return (x * _PCM_MAX).astype(np.int16)
-
-    @classmethod
-    def encode_stream(cls, pcm: np.ndarray) -> list:
-        """Packetize a PCM sample stream into G711Frames (trailing samples
-        that do not fill a frame are dropped, as a real packetizer does)."""
-        frames = []
-        n_frames = len(pcm) // SAMPLES_PER_FRAME
-        for seq in range(n_frames):
-            chunk = pcm[seq * SAMPLES_PER_FRAME:(seq + 1)
-                        * SAMPLES_PER_FRAME]
-            frames.append(G711Frame(seq, cls.encode(chunk)))
-        return frames

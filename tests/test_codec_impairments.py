@@ -54,14 +54,6 @@ def test_g711_most_loss_robust():
     assert drop("g711") < drop("G722")
 
 
-def test_rtp_profiles_map_to_impairments():
-    """Every static RTP profile's codec has G.113 constants."""
-    from repro.traffic.rtp import RTP_PROFILES
-    for profile in RTP_PROFILES.values():
-        constants = codec_impairment(profile.name)
-        assert constants.bpl > 0
-
-
 def test_figure6_ci_present_when_poor_calls_exist():
     result = run_figure6(n_runs_per_scenario=4, seed=3)
     rendered = result.render()

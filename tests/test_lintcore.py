@@ -1,5 +1,6 @@
-"""Tests for reproflow's reporting machinery: findings, inline
-suppressions, baselines, path policies and the output formatters.
+"""Tests for reproflow's reporting machinery (``reproflow.findings``,
+``baseline`` and ``policy``): findings, inline suppressions, baselines,
+path policies and the output formatters.
 """
 
 import io

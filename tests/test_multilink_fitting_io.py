@@ -1,6 +1,4 @@
-"""Tests for N-link diversity, Gilbert fitting, dataset IO, and RTCP."""
-
-import math
+"""Tests for N-link diversity and Gilbert fitting."""
 
 import numpy as np
 import pytest
@@ -16,18 +14,7 @@ from repro.core.multilink import (
     make_before_break,
     render_multilink_run,
 )
-from repro.core.packet import LinkTrace
-from repro.io import (
-    load_paired_runs,
-    load_result_json,
-    load_traces,
-    save_paired_runs,
-    save_result_json,
-    save_traces,
-)
-from repro.scenarios import generate_wild_runs
-from repro.sim import RandomRouter, Simulator
-from repro.traffic.rtcp import RtcpReceiver
+from repro.sim import RandomRouter
 
 SHORT = StreamProfile(duration_s=10.0)
 
@@ -150,110 +137,3 @@ def test_fit_burst_length_estimate():
     fit = fit_gilbert(losses)
     assert fit.mean_burst_packets == pytest.approx(4.0)
     assert fit.n_bursts == 50
-
-
-# ---------------------------------------------------------------------- IO
-
-def trace_of(losses, name="t"):
-    delivered = [not bool(x) for x in losses]
-    delays = [0.005 if d else math.nan for d in delivered]
-    return LinkTrace(name, np.arange(len(losses)) * 0.02,
-                     delivered, delays)
-
-
-def test_traces_roundtrip(tmp_path):
-    traces = [trace_of([0, 1, 0], "a"), trace_of([1, 1, 0], "b")]
-    path = tmp_path / "traces.npz"
-    save_traces(path, traces)
-    loaded = load_traces(path)
-    assert [t.name for t in loaded] == ["a", "b"]
-    for orig, back in zip(traces, loaded):
-        assert np.array_equal(orig.delivered, back.delivered)
-        assert np.allclose(orig.send_times, back.send_times)
-
-
-def test_paired_runs_roundtrip(tmp_path):
-    runs = generate_wild_runs(2, SHORT, seed=6, temporal_deltas=(0.1,))
-    path = tmp_path / "runs.npz"
-    save_paired_runs(path, runs)
-    loaded = load_paired_runs(path)
-    assert len(loaded) == 2
-    for orig, back in zip(runs, loaded):
-        assert orig.scenario == back.scenario
-        assert np.array_equal(orig.trace_a.delivered,
-                              back.trace_a.delivered)
-        assert set(back.offset_traces) == {0.1}
-        assert orig.rssi_a_dbm == pytest.approx(back.rssi_a_dbm)
-
-
-def test_result_json_roundtrip(tmp_path):
-    from repro.experiments.section3 import run_figure1
-    result = run_figure1(seed=0)
-    path = tmp_path / "fig1.json"
-    save_result_json(path, result)
-    loaded = load_result_json(path)
-    assert loaded["residential_multi_fraction"] == pytest.approx(
-        result.residential_multi_fraction)
-
-
-# -------------------------------------------------------------------- RTCP
-
-def test_rtcp_counts_losses():
-    sim = Simulator()
-    rx = RtcpReceiver(sim)
-    rx.start()
-    # 100 packets at 20 ms; every 5th lost.
-    for seq in range(100):
-        if seq % 5 == 0:
-            continue
-        t = seq * 0.02
-        sim.call_at(t + 0.01, rx.on_packet, seq, t, t + 0.01)
-    sim.run(until=6.0)
-    assert rx.reports
-    report = rx.reports[0]
-    assert report.fraction_lost == pytest.approx(0.2, abs=0.03)
-    assert report.cumulative_lost == pytest.approx(20, abs=3)
-
-
-def test_rtcp_jitter_estimator():
-    sim = Simulator()
-    rx = RtcpReceiver(sim)
-    rng = RandomRouter(3).stream("jit")
-    for seq in range(500):
-        t = seq * 0.02
-        arrival = t + 0.01 + float(rng.uniform(0, 0.008))
-        sim.call_at(arrival, rx.on_packet, seq, t, arrival)
-    sim.run()
-    # Uniform(0,8ms) transit variation -> mean |D| ~ 2.7 ms.
-    assert 0.0005 < rx.interarrival_jitter_s < 0.008
-
-
-def test_rtcp_constant_delay_zero_jitter():
-    sim = Simulator()
-    rx = RtcpReceiver(sim)
-    for seq in range(50):
-        t = seq * 0.02
-        sim.call_at(t + 0.01, rx.on_packet, seq, t, t + 0.01)
-    sim.run()
-    assert rx.interarrival_jitter_s == pytest.approx(0.0, abs=1e-9)
-
-
-def test_rtcp_interval_randomized():
-    sim = Simulator()
-    rng = RandomRouter(4).stream("rtcp")
-    rx = RtcpReceiver(sim, rng=rng)
-    rx.start()
-    sim.run(until=30.0)
-    gaps = np.diff([r.timestamp for r in rx.reports])
-    assert len(gaps) >= 3
-    assert gaps.min() >= 2.5 - 1e-9
-    assert gaps.max() <= 7.5 + 1e-9
-    assert gaps.std() > 0.0
-
-
-def test_rtcp_double_start_rejected():
-    sim = Simulator()
-    rx = RtcpReceiver(sim)
-    rx.start()
-    with pytest.raises(RuntimeError):
-        rx.start()

@@ -1,6 +1,5 @@
-"""Tests for the wired-side substrate: WAN, LAN, SDN switch, middlebox."""
+"""Tests for the wired-side substrate: LAN, SDN switch, middlebox."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import MiddleboxConfig
@@ -8,7 +7,6 @@ from repro.core.packet import Packet
 from repro.net.lan import LanSegment
 from repro.net.middlebox import Middlebox
 from repro.net.sdn import FlowMatch, MatchAction, SdnSwitch
-from repro.net.wan import WanPath, WanPathParams
 from repro.sim import RandomRouter, Simulator
 
 
@@ -18,46 +16,6 @@ def rng(name="net", seed=0):
 
 def packet(seq=0, flow="rt0"):
     return Packet(seq=seq, send_time=0.0, flow_id=flow)
-
-
-# --------------------------------------------------------------------- WAN
-
-def test_wan_delay_at_least_base():
-    path = WanPath(WanPathParams(base_delay_s=0.040), rng())
-    for _ in range(100):
-        assert path.sample_delay() >= 0.040
-
-
-def test_wan_loss_rate_statistical():
-    path = WanPath(WanPathParams(loss_prob=0.10), rng(seed=1))
-    losses = sum(path.sample_loss() for _ in range(5000))
-    assert losses / 5000 == pytest.approx(0.10, abs=0.02)
-
-
-def test_wan_overload_adds_tail():
-    quiet = WanPath(WanPathParams(overload_prob=0.0), rng("a", 2))
-    loaded = WanPath(WanPathParams(overload_prob=0.5,
-                                   overload_delay_s=0.2), rng("b", 2))
-    q = np.mean([quiet.sample_delay() for _ in range(500)])
-    l = np.mean([loaded.sample_delay() for _ in range(500)])
-    assert l > q + 0.05
-
-
-def test_wan_event_mode_delivers():
-    sim = Simulator()
-    got = []
-    path = WanPath(WanPathParams(base_delay_s=0.04, loss_prob=0.0),
-                   rng(seed=3), sim=sim, sink=lambda p: got.append(sim.now))
-    sim.call_at(0.0, path.send, packet())
-    sim.run()
-    assert got and got[0] >= 0.04
-    assert path.forwarded == 1
-
-
-def test_wan_event_mode_requires_wiring():
-    path = WanPath(WanPathParams(), rng())
-    with pytest.raises(RuntimeError):
-        path.send(packet())
 
 
 # --------------------------------------------------------------------- LAN

@@ -1,6 +1,6 @@
 """Tests for the deterministic observability layer (``repro.obs``):
-registry instruments, merge semantics, span tracking, exporters, and the
-process-local collection scope the runner installs."""
+registry instruments, merge semantics, span tracking, canonical JSON
+export, and the process-local collection scope the runner installs."""
 
 import json
 
@@ -21,8 +21,6 @@ from repro.obs import (
     merge_metrics_json,
     record_trace_metrics,
     to_canonical_json,
-    to_csv,
-    to_prometheus,
 )
 from repro.core.packet import LinkTrace
 from repro.sim.tracing import EventLog
@@ -313,27 +311,6 @@ def test_merge_metrics_json_order_and_identity():
     merged = merge_metrics_json(
         [to_canonical_json(a), EMPTY_METRICS_JSON, to_canonical_json(b)])
     assert merged.counter("c").value == 3.0
-
-
-def test_csv_export_shape():
-    text = to_csv(build_sample_registry())
-    lines = text.split("\r\n")
-    assert lines[0] == "name,kind,labels,field,value"
-    assert any(line.startswith("mac.attempts,counter,link=primary,value,12")
-               for line in lines)
-    assert text == to_csv(build_sample_registry())   # byte-stable
-
-
-def test_prometheus_export_format():
-    text = to_prometheus(build_sample_registry())
-    assert '# TYPE mac_attempts counter' in text
-    assert 'mac_attempts{link="primary"} 12' in text
-    assert 'wifi_awake_mean{adapter="secondary"} 1' in text
-    # Histogram: cumulative buckets plus +Inf, sum and count.
-    assert 'visit_duration_s_bucket{le="0.01"} 0' in text
-    assert 'visit_duration_s_bucket{le="+Inf"} 1' in text
-    assert 'visit_duration_s_count 1' in text
-    assert to_prometheus(MetricsRegistry()) == ""
 
 
 # ------------------------------------------------------------- runtime

@@ -15,9 +15,7 @@ from repro.core.replication import PairedRun
 from repro.core.config import StreamProfile
 from repro.core.strategies import cross_link, divert
 from repro.sim import Simulator
-from repro.traffic.rtp import RtpHeader
 from repro.voice.concealment import account_concealment
-from repro.voice.g711 import G711Codec, SAMPLES_PER_FRAME
 from repro.voice.playout import PlayoutBuffer
 from repro.voice.quality import emodel_r_factor, r_to_mos
 
@@ -173,42 +171,6 @@ def test_burstier_loss_never_scores_better(loss, burst_len):
     bursty = emodel_r_factor(loss, 0.05, mean_burst_len=burst_len)
     random = emodel_r_factor(loss, 0.05, mean_burst_len=1.0)
     assert bursty <= random + 1e-9
-
-
-# -------------------------------------------------------------------- G711
-
-@given(st.lists(st.integers(min_value=-32768, max_value=32767),
-                min_size=SAMPLES_PER_FRAME, max_size=SAMPLES_PER_FRAME))
-def test_g711_roundtrip_is_stable(samples):
-    pcm = np.array(samples, dtype=np.int16)
-    once = G711Codec.decode(G711Codec.encode(pcm))
-    twice = G711Codec.decode(G711Codec.encode(once))
-    # Companding is a projection: a second pass changes (almost) nothing.
-    assert np.max(np.abs(once.astype(int) - twice.astype(int))) <= 1
-
-
-@given(st.lists(st.integers(min_value=-30000, max_value=30000),
-                min_size=SAMPLES_PER_FRAME, max_size=SAMPLES_PER_FRAME))
-def test_g711_error_bounded(samples):
-    pcm = np.array(samples, dtype=np.int16)
-    decoded = G711Codec.decode(G711Codec.encode(pcm))
-    error = np.abs(decoded.astype(float) - pcm.astype(float))
-    # Mu-law quantization error grows with amplitude; bound loosely.
-    assert np.all(error <= np.maximum(np.abs(pcm.astype(float)) * 0.1,
-                                      200.0))
-
-
-# --------------------------------------------------------------------- RTP
-
-@given(st.integers(min_value=0, max_value=127),
-       st.integers(min_value=0, max_value=0xFFFF),
-       st.integers(min_value=0, max_value=0xFFFFFFFF),
-       st.integers(min_value=0, max_value=0xFFFFFFFF),
-       st.booleans())
-def test_rtp_roundtrip(pt, seq, ts, ssrc, marker):
-    header = RtpHeader(payload_type=pt, sequence_number=seq,
-                       timestamp=ts, ssrc=ssrc, marker=marker)
-    assert RtpHeader.unpack(header.pack()) == header
 
 
 # ------------------------------------------------------------- StreamTrace

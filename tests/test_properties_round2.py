@@ -1,10 +1,10 @@
-"""Second round of property-based tests: multilink, FEC, fitting, DCF,
-adaptive playout, tracing."""
+"""Second round of property-based tests: multilink, FEC, fitting,
+tracing."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.fitting import fit_gilbert
@@ -12,9 +12,7 @@ from repro.core.config import StreamProfile
 from repro.core.fec import FecConfig, apply_fec
 from repro.core.multilink import MultiLinkRun, best_of
 from repro.core.packet import LinkTrace
-from repro.sim import Simulator
 from repro.sim.tracing import EventLog
-from repro.voice.adaptive import AdaptivePlayoutBuffer
 
 
 loss_patterns = st.lists(st.booleans(), min_size=1, max_size=200)
@@ -111,38 +109,6 @@ def test_fit_gilbert_sojourns_positive(losses):
     fit = fit_gilbert(np.array(losses, dtype=float))
     assert fit.params.mean_good_s > 0
     assert fit.params.mean_bad_s > 0
-
-
-# --------------------------------------------------------------------- DCF
-
-@given(st.lists(st.floats(min_value=1e-5, max_value=2e-3),
-                min_size=1, max_size=15))
-@settings(deadline=None)
-def test_dcf_every_request_completes(airtimes):
-    from repro.sim.random import RandomRouter
-    from repro.wifi.dcf import DcfMedium
-    sim = Simulator()
-    dcf = DcfMedium(sim, RandomRouter(1).stream("dcf"))
-    done = []
-    for i, airtime in enumerate(airtimes):
-        sim.call_at(0.0, dcf.request, f"s{i}", airtime,
-                    lambda ok: done.append(ok))
-    sim.run()
-    assert len(done) == len(airtimes)
-
-
-# ---------------------------------------------------------------- adaptive
-
-@given(st.lists(st.floats(min_value=0.001, max_value=0.3),
-                min_size=2, max_size=300))
-def test_adaptive_playout_never_negative_losses(delays):
-    n = len(delays)
-    trace = LinkTrace("t", np.arange(n) * 0.02,
-                      np.ones(n, dtype=bool), np.array(delays))
-    result = AdaptivePlayoutBuffer().replay(trace)
-    assert result.network_losses == 0
-    assert 0 <= result.late_losses <= n
-    assert result.played.sum() + result.late_losses == n
 
 
 # ----------------------------------------------------------------- tracing

@@ -1,5 +1,5 @@
 """Per-rule completeness tests for reproflow's merged rule set, plus the
-per-file determinism family (DET / GEN / OBS).
+per-file rules of ``reproflow.filerules`` (DET / GEN / OBS).
 
 Every rule id in ``ALL_RULES`` gets a triggering fixture, and the same
 fixture with an inline ``# reproflow: disable=`` on each reported line

@@ -33,6 +33,7 @@ from repro.runner import (
     run_batch,
     runner_context,
 )
+from repro.runner import executor
 from repro.runner.spec import RunResult
 from repro.runner.worker import TaskResolutionError, execute_spec, \
     resolve_task
@@ -377,15 +378,11 @@ def test_corrupted_disk_entry_recomputed_and_rewritten(tmp_path):
     assert json.loads(path.read_text())["key"] == spec.key
 
 
-def test_progress_and_batch_hooks():
-    events = []
+def test_batch_hook():
     batches = []
-    config = RunnerConfig(progress=events.append,
-                          on_batch=batches.append)
+    config = RunnerConfig(on_batch=batches.append)
     run_batch([RunSpec.build(ADD_TASK, s) for s in range(3)],
               config=config)
-    assert [e.completed for e in events] == [1, 2, 3]
-    assert all(e.total == 3 and not e.cached for e in events)
     assert len(batches) == 1 and isinstance(batches[0], BatchResult)
     assert "3 run(s), 3 executed" in batches[0].stats.summary()
 
@@ -393,8 +390,6 @@ def test_progress_and_batch_hooks():
 def test_runner_config_validation():
     with pytest.raises(ValueError):
         RunnerConfig(jobs=0)
-    with pytest.raises(ValueError):
-        RunnerConfig(retries=-1)
 
 
 def test_runner_context_scopes_and_restores():
@@ -438,9 +433,10 @@ def test_pool_timeout_aborts_batch(pool_pythonpath):
     assert excinfo.value.timeout_s == 0.2
 
 
-def test_pool_crash_falls_back_to_serial(pool_pythonpath):
+def test_pool_crash_falls_back_to_serial(pool_pythonpath, monkeypatch):
+    monkeypatch.setattr(executor, "POOL_RETRIES", 0)
     specs = [RunSpec.build(CRASH_TASK, s) for s in range(2)]
-    config = RunnerConfig(jobs=2, retries=0, no_cache=True)
+    config = RunnerConfig(jobs=2, no_cache=True)
     batch = run_batch(specs, config=config)
     assert batch.stats.retries == 1
     assert [p["seed"] for p in batch.payloads] == [0, 1]

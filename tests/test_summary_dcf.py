@@ -1,4 +1,4 @@
-"""Tests for the statistics helpers and the DCF medium model."""
+"""Tests for the statistics helpers."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.analysis.summary import (
     paired_difference_interval,
     permutation_pvalue,
 )
-from repro.sim import RandomRouter, Simulator
-from repro.wifi.dcf import DcfMedium
 
 
 # ------------------------------------------------------------- statistics
@@ -79,96 +77,3 @@ def test_interval_str():
     assert "[" in s and "95%" in s
 
 
-# -------------------------------------------------------------------- DCF
-
-def medium(seed=0, **kwargs):
-    sim = Simulator()
-    return sim, DcfMedium(sim, RandomRouter(seed).stream("dcf"), **kwargs)
-
-
-def test_single_station_transmits():
-    sim, dcf = medium()
-    done = []
-    sim.call_at(0.0, dcf.request, "a", 0.001,
-                lambda ok: done.append((sim.now, ok)))
-    sim.run()
-    assert len(done) == 1
-    assert done[0][1] is True
-    assert done[0][0] >= 0.001          # at least the airtime
-
-
-def test_transmissions_serialized():
-    sim, dcf = medium()
-    finish_times = []
-    for i in range(5):
-        sim.call_at(0.0, dcf.request, f"s{i}", 0.001,
-                    lambda ok, i=i: finish_times.append(sim.now))
-    sim.run()
-    assert len(finish_times) == 5
-    gaps = np.diff(sorted(finish_times))
-    assert np.all(gaps >= 0.001 - 1e-9)   # one frame at a time
-
-
-def test_collisions_happen_and_resolve():
-    sim, dcf = medium(seed=5, cw_min=1)   # tiny CW -> many collisions
-    results = []
-    for i in range(20):
-        sim.call_at(0.0, dcf.request, f"s{i}", 0.0005,
-                    lambda ok: results.append(ok))
-    sim.run()
-    assert dcf.stats.collisions > 0
-    assert len(results) == 20
-    assert sum(results) >= 15          # most eventually get through
-
-
-def test_two_stations_share_airtime_fairly():
-    sim, dcf = medium(seed=6)
-    counts = {"a": 0, "b": 0}
-
-    def keep_sending(name):
-        def on_done(ok):
-            counts[name] += 1
-            if sim.now < 1.0:
-                dcf.request(name, 0.001, on_done)
-        return on_done
-
-    sim.call_at(0.0, dcf.request, "a", 0.001, keep_sending("a"))
-    sim.call_at(0.0, dcf.request, "b", 0.001, keep_sending("b"))
-    sim.run(until=1.2)
-    total = counts["a"] + counts["b"]
-    assert total > 500                 # the channel stayed busy
-    assert abs(counts["a"] - counts["b"]) < 0.25 * total
-
-
-def test_contender_slows_down_a_flow():
-    """Adding a greedy contender must roughly halve a flow's rate."""
-    def run(with_contender):
-        sim, dcf = medium(seed=7)
-        done = {"a": 0}
-
-        def sender(name, counter=True):
-            def on_done(ok):
-                if counter:
-                    done["a"] += 1
-                if sim.now < 0.5:
-                    dcf.request(name, 0.001, on_done)
-            return on_done
-
-        sim.call_at(0.0, dcf.request, "a", 0.001, sender("a"))
-        if with_contender:
-            sim.call_at(0.0, dcf.request, "b", 0.001,
-                        sender("b", counter=False))
-        sim.run(until=0.6)
-        return done["a"]
-
-    alone = run(False)
-    shared = run(True)
-    assert shared < 0.7 * alone
-
-
-def test_utilization_bounded():
-    sim, dcf = medium(seed=8)
-    for i in range(50):
-        sim.call_at(0.0, dcf.request, f"s{i}", 0.001, lambda ok: None)
-    sim.run()
-    assert 0.0 < dcf.utilization() <= 1.0

@@ -1,60 +1,12 @@
-"""Tests for traffic sources: RTP, VoIP/high-rate senders, TCP Reno."""
+"""Tests for traffic sources: the VoIP sender and TCP Reno."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import G711_PROFILE, StreamProfile
 from repro.sim import RandomRouter, Simulator
-from repro.traffic.highrate import HighRateSender
-from repro.traffic.rtp import (
-    HEADER_BYTES,
-    RtpHeader,
-    profile_for_payload_type,
-)
 from repro.traffic.tcp import TcpReno
 from repro.traffic.voip import VoipSender
-
-
-# --------------------------------------------------------------------- RTP
-
-def test_rtp_header_roundtrip():
-    header = RtpHeader(payload_type=0, sequence_number=12345,
-                       timestamp=99999, ssrc=0xDEADBEEF, marker=True)
-    parsed = RtpHeader.unpack(header.pack())
-    assert parsed == header
-
-
-def test_rtp_header_size():
-    assert HEADER_BYTES == 12
-    assert len(RtpHeader(0, 0, 0, 0).pack()) == 12
-
-
-def test_rtp_invalid_fields_rejected():
-    with pytest.raises(ValueError):
-        RtpHeader(payload_type=200, sequence_number=0,
-                  timestamp=0, ssrc=0).pack()
-    with pytest.raises(ValueError):
-        RtpHeader(payload_type=0, sequence_number=70000,
-                  timestamp=0, ssrc=0).pack()
-
-
-def test_rtp_unpack_validates():
-    with pytest.raises(ValueError):
-        RtpHeader.unpack(b"\x00" * 5)
-    bad_version = b"\x00" + b"\x00" * 11
-    with pytest.raises(ValueError):
-        RtpHeader.unpack(bad_version)
-
-
-def test_profile_lookup_g711():
-    profile = profile_for_payload_type(0)
-    assert profile.packet_size_bytes == 160
-    assert profile.inter_packet_spacing_s == pytest.approx(0.020)
-
-
-def test_profile_lookup_unknown_raises():
-    with pytest.raises(KeyError):
-        profile_for_payload_type(96)   # dynamic payload type
 
 
 # ------------------------------------------------------------ VoIP sender
@@ -92,25 +44,6 @@ def test_voip_sender_without_sinks_raises():
     sim = Simulator()
     with pytest.raises(RuntimeError):
         VoipSender(sim, G711_PROFILE).start()
-
-
-def test_highrate_sender_rejects_low_rate_profile():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        HighRateSender(sim, profile=G711_PROFILE)
-
-
-def test_highrate_sender_spacing():
-    sim = Simulator()
-    got = []
-    profile = StreamProfile(name="hr", packet_size_bytes=1000,
-                            inter_packet_spacing_s=0.0016, duration_s=0.016)
-    sender = HighRateSender(sim, profile)
-    sender.attach(lambda p: got.append(sim.now))
-    sender.start()
-    sim.run()
-    assert len(got) == 10
-    assert got[1] - got[0] == pytest.approx(0.0016)
 
 
 # --------------------------------------------------------------- TCP Reno

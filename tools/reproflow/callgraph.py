@@ -329,9 +329,13 @@ def _is_main_guard(stmt: ast.stmt) -> bool:
 
 class ImportInfo:
     """Names a module binds to clock, RNG, ``os`` and ``importlib``
-    providers."""
+    providers, plus every import statement as written."""
 
     def __init__(self, tree: ast.Module):
+        #: ``import M [as A]`` as ``(M, A)``, anywhere in the module
+        self.imports: List[Tuple[str, Optional[str]]] = []
+        #: ``from M import N [as A]`` as ``(M, N, A)`` (absolute only)
+        self.from_imports: List[Tuple[str, str, Optional[str]]] = []
         self.time_mods: Set[str] = set()
         self.datetime_mods: Set[str] = set()
         self.datetime_classes: Set[str] = set()
@@ -352,6 +356,7 @@ class ImportInfo:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
+                    self.imports.append((alias.name, alias.asname))
                     bound = alias.asname or alias.name.split(".")[0]
                     if alias.name in plain:
                         plain[alias.name].add(bound)
@@ -363,6 +368,9 @@ class ImportInfo:
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 for alias in node.names:
+                    if node.level == 0:
+                        self.from_imports.append(
+                            (module, alias.name, alias.asname))
                     bound = alias.asname or alias.name
                     if module == "numpy" and alias.name == "random":
                         self.numpy_random_mods.add(bound)

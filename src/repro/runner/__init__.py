@@ -11,8 +11,9 @@ across links.  This package executes such batches:
 * :func:`~repro.runner.executor.run_batch` /
   :func:`~repro.runner.executor.map_task` — execution.  Serial in
   process by default; a spawn-context process pool when the active
-  :class:`~repro.runner.context.RunnerConfig` asks for ``jobs > 1``,
-  with bounded retry of crashed pools and graceful serial fallback.
+  :class:`~repro.runner.context.RunnerConfig` asks for ``jobs > 1`` —
+  one pool per process, reused across batches — with bounded retry of
+  crashed pools and graceful serial fallback.
 * :class:`~repro.runner.cache.ResultCache` — the on-disk store
   (atomic-rename writes, corruption treated as a miss).
 * :func:`~repro.runner.context.runner_context` — how the CLI's

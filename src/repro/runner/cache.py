@@ -102,25 +102,28 @@ class ResultCache:
 
         The entry is a pure function of the spec and the run's outputs —
         no wall-clock or host-specific fields — so two machines
-        computing the same spec write byte-identical cache files.
+        computing the same spec write byte-identical cache files.  Its
+        text is :func:`~repro.runner.spec.canonical_json` of the entry
+        object, spliced from the already-canonical config, metrics and
+        payload strings in sorted-key order instead of re-parsing them
+        (the runner asserts they are round-trip stable under
+        ``REPRO_SANITIZE=1``).
         """
         path = self.path_for(spec.key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "version": CACHE_VERSION,
-            "key": spec.key,
-            "task": spec.task,
-            "seed": spec.seed,
-            "config": json.loads(spec.config_json),
-            "fingerprint": spec.fingerprint,
-            "metrics": json.loads(metrics_json),
-            "payload": json.loads(payload_json),
-        }
+        text = (f'{{"config":{spec.config_json},'
+                f'"fingerprint":{canonical_json(spec.fingerprint)},'
+                f'"key":{canonical_json(spec.key)},'
+                f'"metrics":{metrics_json},'
+                f'"payload":{payload_json},'
+                f'"seed":{canonical_json(spec.seed)},'
+                f'"task":{canonical_json(spec.task)},'
+                f'"version":{CACHE_VERSION}}}')
         # Unique-per-writer temp name: concurrent writers never share a
         # temp file, and os.replace makes the publish atomic on POSIX.
         temp = path.parent / (
             f".{spec.key}.{os.getpid()}.{next(_TEMP_COUNTER)}.tmp")
-        temp.write_text(canonical_json(entry), encoding="utf-8")
+        temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
 
     def entries(self) -> Iterator[Path]:

@@ -23,17 +23,30 @@ Execution strategy per batch:
 4. a run exceeding ``timeout_s`` aborts the batch with
    :class:`RunTimeoutError` (a stuck simulation is a bug, not a retry
    candidate — the same spec would stick again).
+
+The process keeps **one** spawn pool and reuses it across batches, so a
+study of several batches pays for worker start-up (an interpreter plus
+numpy imports per worker) once.  A spawned worker freezes the
+environment, import path and working directory it started with, so the
+pool is keyed on them and on ``jobs``: any change builds a fresh pool.
+A crash, a timeout (which abandons the stuck worker) or any other
+exception escaping a batch drops the pool, and the next parallel batch
+builds a new one.  The pool is shut down at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
+import os
+import sys
+import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
-    Dict,
     Iterable,
     List,
     Mapping,
@@ -59,6 +72,14 @@ from repro.sim.sanitize import SanitizerError, sanitizer_enabled
 
 #: pool rebuilds after a crash before the rest of the batch runs serially
 POOL_RETRIES = 2
+
+#: what a spawned worker froze at start: jobs, environment, import path
+#: and working directory
+_PoolKey = Tuple[int, Tuple[Tuple[str, str], ...], Tuple[str, ...], str]
+
+#: the process's shared spawn pool and the key it was built under
+_shared: Optional[Tuple[_PoolKey, ProcessPoolExecutor]] = None
+_shared_lock = threading.Lock()
 
 
 class RunnerError(RuntimeError):
@@ -195,41 +216,65 @@ def _record(index: int, result: RunResult,
         disk.put(result.spec, result.payload_json, result.metrics_json)
 
 
+def _shared_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process's spawn pool for ``jobs`` workers: reused while the
+    key matches, rebuilt otherwise.  Workers start on demand, so a
+    batch of two misses starts at most two."""
+    global _shared
+    key: _PoolKey = (jobs, tuple(sorted(os.environ.items())),
+                     tuple(sys.path), os.getcwd())
+    with _shared_lock:
+        if _shared is not None and _shared[0] == key:
+            return _shared[1]
+        _drop_pool()
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn"))
+        _shared = (key, pool)
+        return pool
+
+
+def _drop_pool(wait: bool = False) -> None:
+    """Shut down the shared pool, if any; the next parallel batch builds
+    a fresh one."""
+    global _shared
+    if _shared is not None:
+        pool = _shared[1]
+        _shared = None
+        pool.shutdown(wait=wait, cancel_futures=True)
+
+
+atexit.register(_drop_pool, wait=True)
+
+
 def _run_pool(pending: List[Tuple[int, RunSpec]],
               results: List[Optional[RunResult]],
               config: RunnerConfig, disk: Optional[ResultCache],
               stats: BatchStats) -> List[Tuple[int, RunSpec]]:
-    """Execute ``pending`` on a spawn pool.
+    """Execute ``pending`` on the shared spawn pool.
 
     Returns the specs that still need the serial fallback (empty on the
     happy path).  Pool crashes are retried up to :data:`POOL_RETRIES`
     times; pool *creation* failures (sandboxed platforms without working
     multiprocessing) fall back immediately.
     """
-    import multiprocessing
-
     remaining = list(pending)
     attempt = 0
     while remaining:
         try:
-            context = multiprocessing.get_context("spawn")
-            pool = ProcessPoolExecutor(
-                max_workers=min(config.jobs, len(remaining)),
-                mp_context=context)
+            pool = _shared_pool(config.jobs)
         except (OSError, ValueError):
             return remaining   # pool unavailable: serial fallback
         stats.pool_used = True
-        futures: Dict[int, "Future[Tuple[str, str, float]]"] = {}
+        done = 0
         try:
-            for index, spec in remaining:
-                futures[index] = pool.submit(
-                    execute_spec, spec.task, spec.config_json, spec.seed)
-            for index, spec in list(remaining):
+            futures = [pool.submit(execute_spec, spec.task,
+                                   spec.config_json, spec.seed)
+                       for _, spec in remaining]
+            for (index, spec), future in zip(remaining, futures):
                 try:
-                    payload_json, metrics_json, wall = futures[index].result(
+                    payload_json, metrics_json, wall = future.result(
                         timeout=config.timeout_s)
                 except FutureTimeoutError:
-                    _abandon(pool, futures)
                     assert config.timeout_s is not None
                     raise RunTimeoutError(spec, config.timeout_s) from None
                 result = RunResult(
@@ -237,22 +282,21 @@ def _run_pool(pending: List[Tuple[int, RunSpec]],
                     attempts=attempt + 1, worker="pool",
                     metrics_json=metrics_json)
                 _record(index, result, results, config, disk, stats)
-                remaining.remove((index, spec))
+                done += 1
         except BrokenProcessPool:
             attempt += 1
             stats.retries += 1
             if attempt > POOL_RETRIES:
-                return remaining   # bounded retries exhausted: go serial
+                return remaining[done:]   # retries exhausted: go serial
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if done < len(remaining):
+                # A crash, a timeout (which abandons the stuck worker), a
+                # task error or an interrupt: the pool is not fit for the
+                # next batch.
+                with _shared_lock:
+                    _drop_pool()
+        remaining = remaining[done:]
     return []
-
-
-def _abandon(pool: ProcessPoolExecutor,
-             futures: Dict[int, "Future[Tuple[str, str, float]]"]) -> None:
-    for future in futures.values():
-        future.cancel()
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _merge(specs: Sequence[RunSpec],

@@ -43,9 +43,9 @@ passes over the same blocks:
 
 1. :func:`provider_pass1_metrics` returns the All/PC counters plus
    sparse per-pair EE/WW tallies (all calls and PC-only calls);
-2. the driver merges pass-1 payloads in spec order, computes the
-   balanced pair sets exactly like the scalar
-   ``provider._balanced_pairs`` (pairs with at least one EE rated call
+2. the driver adds the pass-1 rows in spec order into ``int64``
+   per-pair totals, computes the balanced pair sets exactly like the
+   scalar ``provider._balanced_pairs`` (pairs with at least one EE rated call
    and #EE >= #WW), and hands them to :func:`provider_pass2_metrics`
    as sorted lists **inside the task config** — part of the cache key,
    so a pass-2 result can never pair with the wrong filter.
@@ -281,21 +281,18 @@ def _pair_rows(pair: np.ndarray, cat: np.ndarray, mask: np.ndarray,
     return [[int(p), int(ee[p]), int(ww[p])] for p in hot]
 
 
-def _merge_pair_rows(ee: Dict[int, int], ww: Dict[int, int],
-                     rows: Sequence[Sequence[int]]) -> None:
-    for pair, n_ee, n_ww in rows:
-        if n_ee:
-            ee[int(pair)] = ee.get(int(pair), 0) + int(n_ee)
-        if n_ww:
-            ww[int(pair)] = ww.get(int(pair), 0) + int(n_ww)
+def _add_pair_rows(ee: np.ndarray, ww: np.ndarray,
+                   rows: Sequence[Sequence[int]]) -> None:
+    """Fold one block's ``[pair, #EE, #WW]`` rows into per-pair totals."""
+    table = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    np.add.at(ee, table[:, 0], table[:, 1])
+    np.add.at(ww, table[:, 0], table[:, 2])
 
 
-def _balanced_from_counts(ee: Dict[int, int],
-                          ww: Dict[int, int]) -> List[int]:
-    """Exactly ``provider._balanced_pairs`` on merged counters: pairs
-    with at least one EE rated call (an ``ee`` key) and #EE >= #WW."""
-    return sorted(pair for pair, n_ee in ee.items()
-                  if n_ee >= ww.get(pair, 0))
+def _balanced(ee: np.ndarray, ww: np.ndarray) -> List[int]:
+    """Exactly ``provider._balanced_pairs`` on merged totals: pairs with
+    at least one EE rated call and #EE >= #WW, sorted."""
+    return np.nonzero((ee > 0) & (ee >= ww))[0].tolist()
 
 
 def _tracker(registry: Any) -> Tuple[SimulatedClock,
@@ -495,20 +492,18 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
     table = LabeledCounts()
     cdf = GridCdf(*MOS_GRID)
     moments = MomentSketch()
-    pair_ee: Dict[int, int] = {}
-    pair_ww: Dict[int, int] = {}
-    pc_ee: Dict[int, int] = {}
-    pc_ww: Dict[int, int] = {}
+    pair_ee, pair_ww, pc_ee, pc_ww = (
+        np.zeros(n_subnet_pairs, dtype=np.int64) for _ in range(4))
     # map_configs returns payloads in spec order — the merge contract.
     for payload in map_configs(PASS1_TASK, items, config=runner_config):
         table.merge(LabeledCounts.from_payload(payload["table"]))
         cdf.merge(GridCdf.from_payload(payload["mos_cdf"]))
         moments.merge(MomentSketch.from_payload(payload["mos_moments"]))
-        _merge_pair_rows(pair_ee, pair_ww, payload["pairs"])
-        _merge_pair_rows(pc_ee, pc_ww, payload["pc_pairs"])
+        _add_pair_rows(pair_ee, pair_ww, payload["pairs"])
+        _add_pair_rows(pc_ee, pc_ww, payload["pc_pairs"])
 
-    balanced = _balanced_from_counts(pair_ee, pair_ww)
-    pc_balanced = _balanced_from_counts(pc_ee, pc_ww)
+    balanced = _balanced(pair_ee, pair_ww)
+    pc_balanced = _balanced(pc_ee, pc_ww)
     items2 = [(block, dict(config, balanced=balanced,
                            pc_balanced=pc_balanced))
               for block, config in items]

@@ -8,6 +8,8 @@ re-import tasks by module name).
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -15,7 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.obs import EMPTY_METRICS_JSON, active_registry, to_canonical_json
+from repro.obs import (
+    EMPTY_METRICS_JSON,
+    MetricsRegistry,
+    active_registry,
+    to_canonical_json,
+)
 from repro.runner import (
     BatchResult,
     ResultCache,
@@ -34,6 +41,7 @@ from repro.runner import (
     runner_context,
 )
 from repro.runner import executor
+from repro.runner.cache import CACHE_VERSION
 from repro.runner.spec import RunResult
 from repro.runner.worker import TaskResolutionError, execute_spec, \
     resolve_task
@@ -44,6 +52,7 @@ ADD_TASK = "tests.test_runner:add_task"
 CRASH_TASK = "tests.test_runner:crash_in_worker_task"
 SLEEP_TASK = "tests.test_runner:sleep_task"
 METERED_TASK = "tests.test_runner:metered_task"
+PID_TASK = "tests.test_runner:pid_task"
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +84,10 @@ def crash_in_worker_task(seed):
 def sleep_task(seed):
     time.sleep(1.5)
     return {"seed": seed}
+
+
+def pid_task(seed):
+    return {"seed": seed, "pid": os.getpid()}
 
 
 def metered_task(seed, *, amount=1.0):
@@ -197,6 +210,64 @@ def test_cache_concurrent_writers_never_leave_torn_entries(tmp_path):
     assert cache.get(spec) == (payload, EMPTY_METRICS_JSON)
     # atomic publishes: no temp files left behind
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _old_entry_text(spec, payload_json, metrics_json):
+    """The entry text as ``put`` used to build it: parse, then
+    canonicalize the whole entry object."""
+    return canonical_json({
+        "version": CACHE_VERSION,
+        "key": spec.key,
+        "task": spec.task,
+        "seed": spec.seed,
+        "config": json.loads(spec.config_json),
+        "fingerprint": spec.fingerprint,
+        "metrics": json.loads(metrics_json),
+        "payload": json.loads(payload_json),
+    })
+
+
+def _busy_metrics_json():
+    registry = MetricsRegistry()
+    registry.counter("task.calls").inc(3)
+    registry.histogram("task.delay_s", bounds=(0.01, 0.1)).observe(-0.25)
+    return to_canonical_json(registry)
+
+
+_ENTRY_CONFIG = {"offset": -1.5, "label": "caf\u00e9 \u6771\u4eac",
+                 "nested": {"b": [], "a": {}, "c": [0.1, 1e-300]}}
+
+
+@pytest.mark.parametrize("payload", [
+    {"floats": [0.1, -2.5e-300, 1e300, 3.0, 1 / 3],
+     "deep": {"z": {"y": [[-0.0, 7.25]]}, "a": 1.5}},
+    {"text": "Z\u00fcrich \u2013 \u6771\u4eac \U0001f600", "k\u00e9": "\x00"},
+    {"ints": [-17, -2 ** 63, 0, 2 ** 70], "neg": -1},
+    {"list": [], "dict": {}, "str": "", "nested": [[], {}]},
+    [],
+    {},
+])
+def test_cache_put_writes_the_canonical_entry_bytes(tmp_path, payload):
+    cache = ResultCache(tmp_path)
+    spec = RunSpec.build(ADD_TASK, -3, _ENTRY_CONFIG)
+    payload_json, metrics_json = canonical_json(payload), _busy_metrics_json()
+    cache.put(spec, payload_json, metrics_json)
+    text = cache.path_for(spec.key).read_text(encoding="utf-8")
+    assert text == _old_entry_text(spec, payload_json, metrics_json)
+    assert cache.get(spec) == (payload_json, metrics_json)
+
+
+def test_cache_get_hits_entries_written_by_the_old_encoder(tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = RunSpec.build(ADD_TASK, 4, _ENTRY_CONFIG)
+    payload_json = canonical_json({"value": [1.25, -4], "s": "\u00e9"})
+    metrics_json = _busy_metrics_json()
+    path = cache.path_for(spec.key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_old_entry_text(spec, payload_json, metrics_json),
+                    encoding="utf-8")
+    assert cache.get(spec) == (payload_json, metrics_json)
+    assert path.exists()
 
 
 def _fill_cache(cache, n, size=512):
@@ -422,25 +493,95 @@ def test_pool_matches_serial_payloads_and_digest(pool_pythonpath):
     assert all(r.worker == "pool" for r in parallel.results)
 
 
+def _worker_pids():
+    """PIDs of the workers that ran a healthy ``jobs=2`` batch."""
+    specs = [RunSpec.build(PID_TASK, s) for s in range(4)]
+    batch = run_batch(specs, config=RunnerConfig(jobs=2, no_cache=True))
+    assert [r.worker for r in batch.results] == ["pool"] * 4
+    assert batch.stats.retries == 0
+    assert [p["seed"] for p in batch.payloads] == [0, 1, 2, 3]
+    return {p["pid"] for p in batch.payloads}
+
+
+@pytest.mark.parametrize("variable", ["REPRO_SANITIZE", "PYTHONPATH"])
+def test_pool_reused_until_worker_environment_changes(pool_pythonpath,
+                                                      monkeypatch,
+                                                      variable):
+    """Consecutive batches share one pool; a change to anything a spawned
+    worker froze at start (here the environment) gets a fresh one."""
+    reused = _worker_pids() | _worker_pids() | _worker_pids()
+    # three batches, never more workers than jobs: one pool served all
+    assert len(reused) <= 2
+    assert os.getpid() not in reused
+    if variable == "PYTHONPATH":
+        # still imports this module, from a different path string
+        monkeypatch.setenv(variable,
+                           os.environ[variable] + os.pathsep + "missing")
+    else:
+        monkeypatch.setenv(variable, "1")
+    fresh = _worker_pids()
+    assert not fresh & reused
+
+
+def test_pool_left_open_does_not_block_interpreter_exit():
+    """A process that ran a parallel batch and never shut its pool down
+    exits promptly, leaving no worker behind."""
+    script = (
+        "from repro.runner import RunnerConfig, RunSpec, run_batch\n"
+        f"specs = [RunSpec.build({PID_TASK!r}, s) for s in range(4)]\n"
+        "batch = run_batch(specs, config=RunnerConfig(jobs=2,"
+        " no_cache=True))\n"
+        "assert {r.worker for r in batch.results} == {'pool'}\n"
+        "print(sorted({p['pid'] for p in batch.payloads}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT)]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    workers = json.loads(done.stdout)
+    assert workers
+    for pid in workers:
+        assert not _running(pid), f"worker {pid} outlived its parent"
+
+
+def _running(pid):
+    """Alive and not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:   # gone meanwhile, or no procfs
+        return not Path("/proc").is_dir()
+    return "\nState:\tZ" not in status
+
+
 def test_pool_timeout_aborts_batch(pool_pythonpath):
     # the task sleeps on purpose: the clock read IS the behavior under
     # test (timeouts), and no_cache=True keeps it out of the ResultCache
     specs = [RunSpec.build(SLEEP_TASK, s)  # reproflow: disable=PUR102
              for s in range(2)]
+    before = _worker_pids()   # the pool the sleeping batch runs on
     config = RunnerConfig(jobs=2, timeout_s=0.2, no_cache=True)
     with pytest.raises(RunTimeoutError) as excinfo:
         run_batch(specs, config=config)
     assert excinfo.value.timeout_s == 0.2
+    # the pool holding the stuck workers was dropped and rebuilt
+    assert not _worker_pids() & before
 
 
 def test_pool_crash_falls_back_to_serial(pool_pythonpath, monkeypatch):
     monkeypatch.setattr(executor, "POOL_RETRIES", 0)
     specs = [RunSpec.build(CRASH_TASK, s) for s in range(2)]
+    before = _worker_pids()   # the pool the crashing batch runs on
     config = RunnerConfig(jobs=2, no_cache=True)
     batch = run_batch(specs, config=config)
     assert batch.stats.retries == 1
     assert [p["seed"] for p in batch.payloads] == [0, 1]
     assert all(r.worker == "serial" for r in batch.results)
+    # the broken pool was dropped and rebuilt
+    assert not _worker_pids() & before
 
 
 def test_sanitize_asserts_merge_contract(monkeypatch):

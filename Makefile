@@ -65,8 +65,9 @@ bench-pytest:
 #                     and span durations merged in spec order)
 #   sdn-smoke         the QoE controller head-to-head (reroutes and
 #                     middlebox schedule are part of the digested payload)
-#   population-smoke  the provider (4 blocks x 2 passes) and NetTest
-#                     populations: the streaming-sketch merge
+#   population-smoke  Tables 1 and 2 on the population studies: the
+#                     provider year (4 blocks x 2 passes) and NetTest,
+#                     the streaming-sketch merge
 SMOKE = $(PYTHON) tools/digest_smoke.py
 
 bench-smoke:
@@ -82,8 +83,8 @@ sdn-smoke:
 	$(SMOKE) controller --runs 4
 
 population-smoke:
-	$(SMOKE) provider --calls 50000
-	$(SMOKE) nettest --calls 200
+	$(SMOKE) table1 --runs 50000
+	$(SMOKE) table2 --runs 200
 
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s \

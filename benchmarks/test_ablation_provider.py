@@ -13,14 +13,11 @@ import numpy as np
 
 from conftest import scaled
 
-from repro.studies.population import synthesize_provider_year
-from repro.studies.provider import analyze_table1
+from repro.studies.population import provider_population_study
 
 
 def rows_with(n_calls, seed=0, **overrides):
-    dataset = synthesize_provider_year(n_calls=n_calls, seed=seed,
-                                       **overrides)
-    return analyze_table1(dataset)
+    return provider_population_study(n_calls, seed, **overrides).rows
 
 
 def test_ablation_response_bias(benchmark):

@@ -18,10 +18,10 @@ def test_table1_provider(benchmark):
         rounds=1, iterations=1)
     print("\n" + result.render())
 
-    row1 = result.rows[0]
+    row1 = result.tables.rows[0]
     assert row1.delta_ee_pct > 0          # Ethernet-both beats baseline
     assert row1.delta_ww_pct < 0          # WiFi-both trails baseline
     assert row1.delta_ee_pct > row1.delta_ew_pct > row1.delta_ww_pct
     # The WiFi gap persists under every control (paper: ~40% relative).
-    for row in result.rows:
+    for row in result.tables.rows:
         assert row.delta_ee_pct - row.delta_ww_pct > 10.0

@@ -24,8 +24,6 @@ def main():
     print("=" * 70)
     result1 = run_table1(n_calls=400_000 if full else 100_000)
     print(result1.render())
-    print(f"(baseline PCR {result1.overall_pcr * 100:.1f}% over "
-          f"{result1.n_rated_calls} rated calls)")
 
     print("\n" + "=" * 70)
     result2 = run_table2(scale=1.0 if full else 0.2)

@@ -33,13 +33,6 @@ from repro.runner import BatchResult, ResultCache, runner_context
 _BATCH_COMMANDS = frozenset(
     {"fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig4", "fig5", "fig6"})
 
-#: whole-population study commands (repro.studies.population): sized by
-#: --calls, sharded into runner blocks, reduced to streaming sketches
-_POPULATION_COMMANDS = frozenset({"provider", "nettest"})
-
-#: one full NetTest deployment (Table 2's call total)
-_NETTEST_FULL_CALLS = 9224
-
 #: command -> (runner(runs, seed) -> result, default runs, description)
 _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
     "table1": (lambda runs, seed: experiments.run_table1(
@@ -106,19 +99,16 @@ _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
     "gaming": (lambda runs, seed: experiments.run_gaming(
         n_runs=runs or 3, seed=seed + 11), 3,
         "cloud-gaming frame stalls (extension)"),
-    "provider": (lambda runs, seed, calls=None:
-                 experiments.run_provider_population(
-                     n_calls=calls or 1_000_000, seed=seed),
-                 None, "provider year at population scale "
-                       "(--calls, default 1M)"),
-    "nettest": (lambda runs, seed, calls=None:
-                experiments.run_nettest_population(
-                    seed=seed,
-                    scale=(calls or _NETTEST_FULL_CALLS)
-                    / _NETTEST_FULL_CALLS),
-                None, "NetTest study sharded over runner blocks "
-                      "(--calls, default 9224)"),
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts: a zero or negative value is a
+    usage error, never a silent default or a clamped population."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,12 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=sorted(_COMMANDS) + ["list", "all"],
                         help="experiment id, 'list', or 'all'")
-    parser.add_argument("--runs", type=int, default=None,
-                        help="run count override (per experiment)")
-    parser.add_argument("--calls", type=int, default=None,
-                        help="population size for the whole-population "
-                             "study commands (provider: calls "
-                             "generated, default 1000000; nettest: "
+    parser.add_argument("--runs", type=_positive_int, default=None,
+                        help="run count override (per experiment; "
+                             "table1: calls generated, table2: calls "
                              "scaled against the 9224-call deployment)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root random seed (default 0)")
@@ -213,18 +200,13 @@ def run_command(name: str, runs: Optional[int], seed: int,
                 no_cache: bool = False,
                 metrics_out: Optional[str] = None,
                 cache_max_bytes: Optional[int] = None,
-                backend: str = "event",
-                calls: Optional[int] = None) -> None:
+                backend: str = "event") -> None:
     """Execute one experiment and print its rendering."""
     runner, _, description = _COMMANDS[name]
     if backend != "event" and name not in _BATCH_COMMANDS:
         raise SystemExit(
             f"--backend {backend} is only available for "
             f"{', '.join(sorted(_BATCH_COMMANDS))}")
-    if calls is not None and name not in _POPULATION_COMMANDS:
-        raise SystemExit(
-            f"--calls is only available for "
-            f"{', '.join(sorted(_POPULATION_COMMANDS))}")
     batches: List[BatchResult] = []
     # Elapsed wall-clock reporting is the one sanctioned clock read: it
     # never feeds back into simulated behaviour, only into the "[... 3.2s]"
@@ -234,8 +216,6 @@ def run_command(name: str, runs: Optional[int], seed: int,
                         no_cache=no_cache, on_batch=batches.append):
         if name in _BATCH_COMMANDS:
             result = runner(runs, seed, backend=backend)
-        elif name in _POPULATION_COMMANDS:
-            result = runner(runs, seed, calls=calls)
         else:
             result = runner(runs, seed)
     elapsed = time.perf_counter() - start   # reproflow: disable=DET002
@@ -280,7 +260,7 @@ def main(argv=None, out=sys.stdout) -> int:
                 jobs=args.jobs, cache_dir=args.cache_dir,
                 no_cache=args.no_cache, metrics_out=args.metrics_out,
                 cache_max_bytes=args.cache_max_bytes,
-                backend=args.backend, calls=args.calls)
+                backend=args.backend)
     return 0
 
 

@@ -15,8 +15,6 @@ Index (see DESIGN.md for the full mapping):
 
 from repro.experiments.section3 import (
     run_figure1,
-    run_nettest_population,
-    run_provider_population,
     run_table1,
     run_table2,
 )
@@ -64,9 +62,7 @@ __all__ = [
     "run_figure8",
     "run_figure9",
     "run_figure10",
-    "run_nettest_population",
     "run_nlink_sweep",
-    "run_provider_population",
     "run_section63_overhead",
     "run_section64_scalability",
     "run_table1",

@@ -15,7 +15,6 @@ from repro.studies.provider import (
     analyze_table1,
 )
 from repro.studies.nettest import NetTestDataset, run_nettest_study
-from repro.studies.population import synthesize_provider_year
 from repro.studies.scan import SurveyLocation, run_site_survey
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "analyze_table1",
     "run_nettest_study",
     "run_site_survey",
-    "synthesize_provider_year",
 ]

@@ -15,8 +15,8 @@ scale path:
   and arrays), and the remaining arithmetic mirrors the scalar
   expressions op for op (half-even rating rounding), the rendered calls
   are **bit-identical** to the scalar loop (pinned by
-  ``tests/test_population.py``).  :func:`synthesize_provider_year` and
-  Table 1 are built on this path.
+  ``tests/test_population.py``).  Table 1 (``repro table1``) is built
+  on this path.
 
 * **Runner sharding** — blocks are mapped through
   :func:`repro.runner.map_configs` as module-level tasks
@@ -87,7 +87,6 @@ from repro.studies.provider import (
     WIFI_LOSS_MEDIAN,
     WIFI_LOSS_SIGMA,
     PairState,
-    ProviderDataset,
     RatedCall,
     Table1Row,
     _CATEGORY_BY_WIFI_COUNT,
@@ -114,7 +113,6 @@ __all__ = [
     "provider_pass2_metrics",
     "provider_population_study",
     "render_provider_block",
-    "synthesize_provider_year",
 ]
 
 #: runner entry points
@@ -226,36 +224,6 @@ def provider_block_calls(arrays: ProviderBlockArrays) -> List[RatedCall]:
         pc_class=bool(arrays.pc_class[i]),
         rating=int(arrays.rating[i]))
         for i in np.nonzero(arrays.rated)[0]]
-
-
-def synthesize_provider_year(n_calls: int = 200_000, seed: int = 0,
-                             n_subnet_pairs: int = 3000,
-                             wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                             wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                             device_penalty_scale: float =
-                             DEVICE_PENALTY_SCALE,
-                             glitch_penalty_scale: float =
-                             GLITCH_PENALTY_SCALE,
-                             response_bias: bool = True
-                             ) -> ProviderDataset:
-    """Generate the synthetic year of rated calls, block by block.
-
-    Every block is vector-rendered; the calls equal those of
-    :func:`repro.studies.provider.synthesize_provider_block` (the scalar
-    reference) bit for bit.
-    """
-    pairs = pair_state(seed, n_subnet_pairs)
-    dataset = ProviderDataset()
-    for block in range(n_call_blocks(n_calls)):
-        count = min(CALL_BLOCK, n_calls - block * CALL_BLOCK)
-        dataset.calls.extend(provider_block_calls(render_provider_block(
-            block, count, seed, pairs,
-            wifi_loss_median=wifi_loss_median,
-            wifi_loss_sigma=wifi_loss_sigma,
-            device_penalty_scale=device_penalty_scale,
-            glitch_penalty_scale=glitch_penalty_scale,
-            response_bias=response_bias)))
-    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +442,10 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
     Shards the population into :data:`~repro.studies.provider.CALL_BLOCK`
     blocks, maps the two passes through the runner, and folds the sketch
     payloads in spec order.  For any ``n_calls`` the resulting rows are
-    exactly equal to ``analyze_table1(synthesize_provider_year(...))`` —
-    the counters are exact, and every division happens in the same order
-    on the same integers.
+    exactly equal to :func:`~repro.studies.provider.analyze_table1` over
+    the scalar :func:`~repro.studies.provider.synthesize_provider_block`
+    calls — the counters are exact, and every division happens in the
+    same order on the same integers.
     """
     base: Dict[str, Any] = {
         "root_seed": seed,

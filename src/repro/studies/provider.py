@@ -46,9 +46,10 @@ unconditionally and applied conditionally.  Two consequences:
   with the same seed.
 
 :func:`synthesize_provider_block` remains the readable scalar
-reference; the population backend is the production path (including
-:func:`repro.studies.population.synthesize_provider_year`, which backs
-Table 1), and ``tests/test_population.py`` pins their exact equality.
+reference; the population backend
+(:func:`repro.studies.population.provider_population_study`, which
+backs Table 1) is the production path, and ``tests/test_population.py``
+pins their exact equality.
 """
 
 from __future__ import annotations

@@ -198,3 +198,18 @@ def test_metrics_out_rejected_for_all(tmp_path, capsys):
     code, _ = run_cli(["all", "--metrics-out", str(tmp_path / "m.json")])
     assert code == 2
     assert "--metrics-out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--runs", "-5"],
+    ["table2", "--runs", "0"],
+    ["table1", "--runs", "-5"],
+    ["fig2a", "--runs", "-1"],
+])
+def test_runs_must_be_positive_int(argv, capsys):
+    """A zero or negative --runs is a usage error (exit 2), not a
+    clamped population, a silent default or a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(argv)
+    assert excinfo.value.code == 2
+    assert "--runs" in capsys.readouterr().err

@@ -61,15 +61,15 @@ def test_figure5_histograms():
 
 def test_table1_driver():
     result = run_table1(n_calls=20_000, seed=1)
-    assert len(result.rows) == 4
-    assert 0.0 < result.overall_pcr < 1.0
+    assert len(result.tables.rows) == 4
+    assert 0.0 < result.tables.overall_pcr < 1.0
     assert "Table 1" in result.render()
 
 
 def test_table2_driver():
     result = run_table2(seed=1, scale=0.02)
     assert "Table 2" in result.render()
-    rows = result.dataset.table2()
+    rows = result.tables.rows
     assert rows[-1][0] == "Total"
 
 

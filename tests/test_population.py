@@ -7,6 +7,7 @@ and their batch digests are identical serial vs ``--jobs 2``.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -162,23 +163,32 @@ def test_nettest_population_serial_vs_jobs2_digests(tmp_path):
 # ------------------------------------------------------------ CLI surface
 
 
-def test_cli_provider_calls_smoke():
+def test_cli_table1_runs_smoke():
     out = io.StringIO()
-    assert cli_main(["provider", "--calls", "2000"], out=out) == 0
+    assert cli_main(["table1", "--runs", "2000"], out=out) == 0
     text = out.getvalue()
-    assert "Table 1 (population backend)" in text
+    assert "Table 1: change in PCR" in text
+    assert "calls generated: 2,000" in text
     assert "Wilson" in text
     assert "digest=" in text
 
 
-def test_cli_nettest_calls_smoke():
+def test_cli_table2_runs_smoke():
     out = io.StringIO()
-    assert cli_main(["nettest", "--calls", "150"], out=out) == 0
+    assert cli_main(["table2", "--runs", "150"], out=out) == 0
     text = out.getvalue()
-    assert "Table 2 (population backend)" in text
+    assert "Table 2: poor call rates" in text
+    assert "Wilson" in text
     assert "digest=" in text
 
 
-def test_cli_calls_rejected_elsewhere():
-    with pytest.raises(SystemExit):
-        cli_main(["fig2a", "--runs", "2", "--calls", "100"])
+def test_cli_table1_metrics_out_has_population_counters():
+    """Table 1 runs on the sharded population study, so its
+    ``--metrics-out`` carries the per-block ``population.*`` counters."""
+    out = io.StringIO()
+    assert cli_main(["table1", "--runs", "2000", "--no-cache",
+                     "--metrics-out", "-"], out=out) == 0
+    metrics = json.loads(out.getvalue().rstrip("\n").splitlines()[-1])
+    counters = {m["name"] for m in metrics["metrics"]
+                if m["kind"] == "counter"}
+    assert "population.calls" in counters

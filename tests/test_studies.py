@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.channel.gilbert import GilbertParams, sample_loss_array
+from repro.runner import RunnerConfig
 from repro.sim import RandomRouter
 from repro.studies.nettest import (
     CATEGORY_COUNTS,
     run_nettest_study,
 )
-from repro.studies.population import synthesize_provider_year
+from repro.studies.population import provider_population_study
 from repro.studies.provider import (
     ProviderDataset,
     RatedCall,
-    analyze_table1,
 )
 from repro.studies.scan import (
     SURVEY_LOCATIONS,
@@ -51,36 +51,42 @@ def test_sample_loss_array_length():
 
 
 # ----------------------------------------------------------- provider study
+#
+# Table 1 runs on the population study; its rows equal the scalar
+# ``analyze_table1`` path exactly (tests/test_population.py).
 
 @pytest.fixture(scope="module")
-def provider_dataset():
-    return synthesize_provider_year(n_calls=60_000, seed=0)
+def provider_tables():
+    return provider_population_study(n_calls=60_000, seed=0)
 
 
-def test_provider_pcr_in_plausible_range(provider_dataset):
-    pcr = provider_dataset.pcr()
+def test_provider_pcr_in_plausible_range(provider_tables):
+    pcr = provider_tables.overall_pcr
     assert 0.05 < pcr < 0.35
 
 
-def test_provider_has_all_categories(provider_dataset):
-    categories = {c.category for c in provider_dataset.calls}
-    assert categories == {"EE", "EW", "WW"}
+def test_provider_has_all_categories(provider_tables):
+    """A category with no rated calls has a NaN PCR, so every All-row
+    delta is finite exactly when EE, EW and WW are all present."""
+    row1 = provider_tables.rows[0]
+    for delta in (row1.delta_ee_pct, row1.delta_ew_pct, row1.delta_ww_pct):
+        assert np.isfinite(delta)
 
 
-def test_table1_row_structure(provider_dataset):
-    rows = analyze_table1(provider_dataset)
+def test_table1_row_structure(provider_tables):
+    rows = provider_tables.rows
     assert len(rows) == 4
     assert rows[0].label == "All"
-    assert rows[0].n_calls == len(provider_dataset.calls)
+    assert rows[0].n_calls == provider_tables.n_rated_calls
     assert rows[1].n_calls <= rows[0].n_calls  # subsets shrink
 
 
-def test_table1_wifi_gap_direction(provider_dataset):
+def test_table1_wifi_gap_direction(provider_tables):
     """The paper's core finding: in the full population EE beats the
     baseline, WW trails it, EW sits between — and EE stays the best
     category in every subset row (the WW subsets are small by
     construction, so only the EE dominance is statistically stable)."""
-    rows = analyze_table1(provider_dataset)
+    rows = provider_tables.rows
     row1 = rows[0]
     assert row1.delta_ee_pct > row1.delta_ew_pct > row1.delta_ww_pct
     assert row1.delta_ee_pct - row1.delta_ww_pct > 15.0
@@ -89,16 +95,22 @@ def test_table1_wifi_gap_direction(provider_dataset):
         assert row.delta_ee_pct >= row.delta_ww_pct
 
 
-def test_table1_row1_matches_paper_signs(provider_dataset):
-    row1 = analyze_table1(provider_dataset)[0]
+def test_table1_row1_matches_paper_signs(provider_tables):
+    row1 = provider_tables.rows[0]
     assert row1.delta_ee_pct > 0      # paper: +27.7%
     assert row1.delta_ww_pct < 0      # paper: -18.4%
 
 
 def test_provider_deterministic():
-    a = synthesize_provider_year(n_calls=5000, seed=42)
-    b = synthesize_provider_year(n_calls=5000, seed=42)
-    assert [c.rating for c in a.calls] == [c.rating for c in b.calls]
+    """Two same-seed runs, recomputed rather than served from the
+    in-process memo, give the same rows and MOS sketches."""
+    a, b = (provider_population_study(
+        n_calls=5000, seed=42, runner_config=RunnerConfig(memo=False))
+        for _ in range(2))
+    assert a.rows == b.rows
+    assert a.n_rated_calls == b.n_rated_calls
+    assert a.mos_cdf.to_payload() == b.mos_cdf.to_payload()
+    assert a.mos_moments.to_payload() == b.mos_moments.to_payload()
 
 
 def test_provider_pcr_empty_subset_nan():

@@ -42,7 +42,8 @@ sanitize-test:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sim_engine.py \
 		tests/test_sim_random.py tests/test_client_controller.py \
 		tests/test_engine_frozen_digests.py \
-		tests/test_wild_frozen_digests.py -q
+		tests/test_wild_frozen_digests.py \
+		tests/test_batch_frozen_digests.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

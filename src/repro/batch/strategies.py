@@ -78,42 +78,32 @@ def better(block: TraceBlock,
     return delivered, delays
 
 
-def divert(block: TraceBlock, window_h: int = 1,
-           threshold_t: int = 1) -> StrategyResult:
-    """Fine-grained reactive selection, all sessions stepped in lockstep.
+def divert(block: TraceBlock) -> StrategyResult:
+    """Fine-grained reactive selection at H=1, T=1, without a slot loop.
 
-    Per session: switch links when >= ``threshold_t`` of the last
-    ``window_h`` frames on the current link were lost (then clear the
-    history), exactly :func:`repro.core.strategies.divert`.
+    Per session: switch links after every loss on the current link,
+    exactly :func:`repro.core.strategies.divert` with ``window_h=1,
+    threshold_t=1``.  A slot lost on one link only sends the next slot
+    to the other link whatever the current one was, a slot lost on both
+    flips the current link, and a slot lost on neither keeps it.  So the
+    link of slot ``s + 1`` is ``lost_a[k]`` XOR the parity of both-lost
+    slots in ``(k, s]``, with ``k`` the last one-link loss at or before
+    ``s``.  A virtual slot lost on B only, put before slot 0, starts
+    every session on link A.
     """
-    if window_h < 1 or threshold_t < 1 or threshold_t > window_h:
-        raise ValueError("need 1 <= T <= H")
-    b, _, n = block.delivered.shape
-    rows = np.arange(b)
-    current = np.zeros(b, dtype=np.intp)
-    recent = np.zeros((b, window_h), dtype=bool)
-    fill = np.zeros(b, dtype=np.intp)
-    delivered = np.zeros((b, n), dtype=bool)
-    delays = np.full((b, n), np.nan)
-    for seq in range(n):
-        got = block.delivered[rows, current, seq]
-        delivered[:, seq] = got
-        delays[:, seq] = block.delays[rows, current, seq]
-        lost_now = ~got
-        full = fill == window_h
-        if full.any():
-            shifted = np.roll(recent[full], -1, axis=1)
-            shifted[:, -1] = lost_now[full]
-            recent[full] = shifted
-        growing = ~full
-        recent[rows[growing], fill[growing]] = lost_now[growing]
-        fill[growing] += 1
-        trigger = (fill == window_h) \
-            & (recent.sum(axis=1) >= threshold_t)
-        current[trigger] ^= 1
-        fill[trigger] = 0
-        recent[trigger] = False
-    return delivered, delays
+    lost = ~block.delivered
+    head = np.zeros((block.n_sessions, 1), dtype=bool)
+    lost_a = np.concatenate([head, lost[:, 0]], axis=1)
+    lost_b = np.concatenate([~head, lost[:, 1]], axis=1)
+    parity = np.cumsum(lost_a & lost_b, axis=1) & 1
+    slots = np.arange(lost_a.shape[1])
+    last_one = np.maximum.accumulate(
+        np.where(lost_a ^ lost_b, slots, 0), axis=1)
+    link = (np.take_along_axis(lost_a, last_one, axis=1)
+            ^ parity ^ np.take_along_axis(parity, last_one, axis=1))
+    choice = link[:, None, :-1].astype(np.intp)
+    return (np.take_along_axis(block.delivered, choice, axis=1)[:, 0],
+            np.take_along_axis(block.delays, choice, axis=1)[:, 0])
 
 
 def temporal(block: TraceBlock, delta_s: float) -> StrategyResult:
@@ -137,7 +127,7 @@ def strategy_suite(block: TraceBlock
             ("cross-link", cross_link(block)),
             ("stronger", stronger(block)),
             ("better", better(block)),
-            ("divert", divert(block, window_h=1, threshold_t=1)),
+            ("divert", divert(block)),
             ("baseline", baseline(block))):
         out.append((name, result[0], result[1]))
     for delta in block.deltas:

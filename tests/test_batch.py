@@ -22,6 +22,7 @@ from repro.batch.render import (
     render_block,
     render_session,
 )
+from repro.batch.strategies import divert as batch_divert
 from repro.batch.strategies import strategy_suite
 from repro.batch.summary import (
     correlation_rows,
@@ -202,6 +203,14 @@ def test_block_scenarios_from_wild_mix(block):
 
 # ----------------------------------------------- strategy/summary parity
 
+#: strategies that pick one link's slot as is, so delays match exactly.
+#: The merge strategies (cross-link, better, temporal:*) are compared
+#: with a tolerance: the event ``merge_traces`` goes through absolute
+#: arrival times, so its delays differ from the batch ones by float
+#: rounding (under 1e-15 s on this fixture).
+SELECTIONS = ("divert", "stronger", "baseline")
+
+
 def test_strategy_suite_matches_event_strategies(block):
     """On identical traces every vectorized strategy must reproduce the
     scalar strategy's outcome exactly, session by session."""
@@ -225,9 +234,14 @@ def test_strategy_suite_matches_event_strategies(block):
             delivered, delays = suite[name]
             assert np.array_equal(delivered[pos], trace.delivered), \
                 f"{name} delivered mismatch at session {pos}"
-            np.testing.assert_allclose(
-                delays[pos], trace.delays, equal_nan=True,
-                err_msg=f"{name} delays mismatch at session {pos}")
+            if name in SELECTIONS:
+                assert np.array_equal(delays[pos], trace.delays,
+                                      equal_nan=True), \
+                    f"{name} delays mismatch at session {pos}"
+            else:
+                np.testing.assert_allclose(
+                    delays[pos], trace.delays, equal_nan=True,
+                    err_msg=f"{name} delays mismatch at session {pos}")
 
 
 def test_worst_window_rows_matches_scalar(block):
@@ -333,6 +347,28 @@ def test_divert_switches_after_loss():
     run = block.paired_run(0)
     trace = event_strategies.divert(run, window_h=1, threshold_t=1)
     assert np.array_equal(delivered[0], trace.delivered)
+
+
+@pytest.mark.parametrize("lost_a,lost_b", [
+    ([], []),
+    ([False], [False]), ([True], [False]),
+    ([False], [True]), ([True], [True]),
+], ids=["n0", "n1-none", "n1-a", "n1-b", "n1-both"])
+def test_divert_degenerate_lengths(lost_a, lost_b):
+    """n=0 and n=1: the only slot (if any) is always taken from link A."""
+    delivered_a = [[not x for x in lost_a]]
+    delivered_b = [[not x for x in lost_b]]
+    delays_a = [[np.nan if x else 0.01 for x in lost_a]]
+    delays_b = [[np.nan if x else 0.02 for x in lost_b]]
+    block = synthetic_block(delivered_a, delays_a, delivered_b, delays_b)
+    delivered, delays = batch_divert(block)
+    assert delivered.shape == delays.shape == (1, len(lost_a))
+    assert delivered.tolist() == delivered_a
+    assert np.array_equal(delays, np.asarray(delays_a, dtype=float),
+                          equal_nan=True)
+    trace = event_strategies.divert(block.paired_run(0), 1, 1)
+    assert np.array_equal(delivered[0], trace.delivered)
+    assert delays[0].tobytes() == trace.delays.tobytes()
 
 
 def test_worst_window_rows_trailing_partial():

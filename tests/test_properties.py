@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.analysis.bursts import burst_lengths
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.windows import window_loss_rates, worst_window_loss
+from repro.batch import strategies as batch_strategies
+from repro.batch.render import TraceBlock
 from repro.core.packet import LinkTrace, StreamTrace, merge_traces
 from repro.core.replication import PairedRun
 from repro.core.config import StreamProfile
@@ -68,6 +70,41 @@ def test_divert_outcome_always_one_of_the_links(losses_a, losses_b, h):
     for i in range(n):
         assert bool(trace.delivered[i]) in (
             not losses_a[i], not losses_b[i])
+
+
+def random_block(b, n, p_a, p_b, seed):
+    """A block of ``b`` sessions whose links lose each slot independently
+    with probability ``p_a`` / ``p_b``; delays are distinct per slot."""
+    rng = np.random.default_rng(seed)
+    p = np.asarray([p_a, p_b])[None, :, None]
+    delivered = rng.random((b, 2, n)) >= p
+    delays = np.where(delivered, rng.uniform(0.001, 0.2, (b, 2, n)),
+                      np.nan)
+    return TraceBlock(
+        profile=StreamProfile(duration_s=n * 0.02), indices=tuple(range(b)),
+        scenarios=("benign",) * b, deltas=(),
+        send_times=np.arange(n) * 0.02, delivered=delivered, delays=delays,
+        rssi_dbm=np.zeros((b, 2)),
+        offset_delivered=np.zeros((b, 0, n), dtype=bool),
+        offset_delays=np.zeros((b, 0, n)))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=300),
+       st.floats(min_value=0.0, max_value=0.9),
+       st.floats(min_value=0.0, max_value=0.9),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_batch_divert_matches_event_divert(b, n, p_a, p_b, seed):
+    """The loop-free batch divert selects exactly the slots the event
+    reference (H=1, T=1) selects, session by session."""
+    block = random_block(b, n, p_a, p_b, seed)
+    delivered, delays = batch_strategies.divert(block)
+    assert delivered.shape == delays.shape == (b, n)
+    for pos in range(b):
+        trace = divert(block.paired_run(pos), 1, 1)
+        assert np.array_equal(delivered[pos], trace.delivered)
+        assert delays[pos].tobytes() == trace.delays.tobytes()
 
 
 @given(loss_patterns)

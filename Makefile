@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-baseline typecheck sanitize-test test-output \
+.PHONY: install test lint typecheck sanitize-test test-output \
 	bench-pytest bench-smoke batch-smoke bench-full \
 	obs-smoke sdn-smoke population-smoke examples docs clean
 
@@ -14,18 +14,12 @@ test:
 
 # Static analysis (tools/reproflow): per-file determinism rules plus
 # project-wide passes on one shared parse — pass 1 index, pass 2
-# units/lifecycle/config, pass 3 interprocedural dataflow (FLO/PUR/ORD),
+# units/lifecycle, pass 3 interprocedural dataflow (FLO/PUR/ORD),
 # pass 4 concurrency & serialization safety (SER/IMP/KEY).  Fails on any
-# finding not in .reproflow-baseline.json; see CONTRIBUTING.md for the
-# rule tables and suppression syntax.
-LINT = PYTHONPATH=tools $(PYTHON) -m reproflow src/ tools/ tests/
-
+# finding not silenced by an inline disable comment or the directory
+# policy; see CONTRIBUTING.md for the rule tables and suppression syntax.
 lint:
-	$(LINT)
-
-# Refreeze the baseline (only for genuinely unfixable legacy findings).
-lint-baseline:
-	$(LINT) --write-baseline
+	PYTHONPATH=tools $(PYTHON) -m reproflow src/ tools/ tests/
 
 # Strict typing gate for the core package.  mypy is an optional dev
 # dependency (CI installs it); skip gracefully where it is absent.

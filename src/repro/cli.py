@@ -102,13 +102,17 @@ _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type`` for counts: a zero or negative value is a
-    usage error, never a silent default or a clamped population."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type`` for a bounded count: an out-of-range value is a
+    usage error, never a silent default, a clamped population or a
+    traceback after the command has run."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,21 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=sorted(_COMMANDS) + ["list", "all"],
                         help="experiment id, 'list', or 'all'")
-    parser.add_argument("--runs", type=_positive_int, default=None,
+    parser.add_argument("--runs", type=_int_at_least(1), default=None,
                         help="run count override (per experiment; "
                              "table1: calls generated, table2: calls "
                              "scaled against the 9224-call deployment)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root random seed (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes for independent runs "
                              "(default 1 = serial in-process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed on-disk result cache")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass cached results and recompute")
-    parser.add_argument("--cache-max-bytes", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--cache-max-bytes", type=_int_at_least(0),
+                        default=None, metavar="N",
                         help="after the command completes, prune the "
                              "--cache-dir store to at most N bytes "
                              "(least-recently-used entries first)")
@@ -234,6 +238,10 @@ def run_command(name: str, runs: Optional[int], seed: int,
 
 def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
+    if args.cache_max_bytes is not None and args.cache_dir is None:
+        print("--cache-max-bytes prunes the --cache-dir store; it needs "
+              "--cache-dir", file=sys.stderr)
+        return 2
     if args.command == "list":
         width = max(len(name) for name in _COMMANDS)
         for name in sorted(_COMMANDS):
@@ -244,6 +252,11 @@ def main(argv=None, out=sys.stdout) -> int:
     if args.command == "all":
         if args.metrics_out is not None:
             print("--metrics-out applies to a single command, not 'all'",
+                  file=sys.stderr)
+            return 2
+        if args.backend != "event":
+            print(f"--backend {args.backend} applies to "
+                  f"{', '.join(sorted(_BATCH_COMMANDS))}, not 'all'",
                   file=sys.stderr)
             return 2
         names = sorted(_COMMANDS)

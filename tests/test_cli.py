@@ -213,3 +213,58 @@ def test_runs_must_be_positive_int(argv, capsys):
         run_cli(argv)
     assert excinfo.value.code == 2
     assert "--runs" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Sanitized one-run sweep: every command, every runner submit site and
+# every artifact's keyword calls executed once with REPRO_SANITIZE=1, so
+# the runtime checks (StreamSharingError, TypeError on an unknown
+# keyword, TaskResolutionError on an unresolvable task entry) cover
+# every artifact path on each tier-1 run.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,backend", [
+    *((name, "event") for name in sorted(_COMMANDS)),
+    ("fig2a", "batch"),
+])
+def test_sanitized_one_run_sweep(name, backend, monkeypatch):
+    from repro.runner import runner_context
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    out = io.StringIO()
+    # memo off: a memo hit would skip the sanitized execution entirely
+    with runner_context(memo=False):
+        run_command(name, 1, 0, out=out, backend=backend)
+    assert f"[{name}:" in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Option validation: malformed runner options are usage errors (exit 2)
+# reported before any simulation runs.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,option", [
+    (["fig3", "--jobs", "0"], "--jobs"),
+    (["fig3", "--jobs", "-2"], "--jobs"),
+    (["fig3", "--cache-max-bytes", "-1", "--cache-dir", "{tmp}"],
+     "--cache-max-bytes"),
+])
+def test_runner_options_reject_out_of_range_values(argv, option, tmp_path,
+                                                    capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([arg.format(tmp=tmp_path) for arg in argv])
+    assert excinfo.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_cache_max_bytes_requires_cache_dir(capsys):
+    code, output = run_cli(["fig3", "--cache-max-bytes", "100"])
+    assert code == 2
+    assert output == ""
+    assert "--cache-dir" in capsys.readouterr().err
+
+
+def test_all_rejects_batch_backend(capsys):
+    code, output = run_cli(["all", "--backend", "batch"])
+    assert code == 2
+    assert output == ""
+    assert "--backend" in capsys.readouterr().err

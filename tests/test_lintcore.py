@@ -1,6 +1,6 @@
-"""Tests for reproflow's reporting machinery (``reproflow.findings``,
-``baseline`` and ``policy``): findings, inline suppressions, baselines,
-path policies and the output formatters.
+"""Tests for reproflow's reporting machinery (``reproflow.findings`` and
+``policy``): findings, inline suppressions, path policies and the output
+formatters.
 """
 
 import io
@@ -11,7 +11,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from reproflow.baseline import filter_new, load_baseline, write_baseline  # noqa: E402
 from reproflow.findings import (Finding, emit, is_suppressed,             # noqa: E402
                                 parse_suppressions, render_github)
 from reproflow.policy import PathPolicy                                   # noqa: E402
@@ -28,27 +27,6 @@ def make_finding(path="src/a.py", rule="X001", line=3, col=4,
 def test_suppression_disable_all():
     sup = parse_suppressions(["z = 1  # reproflow: disable=all"])
     assert is_suppressed(sup, 1, "ANY999")
-
-
-# ------------------------------------------------------------ baseline
-
-def test_baseline_fingerprint_survives_line_shift(tmp_path):
-    baseline_path = tmp_path / "bl.json"
-    original = make_finding(line=3)
-    write_baseline(str(baseline_path), [original])
-    shifted = make_finding(line=30)        # same path/rule/text
-    assert filter_new([shifted], load_baseline(str(baseline_path))) == []
-    edited = make_finding(text="x = 2")    # text changed: new finding
-    assert filter_new([edited],
-                      load_baseline(str(baseline_path))) == [edited]
-
-
-def test_baseline_is_a_multiset(tmp_path):
-    baseline_path = tmp_path / "bl.json"
-    write_baseline(str(baseline_path), [make_finding(line=3)])
-    two = [make_finding(line=3), make_finding(line=7)]
-    remaining = filter_new(two, load_baseline(str(baseline_path)))
-    assert len(remaining) == 1             # only one occurrence absorbed
 
 
 # -------------------------------------------------------------- policy
@@ -97,66 +75,12 @@ def test_path_policy_union_across_overlapping_entries():
     assert not policy.exempt("src/repro/runner/cache.py", "B001")
 
 
-def test_path_policy_file_entry_exact_match():
-    policy = PathPolicy((("tests/conftest.py", ("A001",)),))
-    assert policy.exempt("tests/conftest.py", "A001")
-    assert policy.exempt("/root/repo/tests/conftest.py", "A001")
-    # Other files in the same directory are not covered...
-    assert not policy.exempt("tests/test_x.py", "A001")
-    # ...and neither is a file whose name merely ends the same way.
-    assert not policy.exempt("tests/my_conftest.py", "A001")
-
-
 def test_path_policy_empty_and_describe():
     assert not PathPolicy().exempt("src/a.py", "A001")
     described = PathPolicy((("tests/", ("B001", "A001")),
-                            ("tests/conftest.py", ("C001",)))).describe()
+                            ("tools", ("C001",)))).describe()
     assert "tests/  exempt: A001, B001" in described
-    assert "tests/conftest.py  exempt: C001" in described
-
-
-def test_baseline_fingerprint_stable_under_reindent_only(tmp_path):
-    # The fingerprint uses the *stripped* line text, so a pure
-    # re-indent (e.g. wrapping the line in an if-block) stays baselined
-    # when the analyzer strips text consistently.
-    baseline_path = tmp_path / "bl.json"
-    write_baseline(str(baseline_path), [make_finding(text="x = 1")])
-    moved = make_finding(line=90, text="x = 1")
-    assert filter_new([moved], load_baseline(str(baseline_path))) == []
-
-
-def test_baseline_counts_duplicate_fingerprints(tmp_path):
-    # Two identical lines baselined -> two occurrences absorbed, a
-    # third is new (the multiset keeps exact counts, not a set).
-    baseline_path = tmp_path / "bl.json"
-    write_baseline(str(baseline_path),
-                   [make_finding(line=3), make_finding(line=9)])
-    three = [make_finding(line=3), make_finding(line=9),
-             make_finding(line=12)]
-    remaining = filter_new(three, load_baseline(str(baseline_path)))
-    assert len(remaining) == 1
-
-
-def test_baseline_distinguishes_rule_and_path(tmp_path):
-    baseline_path = tmp_path / "bl.json"
-    write_baseline(str(baseline_path), [make_finding()])
-    other_rule = make_finding(rule="X002")
-    other_path = make_finding(path="src/b.py")
-    baselined = load_baseline(str(baseline_path))
-    assert filter_new([other_rule], baselined) == [other_rule]
-    assert filter_new([other_path], baselined) == [other_path]
-
-
-def test_baseline_roundtrip_is_deterministic(tmp_path):
-    # write_baseline sorts entries, so the same findings in any order
-    # produce byte-identical baseline files (diff-stable in review).
-    findings = [make_finding(line=9, text="b"),
-                make_finding(line=3, text="a"),
-                make_finding(path="src/b.py", text="c")]
-    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-    write_baseline(str(path_a), findings)
-    write_baseline(str(path_b), list(reversed(findings)))
-    assert path_a.read_text() == path_b.read_text()
+    assert "tools/  exempt: C001" in described
 
 
 # -------------------------------------------------------------- output

@@ -1,7 +1,7 @@
 """Tests for reproflow pass 4 (``parsafe``): SER / IMP / KEY.
 
 Each family gets triggering, clean, and suppressed fixtures; every rule
-(SER301/302/303, IMP401/402, KEY501/502) gets targeted trigger and
+(SER302/303, IMP401/402, KEY501/502) gets targeted trigger and
 clean cases, including the cross-module variants (worker-import
 closure, module-state pokes); the granular effect propagation and the
 synthetic ``<module>`` nodes are exercised directly; and the real CLI
@@ -60,8 +60,13 @@ def graph_and_info(modules):
 FAMILY_FIXTURES = {
     "SER": (
         """
+        from threading import Lock
+
+        def guarded_task(seed, lock=Lock(), config=None):
+            return seed
+
         def submit(runner, configs):
-            return runner.map_task(lambda seed: seed, configs)
+            return runner.map_task("pkg.module:guarded_task", configs)
         """,
         """
         def doubling_task(seed, config=None):
@@ -71,9 +76,14 @@ FAMILY_FIXTURES = {
             return runner.map_task("pkg.module:doubling_task", configs)
         """,
         """
+        from threading import Lock
+
+        def guarded_task(seed, lock=Lock(),  # reproflow: disable=SER302
+                         config=None):
+            return seed
+
         def submit(runner, configs):
-            return runner.map_task(  # reproflow: disable=SER301
-                lambda seed: seed, configs)
+            return runner.map_task("pkg.module:guarded_task", configs)
         """,
     ),
     "IMP": (
@@ -162,94 +172,6 @@ def test_family_suppressed(family):
     _, _, suppressed = FAMILY_FIXTURES[family]
     findings = analyze(suppressed)
     assert not any(r.startswith(family) for r in rule_ids(findings)), findings
-
-
-# ------------------------------------------------------------------
-# SER301: statically unpicklable submissions.
-# ------------------------------------------------------------------
-
-def test_ser301_function_object():
-    findings = analyze("""
-        def local_task(seed, config=None):
-            return seed
-
-        def submit(runner, configs):
-            return runner.map_task(local_task, configs)
-    """)
-    ser = [f for f in findings if f.rule == "SER301"]
-    assert ser and "function object 'local_task'" in ser[0].message
-
-
-def test_ser301_bound_method():
-    findings = analyze("""
-        class Study:
-            def run_one(self, seed):
-                return seed
-
-        def submit(runner, study, configs):
-            return runner.map_task(study.run_one, configs)
-    """)
-    ser = [f for f in findings if f.rule == "SER301"]
-    assert ser and "bound method" in ser[0].message
-
-
-def test_ser301_locally_defined_function():
-    findings = analyze("""
-        def submit(runner, configs):
-            def inner(seed):
-                return seed
-            return runner.map_task(inner, configs)
-    """)
-    ser = [f for f in findings if f.rule == "SER301"]
-    assert ser and "locally-defined function" in ser[0].message
-
-
-def test_ser301_dotted_entry_string():
-    findings = analyze("""
-        class Study:
-            def run_one(self, seed):
-                return seed
-
-        def submit(runner, configs):
-            return runner.map_task("pkg.module:Study.run_one", configs)
-    """)
-    ser = [f for f in findings if f.rule == "SER301"]
-    assert ser and "dotted attribute" in ser[0].message
-
-
-def test_ser301_runspec_build_is_a_site():
-    findings = analyze("""
-        def submit(RunSpec):
-            return RunSpec.build(lambda seed: seed, 1)
-    """)
-    assert "SER301" in rule_ids(findings)
-
-
-def test_ser301_task_keyword_argument():
-    findings = analyze("""
-        def submit(runner, configs):
-            return runner.map_task(configs=configs,
-                                   task=lambda seed: seed)
-    """)
-    assert "SER301" in rule_ids(findings)
-
-
-def test_ser301_entry_constant_and_param_are_clean():
-    # The executor's own idiom: a module constant holding the entry
-    # string, and an internal helper forwarding a `task` parameter.
-    findings = analyze("""
-        TASK = "pkg.module:steady_task"
-
-        def steady_task(seed, config=None):
-            return seed
-
-        def submit(runner, configs):
-            return runner.map_task(TASK, configs)
-
-        def forward(runner, task, configs):
-            return runner.map_configs(task, configs)
-    """)
-    assert "SER301" not in rule_ids(findings)
 
 
 # ------------------------------------------------------------------
@@ -808,7 +730,7 @@ def test_shadow_config_effect_records_param_and_knob():
 
 
 def test_pass4_rules_have_no_policy_exemptions():
-    for rule in ("SER301", "SER302", "SER303", "IMP401", "IMP402",
+    for rule in ("SER302", "SER303", "IMP401", "IMP402",
                  "KEY501", "KEY502"):
         for path in ("src/repro/studies/provider.py",
                      "src/repro/runner/executor.py",
@@ -833,22 +755,26 @@ def test_cli_fails_on_seeded_pass4_violations(tmp_path):
     bad = tmp_path / "bad_parallel.py"
     bad.write_text(textwrap.dedent("""
         import os
+        from threading import Lock
 
         def env_task(seed, config=None):
             return os.getenv("SCALE")
 
+        def guarded_task(seed, lock=Lock(), config=None):
+            return seed
+
         def submit(runner, configs):
             runner.map_task("bad_parallel:env_task", configs)
-            runner.map_configs(lambda s: s, configs)
+            runner.map_configs("bad_parallel:guarded_task", configs)
     """))
     result = run_cli(str(bad))
     assert result.returncode == 1
     assert "KEY501" in result.stdout
-    assert "SER301" in result.stdout
+    assert "SER302" in result.stdout
 
 
 def test_cli_lists_pass4_rules():
     result = run_cli("--list-rules")
-    for rule in ("SER301", "SER302", "SER303", "IMP401", "IMP402",
+    for rule in ("SER302", "SER303", "IMP401", "IMP402",
                  "KEY501", "KEY502"):
         assert rule in result.stdout

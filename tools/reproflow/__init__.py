@@ -10,8 +10,8 @@ Every target file is parsed once and the same trees feed every pass:
   units inferred from the ``_s``/``_ms``/``_bytes``/``_dbm``/``_mw``/
   ``_hz`` suffix convention, function and method signatures, and the
   packet/delivery-record class roster;
-* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit, **LIF** packet
-  lifecycle and **CFG** config-schema families against that index;
+* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit and **LIF** packet
+  lifecycle families against that index;
 * pass 3 (:mod:`reproflow.callgraph`, :mod:`reproflow.dataflow`) builds
   the project call graph with effect summaries and runs the **FLO**
   stream-flow, **PUR** task-purity and **ORD** ordering families;
@@ -19,8 +19,12 @@ Every target file is parsed once and the same trees feed every pass:
   runner-safety families.
 
 Findings are suppressed per line with ``# reproflow: disable=RULE``
-comments, exempted per path by :mod:`reproflow.policy`, and baselined in
-``.reproflow-baseline.json``.
+comments and exempted per directory by :mod:`reproflow.policy`; nothing
+else silences one.  Properties a runtime check already enforces on every
+executed path have no rule here: a stream name requested from two call
+sites (``StreamSharingError`` under ``REPRO_SANITIZE=1``), an unknown
+keyword (Python's ``TypeError``), and a task that is not a
+``module:function`` entry (``RunSpec.build`` / ``resolve_task``).
 """
 
 from reproflow.engine import analyze_paths, analyze_source

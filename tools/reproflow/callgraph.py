@@ -700,7 +700,7 @@ def _propagate_returns_stream(graph: CallGraph) -> None:
 
     Base case: a return whose value is an ``<expr>.stream(...)`` call
     (the named-stream factory — the one attribute spelled ``stream`` in
-    this codebase, same convention GEN105 leans on).  Inductive case: a
+    this codebase).  Inductive case: a
     return of a call to a function already known to return a stream —
     this is what carries a stream created in ``sim/random.py`` through a
     helper in another module and into the leak rules.

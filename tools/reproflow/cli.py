@@ -1,7 +1,7 @@
 """Command-line front end: ``python -m reproflow src/ tools/ tests/``.
 
-Exit status: 0 when no (non-baselined) findings, 1 when violations were
-found, 2 on usage errors.
+Exit status: 0 when no findings, 1 when violations were found, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ import os
 import sys
 from typing import IO, List, Optional
 
-from reproflow.baseline import filter_new, load_baseline, write_baseline
 from reproflow.engine import analyze_paths
 from reproflow.findings import FORMATS, emit
 from reproflow.policy import DEFAULT_POLICY
 from reproflow.rules import ALL_RULES, rule_table
-
-DEFAULT_BASELINE = ".reproflow-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,21 +22,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reproflow",
         description="Static analysis for the DiversiFi simulator: "
                     "per-file determinism rules plus project-wide units, "
-                    "packet lifecycle, config schemas, dataflow and "
-                    "runner-safety passes on one shared parse.")
+                    "packet lifecycle, dataflow and runner-safety "
+                    "passes on one shared parse.")
     parser.add_argument("paths", nargs="*", default=[],
                         help="files or directories to lint (default: src/)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids to run "
                              "(default: all)")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: {DEFAULT_BASELINE} "
-                             "when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="freeze current findings of all rules into "
-                             "the baseline file and exit 0")
     parser.add_argument("--format", default="text", choices=FORMATS,
                         dest="fmt",
                         help="output format: text (default), json, or "
@@ -70,12 +59,6 @@ def main(argv: Optional[List[str]] = None,
 
     rules: Optional[List[str]] = None
     if args.select:
-        # a baseline written from a subset of rules would silently drop
-        # every other rule's frozen entries
-        if args.write_baseline:
-            print("reproflow: --write-baseline freezes all rules; it "
-                  "cannot be combined with --select", file=sys.stderr)
-            return 2
         rules = [r.strip() for r in args.select.split(",") if r.strip()]
         unknown = [r for r in rules if r not in ALL_RULES]
         if unknown:
@@ -84,19 +67,8 @@ def main(argv: Optional[List[str]] = None,
             return 2
 
     findings = analyze_paths(paths, rules=rules)
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"reproflow: wrote {len(findings)} finding(s) to "
-              f"{baseline_path}", file=out)
-        return 0
-
-    if not args.no_baseline and os.path.exists(baseline_path):
-        findings = filter_new(findings, load_baseline(baseline_path))
-
     checked = "all rules" if rules is None else ",".join(rules)
-    summary = f"reproflow: {len(findings)} new finding(s) ({checked})"
+    summary = f"reproflow: {len(findings)} finding(s) ({checked})"
     if args.quiet:
         print(summary, file=out)
     else:

@@ -29,7 +29,7 @@ from reproflow.findings import Finding, is_suppressed, parse_suppressions
 from reproflow.index import ProjectIndex, build_index
 from reproflow.parsafe import (GRANULAR_KINDS, ParsafeInfo, Pass4Analyzer,
                                collect_parsafe)
-from reproflow.policy import DEFAULT_POLICY, PathPolicy
+from reproflow.policy import DEFAULT_POLICY
 from reproflow.rules import ALL_RULES, ScopeAnalyzer
 
 __all__ = ["Finding", "analyze_paths", "analyze_source"]
@@ -72,8 +72,7 @@ def _analyze_tree(path: str, tree: ast.Module, source: str,
     raw = check_file(tree, path, graph.imports[path], selected)
     raw += ScopeAnalyzer(path, index).analyze(tree)
     raw += Pass3Analyzer(path, index, graph, summaries).analyze(tree)
-    raw += Pass4Analyzer(path, index, graph, summaries,
-                         parsafe).analyze(tree)
+    raw += Pass4Analyzer(path, index, graph, summaries, parsafe).analyze()
     findings: List[Finding] = []
     for lineno, col, rule_id, message in raw:
         if rule_id not in selected:
@@ -117,11 +116,10 @@ def analyze_source(source: str, path: str,
 
 
 def analyze_paths(paths: Iterable[str],
-                  rules: Optional[Sequence[str]] = None,
-                  policy: Optional[PathPolicy] = DEFAULT_POLICY
-                  ) -> List[Finding]:
+                  rules: Optional[Sequence[str]] = None) -> List[Finding]:
     """Analyze every ``.py`` file under ``paths`` against a project-wide
-    index that always includes ``src/`` when present."""
+    index that always includes ``src/`` when present, dropping findings
+    the :data:`~reproflow.policy.DEFAULT_POLICY` exempts."""
     targets = list(iter_python_files(paths))
     index_files = list(targets)
     if os.path.isdir("src"):
@@ -156,8 +154,7 @@ def analyze_paths(paths: Iterable[str],
         findings.extend(
             _analyze_tree(path, trees[path], sources[path], index, rules,
                           graph, summaries, parsafe))
-    if policy is not None:
-        findings = [f for f in findings
-                    if not policy.exempt(f.path, f.rule)]
+    findings = [f for f in findings
+                if not DEFAULT_POLICY.exempt(f.path, f.rule)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -32,8 +32,6 @@ GEN102      overbroad-except               bare ``except:`` / ``except Exception
 GEN103      float-time-equality            ``==``/``!=`` on simulated timestamps
 GEN104      event-class-missing-slots      hot ``*Event`` classes without
                                            ``__slots__``
-GEN105      shadowed-stream-name           one stream-name literal passed to
-                                           ``.stream()`` from two call sites
 OBS001      adhoc-observability            ``print`` / stdout-stderr writes /
                                            module-global ad-hoc counters inside
                                            the instrumented simulation packages
@@ -274,34 +272,6 @@ def check_gen104(tree: ast.Module, path: str, imports: ImportInfo
                f"hot event class '{node.name}' lacks __slots__")
 
 
-def check_gen105(tree: ast.Module, path: str, imports: ImportInfo
-                 ) -> Iterator[_Hit]:
-    """One stream-name literal used at two call sites shares a generator.
-
-    Each component's draws would then perturb the other's — exactly the
-    coupling the named-stream design exists to prevent."""
-    seen: Dict[str, Tuple[int, int]] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "stream"):
-            continue
-        if not node.args or not isinstance(node.args[0], ast.Constant):
-            continue
-        value = node.args[0].value
-        if not isinstance(value, str):
-            continue
-        first = seen.get(value)
-        if first is None:
-            seen[value] = (node.lineno, node.col_offset)
-        elif first[0] != node.lineno:
-            yield (node.lineno, node.col_offset,
-                   f"stream name '{value}' already requested at "
-                   f"line {first[0]}; two components would share one "
-                   "generator")
-
-
 #: Subpackages of src/repro that carry repro.obs instrumentation.  Code
 #: here must report through MetricsRegistry / EventLog so that serial,
 #: parallel and cached runs export byte-identical metrics; a stray
@@ -368,7 +338,6 @@ FILE_CHECKERS: Dict[str, Callable[[ast.Module, str, ImportInfo],
     "GEN102": check_gen102,
     "GEN103": check_gen103,
     "GEN104": check_gen104,
-    "GEN105": check_gen105,
     "OBS001": check_obs001,
 }
 

@@ -9,8 +9,9 @@ the form::
 
 Suppressions are deliberately line-scoped (the flagged statement's first
 physical line) so that every exception is visible right where the rule
-fires — there is no file- or block-level escape hatch short of the
-baseline file.
+fires — there is no file- or block-level escape hatch.  They and the
+directory exemptions of :mod:`reproflow.policy` are the only two ways a
+finding is silenced.
 
 ``--format=github`` emits workflow commands that GitHub Actions turns
 into inline PR-diff annotations; ``json`` is a stable machine-readable
@@ -40,8 +41,7 @@ class Finding:
     line: int
     col: int
     message: str
-    #: stripped source text of the offending line — the stable part of the
-    #: baseline fingerprint (line numbers drift, code rarely does)
+    #: stripped source text of the offending line (in the json output)
     text: str
 
     def render(self) -> str:

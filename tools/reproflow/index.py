@@ -5,8 +5,7 @@ need to reason *across* files:
 
 * :class:`ClassSchema` — for each class, its constructor surface: dataclass
   fields (with units inferred from name suffixes) or ``__init__``
-  parameters, base classes (merged on demand), and whether ``**kwargs``
-  makes the surface open;
+  parameters, and base classes (merged on demand);
 * :class:`FuncSchema` — module-level functions and methods, with per-
   parameter units;
 * the packet/delivery-record roster — classes that define
@@ -48,7 +47,6 @@ class FuncSchema:
     param_units: Dict[str, Optional[str]] = field(default_factory=dict)
     has_var_positional: bool = False
     has_var_keyword: bool = False
-    is_method: bool = False
     ambiguous: bool = False
 
     def signature_key(self) -> tuple:
@@ -72,7 +70,7 @@ class ClassSchema:
     bases: List[str] = field(default_factory=list)
     has_var_keyword: bool = False
     #: plain class without a visible ``__init__`` — constructor surface
-    #: unknown, skip CFG checks
+    #: unknown, never resolved
     opaque: bool = False
     ambiguous: bool = False
 
@@ -133,24 +131,6 @@ class ProjectIndex:
         merged.update(schema.fields)
         return merged
 
-    def constructor_is_open(self, schema: ClassSchema) -> bool:
-        """True when unknown keywords may be legal (``**kwargs`` or an
-        unresolvable base class)."""
-        if schema.has_var_keyword:
-            return True
-        for base_name in schema.bases:
-            base = self.classes.get(base_name)
-            if base is None or base.ambiguous or base.opaque:
-                # Inheriting from something we can't see (object and
-                # friends excluded below) may add an __init__.
-                if base_name not in ("object", "Exception", "RuntimeError",
-                                     "ValueError", "NamedTuple", "Enum",
-                                     "Protocol", "Generic", "ABC"):
-                    return True
-            elif self.constructor_is_open(base):
-                return True
-        return False
-
 
 def _decorator_name(node: ast.AST) -> str:
     target = node.func if isinstance(node, ast.Call) else node
@@ -175,7 +155,7 @@ def _is_classvar(annotation: ast.AST) -> bool:
 def _func_schema(func: ast.FunctionDef, module: str,
                  is_method: bool) -> FuncSchema:
     args = func.args
-    schema = FuncSchema(name=func.name, module=module, is_method=is_method)
+    schema = FuncSchema(name=func.name, module=module)
     positional = list(args.posonlyargs) + list(args.args)
     if is_method and positional:
         positional = positional[1:]           # drop self/cls

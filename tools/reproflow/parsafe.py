@@ -4,23 +4,18 @@ Everything ``repro.runner`` does crosses the ``spawn`` process boundary:
 the task entry string is resolved by ``importlib`` inside a fresh
 interpreter, the payload comes back through pickle, and the
 content-addressed ``RunSpec`` key is the *only* thing deciding whether a
-cached result may stand in for a fresh execution.  Python fails late on
-all three — an unpicklable payload raises at submit time, an import-time
-side effect replays once per worker, and a cache key that misses an
-input silently replays stale results.  Pass 4 makes those failures
+cached result may stand in for a fresh execution.  A task that is not a
+``module:function`` entry fails on every execution, serial runs included
+(``RunSpec.build`` rejects a non-string task, ``resolve_task`` a dotted
+function part), so it needs no rule.  The other two failures are
+silent — an import-time side effect replays once per worker, and a cache
+key that misses an input replays stale results — and pass 4 makes them
 static, reusing the pass-3 call graph, effect summaries, and the
 synthetic ``<module>`` nodes (what a worker import actually executes).
 
 ==========  ===============================  ====================================
 id          name                             what it flags
 ==========  ===============================  ====================================
-SER301      unpicklable-task-callable        a lambda / nested function / bound
-                                             method / function object submitted to
-                                             ``map_task``/``map_configs``/
-                                             ``RunSpec.build``, or an entry string
-                                             naming a dotted (nested/method)
-                                             attribute — the worker cannot resolve
-                                             or unpickle it under spawn
 SER302      stateful-task-default            a runner task parameter default that
                                              constructs a handle/lock/queue/RNG —
                                              evaluated once per worker process and
@@ -73,7 +68,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from reproflow.callgraph import (
     CLOCK_READ,
     GLOBAL_WRITE,
-    TASK_SUBMIT_NAMES,
     UNROUTED_RNG,
     CallGraph,
     EffectSite,
@@ -574,8 +568,7 @@ class Pass4Analyzer:
         self.findings: List[RawFinding] = []
         self._reachable_cache: Dict[str, Set[str]] = {}
 
-    def analyze(self, tree: ast.Module) -> List[RawFinding]:
-        self._check_ser301(tree)
+    def analyze(self) -> List[RawFinding]:
         self._check_ser302()
         self._check_root_summaries()
         self._check_imp401()
@@ -622,54 +615,6 @@ class Pass4Analyzer:
         if len(hops) == 1:
             return f"task module {hops[0]}"
         return " <- ".join(hops)
-
-    # -- SER301: unpicklable payloads at submit sites ------------------
-
-    def _check_ser301(self, tree: ast.Module) -> None:
-        for call, submit_name, task_expr in _submit_sites(tree):
-            if task_expr is None:
-                continue
-            reason = self._unpicklable_reason(task_expr)
-            if reason is not None:
-                self.findings.append((
-                    call.lineno, call.col_offset, "SER301",
-                    f"{reason} submitted to {submit_name}(); the spawn "
-                    "start method cannot pickle it into a worker — "
-                    "define a module-level function and pass its "
-                    "'module:function' entry string"))
-        for root in self._local_roots():
-            _, _, func_part = root.entry.partition(":")
-            if "." in func_part:
-                self.findings.append((
-                    root.lineno, root.col, "SER301",
-                    f"entry '{root.entry}' names a dotted attribute; "
-                    "the worker resolves entries with a single "
-                    "getattr on the module, so nested functions and "
-                    "methods cannot be reached — promote the task to a "
-                    "module-level function"))
-
-    def _unpicklable_reason(self, expr: ast.expr) -> Optional[str]:
-        if isinstance(expr, ast.Lambda):
-            return "a lambda"
-        if isinstance(expr, ast.Name):
-            if expr.id in self.graph._str_constants.get(self.path, {}):
-                return None   # entry-string indirection, handled as root
-            target = self.graph._module_functions.get(
-                self.path, {}).get(expr.id)
-            if target is not None:
-                return f"function object '{expr.id}'"
-            # a nested function defined in any enclosing scope here
-            for node_id, node in self.graph.nodes.items():
-                if node.path == self.path and node.name == expr.id \
-                        and "." in node.qualname \
-                        and node.enclosing_class is None:
-                    return f"locally-defined function '{expr.id}'"
-            return None
-        if isinstance(expr, ast.Attribute):
-            if self.graph._methods_by_name.get(expr.attr):
-                return f"bound method '{_dotted(expr)}'"
-            return None
-        return None
 
     # -- SER302: stateful defaults on task functions -------------------
 
@@ -830,30 +775,6 @@ class Pass4Analyzer:
                         "happens inside spawned worker processes and "
                         "is never visible here — return the value "
                         "through the task payload instead"))
-
-
-def _submit_sites(tree: ast.Module):
-    """Yield ``(call, submit_name, task_expr)`` for every runner
-    submission in the file (mirrors the task-root collection)."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        tail = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
-        if tail in TASK_SUBMIT_NAMES:
-            submit_name = tail or ""
-        elif tail == "build" and isinstance(func, ast.Attribute) \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id == "RunSpec":
-            submit_name = "RunSpec.build"
-        else:
-            continue
-        task_expr: Optional[ast.expr] = node.args[0] if node.args else None
-        for keyword in node.keywords:
-            if keyword.arg == "task":
-                task_expr = keyword.value
-        yield node, submit_name, task_expr
 
 
 def _defaults_of(func: ast.AST):

@@ -14,8 +14,6 @@ entry covers gets every rule, so a new package needs no registration.
     * DET003 — test helpers freely schedule from literal collections.
     * GEN103 — engine unit tests assert *exact* event timestamps they
       themselves constructed — exactness is the property under test.
-    * GEN105 — several tests request the same stream name twice on
-      purpose to prove the router's same-generator semantics.
     * LIF002 — tests deliberately build packets field-by-field to pin
       down exact constructor behaviour (including tests *about*
       ``copy_for_link`` itself).
@@ -40,17 +38,10 @@ unseeded draw, wall-clock read or ``print`` would break the serial /
 KEY) fire only on code reachable from a submitted task and are exempt
 nowhere.
 
-Two entry shapes:
-
-* a directory entry ``("tests/", {"DET001", ...})`` exempts the rules
-  for any file whose normalized path starts with, or contains, the
-  ``tests/`` directory component;
-* a file entry ``("tests/conftest.py", {"DET001"})`` — any entry whose
-  last component names a ``.py`` file — exempts the rules for exactly
-  that file (matched against the path's tail, so
-  ``repo/tests/conftest.py`` matches too).  File entries let a policy
-  carve out one deliberate exception without widening it to a whole
-  tree; this policy currently needs none.
+An entry ``("tests/", {"DET001", ...})`` exempts the rules for any file
+whose normalized path starts with, or contains, the ``tests/`` directory
+component.  One deliberate exception inside a tree is an inline
+``# reproflow: disable=`` comment, not a policy entry.
 """
 
 from __future__ import annotations
@@ -59,31 +50,19 @@ from typing import FrozenSet, Iterable, Sequence, Tuple
 
 
 class PathPolicy:
-    """Ordered (directory-prefix or file-path, exempt-rules) pairs."""
+    """Ordered (directory-prefix, exempt-rules) pairs."""
 
     def __init__(self, entries: Sequence[Tuple[str, Iterable[str]]] = ()):
-        normalized = []
-        for prefix, rules in entries:
-            posix = prefix.replace("\\", "/")
-            if not posix.endswith(".py"):
-                posix = posix.rstrip("/") + "/"
-            normalized.append((posix, frozenset(rules)))
         self._entries: Tuple[Tuple[str, FrozenSet[str]], ...] = tuple(
-            normalized)
-
-    @staticmethod
-    def _covers(entry: str, posix: str) -> bool:
-        if entry.endswith(".py"):
-            return posix == entry or posix.endswith(f"/{entry}")
-        return posix.startswith(entry) or f"/{entry}" in posix
+            (prefix.replace("\\", "/").rstrip("/") + "/", frozenset(rules))
+            for prefix, rules in entries)
 
     def exempt(self, path: str, rule: str) -> bool:
         """True when ``rule`` is exempt for ``path``."""
         posix = path.replace("\\", "/")
-        for entry, rules in self._entries:
-            if self._covers(entry, posix) and rule in rules:
-                return True
-        return False
+        return any(rule in rules
+                   and (posix.startswith(prefix) or f"/{prefix}" in posix)
+                   for prefix, rules in self._entries)
 
     def describe(self) -> str:
         """Human-readable listing, one line per entry."""
@@ -94,7 +73,7 @@ class PathPolicy:
 
 
 DEFAULT_POLICY = PathPolicy((
-    ("tests/", ("DET001", "DET002", "DET003", "GEN103", "GEN105",
-                "LIF002", "LIF003", "FLO003")),
+    ("tests/", ("DET001", "DET002", "DET003", "GEN103", "LIF002",
+                "LIF003", "FLO003")),
     ("tools/", ("DET002", "DET003")),
 ))

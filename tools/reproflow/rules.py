@@ -32,19 +32,12 @@ LIF003      unguarded-delay-read          ``record.delay`` / ``.arrival_time``
                                           read without a ``delivered`` guard or
                                           NaN check — NaN propagates into
                                           quality scores
-CFG001      unknown-keyword               keyword argument that matches no field
-                                          of the resolved dataclass / parameter
-                                          of the resolved function
-CFG002      config-dict-key-mismatch      dict literal spread (``**cfg``) into a
-                                          known constructor with keys outside
-                                          the schema
 ==========  ============================  ========================================
 """
 
 from __future__ import annotations
 
 import ast
-import difflib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -182,10 +175,6 @@ class ScopeAnalyzer:
         #: packet-tracking state (LIF001)
         packet_vars: Dict[str, Tuple[int, int]] = {}
         handed_off: Dict[str, Tuple[int, int]] = {}
-        #: local name -> constructed class (CFG via dataclasses.replace)
-        var_class: Dict[str, str] = {}
-        #: local name -> keys of the dict literal it was bound to
-        var_dict_keys: Dict[str, List[str]] = {}
 
         for stmt in _iter_scope_statements(scope.body):
             pos = (stmt.lineno, stmt.col_offset)
@@ -194,12 +183,12 @@ class ScopeAnalyzer:
                 for target in stmt.targets:
                     self._handle_assign_target(
                         target, stmt.value, value_unit, inferrer,
-                        packet_vars, handed_off, var_class, var_dict_keys)
+                        packet_vars, handed_off)
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 value_unit = inferrer.infer(stmt.value)
                 self._handle_assign_target(
                     stmt.target, stmt.value, value_unit, inferrer,
-                    packet_vars, handed_off, var_class, var_dict_keys)
+                    packet_vars, handed_off)
             elif isinstance(stmt, ast.AugAssign):
                 target_unit = muted.infer(stmt.target)
                 value_unit = inferrer.infer(stmt.value)
@@ -218,8 +207,7 @@ class ScopeAnalyzer:
             # Call-site families run over every call in the statement.
             for node in _walk_pruned(stmt):
                 if isinstance(node, ast.Call):
-                    self._check_call(node, muted, scope, var_class,
-                                     var_dict_keys)
+                    self._check_call(node, muted, scope)
                     self._note_handoff(node, packet_vars, handed_off)
 
     def _expression_roots(self, stmt: ast.stmt) -> List[ast.expr]:
@@ -238,27 +226,18 @@ class ScopeAnalyzer:
                               value_unit: Optional[str],
                               inferrer: UnitInferrer,
                               packet_vars: Dict[str, Tuple[int, int]],
-                              handed_off: Dict[str, Tuple[int, int]],
-                              var_class: Dict[str, str],
-                              var_dict_keys: Dict[str, List[str]]) -> None:
+                              handed_off: Dict[str, Tuple[int, int]]
+                              ) -> None:
         pos = (target.lineno, target.col_offset)
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._handle_assign_target(
                     element, value, None, inferrer, packet_vars,
-                    handed_off, var_class, var_dict_keys)
+                    handed_off)
             return
         if isinstance(target, ast.Attribute):
             self._check_target_unit(target, target.attr, value_unit)
             self._check_mutation(target, packet_vars, handed_off, pos)
-            return
-        if isinstance(target, ast.Subscript):
-            # d["key"] = v extends a tracked dict literal's key set
-            if isinstance(target.value, ast.Name) \
-                    and target.value.id in var_dict_keys \
-                    and isinstance(target.slice, ast.Constant) \
-                    and isinstance(target.slice.value, str):
-                var_dict_keys[target.value.id].append(target.slice.value)
             return
         if not isinstance(target, ast.Name):
             return
@@ -268,21 +247,11 @@ class ScopeAnalyzer:
         # rebinding invalidates any prior tracking
         packet_vars.pop(name, None)
         handed_off.pop(name, None)
-        var_class.pop(name, None)
-        var_dict_keys.pop(name, None)
         if isinstance(value, ast.Call):
             callee = _last_segment(value.func)
             if callee in self.index.packet_classes \
                     or callee == "copy_for_link":
                 packet_vars[name] = pos
-            if callee is not None and callee in self.index.classes:
-                var_class[name] = callee
-        elif isinstance(value, ast.Dict):
-            keys = [k.value for k in value.keys
-                    if isinstance(k, ast.Constant)
-                    and isinstance(k.value, str)]
-            if len(keys) == len(value.keys):
-                var_dict_keys[name] = keys
 
     def _check_target_unit(self, node: ast.AST, name: str,
                            value_unit: Optional[str]) -> None:
@@ -347,11 +316,10 @@ class ScopeAnalyzer:
                            f"'{base}.copy_for_link(...)' so new fields "
                            "are never silently dropped")
 
-    # -- call sites (UNT002 / CFG001 / CFG002 / LIF002) ----------------
+    # -- call sites (UNT002 / LIF002) ---------------------------------
 
     def _check_call(self, call: ast.Call, muted: UnitInferrer,
-                    scope: _Scope, var_class: Dict[str, str],
-                    var_dict_keys: Dict[str, List[str]]) -> None:
+                    scope: _Scope) -> None:
         self._check_replica(call, scope)
         callee = _last_segment(call.func)
         if callee is None:
@@ -360,11 +328,9 @@ class ScopeAnalyzer:
                 and (callee in self._aliased
                      or callee in _scope_params(scope)):
             return   # locally rebound name: the index entry is a stranger
-        if callee == "replace":
-            self._check_replace(call, var_class)
         cls = self.index.resolve_class(callee)
         if cls is not None:
-            self._check_constructor(call, cls, muted, var_dict_keys)
+            self._check_constructor(call, cls, muted)
             return
         if callee in self.index.classes:
             return   # ambiguous class: never guess
@@ -380,29 +346,16 @@ class ScopeAnalyzer:
             self._check_function_call(call, func, muted)
 
     def _check_constructor(self, call: ast.Call, cls: ClassSchema,
-                           muted: UnitInferrer,
-                           var_dict_keys: Dict[str, List[str]]) -> None:
+                           muted: UnitInferrer) -> None:
         fields = self.index.constructor_fields(cls)
-        is_open = self.index.constructor_is_open(cls)
-        order = cls.order
         self._check_positional_units(call, [(name, fields.get(name))
-                                            for name in order], muted,
+                                            for name in cls.order], muted,
                                      f"field of {cls.name}")
         for keyword in call.keywords:
-            if keyword.arg is None:
-                self._check_dict_spread(call, keyword.value, cls, fields,
-                                        is_open, var_dict_keys)
-                continue
-            if keyword.arg not in fields:
-                if not is_open:
-                    hint = _closest(keyword.arg, fields)
-                    self._emit(keyword.value, "CFG001",
-                               f"unknown keyword '{keyword.arg}' for "
-                               f"{cls.name}{hint}")
-                continue
-            self._check_kwarg_unit(keyword, fields[keyword.arg],
-                                   f"field '{keyword.arg}' of {cls.name}",
-                                   muted)
+            if keyword.arg in fields:
+                self._check_kwarg_unit(
+                    keyword, fields[keyword.arg],
+                    f"field '{keyword.arg}' of {cls.name}", muted)
 
     def _check_function_call(self, call: ast.Call, func: FuncSchema,
                              muted: UnitInferrer) -> None:
@@ -410,18 +363,10 @@ class ScopeAnalyzer:
             call, [(p.name, p.unit) for p in func.positional], muted,
             f"parameter of {func.name}()")
         for keyword in call.keywords:
-            if keyword.arg is None:
-                continue
-            if keyword.arg not in func.param_units:
-                if not func.has_var_keyword and not func.is_method:
-                    hint = _closest(keyword.arg, func.param_units)
-                    self._emit(keyword.value, "CFG001",
-                               f"unknown keyword '{keyword.arg}' for "
-                               f"{func.name}(){hint}")
-                continue
-            self._check_kwarg_unit(
-                keyword, func.param_units[keyword.arg],
-                f"parameter '{keyword.arg}' of {func.name}()", muted)
+            if keyword.arg in func.param_units:
+                self._check_kwarg_unit(
+                    keyword, func.param_units[keyword.arg],
+                    f"parameter '{keyword.arg}' of {func.name}()", muted)
 
     def _check_positional_units(self, call: ast.Call,
                                 params: List[Tuple[str, Optional[str]]],
@@ -448,49 +393,6 @@ class ScopeAnalyzer:
             self._emit(keyword.value, "UNT002",
                        f"'{arg_unit}' expression passed to {where} "
                        f"which expects '{param_unit}'")
-
-    def _check_replace(self, call: ast.Call,
-                       var_class: Dict[str, str]) -> None:
-        if not call.args or not isinstance(call.args[0], ast.Name):
-            return
-        class_name = var_class.get(call.args[0].id)
-        cls = self.index.resolve_class(class_name) if class_name else None
-        if cls is None:
-            return
-        fields = self.index.constructor_fields(cls)
-        if self.index.constructor_is_open(cls):
-            return
-        for keyword in call.keywords:
-            if keyword.arg is not None and keyword.arg not in fields:
-                hint = _closest(keyword.arg, fields)
-                self._emit(keyword.value, "CFG001",
-                           f"unknown keyword '{keyword.arg}' in "
-                           f"replace() of {cls.name}{hint}")
-
-    def _check_dict_spread(self, call: ast.Call, value: ast.expr,
-                           cls: ClassSchema,
-                           fields: Dict[str, Optional[str]],
-                           is_open: bool,
-                           var_dict_keys: Dict[str, List[str]]) -> None:
-        if is_open:
-            return
-        keys: Optional[List[str]] = None
-        if isinstance(value, ast.Dict):
-            literal = [k.value for k in value.keys
-                       if isinstance(k, ast.Constant)
-                       and isinstance(k.value, str)]
-            if len(literal) == len(value.keys):
-                keys = literal
-        elif isinstance(value, ast.Name):
-            keys = var_dict_keys.get(value.id)
-        if keys is None:
-            return
-        for key in keys:
-            if key not in fields:
-                hint = _closest(key, fields)
-                self._emit(value, "CFG002",
-                           f"config dict key '{key}' matches no field of "
-                           f"{cls.name}{hint}")
 
     # -- LIF003: unguarded delay reads ---------------------------------
 
@@ -567,11 +469,6 @@ def _scope_params(scope: _Scope) -> Set[str]:
     return names
 
 
-def _closest(name: str, candidates: Dict[str, object]) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=1)
-    return f"; did you mean '{matches[0]}'?" if matches else ""
-
-
 #: rule id -> (short name, one-line description)
 ALL_RULES: Dict[str, Tuple[str, str]] = {
     # per-file determinism / hygiene / observability (reproflow.filerules)
@@ -592,8 +489,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
                "Exact ==/!= on a simulated timestamp."),
     "GEN104": ("event-class-missing-slots",
                "Hot *Event class without __slots__."),
-    "GEN105": ("shadowed-stream-name",
-               "One stream-name literal requested from two call sites."),
     "OBS001": ("adhoc-observability",
                "print / stdout writes / global tallies in instrumented "
                "simulation packages."),
@@ -615,12 +510,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "LIF003": ("unguarded-delay-read",
                "DeliveryRecord delay/arrival_time read without a "
                "delivered guard or NaN check."),
-    "CFG001": ("unknown-keyword",
-               "Keyword argument matching no field/parameter of the "
-               "resolved schema."),
-    "CFG002": ("config-dict-key-mismatch",
-               "Config dict spread into a constructor with keys outside "
-               "the schema."),
     # pass 3 (interprocedural dataflow — reproflow.dataflow)
     "FLO001": ("stream-aliased",
                "One RandomRouter stream handed to two components (or "
@@ -647,10 +536,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
                "Float accumulation (sum/fsum/+=) over an unordered "
                "iterable."),
     # pass 4 (concurrency & serialization safety — reproflow.parsafe)
-    "SER301": ("unpicklable-task-callable",
-               "Lambda/nested function/bound method (or an entry "
-               "string naming one) submitted to the runner — cannot "
-               "resolve or pickle under spawn."),
     "SER302": ("stateful-task-default",
                "A runner task parameter default constructing a "
                "handle/lock/queue/RNG — per-worker shared state."),

@@ -9,11 +9,21 @@ split between isolated and bursty losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from repro.core.packet import LinkTrace
+
+#: the burst-length bars of Figures 5 and 9: "1" .. "10", then ">10"
+MAX_BURST_BUCKET = 10
+BURST_BUCKETS: Tuple[str, ...] = tuple(
+    str(i) for i in range(1, MAX_BURST_BUCKET + 1)) + (f">{MAX_BURST_BUCKET}",)
+
+
+def burst_bucket(length: int) -> str:
+    """The bar a burst of ``length`` (>= 1) lost packets falls in."""
+    return BURST_BUCKETS[min(length, MAX_BURST_BUCKET + 1) - 1]
 
 
 def _loss_array(trace: Union[LinkTrace, np.ndarray]) -> np.ndarray:
@@ -38,20 +48,19 @@ def burst_lengths(trace: Union[LinkTrace, np.ndarray]) -> List[int]:
     return lengths
 
 
-def burst_histogram(traces, max_bucket: int = 10) -> Dict[str, float]:
-    """Average per-call count of bursts by length (Figure 5/9 bars).
+def burst_histogram(traces) -> Dict[str, float]:
+    """Average per-call packets lost by burst length (Figure 5/9 bars).
 
-    Buckets "1".."{max_bucket}" plus ">{max_bucket}".  ``traces`` is a
-    sequence of calls; counts are averaged across them.
+    Buckets are :data:`BURST_BUCKETS`.  ``traces`` is a sequence of
+    calls; counts are averaged across them.
     """
-    buckets = {str(i): 0.0 for i in range(1, max_bucket + 1)}
-    buckets[f">{max_bucket}"] = 0.0
+    buckets = dict.fromkeys(BURST_BUCKETS, 0.0)
     n_calls = 0
     for trace in traces:
         n_calls += 1
         for length in burst_lengths(trace):
-            key = str(length) if length <= max_bucket else f">{max_bucket}"
-            buckets[key] += length  # packets lost in bursts of this length
+            # packets lost in bursts of this length
+            buckets[burst_bucket(length)] += length
     if n_calls:
         for key in buckets:
             buckets[key] /= n_calls
@@ -64,12 +73,6 @@ class BurstStats:
 
     mean_lost: float
     mean_lost_in_bursts: float
-
-    @property
-    def bursty_fraction(self) -> float:
-        if self.mean_lost == 0:
-            return 0.0
-        return self.mean_lost_in_bursts / self.mean_lost
 
 
 def burst_stats(traces) -> BurstStats:

@@ -30,11 +30,6 @@ class EmpiricalCdf:
     def __len__(self) -> int:
         return int(self._sorted.size)
 
-    def evaluate(self, x: float) -> float:
-        """P(X <= x)."""
-        return float(np.searchsorted(self._sorted, x, side="right")
-                     / self._sorted.size)
-
     def quantile(self, q: float) -> float:
         """Inverse CDF at q in [0, 1]."""
         if not 0.0 <= q <= 1.0:

@@ -114,8 +114,3 @@ def fit_gilbert(trace: Union[LinkTrace, np.ndarray],
                       mean_burst_packets=mean_loss_run,
                       n_bursts=len(loss_runs),
                       log_likelihood=float(ll))
-
-
-def fitted_loss_rate(fit: GilbertFit) -> float:
-    """The stationary loss rate implied by a fit (sanity check)."""
-    return fit.params.stationary_loss_rate

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.config import G711_PROFILE, HIGH_RATE_PROFILE, StreamProfile
+from repro.core.config import StreamProfile, profile_for
 from repro.scenarios import (
     WILD_MIX,
     ScenarioSetup,
@@ -27,20 +27,6 @@ from repro.sim.random import RandomRouter
 
 #: default sessions per runner-task block (one cache-keyed RunSpec each)
 DEFAULT_BLOCK_SESSIONS = 100
-
-
-def profile_for(highrate: bool,
-                duration_s: Optional[float]) -> StreamProfile:
-    """The stream profile a population uses (mirrors the section4 driver:
-    the high-rate or G.711 base, with an optional duration override)."""
-    base = HIGH_RATE_PROFILE if highrate else G711_PROFILE
-    if duration_s is None:
-        return base
-    return StreamProfile(
-        name=base.name, packet_size_bytes=base.packet_size_bytes,
-        inter_packet_spacing_s=base.inter_packet_spacing_s,
-        duration_s=duration_s,
-        max_tolerable_delay_s=base.max_tolerable_delay_s)
 
 
 @dataclass(frozen=True)

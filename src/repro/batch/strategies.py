@@ -82,10 +82,10 @@ def divert(block: TraceBlock) -> StrategyResult:
     """Fine-grained reactive selection at H=1, T=1, without a slot loop.
 
     Per session: switch links after every loss on the current link,
-    exactly :func:`repro.core.strategies.divert` with ``window_h=1,
-    threshold_t=1``.  A slot lost on one link only sends the next slot
-    to the other link whatever the current one was, a slot lost on both
-    flips the current link, and a slot lost on neither keeps it.  So the
+    exactly :func:`repro.core.strategies.divert`.  A slot lost on one
+    link only sends the next slot to the other link whatever the current
+    one was, a slot lost on both flips the current link, and a slot lost
+    on neither keeps it.  So the
     link of slot ``s + 1`` is ``lost_a[k]`` XOR the parity of both-lost
     slots in ``(k, s]``, with ``k`` the last one-link loss at or before
     ``s``.  A virtual slot lost on B only, put before slot 0, starts

@@ -17,20 +17,18 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.analysis.bursts import BURST_BUCKETS, MAX_BURST_BUCKET
 from repro.batch.render import TraceBlock
 from repro.batch.strategies import strategy_suite
+from repro.core.strategies import BURST_STRATEGIES, POOR_STRATEGIES
 from repro.core.types import BoolArray, FloatArray
-from repro.voice.pcr import POOR_MOS_THRESHOLD, WORST_WINDOW_WEIGHT
+from repro.voice.pcr import (
+    EXTRA_ONE_WAY_DELAY_S,
+    PLAYOUT_DELAY_S,
+    POOR_MOS_THRESHOLD,
+    WORST_WINDOW_WEIGHT,
+)
 from repro.voice.quality import emodel_r_factor, r_to_mos
-
-#: strategies scored for PCR / burst structure (section4 constants)
-POOR_STRATEGIES = ("stronger", "cross-link")
-BURST_STRATEGIES = ("stronger", "temporal:0.1", "cross-link")
-MAX_BURST_BUCKET = 10
-
-#: score_call defaults (voice.pcr)
-PLAYOUT_DELAY_S = 0.100
-EXTRA_ONE_WAY_DELAY_S = 0.050
 
 _WINDOW_S = 5.0
 
@@ -85,11 +83,9 @@ def burst_contribution_rows(missing: BoolArray
     lost = packets.sum(axis=1)
     bursty = np.bincount(rows, weights=weights * (lengths >= 2),
                          minlength=b)
-    labels = [str(i) for i in range(1, MAX_BURST_BUCKET + 1)] \
-        + [f">{MAX_BURST_BUCKET}"]
     return [{
         "buckets": {label: float(packets[row, i])
-                    for i, label in enumerate(labels)},
+                    for i, label in enumerate(BURST_BUCKETS)},
         "lost": float(lost[row]),
         "bursty": float(bursty[row]),
     } for row in range(b)]

@@ -7,8 +7,7 @@ has:
 * higher, more variable base latency (scheduling grants, core-network
   detour — tens of milliseconds);
 * very low steady-state loss (HARQ) but occasional multi-second outages
-  (handover, coverage gaps);
-* a metered cost, so hedging policies must budget duplicate bytes.
+  (handover, coverage gaps).
 
 The model mirrors :class:`repro.channel.link.WifiLink`'s interface
 (``transmit`` / ``generate_trace``) so the Section 4 strategy machinery
@@ -40,8 +39,6 @@ class CellularConfig:
     outage: GilbertParams = field(default_factory=lambda: GilbertParams(
         mean_good_s=120.0, mean_bad_s=2.0,
         loss_good=0.0, loss_bad=1.0))
-    #: cost per duplicated megabyte (policy input, not simulated money)
-    cost_per_mb: float = 1.0
 
 
 class CellularLink:
@@ -56,7 +53,6 @@ class CellularLink:
         self._rng_delay = rng_router.stream(f"{prefix}.delay")
         self._outage = GilbertElliott(
             config.outage, rng_router.stream(f"{prefix}.outage"))
-        self.bytes_sent = 0
 
     def attempt_loss_prob(self, time: float) -> float:
         """Loss probability at ``time`` (outage dominates)."""
@@ -66,7 +62,6 @@ class CellularLink:
     def transmit(self, seq: int, send_time: float,
                  frame_bytes: int = 160) -> DeliveryRecord:
         """Send one packet copy over the cellular path."""
-        self.bytes_sent += frame_bytes
         lost = self._rng.random() < self.attempt_loss_prob(send_time)
         if lost:
             return DeliveryRecord(seq=seq, send_time=send_time,
@@ -92,7 +87,3 @@ class CellularLink:
             if record.delivered:
                 delays[seq] = record.delay
         return LinkTrace(self.name, send_times, delivered, delays)
-
-    def duplicate_cost(self) -> float:
-        """Metered cost of the bytes sent so far (policy input)."""
-        return self.bytes_sent / 1e6 * self.config.cost_per_mb

@@ -45,12 +45,6 @@ class GilbertParams:
         """Long-run fraction of time spent in the BAD state."""
         return self.mean_bad_s / (self.mean_good_s + self.mean_bad_s)
 
-    @property
-    def stationary_loss_rate(self) -> float:
-        """Long-run per-attempt loss probability."""
-        bad = self.stationary_bad_fraction
-        return bad * self.loss_bad + (1.0 - bad) * self.loss_good
-
 
 class GilbertElliott:
     """A sampled continuous-time Gilbert–Elliott process.

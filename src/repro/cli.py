@@ -33,71 +33,73 @@ from repro.runner import BatchResult, ResultCache, runner_context
 _BATCH_COMMANDS = frozenset(
     {"fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig4", "fig5", "fig6"})
 
-#: command -> (runner(runs, seed) -> result, default runs, description)
+#: command -> (runner(runs, seed) -> result, default run count, description);
+#: the runner gets ``--runs`` or the default.  A command whose default is
+#: ``None`` has no run count and ignores ``runs``.
 _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
     "table1": (lambda runs, seed: experiments.run_table1(
-        n_calls=runs or 120_000, seed=seed),
-        None, "provider-year PCR subset analysis"),
+        n_calls=runs, seed=seed),
+        120_000, "provider-year PCR subset analysis"),
     "table2": (lambda runs, seed: experiments.run_table2(
-        seed=seed, scale=(runs or 2306) / 9224.0),
-        None, "NetTest PCR by call category"),
+        seed=seed, scale=runs / 9224.0),
+        2306, "NetTest PCR by call category"),
     "table3": (lambda runs, seed: experiments.run_table3(
-        n_events=runs or 100, seed0=seed),
+        n_events=runs, seed0=seed),
         100, "recovery-delay breakdown (AP vs middlebox)"),
     "fig1": (lambda runs, seed: experiments.run_figure1(seed=seed),
              None, "BSSID availability survey"),
     "fig2a": (lambda runs, seed, backend="event": experiments.run_figure2a(
-        n_runs=runs or 60, seed=seed, backend=backend), 60,
+        n_runs=runs, seed=seed, backend=backend), 60,
         "cross-link vs stronger/better selection"),
     "fig2b": (lambda runs, seed, backend="event": experiments.run_figure2b(
-        n_runs=runs or 60, seed=seed, backend=backend), 60,
+        n_runs=runs, seed=seed, backend=backend), 60,
         "cross-link vs Divert"),
     "fig2c": (lambda runs, seed, backend="event": experiments.run_figure2c(
-        n_runs=runs or 60, seed=seed, backend=backend), 60,
+        n_runs=runs, seed=seed, backend=backend), 60,
         "cross-link vs temporal replication"),
     "fig2d": (lambda runs, seed, backend="event": experiments.run_figure2d(
-        n_runs=runs or 30, seed=seed, backend=backend), 30,
+        n_runs=runs, seed=seed, backend=backend), 30,
         "on top of MIMO"),
     "fig2e": (lambda runs, seed, backend="event": experiments.run_figure2e(
-        n_runs=runs or 16, seed=seed, backend=backend), 16,
+        n_runs=runs, seed=seed, backend=backend), 16,
         "5 Mbps streams"),
     "fig3": (lambda runs, seed: experiments.run_figure3(seed=seed),
              None, "two-weak-links example"),
     "fig4": (lambda runs, seed, backend="event": experiments.run_figure4(
-        n_runs=runs or 60, seed=seed, backend=backend), 60,
+        n_runs=runs, seed=seed, backend=backend), 60,
         "loss auto- vs cross-correlation"),
     "fig5": (lambda runs, seed, backend="event": experiments.run_figure5(
-        n_runs=runs or 60, seed=seed, backend=backend), 60,
+        n_runs=runs, seed=seed, backend=backend), 60,
         "burst-length distributions"),
     "fig6": (lambda runs, seed, backend="event": experiments.run_figure6(
-        n_runs_per_scenario=runs or 15, seed=seed, backend=backend), 15,
+        n_runs_per_scenario=runs, seed=seed, backend=backend), 15,
         "PCR by impairment"),
     "fig8": (lambda runs, seed: experiments.run_figure8(
-        n_runs=runs or 30, seed0=seed), 30,
+        n_runs=runs, seed0=seed), 30,
         "DiversiFi loss recovery (office)"),
     "fig9": (lambda runs, seed: experiments.run_figure9(
-        n_runs=runs or 30, seed0=seed), 30, "DiversiFi burst suppression"),
+        n_runs=runs, seed0=seed), 30, "DiversiFi burst suppression"),
     "fig10": (lambda runs, seed: experiments.run_figure10(
-        n_runs=runs or 12, seed0=100 + seed), 12,
+        n_runs=runs, seed0=100 + seed), 12,
         "competing TCP throughput"),
     "sec63": (lambda runs, seed: experiments.run_section63_overhead(
-        n_runs=runs or 30, seed0=seed), 30, "duplication overhead"),
+        n_runs=runs, seed0=seed), 30, "duplication overhead"),
     "sec64": (lambda runs, seed: experiments.run_section64_scalability(
-        n_events=runs or 10, seed0=seed), 10, "middlebox scalability"),
+        n_events=runs, seed0=seed), 10, "middlebox scalability"),
     "uplink": (lambda runs, seed: experiments.run_uplink(
-        n_runs=runs or 5, seed=seed), 5,
+        n_runs=runs, seed=seed), 5,
         "uplink DiversiFi (extension)"),
     "nlinks": (lambda runs, seed: experiments.run_nlink_sweep(
-        n_runs=runs or 10, seed=seed), 10,
+        n_runs=runs, seed=seed), 10,
         "diversity vs number of links (extension)"),
     "controller": (lambda runs, seed: experiments.run_controller_sweep(
-        n_runs=runs or 8, seed=seed), 8,
+        n_runs=runs, seed=seed), 8,
         "QoE control plane: hedge vs route vs replicate (extension)"),
     "fec": (lambda runs, seed: experiments.run_fec_comparison(
-        n_runs=runs or 10, seed=seed), 10,
+        n_runs=runs, seed=seed), 10,
         "FEC coding vs replication (extension)"),
     "gaming": (lambda runs, seed: experiments.run_gaming(
-        n_runs=runs or 3, seed=seed + 11), 3,
+        n_runs=runs, seed=seed + 11), 3,
         "cloud-gaming frame stalls (extension)"),
 }
 
@@ -206,11 +208,12 @@ def run_command(name: str, runs: Optional[int], seed: int,
                 cache_max_bytes: Optional[int] = None,
                 backend: str = "event") -> None:
     """Execute one experiment and print its rendering."""
-    runner, _, description = _COMMANDS[name]
+    runner, default_runs, description = _COMMANDS[name]
     if backend != "event" and name not in _BATCH_COMMANDS:
-        raise SystemExit(
-            f"--backend {backend} is only available for "
-            f"{', '.join(sorted(_BATCH_COMMANDS))}")
+        raise ValueError(f"--backend {backend} is only available for "
+                         f"{', '.join(sorted(_BATCH_COMMANDS))}")
+    if runs is None:
+        runs = default_runs
     batches: List[BatchResult] = []
     # Elapsed wall-clock reporting is the one sanctioned clock read: it
     # never feeds back into simulated behaviour, only into the "[... 3.2s]"
@@ -236,11 +239,30 @@ def run_command(name: str, runs: Optional[int], seed: int,
               f"{store.size_bytes()} bytes retained]", file=out)
 
 
+def _usage_error(args: argparse.Namespace) -> Optional[str]:
+    """Why this combination of options cannot run, or ``None``."""
+    if args.cache_max_bytes is not None and args.cache_dir is None:
+        return ("--cache-max-bytes prunes the --cache-dir store; it needs "
+                "--cache-dir")
+    if args.command == "list":
+        return None
+    if args.command == "all" and args.metrics_out is not None:
+        return "--metrics-out applies to a single command, not 'all'"
+    if args.backend != "event" and args.command not in _BATCH_COMMANDS:
+        return (f"--backend {args.backend} applies to "
+                f"{', '.join(sorted(_BATCH_COMMANDS))}, "
+                f"not {args.command!r}")
+    if args.runs is not None and args.command != "all" \
+            and _COMMANDS[args.command][1] is None:
+        return f"--runs: {args.command} has no run count"
+    return None
+
+
 def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
-    if args.cache_max_bytes is not None and args.cache_dir is None:
-        print("--cache-max-bytes prunes the --cache-dir store; it needs "
-              "--cache-dir", file=sys.stderr)
+    error = _usage_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     if args.command == "list":
         width = max(len(name) for name in _COMMANDS)
@@ -250,15 +272,6 @@ def main(argv=None, out=sys.stdout) -> int:
             print(f"{name.ljust(width)}  {description} {runs}", file=out)
         return 0
     if args.command == "all":
-        if args.metrics_out is not None:
-            print("--metrics-out applies to a single command, not 'all'",
-                  file=sys.stderr)
-            return 2
-        if args.backend != "event":
-            print(f"--backend {args.backend} applies to "
-                  f"{', '.join(sorted(_BATCH_COMMANDS))}, not 'all'",
-                  file=sys.stderr)
-            return 2
         names = sorted(_COMMANDS)
         for i, name in enumerate(names):
             print(f"\n===== {name} =====", file=out)

@@ -69,7 +69,6 @@ class DiversiFiClient:
                  flow_id: str = "rt0",
                  enabled: bool = True,
                  event_log: Optional[EventLog] = None,
-                 middlebox_explicit: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.sim = sim
@@ -78,8 +77,6 @@ class DiversiFiClient:
         self.config = config
         self.flow_id = flow_id
         self.middlebox = middlebox
-        #: use per-sequence retrieval instead of start/stop (§5.2.5)
-        self.middlebox_explicit = middlebox_explicit
         #: with ``enabled=False`` the client never taps the secondary —
         #: the single-link baseline of Figure 8.
         self.enabled = enabled
@@ -266,11 +263,7 @@ class DiversiFiClient:
         self._on_secondary = True
         self._last_secondary_visit = self.sim.now
         if self.middlebox is not None:
-            if self.middlebox_explicit:
-                self.middlebox.retrieve(self.flow_id,
-                                        list(self._pending_lost))
-            else:
-                self.middlebox.start(self.flow_id)
+            self.middlebox.start(self.flow_id)
         if not self._pending_lost:
             self._return_to_primary()
             return
@@ -286,7 +279,7 @@ class DiversiFiClient:
         if self._return_event is not None:
             self._return_event.cancel()
             self._return_event = None
-        if self.middlebox is not None and not self.middlebox_explicit:
+        if self.middlebox is not None:
             self.middlebox.stop(self.flow_id)
         self._log("switch-to-primary")
         if self._visit_span is not None:
@@ -329,7 +322,7 @@ class DiversiFiClient:
     def _keepalive_awake(self) -> None:
         self._on_secondary = True
         self._last_secondary_visit = self.sim.now
-        if self.middlebox is not None and not self.middlebox_explicit:
+        if self.middlebox is not None:
             self.middlebox.start(self.flow_id)
         self._return_event = self.sim.call_in(
             self.config.secondary_residency_time_s,

@@ -8,7 +8,8 @@ InterPktSpacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,6 @@ class StreamProfile:
         """Packets in one call (paper: 6000 for a 2-minute G.711 call)."""
         return int(round(self.duration_s / self.inter_packet_spacing_s))
 
-    @property
-    def bitrate_bps(self) -> float:
-        """Payload bitrate implied by size and spacing."""
-        return self.packet_size_bytes * 8 / self.inter_packet_spacing_s
-
 
 #: Section 4's VoIP workload: 64 kbps, 160 B, 20 ms, 2 minutes.
 G711_PROFILE = StreamProfile()
@@ -42,12 +38,22 @@ HIGH_RATE_PROFILE = StreamProfile(
     inter_packet_spacing_s=0.0016, duration_s=120.0)
 
 
+def profile_for(highrate: bool,
+                duration_s: Optional[float]) -> StreamProfile:
+    """The Section 4 stream: the high-rate or G.711 profile, with an
+    optional call-length override."""
+    base = HIGH_RATE_PROFILE if highrate else G711_PROFILE
+    if duration_s is None:
+        return base
+    return replace(base, duration_s=duration_s)
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     """Algorithm 1's constants (paper Section 5.3.1).
 
-    Derived quantities (APQueueLen, ExpectedTimeToReachHead) are properties
-    so that changing a base constant keeps them consistent.
+    Derived quantities (PacketLossTimeout, APQueueLen) are properties so
+    that changing a base constant keeps them consistent.
     """
 
     inter_packet_spacing_s: float = 0.020       # IPS
@@ -70,12 +76,6 @@ class ClientConfig:
         """APQL = MTD / IPS (= 5 with defaults)."""
         return int(round(self.max_tolerable_delay_s
                          / self.inter_packet_spacing_s))
-
-    @property
-    def expected_time_to_reach_head_s(self) -> float:
-        """ETTRH = IPS * APQL - LSL (= 97.2 ms with defaults)."""
-        return (self.inter_packet_spacing_s * self.ap_queue_len
-                - self.link_switch_latency_s)
 
     def for_profile(self, profile: StreamProfile) -> "ClientConfig":
         """A config whose timing constants match a stream profile."""
@@ -105,11 +105,6 @@ class APConfig:
     hardware_queue_batch: int = 1
     #: per-packet over-the-air service time (transmission + MAC overhead)
     service_time_s: float = 0.0015
-    #: extra delivery attempts for a packet whose MAC burst failed while
-    #: the client was present.  Stock 802.11 discards after the retry
-    #: limit, so the default is 0; the knob exists for the ablation of
-    #: aggressive AP-side redelivery.
-    psm_redelivery_attempts: int = 0
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ Figure 8's primary/secondary/DiversiFi comparison is run per location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.core.client import ClientStats, DiversiFiClient
@@ -90,20 +90,14 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
                 profile: StreamProfile = StreamProfile(),
                 client_config: Optional[ClientConfig] = None,
                 ap_config: Optional[APConfig] = None,
-                middlebox_config: Optional[MiddleboxConfig] = None,
                 seed: int = 0,
-                extra_middlebox_streams: int = 0,
                 with_tcp: bool = False,
-                tcp_capacity_bps: float = 4.6e6,
                 event_log: Optional[EventLog] = None,
-                middlebox_explicit: bool = False,
                 metrics: Optional[MetricsRegistry] = None) -> SessionResult:
     """Simulate one call end to end and return its result.
 
     ``link_factory(rng_router)`` builds the (primary, secondary) WifiLink
     pair — e.g. ``repro.scenarios.build_office_pair``.
-    ``extra_middlebox_streams`` preloads the middlebox with other tenants
-    (the Section 6.4 scalability sweep).
 
     ``metrics`` defaults to the registry the parallel runner installed
     for this task (``repro.obs.runtime.active_registry``); every metric
@@ -118,8 +112,6 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
     client_config = client_config or ClientConfig().for_profile(profile)
     ap_config = ap_config or APConfig(
         max_queue_len=client_config.ap_queue_len)
-    middlebox_config = middlebox_config or MiddleboxConfig(
-        buffer_len=client_config.ap_queue_len)
 
     sim = Simulator()
     router = RandomRouter(seed)
@@ -131,19 +123,12 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
     single_link = mode in ("primary-only", "secondary-only")
 
     # --- access points -------------------------------------------------
-    primary_ap = AccessPoint(sim, "primary", link_primary,
-                             APConfig(drop_policy=ap_config.drop_policy,
-                                      max_queue_len=ap_config.max_queue_len,
-                                      hardware_queue_batch=(
-                                          ap_config.hardware_queue_batch),
-                                      service_time_s=ap_config.service_time_s))
+    primary_ap = AccessPoint(sim, "primary", link_primary, ap_config)
     if mode == "diversifi-mbox":
         # Stock secondary AP: tail-drop, deep buffer (it sees no PSM
         # traffic anyway — the middlebox holds the replica).
-        secondary_ap_config = APConfig(drop_policy="tail", max_queue_len=64,
-                                       hardware_queue_batch=(
-                                           ap_config.hardware_queue_batch),
-                                       service_time_s=ap_config.service_time_s)
+        secondary_ap_config = replace(ap_config, drop_policy="tail",
+                                      max_queue_len=64)
     else:
         secondary_ap_config = ap_config
     secondary_ap = AccessPoint(sim, "secondary", link_secondary,
@@ -165,9 +150,8 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
     middlebox = None
     sender = VoipSender(sim, profile, flow_id="rt0")
     if mode == "diversifi-mbox":
-        middlebox = Middlebox(sim, middlebox_config)
-        for i in range(extra_middlebox_streams):
-            middlebox.register_flow(f"tenant{i}", lambda pkt: None)
+        middlebox = Middlebox(sim, MiddleboxConfig(
+            buffer_len=client_config.ap_queue_len))
         switch = SdnSwitch(sim)
         switch.attach_port("to-primary",
                            _lan_into(sim, router, primary_ap, "lan-p"))
@@ -192,7 +176,6 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
         sim, manager, profile, client_config,
         middlebox=middlebox if mode == "diversifi-mbox" else None,
         enabled=not single_link, event_log=event_log,
-        middlebox_explicit=middlebox_explicit,
         metrics=metrics, metric_labels=metric_labels)
     primary_ap.set_receiver(client.on_receive)
     secondary_ap.set_receiver(client.on_receive)
@@ -205,7 +188,6 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
         # radio is off-channel, and suffers the primary link's loss.
         tcp = TcpReno(
             sim, router.stream("tcp"),
-            capacity_bps=tcp_capacity_bps,
             duration_s=profile.duration_s,
             radio_present=lambda: (
                 manager.active_adapter == DiversiFiClient.PRIMARY),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -96,16 +96,6 @@ class LinkTrace:
         if len(self) == 0:
             return 0.0
         return float(np.mean(~self.delivered))
-
-    def records(self) -> Iterator[DeliveryRecord]:
-        """Iterate row-wise (convenient for event-driven consumers)."""
-        arrivals = self.arrival_times
-        for i in range(len(self)):
-            yield DeliveryRecord(
-                seq=i, send_time=float(self.send_times[i]),
-                delivered=bool(self.delivered[i]),
-                arrival_time=float(arrivals[i]))
-
 
 @dataclass
 class StreamTrace:

@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import StreamProfile
-from repro.core.packet import LinkTrace, merge_traces
+from repro.core.packet import LinkTrace
 from repro.core.types import NamedRadioLink
 
 
@@ -118,8 +118,3 @@ def render_paired_run(link_a: NamedRadioLink, link_b: NamedRadioLink,
         rssi_a_dbm=float(np.mean(rssi_samples_a)) if rssi_samples_a else 0.0,
         rssi_b_dbm=float(np.mean(rssi_samples_b)) if rssi_samples_b else 0.0,
         scenario=scenario)
-
-
-def cross_link_trace(run: PairedRun) -> LinkTrace:
-    """Naive two-NIC cross-link replication: best of both copies."""
-    return merge_traces([run.trace_a, run.trace_b], name="cross-link")

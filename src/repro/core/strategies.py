@@ -8,8 +8,8 @@ experienced:
 * ``better``     — sample both links for a 5 s trial, then settle on the
                    one that lost fewer packets during the trial.
 * ``divert``     — fine-grained reactive link selection [28]: switch links
-                   when >= T of the last H frames were lost.  Losses before
-                   the switch are NOT recovered — the paper's key contrast
+                   after every lost frame (H=1, T=1).  Losses before the
+                   switch are NOT recovered — the paper's key contrast
                    with diversity.
 * ``temporal``   — two copies on one link, offset by delta seconds.
 * ``cross_link`` — replication across both links (receiver diversity).
@@ -17,13 +17,15 @@ experienced:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict
-
 import numpy as np
 
 from repro.core.packet import LinkTrace, merge_traces
-from repro.core.replication import PairedRun, cross_link_trace
+from repro.core.replication import PairedRun
+
+#: the strategies whose calls the Section 4 payload scores for PCR
+#: (Figure 6) and for burst structure (Figure 5)
+POOR_STRATEGIES = ("stronger", "cross-link")
+BURST_STRATEGIES = ("stronger", "temporal:0.1", "cross-link")
 
 
 def stronger(run: PairedRun) -> LinkTrace:
@@ -53,29 +55,22 @@ def better(run: PairedRun, trial_s: float = 5.0) -> LinkTrace:
     return LinkTrace("better", run.trace_a.send_times, delivered, delays)
 
 
-def divert(run: PairedRun, window_h: int = 1,
-           threshold_t: int = 1) -> LinkTrace:
+def divert(run: PairedRun) -> LinkTrace:
     """Divert-style fine-grained selection: switch on loss.
 
-    A switch is triggered when >= ``threshold_t`` of the last ``window_h``
-    frames on the current link were lost; it affects only FUTURE packets.
-    (H=1, T=1, the setting used in the paper's comparison.)
+    Every frame lost on the current link switches to the other one for
+    the FUTURE packets (H=1, T=1, the setting of the paper's comparison).
     """
-    if window_h < 1 or threshold_t < 1 or threshold_t > window_h:
-        raise ValueError("need 1 <= T <= H")
     n = run.n_packets
     delivered = np.zeros(n, dtype=bool)
     delays = np.full(n, np.nan)
     current = "a"
-    recent: deque = deque(maxlen=window_h)
     for seq in range(n):
         trace = run.trace_a if current == "a" else run.trace_b
         delivered[seq] = trace.delivered[seq]
         delays[seq] = trace.delays[seq]
-        recent.append(not trace.delivered[seq])
-        if len(recent) == window_h and sum(recent) >= threshold_t:
+        if not trace.delivered[seq]:
             current = "b" if current == "a" else "a"
-            recent.clear()
     return LinkTrace("divert", run.trace_a.send_times, delivered, delays)
 
 
@@ -91,20 +86,12 @@ def temporal(run: PairedRun, delta_s: float) -> LinkTrace:
 
 
 def cross_link(run: PairedRun) -> LinkTrace:
-    """Full cross-link replication (receive on both links)."""
-    return cross_link_trace(run)
+    """Full cross-link replication (receive on both links): the best of
+    both copies."""
+    return merge_traces([run.trace_a, run.trace_b], name="cross-link")
 
 
 def baseline(run: PairedRun) -> LinkTrace:
     """No replication, no selection beyond the default (stronger)."""
     return stronger(run)
 
-
-#: name -> callable registry used by experiment drivers
-STRATEGIES: Dict[str, object] = {
-    "stronger": stronger,
-    "better": better,
-    "divert": divert,
-    "cross-link": cross_link,
-    "baseline": baseline,
-}

@@ -9,7 +9,7 @@ protocols the core algorithms are generic over — any object with a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -53,8 +53,4 @@ class ReplicaBuffer(Protocol):
 
     def stop(self, flow_id: str) -> None:
         """Halt streaming when the client returns to the primary."""
-        ...
-
-    def retrieve(self, flow_id: str, seqs: Sequence[int]) -> int:
-        """Forward exactly ``seqs``; returns how many were buffered."""
         ...

@@ -35,7 +35,7 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.bursts import burst_lengths
+from repro.analysis.bursts import BURST_BUCKETS, burst_bucket, burst_lengths
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.correlation import (
     loss_autocorrelation,
@@ -48,7 +48,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.windows import worst_window_loss
 from repro.core import strategies
-from repro.core.config import G711_PROFILE, HIGH_RATE_PROFILE, StreamProfile
+from repro.core.config import G711_PROFILE, profile_for
 from repro.core.replication import PairedRun
 from repro.runner import map_task
 from repro.scenarios import build_scenario, generate_wild_run, \
@@ -62,31 +62,12 @@ TEMPORAL_DELTAS = (0.0, 0.1)
 #: runner entry point for the shared per-run task
 WILD_TASK = "repro.experiments.section4:wild_run_metrics"
 
-#: strategies scored for PCR (Figure 6) and burst structure (Figure 5)
-_POOR_STRATEGIES = ("stronger", "cross-link")
-_BURST_STRATEGIES = ("stronger", "temporal:0.1", "cross-link")
-
-#: burst histogram buckets (Figure 5 bars)
-_MAX_BURST_BUCKET = 10
-
-
-def _profile_for(highrate: bool,
-                 duration_s: Optional[float]) -> StreamProfile:
-    base = HIGH_RATE_PROFILE if highrate else G711_PROFILE
-    if duration_s is None:
-        return base
-    return StreamProfile(
-        name=base.name, packet_size_bytes=base.packet_size_bytes,
-        inter_packet_spacing_s=base.inter_packet_spacing_s,
-        duration_s=duration_s,
-        max_tolerable_delay_s=base.max_tolerable_delay_s)
-
 
 @lru_cache(maxsize=8)
 def _wild_dataset(n_runs: int, seed: int, deltas: Tuple[float, ...],
                   mimo_branches: int, highrate: bool,
                   duration_s) -> Tuple[PairedRun, ...]:
-    profile = _profile_for(highrate, duration_s)
+    profile = profile_for(highrate, duration_s)
     runs = generate_wild_runs(n_runs, profile, seed=seed,
                               temporal_deltas=deltas,
                               mimo_branches=mimo_branches)
@@ -118,8 +99,7 @@ def _strategy_suite(deltas: Sequence[float]
         ("cross-link", strategies.cross_link),
         ("stronger", strategies.stronger),
         ("better", strategies.better),
-        ("divert", lambda r: strategies.divert(r, window_h=1,
-                                               threshold_t=1)),
+        ("divert", strategies.divert),
         ("baseline", strategies.baseline),
     ]
     for delta in deltas:
@@ -131,13 +111,10 @@ def _strategy_suite(deltas: Sequence[float]
 def _burst_contribution(trace) -> Dict[str, Any]:
     """One call's burst accounting, combinable across runs by summation
     (all quantities are integer packet counts, so float sums are exact)."""
-    buckets = {str(i): 0.0 for i in range(1, _MAX_BURST_BUCKET + 1)}
-    buckets[f">{_MAX_BURST_BUCKET}"] = 0.0
+    buckets = dict.fromkeys(BURST_BUCKETS, 0.0)
     lost, bursty = 0.0, 0.0
     for length in burst_lengths(trace):
-        key = str(length) if length <= _MAX_BURST_BUCKET \
-            else f">{_MAX_BURST_BUCKET}"
-        buckets[key] += length
+        buckets[burst_bucket(length)] += length
         lost += length
         if length >= 2:
             bursty += length
@@ -152,8 +129,7 @@ def _merge_burst_contributions(
     Buckets are rebuilt in bar order (1..N, >N) because payloads coming
     back from the runner carry canonical-JSON (lexicographic) key order.
     """
-    buckets = {str(i): 0.0 for i in range(1, _MAX_BURST_BUCKET + 1)}
-    buckets[f">{_MAX_BURST_BUCKET}"] = 0.0
+    buckets = dict.fromkeys(BURST_BUCKETS, 0.0)
     lost, bursty = 0.0, 0.0
     for contribution in contributions:
         for bucket, packets in contribution["buckets"].items():
@@ -183,7 +159,7 @@ def wild_run_metrics(index: int, *, root_seed: int,
     flags (Figure 6), burst contributions (Figure 5), and the loss
     auto-/cross-correlation curves (Figure 4).
     """
-    profile = _profile_for(highrate, duration_s)
+    profile = profile_for(highrate, duration_s)
     run = generate_wild_run(index, profile, seed=root_seed,
                             temporal_deltas=tuple(deltas),
                             mimo_branches=mimo_branches,
@@ -196,9 +172,9 @@ def wild_run_metrics(index: int, *, root_seed: int,
         trace = fn(run)
         worst[name] = 100.0 * worst_window_loss(
             trace, window_s=5.0, inter_packet_spacing_s=spacing)
-        if name in _POOR_STRATEGIES:
+        if name in strategies.POOR_STRATEGIES:
             poor[name] = bool(score_call(trace).mos < POOR_MOS_THRESHOLD)
-        if name in _BURST_STRATEGIES:
+        if name in strategies.BURST_STRATEGIES:
             bursts[name] = _burst_contribution(trace)
     return {
         "scenario": run.scenario,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.core.config import MiddleboxConfig
 from repro.core.packet import Packet
@@ -50,7 +50,6 @@ class MiddleboxStats:
     rebuffered: int = 0
     start_messages: int = 0
     stop_messages: int = 0
-    retrieve_messages: int = 0
 
 
 class _FlowBuffer:
@@ -96,15 +95,6 @@ class Middlebox:
         self._flows[flow_id] = _FlowBuffer(self.config.buffer_len)
         self._sinks[flow_id] = sink
         self.registered_streams += 1
-
-    def deregister_flow(self, flow_id: str) -> None:
-        flow = self._flows.pop(flow_id, None)
-        if flow is not None:
-            for event, _ in flow.pending:
-                event.cancel()
-            flow.pending.clear()
-        self._sinks.pop(flow_id, None)
-        self.registered_streams = max(self.registered_streams - 1, 0)
 
     def service_delay_s(self) -> float:
         """Current per-request latency: base + load-dependent component."""
@@ -152,33 +142,6 @@ class Middlebox:
             # Serialize the drain at a light per-packet spacing.
             self._schedule_forward(flow, packet,
                                    delay + i * DRAIN_SPACING_S)
-
-    def retrieve(self, flow_id: str, seqs: Iterable[int]) -> int:
-        """Explicit per-sequence selection (Section 5.2.5's 'in
-        principle' mode): forward exactly the requested sequence numbers
-        and nothing else.  Returns how many of them were found in the
-        buffer (the rest were never replicated or already purged).
-
-        Unlike :meth:`start`, this never duplicates: packets the client
-        did not ask for stay buffered.
-        """
-        flow = self._flows.get(flow_id)
-        if flow is None:
-            raise KeyError(f"unknown flow {flow_id!r}")
-        self.stats.retrieve_messages += 1
-        wanted = set(seqs)
-        delay = self.service_delay_s()
-        found = 0
-        kept: Deque[Packet] = deque()
-        for packet in flow.queue:
-            if packet.seq in wanted:
-                self.sim.call_in(delay + found * DRAIN_SPACING_S,
-                                 self._forward, packet)
-                found += 1
-            else:
-                kept.append(packet)
-        flow.queue = kept
-        return found
 
     def stop(self, flow_id: str) -> None:
         """Client's stop message: back to buffering.

@@ -192,7 +192,6 @@ class Topology:
         self.name = name
         self._switches: Dict[str, SdnSwitch] = {}
         self._radios: Dict[str, RadioPort] = {}
-        self._adjacency: Dict[str, List[str]] = {}
         self._paths: Tuple[TopologyPath, ...] = ()
         self.ingress_switch = ""
 
@@ -204,7 +203,6 @@ class Topology:
             raise ValueError(f"duplicate switch {name!r}")
         switch = SdnSwitch(self.sim, name=name)
         self._switches[name] = switch
-        self._adjacency.setdefault(name, [])
         return switch
 
     def connect(self, src: str, dst: str,
@@ -212,7 +210,6 @@ class Topology:
         """Wire switch ``src`` to switch ``dst`` (port named ``dst``)."""
         hop = WiredHop(self.sim, self._switches[dst].ingress, delay_s)
         self._switches[src].attach_port(dst, hop.send)
-        self._adjacency.setdefault(src, []).append(dst)
 
     def attach_radio(self, switch: str, name: str, link: WifiLink,
                      client: ClientCapture,
@@ -224,23 +221,12 @@ class Topology:
         hop = WiredHop(self.sim, radio.send, delay_s)
         self._switches[switch].attach_port(name, hop.send)
         self._radios[name] = radio
-        self._adjacency.setdefault(switch, []).append(name)
-        self._adjacency.setdefault(name, []).append("client")
         return radio
 
     def attach_sink_port(self, switch: str, port: str,
                          sink: Callable[[Packet], None]) -> None:
         """Attach an arbitrary sink (e.g. a middlebox) to a switch port."""
         self._switches[switch].attach_port(port, sink)
-
-    def set_ingress(self, switch: str, src: str = "server") -> None:
-        """Declare ``switch`` as the server's ingress (also records the
-        ``src -> switch`` edge so :meth:`candidate_paths` can walk from
-        the server endpoint)."""
-        self.ingress_switch = switch
-        neighbors = self._adjacency.setdefault(src, [])
-        if switch not in neighbors:
-            neighbors.append(switch)
 
     # ---------------------------------------------------------- queries
 
@@ -260,25 +246,6 @@ class Topology:
     def paths(self) -> Tuple[TopologyPath, ...]:
         """The candidate paths recorded by the builder."""
         return self._paths
-
-    def candidate_paths(self, src: str = "server",
-                        dst: str = "client") -> Tuple[TopologyPath, ...]:
-        """Enumerate simple ``src -> dst`` paths (deterministic DFS over
-        name-sorted neighbors)."""
-        found: List[TopologyPath] = []
-
-        def walk(node: str, seen: Tuple[str, ...]) -> None:
-            if node == dst:
-                radio = seen[-2]   # the AP hop right before the client
-                found.append(TopologyPath(
-                    name=radio, nodes=seen, radio=radio))
-                return
-            for neighbor in sorted(self._adjacency.get(node, [])):
-                if neighbor not in seen:
-                    walk(neighbor, seen + (neighbor,))
-
-        walk(src, (src,))
-        return tuple(found)
 
     # ------------------------------------------------------ rule plumbing
 
@@ -338,7 +305,7 @@ def build_npath_topology(sim: Simulator, links: Sequence[WifiLink],
         raise ValueError("an N-path topology needs at least 2 links")
     topo = Topology(sim)
     topo.add_switch("core")
-    topo.set_ingress("core")
+    topo.ingress_switch = "core"
     paths: List[TopologyPath] = []
     for i, link in enumerate(links):
         edge = f"edge{i}"

@@ -58,10 +58,6 @@ class Span:
         self.begin_time = begin_time
         self.end_time: Optional[float] = None
 
-    @property
-    def closed(self) -> bool:
-        return self.end_time is not None
-
     def end(self) -> float:
         """Close the span at the tracker's current time; returns the
         duration.  Idempotent — a second call returns the recorded

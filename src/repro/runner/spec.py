@@ -67,9 +67,10 @@ class RunSpec:
               fingerprint: Optional[str] = None) -> "RunSpec":
         """Construct a spec, canonicalizing ``config`` and defaulting the
         fingerprint to the current :func:`~repro.runner.fingerprint.code_fingerprint`."""
-        if ":" not in task:
+        if not isinstance(task, str) or ":" not in task:
             raise ValueError(
-                f"task {task!r} is not a 'module:function' entry point")
+                f"task {task!r} is not a 'module:function' entry point "
+                "string")
         if fingerprint is None:
             from repro.runner.fingerprint import code_fingerprint
             fingerprint = code_fingerprint()
@@ -155,14 +156,6 @@ class BatchResult:
     @property
     def payloads(self) -> List[Any]:
         return [result.payload for result in self.results]
-
-    def merged_metrics(self) -> MetricsRegistry:
-        """All runs' metrics merged **in spec order** — the only order
-        that keeps the merged export byte-identical across execution
-        modes (counters are commutative, gauge last-write is not)."""
-        return merge_metrics_json(
-            [result.metrics_json for result in self.results])
-
 
 @dataclasses.dataclass
 class BatchStats:

@@ -350,10 +350,7 @@ def generate_wild_runs(n_runs: int, profile: StreamProfile,
             for idx in range(n_runs)]
 
 
-def build_office_pair(rng_router: RandomRouter,
-                      mimo_branches: int = 1,
-                      wired_delay_in_link: bool = False
-                      ) -> Tuple[WifiLink, WifiLink]:
+def build_office_pair(rng_router: RandomRouter) -> Tuple[WifiLink, WifiLink]:
     """The Section 6 testbed: two APs at diagonal ends of a 30 m x 15 m
     office (channels 1 and 11), client at a random location.
 
@@ -362,16 +359,14 @@ def build_office_pair(rng_router: RandomRouter,
     office statistics: the primary averages ~2% loss with an occasional
     bad 5-second window, the secondary is markedly worse.
 
-    ``wired_delay_in_link`` keeps the 4 ms wired component inside the link
-    (trace mode); the event-driven controller models wiring explicitly and
-    passes False.
+    The links carry no wired delay (``base_delay_s=0``): the event-driven
+    session models the wired side explicitly.
     """
     rng = rng_router.stream("office.params")
     client_pos = Position(float(rng.uniform(1.0, 29.0)),
                           float(rng.uniform(1.0, 14.0)))
     client = StaticPosition(client_pos)
-    base_delay = 0.004 if wired_delay_in_link else 0.0
-    phy = _phy(mimo_branches)
+    phy = _phy(1)
     pathloss = PathLossParams(exponent=3.3, shadowing_sigma_db=4.5)
 
     def office_link(name, channel, ap_pos, congestion_stream):
@@ -400,7 +395,7 @@ def build_office_pair(rng_router: RandomRouter,
                 mean_good_s=mean_good, mean_bad_s=mean_bad,
                 loss_good=float(rng.uniform(0.0, 0.003)),
                 loss_bad=loss_bad),
-            phy=phy, base_delay_s=base_delay)
+            phy=phy, base_delay_s=0.0)
         return config, contention
 
     config_1, cont_1 = office_link("ap1", 1, OFFICE_AP_PRIMARY,

@@ -95,14 +95,8 @@ class Simulator:
         self.peak_queue_depth = 0
         # Sanitizer state is resolved once at construction so the hot loop
         # pays a single attribute check when disabled.
-        self._sanitize = sanitizer_enabled()
         self._digest: Optional[DeterminismDigest] = \
-            DeterminismDigest() if self._sanitize else None
-
-    @property
-    def sanitizing(self) -> bool:
-        """True when this simulator was built with ``REPRO_SANITIZE=1``."""
-        return self._sanitize
+            DeterminismDigest() if sanitizer_enabled() else None
 
     def determinism_digest(self) -> Optional[str]:
         """Digest of the event sequence executed so far.

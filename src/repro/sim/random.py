@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 import zlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class RandomRouter:
         salt_key = zlib.crc32(salt.encode("utf-8"))
         return RandomRouter(seed=(self.seed * 1_000_003 + salt_key)
                             % (2 ** 63))
-
-    def streams_created(self) -> Iterable[str]:
-        """Names of the streams drawn from so far (for tests/debugging)."""
-        return tuple(self._streams)
-
 
 #: draws fetched per refill of a :class:`BufferedDraws` block
 DRAW_BLOCK = 512

@@ -8,9 +8,8 @@ used in examples: *what did the client actually do during that call?*
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -24,26 +23,14 @@ class TraceEvent:
 
 
 class EventLog:
-    """An append-only, queryable event record.
+    """An append-only, queryable event record."""
 
-    Bounded logs evict from a ``deque(maxlen=capacity)`` so recording
-    stays O(1) per event; long sessions with a small capacity used to
-    pay O(n) per append via ``list.pop(0)``.
-    """
-
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.capacity = capacity
-        self.dropped = 0
+    def __init__(self) -> None:
+        self._events: List[TraceEvent] = []
 
     def record(self, time: float, source: str, kind: str,
                detail: str = "") -> None:
-        """Append one event (drops oldest beyond ``capacity``)."""
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            # maxlen makes the append below evict the oldest entry.
-            self.dropped += 1
+        """Append one event."""
         self._events.append(TraceEvent(time=time, source=source,
                                        kind=kind, detail=detail))
 
@@ -76,7 +63,7 @@ class EventLog:
     def render_timeline(self, limit: int = 50) -> str:
         """A human-readable timeline (most recent ``limit`` events)."""
         lines = [f"{'t (s)':>10s}  {'source':12s} {'event':20s} detail"]
-        recent = list(self._events)[-limit:]
+        recent = self._events[-limit:]
         for event in recent:
             lines.append(f"{event.time:10.4f}  {event.source:12s} "
                          f"{event.kind:20s} {event.detail}")

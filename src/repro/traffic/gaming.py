@@ -68,11 +68,6 @@ class PacketizedGameStream:
     def n_packets(self) -> int:
         return int(self.send_times.size)
 
-    @property
-    def bitrate_bps(self) -> float:
-        return (self.n_packets * self.profile.mtu_bytes * 8
-                / self.profile.duration_s)
-
 
 def packetize_game_stream(profile: GameStreamProfile,
                           rng: np.random.Generator

@@ -8,16 +8,16 @@ lowest bins of a 5-point user rating scale.
 
 End to end::
 
-    from repro.voice import score_call, poor_call_rate
+    from repro.voice import POOR_MOS_THRESHOLD, score_call
 
     mos = score_call(trace).mos
-    pcr = poor_call_rate(traces)
+    poor = mos < POOR_MOS_THRESHOLD
 """
 
 from repro.voice.playout import PlayoutBuffer, PlayoutResult
 from repro.voice.concealment import ConcealmentAccounting, account_concealment
 from repro.voice.quality import CallScore, emodel_r_factor, r_to_mos
-from repro.voice.pcr import POOR_MOS_THRESHOLD, poor_call_rate, score_call
+from repro.voice.pcr import POOR_MOS_THRESHOLD, score_call
 
 __all__ = [
     "CallScore",
@@ -27,7 +27,6 @@ __all__ = [
     "PlayoutResult",
     "account_concealment",
     "emodel_r_factor",
-    "poor_call_rate",
     "r_to_mos",
     "score_call",
 ]

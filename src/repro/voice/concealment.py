@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.voice.g711 import SAMPLES_PER_FRAME
 from repro.voice.playout import PlayoutResult
 
 
@@ -27,29 +26,6 @@ class ConcealmentAccounting:
     played_frames: int
     interpolated_frames: int
     extrapolated_frames: int
-
-    @property
-    def interpolated_samples(self) -> int:
-        return self.interpolated_frames * SAMPLES_PER_FRAME
-
-    @property
-    def extrapolated_samples(self) -> int:
-        return self.extrapolated_frames * SAMPLES_PER_FRAME
-
-    @property
-    def concealment_fraction(self) -> float:
-        """Fraction of frames needing any concealment."""
-        if self.n_frames == 0:
-            return 0.0
-        return (self.interpolated_frames
-                + self.extrapolated_frames) / self.n_frames
-
-    @property
-    def extrapolation_fraction(self) -> float:
-        """Fraction of frames needing the harsh (extrapolated) kind."""
-        if self.n_frames == 0:
-            return 0.0
-        return self.extrapolated_frames / self.n_frames
 
 
 def account_concealment(result: PlayoutResult) -> ConcealmentAccounting:

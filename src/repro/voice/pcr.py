@@ -9,12 +9,13 @@ Pipeline per call (matching the paper's methodology in Sections 3.2/4):
    ratings [38]).
 4. Threshold MOS to "poor" — the two lowest bins of the 5-point scale.
 
-PCR over a set of calls is the fraction scored poor.
+PCR over a set of calls is the fraction scored poor; the drivers count
+it from :func:`score_call`'s MOS.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,18 +37,20 @@ POOR_MOS_THRESHOLD = 3.0
 #: has a 11.6% 90th-percentile worst window at only 4.9% PCR).
 WORST_WINDOW_WEIGHT = 0.25
 
+#: playout deadline: a packet later than this is lost to the listener
+PLAYOUT_DELAY_S = 0.100
+#: default one-way delay of the rest of the end-to-end path (WAN +
+#: encode/decode) beyond the WiFi hop captured in the trace
+EXTRA_ONE_WAY_DELAY_S = 0.050
+
 
 def score_call(trace: Union[LinkTrace, StreamTrace],
-               playout_delay_s: float = 0.100,
-               extra_one_way_delay_s: float = 0.050) -> CallScore:
-    """Score one call.
-
-    ``extra_one_way_delay_s`` accounts for the rest of the end-to-end path
-    (WAN + encode/decode) beyond the WiFi hop captured in the trace.
-    """
+               extra_one_way_delay_s: float = EXTRA_ONE_WAY_DELAY_S
+               ) -> CallScore:
+    """Score one call."""
     if isinstance(trace, StreamTrace):
-        trace = trace.effective_trace(deadline=playout_delay_s)
-    playout = PlayoutBuffer(playout_delay_s).replay(trace)
+        trace = trace.effective_trace(deadline=PLAYOUT_DELAY_S)
+    playout = PlayoutBuffer(PLAYOUT_DELAY_S).replay(trace)
     concealment = account_concealment(playout)
 
     loss = playout.effective_loss_rate
@@ -61,7 +64,7 @@ def score_call(trace: Union[LinkTrace, StreamTrace],
     delays = trace.delays[trace.delivered]
     median_delay = float(np.median(delays)) if delays.size else 0.0
     one_way = extra_one_way_delay_s + max(median_delay, 0.0) \
-        + playout_delay_s / 2.0
+        + PLAYOUT_DELAY_S / 2.0
 
     r_full = emodel_r_factor(loss, one_way, mean_burst)
     r_worst = emodel_r_factor(worst, one_way, mean_burst)
@@ -71,17 +74,6 @@ def score_call(trace: Union[LinkTrace, StreamTrace],
         r_factor=r, mos=r_to_mos(r), loss_fraction=loss,
         worst_window_loss=worst, mean_burst_len=mean_burst,
         one_way_delay_s=one_way)
-
-
-def poor_call_rate(traces: Iterable[Union[LinkTrace, StreamTrace]],
-                   playout_delay_s: float = 0.100,
-                   mos_threshold: float = POOR_MOS_THRESHOLD) -> float:
-    """Fraction of calls whose MOS falls below the poor threshold."""
-    scores: List[CallScore] = [
-        score_call(t, playout_delay_s) for t in traces]
-    if not scores:
-        raise ValueError("no calls to score")
-    return float(np.mean([s.is_poor(mos_threshold) for s in scores]))
 
 
 def _spacing_of(trace: LinkTrace) -> float:

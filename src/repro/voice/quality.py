@@ -22,7 +22,6 @@ whole-call R and the worst 5-second window's R.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -62,27 +61,19 @@ class UnknownCodecError(KeyError):
     """``codec_impairment`` was asked about a codec G.113 doesn't cover."""
 
 
-def codec_impairment(codec: str, strict: bool = True) -> CodecImpairment:
+def codec_impairment(codec: str) -> CodecImpairment:
     """G.113 constants for ``codec``.
 
-    An unknown codec raises :class:`UnknownCodecError`: the old silent
-    G.711 fallback scored e.g. a misspelled low-bitrate codec with the
-    *most* loss-robust constants in the table, quietly inflating its
-    MOS.  Pass ``strict=False`` to opt back into the fallback (with a
-    warning) when scoring traces whose codec column is untrusted.
+    An unknown codec raises :class:`UnknownCodecError` rather than
+    falling back to G.711, whose constants are the *most* loss-robust in
+    the table and would quietly inflate a misspelled codec's MOS.
     """
     constants = CODEC_IMPAIRMENTS.get(codec)
-    if constants is not None:
-        return constants
-    if strict:
+    if constants is None:
         raise UnknownCodecError(
             f"no G.113 impairment constants for codec {codec!r}; known: "
-            f"{sorted(CODEC_IMPAIRMENTS)} (pass strict=False to fall "
-            "back to G.711)")
-    warnings.warn(
-        f"unknown codec {codec!r}: falling back to G.711 constants",
-        stacklevel=2)
-    return CODEC_IMPAIRMENTS["g711"]
+            f"{sorted(CODEC_IMPAIRMENTS)}")
+    return constants
 
 
 #: A float or a float64 array.  Every E-model function below is
@@ -157,7 +148,3 @@ class CallScore:
     worst_window_loss: float
     mean_burst_len: float
     one_way_delay_s: float
-
-    def is_poor(self, mos_threshold: float) -> bool:
-        """Would a user rate this call in the two lowest bins?"""
-        return self.mos < mos_threshold

@@ -69,8 +69,8 @@ class AccessPoint:
         if config.drop_policy not in ("head", "tail"):
             raise ValueError(f"unknown drop policy {config.drop_policy!r}")
         self.stats = ApStats()
+        #: awake = radio tuned to this channel and out of power save
         self._client_awake = True
-        self._client_present = True  # radio tuned to this channel
         self._psm_buffer: Deque[BufferedPacket] = deque()
         self._hardware_queue: Deque[Packet] = deque()
         self._serving = False
@@ -99,18 +99,12 @@ class AccessPoint:
     def client_sleep(self) -> None:
         """Client announced power-save: start buffering."""
         self._client_awake = False
-        self._client_present = False
 
     def client_wake(self) -> None:
         """Client woke on this channel: drain the PSM buffer."""
         self._client_awake = True
-        self._client_present = True
         self._hand_down_batch()
         self._kick_service()
-
-    def client_absent(self, absent: bool) -> None:
-        """Radio presence without a PSM state change (mid-switch transit)."""
-        self._client_present = not absent
 
     # ------------------------------------------------------------------
     # data path
@@ -160,11 +154,9 @@ class AccessPoint:
             if not self._hardware_queue:
                 self._serving = False
                 return
-        packet = self._hardware_queue.popleft()
-        self._transmit(packet, attempts_left=self.config
-                       .psm_redelivery_attempts)
+        self._transmit(self._hardware_queue.popleft())
 
-    def _transmit(self, packet: Packet, attempts_left: int) -> None:
+    def _transmit(self, packet: Packet) -> None:
         self.stats.air_transmissions += 1
         seq_count = self.stats.per_seq_transmissions
         seq_count[packet.seq] = seq_count.get(packet.seq, 0) + 1
@@ -174,7 +166,7 @@ class AccessPoint:
             if record.delivered else self.config.service_time_s
         finish = self.sim.now + max(service, self.config.service_time_s)
 
-        present = self._client_present
+        present = self._client_awake
         if not present:
             self.stats.absent_transmissions += 1
 
@@ -182,12 +174,6 @@ class AccessPoint:
             if record.delivered and present and self._receiver is not None:
                 self.stats.delivered += 1
                 self._receiver(packet, self.sim.now, self.name)
-            elif (not record.delivered and present and attempts_left > 0
-                    and self._client_present):
-                # Firmware requeues a failed PS delivery while the client
-                # is still listening.
-                self._transmit(packet, attempts_left - 1)
-                return
             self._serve_next()
 
         self.sim.call_at(finish, complete)

@@ -9,7 +9,7 @@ and dashes of Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,3 @@ class ScanResult:
         """Count of distinct channels among connectable BSSIDs (dashes) —
         discounts virtual APs that share a radio."""
         return len({e.channel for e in self.connectable()})
-
-    def strongest(self, n: int = 2) -> List[BssEntry]:
-        """The n connectable entries with the highest RSSI."""
-        return sorted(self.connectable(),
-                      key=lambda e: e.rssi_dbm, reverse=True)[:n]
-
-
-def distinct_channel_count(entries: Sequence[BssEntry]) -> int:
-    """Distinct channels in an arbitrary entry collection."""
-    return len({e.channel for e in entries})

@@ -51,10 +51,6 @@ class WmmStats:
     queueing_delay_sum_s: Dict[str, float] = field(
         default_factory=lambda: {ac: 0.0 for ac in PRIORITY_ORDER})
 
-    def mean_queueing_delay_s(self, ac: str) -> float:
-        n = self.transmitted[ac]
-        return self.queueing_delay_sum_s[ac] / n if n else 0.0
-
 
 class WmmAccessPoint:
     """An AP with four strict-priority EDCA queues over one link.

@@ -143,7 +143,7 @@ def test_burst_histogram_averages_per_call():
 
 def test_burst_histogram_overflow_bucket():
     t = np.array([1] * 15)
-    hist = burst_histogram([t], max_bucket=10)
+    hist = burst_histogram([t])
     assert hist[">10"] == pytest.approx(15.0)
 
 
@@ -152,13 +152,12 @@ def test_burst_stats_split():
     stats = burst_stats([t])
     assert stats.mean_lost == pytest.approx(6.0)
     assert stats.mean_lost_in_bursts == pytest.approx(5.0)
-    assert stats.bursty_fraction == pytest.approx(5.0 / 6.0)
 
 
 def test_burst_stats_empty():
     stats = burst_stats([])
     assert stats.mean_lost == 0.0
-    assert stats.bursty_fraction == 0.0
+    assert stats.mean_lost_in_bursts == 0.0
 
 
 # ------------------------------------------------------------- correlation
@@ -214,13 +213,6 @@ def test_percentile_basic():
 def test_percentile_empty_raises():
     with pytest.raises(ValueError):
         percentile([], 50)
-
-
-def test_cdf_evaluate():
-    cdf = EmpiricalCdf([1.0, 2.0, 3.0, 4.0])
-    assert cdf.evaluate(2.0) == pytest.approx(0.5)
-    assert cdf.evaluate(0.0) == 0.0
-    assert cdf.evaluate(10.0) == 1.0
 
 
 def test_cdf_quantile_bounds():

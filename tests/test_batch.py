@@ -220,8 +220,7 @@ def test_strategy_suite_matches_event_strategies(block):
         "cross-link": event_strategies.cross_link,
         "stronger": event_strategies.stronger,
         "better": event_strategies.better,
-        "divert": lambda r: event_strategies.divert(r, window_h=1,
-                                                    threshold_t=1),
+        "divert": event_strategies.divert,
         "baseline": event_strategies.baseline,
         "temporal:0.0": lambda r: event_strategies.temporal(r, 0.0),
         "temporal:0.1": lambda r: event_strategies.temporal(r, 0.1),
@@ -345,7 +344,7 @@ def test_divert_switches_after_loss():
     # switch back), 3 on A (ok)
     assert delivered[0].tolist() == [True, False, False, True]
     run = block.paired_run(0)
-    trace = event_strategies.divert(run, window_h=1, threshold_t=1)
+    trace = event_strategies.divert(run)
     assert np.array_equal(delivered[0], trace.delivered)
 
 
@@ -366,7 +365,7 @@ def test_divert_degenerate_lengths(lost_a, lost_b):
     assert delivered.tolist() == delivered_a
     assert np.array_equal(delays, np.asarray(delays_a, dtype=float),
                           equal_nan=True)
-    trace = event_strategies.divert(block.paired_run(0), 1, 1)
+    trace = event_strategies.divert(block.paired_run(0))
     assert np.array_equal(delivered[0], trace.delivered)
     assert delays[0].tobytes() == trace.delays.tobytes()
 

@@ -24,7 +24,6 @@ def test_stationary_fractions():
     params = GilbertParams(mean_good_s=9.0, mean_bad_s=1.0,
                            loss_good=0.0, loss_bad=1.0)
     assert params.stationary_bad_fraction == pytest.approx(0.1)
-    assert params.stationary_loss_rate == pytest.approx(0.1)
 
 
 def test_loss_probability_matches_state():

@@ -268,3 +268,51 @@ def test_all_rejects_batch_backend(capsys):
     assert code == 2
     assert output == ""
     assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["fig3", "table3"])
+def test_batch_backend_rejected_for_event_only_commands(name, capsys):
+    """Regression: ``fig3 --backend batch`` raised ``SystemExit(str)``
+    inside ``run_command`` and exited 1 instead of a usage error."""
+    code, output = run_cli([name, "--backend", "batch"])
+    assert code == 2
+    assert output == ""
+    assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3"])
+def test_runs_rejected_for_commands_without_run_count(name, capsys):
+    """Regression: ``--runs`` was silently ignored by fig1 and fig3."""
+    code, output = run_cli([name, "--runs", "5"])
+    assert code == 2
+    assert output == ""
+    assert "--runs" in capsys.readouterr().err
+
+
+def test_list_shows_every_declared_default_run_count():
+    _, output = run_cli(["list"])
+    lines = {line.split()[0]: line for line in output.splitlines()}
+    for name, (_, default_runs, _) in _COMMANDS.items():
+        if default_runs is None:
+            assert "default runs" not in lines[name]
+        else:
+            assert lines[name].endswith(f"(default runs: {default_runs})")
+    assert "(default runs: 120000)" in lines["table1"]
+    assert "(default runs: 2306)" in lines["table2"]
+
+
+def test_run_command_passes_the_declared_default(monkeypatch):
+    seen = []
+
+    class Rendered:
+        def render(self):
+            return "rendered"
+
+    def runner(runs, seed):
+        seen.append(runs)
+        return Rendered()
+
+    monkeypatch.setitem(_COMMANDS, "table3", (runner, 7, "stub"))
+    run_command("table3", None, 0, out=io.StringIO())
+    run_command("table3", 3, 0, out=io.StringIO())
+    assert seen == [7, 3]

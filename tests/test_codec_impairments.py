@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.section4 import run_figure6
 from repro.voice.quality import (
-    CODEC_IMPAIRMENTS,
     UnknownCodecError,
     codec_impairment,
     emodel_r_factor,
@@ -25,16 +24,10 @@ def test_unknown_codec_raises():
         codec_impairment("opus-super")
 
 
-def test_unknown_codec_non_strict_warns_and_falls_back():
-    with pytest.warns(UserWarning, match="opus-super"):
-        constants = codec_impairment("opus-super", strict=False)
-    assert constants is CODEC_IMPAIRMENTS["g711"]
-
-
 def test_known_codec_never_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert codec_impairment("G729", strict=False).ie == 11.0
+        assert codec_impairment("G729").ie == 11.0
 
 
 def test_low_bitrate_codecs_score_worse_at_zero_loss():

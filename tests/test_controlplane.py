@@ -78,11 +78,11 @@ def build_stub_topology(sim, n=3, losses=(), rssis=()):
 def test_candidate_paths_enumerates_every_chain():
     sim = Simulator()
     topo, _, _ = build_stub_topology(sim, n=3)
-    found = topo.candidate_paths()
+    found = topo.paths
     assert [p.name for p in found] == ["ap0", "ap1", "ap2"]
     assert found[1].nodes == ("server", "core", "edge1", "ap1", "client")
     assert found[1].switches == ("core", "edge1")
-    assert topo.paths == found
+    assert [p.radio for p in found] == ["ap0", "ap1", "ap2"]
 
 
 def test_install_flow_single_path_forwards_end_to_end():

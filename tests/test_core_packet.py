@@ -63,14 +63,6 @@ def test_trace_column_length_mismatch_raises():
         LinkTrace("bad", [0.0, 0.02], [True], [0.005])
 
 
-def test_trace_records_iteration():
-    trace = make_trace("t", [True, False, True])
-    records = list(trace.records())
-    assert len(records) == 3
-    assert records[0].delivered and not records[1].delivered
-    assert records[2].seq == 2
-
-
 def test_empty_trace_loss_rate_zero():
     trace = LinkTrace("empty", [], [], [])
     assert trace.loss_rate == 0.0

@@ -149,13 +149,6 @@ def test_cross_technology_hedging_beats_either():
     assert merged.loss_rate <= lte_trace.loss_rate
 
 
-def test_cellular_cost_accounting():
-    link = CellularLink(CellularConfig(cost_per_mb=2.0), RandomRouter(6))
-    link.generate_trace(SHORT)
-    expected_mb = SHORT.n_packets * 160 / 1e6
-    assert link.duplicate_cost() == pytest.approx(expected_mb * 2.0)
-
-
 # ------------------------------------------------------------------ uplink
 
 def uplink_factory(primary_gilbert, secondary_gilbert=None):

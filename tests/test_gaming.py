@@ -50,7 +50,9 @@ def test_iframes_are_bigger():
 def test_bitrate_plausible():
     stream = packetize_game_stream(PROFILE, rng(2))
     # ~8 KB * 60 fps ~= 4 Mbps plus I-frame overhead.
-    assert 2e6 < stream.bitrate_bps < 12e6
+    bitrate_bps = (stream.n_packets * PROFILE.mtu_bytes * 8
+                   / PROFILE.duration_s)
+    assert 2e6 < bitrate_bps < 12e6
 
 
 def test_packets_within_frame_paced():

@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` must be reached by the program.
+"""Every module and definition under ``src/repro`` must be reached by
+the program.
 
 The program is ``python -m repro`` plus ``examples/``, ``benchmarks/``
 and ``bench/``.  A module is reached when one of those files, or a
@@ -8,12 +9,21 @@ the package.  The package ``__init__`` files' own re-exports do not
 count, and neither do the tests.  A module reached only from tests is a
 second implementation no artifact runs; delete it rather than keep it
 alive through its tests.
+
+A definition (function, class, method or property) is reached when a
+program file or a reached module names it outside the definition's own
+body: as a name, an attribute, an import, or a ``module:function`` /
+dotted string such as a runner task or a bench probe.  The check is by
+name, so a method shares its fate with every other definition of that
+name; it catches what nothing outside the tests mentions at all.  The
+few definitions kept for a named future caller are listed in ``KEEP``.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
-from typing import Dict, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
@@ -112,3 +122,142 @@ def test_every_module_is_reached_outside_tests():
     assert unreached == [], (
         "modules that neither `python -m repro`, examples/, benchmarks/ "
         f"nor bench/ reach through imports: {unreached}")
+
+
+#: definitions only tests call today, each kept for the reason given
+KEEP: Dict[str, str] = {
+    "repro.analysis.summary:Interval.contains":
+        "ROADMAP item 3 asserts paper claims at these intervals",
+    "repro.analysis.summary:paired_difference_interval":
+        "ROADMAP item 3 asserts paper claims at these intervals",
+    "repro.analysis.summary:permutation_pvalue":
+        "reference of the paired test in tests/test_paper_claims.py, "
+        "which ROADMAP item 3 moves onto the runner",
+    "repro.sim.tracing:EventLog.of_kind":
+        "ROADMAP item 7: `--explain` reads the session's event log",
+    "repro.sim.tracing:EventLog.between":
+        "ROADMAP item 7: `--explain` reads the session's event log",
+    "repro.batch.render:TraceBlock.paired_run":
+        "bridge from a batch block to the event strategies that the "
+        "batch parity tests compare against",
+    "repro.obs.export:record_trace_metrics":
+        "reference of the batch instrument-schema parity test",
+    "repro.studies.provider:synthesize_provider_block":
+        "bit-parity reference of population.render_provider_block",
+    "repro.studies.provider:analyze_table1":
+        "bit-parity reference of the Table 1 population study",
+    "repro.studies.nettest:run_nettest_study":
+        "bit-parity reference of the Table 2 population study",
+    "repro.studies.nettest:NetTestDataset.spatial_stats":
+        "bit-parity reference of the Table 2 population study",
+    "repro.runner.cache:clear_memo":
+        "test-isolation hook for the in-process result memo",
+    "repro.sim.engine:Simulator.peek":
+        "public engine API, kept with `Simulator.step`",
+    "repro.wifi.ap:AccessPoint.client_awake":
+        "tests observe the AP's power-save state; no public field has it",
+    "repro.channel.gilbert:GilbertElliott.sample_states":
+        "tests observe the chain's state sequence; no public field has it",
+    "repro.net.controller:QoeController.active_paths":
+        "tests observe the controller's path choice; no public field "
+        "has it",
+    "repro.net.controller:QoeController.path_metrics":
+        "tests observe probe-fed metrics of idle paths; no public field "
+        "has them",
+    "repro.traffic.tcp:TcpReno.cwnd_segments":
+        "tests observe slow-start growth; no public field has the window",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: strings that name code: ``"pkg.mod:func"``, ``"Class.method"``, ...
+_CODE_STRING = re.compile(r"[A-Za-z0-9_.:]+")
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstrings(tree: ast.Module) -> Set[int]:
+    found: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module,) + _DEFINITION) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                found.add(id(first.value))
+    return found
+
+
+def _names_used(tree: ast.Module
+                ) -> Iterator[Tuple[str, Tuple[ast.AST, ...]]]:
+    """Every name the file uses, with the definitions enclosing the use."""
+    docstrings = _docstrings(tree)
+    stack: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = [(tree, ())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, _DEFINITION):
+            enclosing = enclosing + (node,)
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], enclosing
+        elif isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) \
+                and id(node) not in docstrings \
+                and _CODE_STRING.fullmatch(node.value):
+            for name in _IDENTIFIER.findall(node.value):
+                yield name, enclosing
+        stack.extend((child, enclosing)
+                     for child in ast.iter_child_nodes(node))
+
+
+def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualified name, node)`` for every class, function, method and
+    property outside function bodies."""
+    stack: List[Tuple[str, ast.AST]] = [("", tree)]
+    while stack:
+        prefix, parent = stack.pop()
+        for node in getattr(parent, "body", []):
+            if isinstance(node, _DEFINITION):
+                yield prefix + node.name, node
+                if isinstance(node, ast.ClassDef):
+                    stack.append((f"{prefix}{node.name}.", node))
+
+
+def _unnamed_definitions() -> List[str]:
+    """``module:qualname`` of each definition no program file names."""
+    modules = _modules()
+    reached = _reached_modules(modules)
+    sources = [path for root in PROGRAM_ROOTS
+               for path in sorted((REPO / root).rglob("*.py"))]
+    sources += [path for module, path in modules.items()
+                if path.name != "__init__.py"
+                and (module in reached or module == ENTRY_MODULE)]
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    uses: Dict[str, List[Tuple[Path, Tuple[ast.AST, ...]]]] = {}
+    for path, tree in trees.items():
+        for name, enclosing in _names_used(tree):
+            uses.setdefault(name, []).append((path, enclosing))
+    unnamed = []
+    for module, path in modules.items():
+        if path not in trees:
+            continue   # unreached modules fail the module test above
+        for qualname, node in _definitions(trees[path]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue   # called by Python itself
+            if not any(where != path or node not in enclosing
+                       for where, enclosing in uses.get(name, ())):
+                unnamed.append(f"{module}:{qualname}")
+    return sorted(unnamed)
+
+
+def test_every_definition_is_named_outside_tests():
+    unnamed = _unnamed_definitions()
+    unexplained = [name for name in unnamed if name not in KEEP]
+    assert unexplained == [], (
+        "definitions that neither `python -m repro`, examples/, "
+        "benchmarks/ nor bench/ name outside their own body; delete "
+        f"them with their tests: {unexplained}")
+    stale = sorted(set(KEEP) - set(unnamed))
+    assert stale == [], f"KEEP entries the program now names: {stale}"

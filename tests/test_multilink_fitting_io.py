@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.fitting import fit_gilbert, fitted_loss_rate
+from repro.analysis.fitting import fit_gilbert
 from repro.channel.gilbert import GilbertParams, sample_loss_array
 from repro.channel.link import LinkConfig, WifiLink
 from repro.channel.mobility import Position, StaticPosition
@@ -118,7 +118,9 @@ def test_fit_stationary_rate_consistent():
     rng = RandomRouter(2).stream("fit")
     losses = sample_loss_array(params, 100_000, 0.02, rng)
     fit = fit_gilbert(losses, spacing_s=0.02)
-    assert fitted_loss_rate(fit) == pytest.approx(fit.loss_rate, rel=0.2)
+    bad = fit.params.stationary_bad_fraction
+    implied = bad * fit.params.loss_bad + (1.0 - bad) * fit.params.loss_good
+    assert implied == pytest.approx(fit.loss_rate, rel=0.2)
 
 
 def test_fit_clean_trace():

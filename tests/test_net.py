@@ -203,15 +203,6 @@ def test_middlebox_service_delay_scales_with_load():
     assert loaded - base == pytest.approx(0.0011, rel=0.05)
 
 
-def test_middlebox_deregister_reduces_load():
-    sim = Simulator()
-    mbox = make_middlebox(sim)
-    mbox.register_flow("rt0", lambda p: None)
-    mbox.register_flow("rt1", lambda p: None)
-    mbox.deregister_flow("rt1")
-    assert mbox.registered_streams == 1
-
-
 # ------------------------------------------- middlebox drain contract
 
 def test_middlebox_stop_mid_drain_rebuffers_in_flight():
@@ -283,25 +274,6 @@ def test_middlebox_default_config_not_shared():
     # middlebox.
     sim = Simulator()
     assert Middlebox(sim).config is not Middlebox(sim).config
-
-
-def test_middlebox_retrieve_leaves_unrequested_buffered():
-    # Per-sequence retrieval forwards exactly what was asked for; the
-    # rest stays buffered for a later start.
-    sim = Simulator()
-    mbox = make_middlebox(sim, depth=5)
-    got = []
-    mbox.register_flow("rt0", got.append)
-    for i in range(4):
-        sim.call_at(0.0, mbox.replica_arrival, packet(i))
-    found = []
-    sim.call_at(1.0, lambda: found.append(
-        mbox.retrieve("rt0", [1, 3, 7])))
-    sim.call_at(2.0, mbox.start, "rt0")
-    sim.run()
-    assert found == [2]                          # 7 was never buffered
-    assert [p.seq for p in got] == [1, 3, 0, 2]
-    assert mbox.stats.retrieve_messages == 1
 
 
 # ------------------------------------------------- SDN switch coverage

@@ -258,7 +258,7 @@ def test_span_context_manager_and_clock_regression():
     spans = SpanTracker(clock, registry=MetricsRegistry())
     with spans.span("s") as span:
         clock.now = 0.5
-    assert span.closed
+    assert span.end_time is not None
     clock.now = 1.0
     late = spans.span("late")
     clock.now = 0.0

@@ -61,12 +61,11 @@ def test_cross_link_never_worse_than_either(losses_a, losses_b):
     assert merged.loss_rate <= run.trace_b.loss_rate + 1e-12
 
 
-@given(loss_patterns, loss_patterns,
-       st.integers(min_value=1, max_value=5))
-def test_divert_outcome_always_one_of_the_links(losses_a, losses_b, h):
+@given(loss_patterns, loss_patterns)
+def test_divert_outcome_always_one_of_the_links(losses_a, losses_b):
     n = min(len(losses_a), len(losses_b))
     run = paired(losses_a[:n], losses_b[:n])
-    trace = divert(run, window_h=h, threshold_t=1)
+    trace = divert(run)
     for i in range(n):
         assert bool(trace.delivered[i]) in (
             not losses_a[i], not losses_b[i])
@@ -102,7 +101,7 @@ def test_batch_divert_matches_event_divert(b, n, p_a, p_b, seed):
     delivered, delays = batch_strategies.divert(block)
     assert delivered.shape == delays.shape == (b, n)
     for pos in range(b):
-        trace = divert(block.paired_run(pos), 1, 1)
+        trace = divert(block.paired_run(pos))
         assert np.array_equal(delivered[pos], trace.delivered)
         assert delays[pos].tobytes() == trace.delays.tobytes()
 
@@ -169,12 +168,13 @@ def test_concealment_accounts_every_missing_frame(losses):
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False), min_size=1, max_size=200))
 def test_cdf_monotone_and_bounded(samples):
-    cdf = EmpiricalCdf(samples)
-    xs = sorted(samples)
-    values = [cdf.evaluate(x) for x in xs]
-    assert all(0.0 <= v <= 1.0 for v in values)
+    series = EmpiricalCdf(samples).series()
+    xs = [x for x, _ in series]
+    values = [v for _, v in series]
+    assert xs == sorted(xs)
+    assert all(0.0 < v <= 1.0 for v in values)
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    assert cdf.evaluate(xs[-1]) == 1.0
+    assert values[-1] == 1.0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False),

@@ -1,5 +1,4 @@
-"""Second round of property-based tests: multilink, FEC, fitting,
-tracing."""
+"""Second round of property-based tests: multilink, FEC and fitting."""
 
 import math
 
@@ -12,7 +11,6 @@ from repro.core.config import StreamProfile
 from repro.core.fec import FecConfig, apply_fec
 from repro.core.multilink import MultiLinkRun, best_of
 from repro.core.packet import LinkTrace
-from repro.sim.tracing import EventLog
 
 
 loss_patterns = st.lists(st.booleans(), min_size=1, max_size=200)
@@ -109,19 +107,3 @@ def test_fit_gilbert_sojourns_positive(losses):
     fit = fit_gilbert(np.array(losses, dtype=float))
     assert fit.params.mean_good_s > 0
     assert fit.params.mean_bad_s > 0
-
-
-# ----------------------------------------------------------------- tracing
-
-@given(st.lists(st.tuples(st.floats(min_value=0, max_value=100,
-                                    allow_nan=False),
-                          st.sampled_from(["a", "b", "c"])),
-                max_size=100),
-       st.integers(min_value=1, max_value=20))
-def test_event_log_capacity_invariant(events, capacity):
-    log = EventLog(capacity=capacity)
-    for t, kind in events:
-        log.record(t, "src", kind)
-    assert len(log) == min(len(events), capacity)
-    assert log.dropped == max(len(events) - capacity, 0)
-    assert sum(log.counts().values()) == len(log)

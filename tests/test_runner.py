@@ -21,6 +21,7 @@ from repro.obs import (
     EMPTY_METRICS_JSON,
     MetricsRegistry,
     active_registry,
+    merge_metrics_json,
     to_canonical_json,
 )
 from repro.runner import (
@@ -129,6 +130,14 @@ def test_spec_defaults_to_code_fingerprint():
 def test_spec_rejects_malformed_task():
     with pytest.raises(ValueError):
         RunSpec.build("not-an-entry-point", 0)
+
+
+@pytest.mark.parametrize("task", [lambda seed: seed, None, 3])
+def test_spec_rejects_non_string_task(task):
+    """Regression: a callable task failed with ``TypeError: argument of
+    type 'function' is not iterable`` instead of naming the contract."""
+    with pytest.raises(ValueError, match="module:function"):
+        RunSpec.build(task, 0)
 
 
 def test_canonical_json_is_byte_stable():
@@ -599,7 +608,7 @@ def test_run_results_carry_metrics_blob():
     batch = run_batch(specs, config=RunnerConfig(no_cache=True))
     for result in batch.results:
         assert result.metrics.counter("task.calls").value == 1.0
-    merged = batch.merged_metrics()
+    merged = merge_metrics_json([r.metrics_json for r in batch.results])
     assert merged.counter("task.calls").value == 3.0
     assert merged.counter("task.amount").value == 6.0
     # Histogram buckets are half-open: seeds {0,1} < 2, {2,3} in [2,4).
@@ -628,7 +637,8 @@ def test_metrics_identical_serial_parallel_and_warm(pool_pythonpath,
     warm = run_batch(specs, config=RunnerConfig(cache_dir=tmp_path))
     assert parallel.stats.pool_used
     assert warm.stats.cache_hits == 4 and warm.stats.executed == 0
-    blobs = [to_canonical_json(batch.merged_metrics())
+    blobs = [to_canonical_json(merge_metrics_json(
+                 [r.metrics_json for r in batch.results]))
              for batch in (serial, parallel, warm)]
     assert blobs[0] == blobs[1] == blobs[2]
     assert serial.digest == parallel.digest == warm.digest

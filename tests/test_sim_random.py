@@ -59,13 +59,6 @@ def test_fork_is_deterministic_and_disjoint(monkeypatch):
     assert not np.array_equal(f1.stream("x").random(20), f2.stream("x").random(20))
 
 
-def test_streams_created_lists_names():
-    router = RandomRouter(seed=0)
-    router.stream("a")
-    router.stream("b")
-    assert set(router.streams_created()) == {"a", "b"}
-
-
 # ---------------------------------------------------- sanitizer (REPRO_SANITIZE)
 
 def _component_a(router):

@@ -33,11 +33,10 @@ class DeadLink(PerfectLink):
         return DeliveryRecord(seq=seq, send_time=send_time, delivered=False)
 
 
-def make_ap(sim, policy="head", qlen=5, batch=1, link=None, redeliver=0):
+def make_ap(sim, policy="head", qlen=5, batch=1, link=None):
     from repro.wifi.ap import AccessPoint
     config = APConfig(drop_policy=policy, max_queue_len=qlen,
-                      hardware_queue_batch=batch,
-                      psm_redelivery_attempts=redeliver)
+                      hardware_queue_batch=batch)
     return AccessPoint(sim, "ap", link or PerfectLink(), config)
 
 
@@ -140,7 +139,7 @@ def test_absent_client_transmissions_counted_not_delivered():
     ap.set_receiver(lambda p, t, name: got.append(p.seq))
     sim.call_at(0.0, ap.wired_arrival, packet(0))
     # Client leaves the channel immediately; the frame is already queued.
-    sim.call_at(0.0, ap.client_absent, True)
+    sim.call_at(0.0, ap.client_sleep)
     sim.run()
     assert got == []
     assert ap.stats.air_transmissions == 1
@@ -157,16 +156,6 @@ def test_failed_transmission_not_delivered():
     assert got == []
     assert ap.stats.air_transmissions == 1
     assert ap.stats.delivered == 0
-
-
-def test_redelivery_retries_failed_frames():
-    sim = Simulator()
-    link = DeadLink()
-    ap = make_ap(sim, link=link, redeliver=2)
-    ap.set_receiver(lambda p, t, name: None)
-    sim.call_at(0.0, ap.wired_arrival, packet(0))
-    sim.run()
-    assert ap.stats.air_transmissions == 3  # initial + 2 retries
 
 
 def test_per_seq_transmission_counter():

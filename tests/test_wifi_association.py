@@ -7,7 +7,7 @@ from repro.sim import RandomRouter, Simulator
 from repro.wifi.ap import AccessPoint
 from repro.wifi.association import WifiManager
 from repro.wifi.psm import PowerSaveClient, PsmConfig
-from repro.wifi.scan import BssEntry, ScanResult, distinct_channel_count
+from repro.wifi.scan import BssEntry, ScanResult
 
 from tests.test_wifi_ap import PerfectLink
 
@@ -176,13 +176,3 @@ def test_scan_counts_connectable_bssids():
 def test_scan_counts_distinct_channels():
     scan = ScanResult("office", entries())
     assert scan.n_channels == 2   # channels 1 and 11; ch 6 not connectable
-
-
-def test_scan_strongest_ordering():
-    scan = ScanResult("office", entries())
-    top = scan.strongest(2)
-    assert [e.bssid for e in top] == ["aa:1", "aa:2"]
-
-
-def test_distinct_channel_count_helper():
-    assert distinct_channel_count(entries()) == 3

@@ -36,13 +36,13 @@ class EmpiricalCdf:
             raise ValueError("quantile argument outside [0, 1]")
         return float(np.percentile(self._sorted, q * 100.0))
 
-    def series(self, points: int = 100) -> List[Tuple[float, float]]:
-        """(x, F(x)) pairs for plotting/printing."""
+    def series(self) -> List[Tuple[float, float]]:
+        """At most 100 (x, F(x)) pairs for plotting/printing."""
         n = self._sorted.size
         fractions = np.arange(1, n + 1) / n
-        if n <= points:
+        if n <= 100:
             return list(zip(self._sorted.tolist(), fractions.tolist()))
-        idx = np.linspace(0, n - 1, points).astype(int)
+        idx = np.linspace(0, n - 1, 100).astype(int)
         return list(zip(self._sorted[idx].tolist(), fractions[idx].tolist()))
 
     @property

@@ -58,22 +58,15 @@ def loss_crosscorrelation(trace_a: Union[LinkTrace, np.ndarray],
                      for lag in range(1, max_lag + 1)])
 
 
-def mean_correlation_series(pairs: Sequence, max_lag: int = 20,
-                            cross: bool = False) -> np.ndarray:
-    """Average correlation curves over many calls.
+def mean_correlation_series(pairs: Sequence) -> np.ndarray:
+    """Average the autocorrelation of ``trace_a`` at lags 1..20 over
+    many calls.
 
-    ``pairs`` is a sequence of (trace_a, trace_b); with ``cross=False``
-    the autocorrelation of ``trace_a`` is averaged, with ``cross=True``
-    the cross-correlation of the pair.  Calls whose loss process is
-    degenerate (no losses) contribute zeros, mirroring how an all-delivered
-    call carries no correlation information.
+    ``pairs`` is a sequence of (trace_a, trace_b).  Calls whose loss
+    process is degenerate (no losses) contribute zeros, mirroring how an
+    all-delivered call carries no correlation information.
     """
-    curves = []
-    for trace_a, trace_b in pairs:
-        if cross:
-            curves.append(loss_crosscorrelation(trace_a, trace_b, max_lag))
-        else:
-            curves.append(loss_autocorrelation(trace_a, max_lag))
+    curves = [loss_autocorrelation(trace_a) for trace_a, _trace_b in pairs]
     if not curves:
-        return np.zeros(max_lag)
+        return np.zeros(20)
     return np.mean(np.vstack(curves), axis=0)

@@ -70,9 +70,9 @@ def _run_lengths(indicator: np.ndarray):
 
 
 def fit_gilbert(trace: Union[LinkTrace, np.ndarray],
-                spacing_s: float = 0.020,
-                loss_bad: float = 1.0) -> GilbertFit:
-    """Fit a Gilbert–Elliott model to a loss indicator sequence."""
+                spacing_s: float = 0.020) -> GilbertFit:
+    """Fit a Gilbert–Elliott model to a loss indicator sequence: every
+    packet in the bad state is lost, none in the good state."""
     indicator = _loss_array(trace)
     if indicator.size == 0:
         raise ValueError("empty trace")
@@ -82,7 +82,7 @@ def fit_gilbert(trace: Union[LinkTrace, np.ndarray],
     if not loss_runs:
         # No losses observed: report an (effectively) always-good model.
         params = GilbertParams(mean_good_s=1e6, mean_bad_s=spacing_s,
-                               loss_good=0.0, loss_bad=loss_bad)
+                               loss_good=0.0, loss_bad=1.0)
         return GilbertFit(params=params, loss_rate=0.0,
                           mean_burst_packets=0.0, n_bursts=0,
                           log_likelihood=0.0)
@@ -97,7 +97,7 @@ def fit_gilbert(trace: Union[LinkTrace, np.ndarray],
     params = GilbertParams(
         mean_good_s=max(mean_good_s, spacing_s),
         mean_bad_s=max(mean_bad_s, spacing_s * 0.5),
-        loss_good=0.0, loss_bad=loss_bad)
+        loss_good=0.0, loss_bad=1.0)
 
     # Log-likelihood of the run-length data under geometric run lengths.
     p_exit_bad = 1.0 / mean_loss_run

@@ -45,14 +45,14 @@ def render_cdf_series(title: str,
     return "\n".join(lines)
 
 
-def render_histogram(title: str, buckets: Dict[str, float],
-                     unit: str = "avg packets") -> str:
-    """A labelled bar list (Figure 5/9 style)."""
+def render_histogram(title: str, buckets: Dict[str, float]) -> str:
+    """A labelled bar list of per-call packet counts (Figure 5/9
+    style)."""
     lines = [title, "=" * len(title)]
     peak = max(buckets.values()) if buckets else 0.0
     for label, value in buckets.items():
         bar = "#" * int(round(30 * value / peak)) if peak > 0 else ""
-        lines.append(f"{label:>6s}  {value:8.2f} {unit:12s} {bar}")
+        lines.append(f"{label:>6s}  {value:8.2f} {'avg packets':12s} {bar}")
     return "\n".join(lines)
 
 

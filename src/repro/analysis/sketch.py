@@ -97,10 +97,9 @@ class LabeledCounts:
             return float("nan")
         return poor / n
 
-    def wilson(self, label: Tuple[str, ...],
-               z: float = 1.96) -> Tuple[float, float]:
+    def wilson(self, label: Tuple[str, ...]) -> Tuple[float, float]:
         n, poor = self.counts.get(label, (0, 0))
-        return wilson_interval(poor, n, z=z)
+        return wilson_interval(poor, n)
 
     def to_payload(self) -> List[List[Any]]:
         """``[[label..., n, poor], ...]`` sorted by label (byte-stable)."""
@@ -330,9 +329,8 @@ class MomentSketch:
 # ---------------------------------------------------------------------------
 # confidence bounds
 
-def wilson_interval(successes: int, n: int,
-                    z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Preferred over the normal approximation because population PCRs sit
     near 0.1 where the Wald interval undercovers; at n = 0 the interval
@@ -343,6 +341,7 @@ def wilson_interval(successes: int, n: int,
     if n == 0:
         return (0.0, 1.0)
     p = successes / n
+    z = 1.96   # the normal quantile of a two-sided 95% interval
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom

@@ -13,25 +13,20 @@ lean on informally:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.sim.random import RandomRouter
 
 
-def _resampling_rng(rng: Optional[np.random.Generator], seed: int,
-                    stream: str) -> np.random.Generator:
-    """The generator used for resampling draws.
-
-    Callers may inject their own ``rng`` (typically a
-    ``RandomRouter.stream(...)``); otherwise one is derived from ``seed``
-    through a router so the draws live on a named stream like every other
-    stochastic component, rather than a raw ``np.random.default_rng``.
-    """
-    if rng is not None:
-        return rng
-    return RandomRouter(seed).stream(stream)
+#: two-sided coverage of every interval below; every resampling draw
+#: comes from a named stream of a router seeded with 0, like every other
+#: stochastic component
+CONFIDENCE = 0.95
+#: bootstrap resamples, and sign-flip permutations of the paired test
+N_RESAMPLES = 2000
+N_PERMUTATIONS = 5000
 
 
 @dataclass(frozen=True)
@@ -52,49 +47,34 @@ class Interval:
                 f"@{self.confidence:.0%}")
 
 
-def bootstrap_interval(samples: Sequence[float],
-                       statistic: Callable[[np.ndarray], float] = np.mean,
-                       confidence: float = 0.95,
-                       n_resamples: int = 2000,
-                       seed: int = 0,
-                       rng: Optional[np.random.Generator] = None) -> Interval:
-    """Percentile-bootstrap CI for ``statistic`` of ``samples``."""
+def bootstrap_interval(samples: Sequence[float]) -> Interval:
+    """Percentile-bootstrap CI for the mean of ``samples``."""
     data = np.asarray(list(samples), dtype=float)
     if data.size == 0:
         raise ValueError("no samples")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    rng = _resampling_rng(rng, seed, "analysis.bootstrap")
-    stats = np.empty(n_resamples)
-    for i in range(n_resamples):
+    rng = RandomRouter(0).stream("analysis.bootstrap")
+    stats = np.empty(N_RESAMPLES)
+    for i in range(N_RESAMPLES):
         resample = data[rng.integers(0, data.size, size=data.size)]
-        stats[i] = statistic(resample)
-    alpha = (1.0 - confidence) / 2.0
-    return Interval(point=float(statistic(data)),
+        stats[i] = np.mean(resample)
+    alpha = (1.0 - CONFIDENCE) / 2.0
+    return Interval(point=float(np.mean(data)),
                     low=float(np.quantile(stats, alpha)),
                     high=float(np.quantile(stats, 1.0 - alpha)),
-                    confidence=confidence)
+                    confidence=CONFIDENCE)
 
 
-def paired_difference_interval(a: Sequence[float], b: Sequence[float],
-                               confidence: float = 0.95,
-                               n_resamples: int = 2000,
-                               seed: int = 0,
-                               rng: Optional[np.random.Generator] = None
+def paired_difference_interval(a: Sequence[float], b: Sequence[float]
                                ) -> Interval:
     """Bootstrap CI for mean(a - b) over paired per-run metrics."""
     a = np.asarray(list(a), dtype=float)
     b = np.asarray(list(b), dtype=float)
     if a.shape != b.shape:
         raise ValueError("paired samples must have equal length")
-    return bootstrap_interval(a - b, confidence=confidence,
-                              n_resamples=n_resamples, seed=seed, rng=rng)
+    return bootstrap_interval(a - b)
 
 
-def permutation_pvalue(a: Sequence[float], b: Sequence[float],
-                       n_permutations: int = 5000,
-                       seed: int = 0,
-                       rng: Optional[np.random.Generator] = None) -> float:
+def permutation_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
     """One-sided paired sign-flip test for mean(a) < mean(b).
 
     Returns the probability, under random sign flips of the paired
@@ -107,39 +87,34 @@ def permutation_pvalue(a: Sequence[float], b: Sequence[float],
         raise ValueError("paired samples must have equal length")
     diffs = a - b
     observed = diffs.mean()
-    rng = _resampling_rng(rng, seed, "analysis.permutation")
+    rng = RandomRouter(0).stream("analysis.permutation")
     count = 0
-    for _ in range(n_permutations):
+    for _ in range(N_PERMUTATIONS):
         signs = rng.choice((-1.0, 1.0), size=diffs.size)
         if (diffs * signs).mean() <= observed:
             count += 1
-    return (count + 1) / (n_permutations + 1)
+    return (count + 1) / (N_PERMUTATIONS + 1)
 
 
 def improvement_factor_interval(baseline: Sequence[float],
-                                treatment: Sequence[float],
-                                confidence: float = 0.95,
-                                n_resamples: int = 2000,
-                                seed: int = 0,
-                                rng: Optional[np.random.Generator] = None
-                                ) -> Interval:
+                                treatment: Sequence[float]) -> Interval:
     """Bootstrap CI for mean(baseline)/mean(treatment) — the "2.24x"
     style headline numbers (PCR cut factors)."""
     base = np.asarray(list(baseline), dtype=float)
     treat = np.asarray(list(treatment), dtype=float)
     if base.size == 0 or treat.size == 0:
         raise ValueError("no samples")
-    rng = _resampling_rng(rng, seed, "analysis.improvement")
+    rng = RandomRouter(0).stream("analysis.improvement")
     ratios = []
-    for _ in range(n_resamples):
+    for _ in range(N_RESAMPLES):
         rb = base[rng.integers(0, base.size, size=base.size)]
         rt = treat[rng.integers(0, treat.size, size=treat.size)]
         denominator = max(rt.mean(), 1e-12)
         ratios.append(rb.mean() / denominator)
     ratios = np.asarray(ratios)
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - CONFIDENCE) / 2.0
     point = base.mean() / max(treat.mean(), 1e-12)
     return Interval(point=float(point),
                     low=float(np.quantile(ratios, alpha)),
                     high=float(np.quantile(ratios, 1.0 - alpha)),
-                    confidence=confidence)
+                    confidence=CONFIDENCE)

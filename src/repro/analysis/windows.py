@@ -53,28 +53,24 @@ def window_loss_rates(trace: Union[LinkTrace, np.ndarray],
     return np.asarray(rates)
 
 
-def assign_windows(times: np.ndarray, window_s: float = 5.0,
-                   start_time: float = 0.0) -> np.ndarray:
-    """Half-open window index for each timestamp.
+def assign_windows(times: np.ndarray) -> np.ndarray:
+    """Half-open 5-second window index for each timestamp.
 
-    A timestamp ``t`` lands in window ``floor((t - start_time) /
-    window_s)``: window ``i`` covers ``[start + i*w, start + (i+1)*w)``,
-    so a packet exactly on a boundary belongs to the later window and
-    no timestamp is ever counted in two adjacent windows.
+    A timestamp ``t`` lands in window ``floor(t / 5)``: window ``i``
+    covers ``[5i, 5(i+1))``, so a packet exactly on a boundary belongs to
+    the later window and no timestamp is ever counted in two adjacent
+    windows.
     """
-    if window_s <= 0:
-        raise ValueError(f"window_s must be positive, got {window_s!r}")
     times = np.asarray(times, dtype=float)
-    if np.any(times < start_time):
-        raise ValueError("timestamps precede start_time")
-    return np.floor((times - start_time) / window_s).astype(int)
+    if np.any(times < 0.0):
+        raise ValueError("timestamps precede the call's start")
+    return np.floor(times / 5.0).astype(int)
 
 
 def window_loss_rates_timed(times: np.ndarray,
-                            losses: Union[LinkTrace, np.ndarray],
-                            window_s: float = 5.0,
-                            start_time: float = 0.0) -> np.ndarray:
-    """Per-window loss rates with windows cut by *timestamp*.
+                            losses: Union[LinkTrace, np.ndarray]
+                            ) -> np.ndarray:
+    """Per-5-second-window loss rates with windows cut by *timestamp*.
 
     Unlike :func:`window_loss_rates` (fixed packet-count blocks), this
     handles irregular send times: packets are binned by
@@ -89,7 +85,7 @@ def window_loss_rates_timed(times: np.ndarray,
             f"times {times.shape} and losses {loss.shape} differ")
     if times.size == 0:
         return np.array([])
-    ids = assign_windows(times, window_s, start_time)
+    ids = assign_windows(times)
     n_windows = int(ids.max()) + 1
     lost = np.bincount(ids, weights=loss, minlength=n_windows)
     total = np.bincount(ids, minlength=n_windows)

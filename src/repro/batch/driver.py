@@ -26,16 +26,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.batch.population import (
-    DEFAULT_BLOCK_SESSIONS,
-    PopulationSpec,
-)
+from repro.batch.population import PopulationSpec
 from repro.batch.render import TraceBlock, render_block
 from repro.batch.sanity import check_block_equivalence
 from repro.batch.summary import session_payloads
 from repro.obs import RATIO_BUCKETS, SimulatedClock, SpanTracker
 from repro.obs.runtime import active_registry, collecting
-from repro.runner import RunnerConfig, map_configs
+from repro.runner import map_configs
 from repro.sim.sanitize import sanitizer_enabled
 
 #: runner entry point
@@ -121,10 +118,7 @@ def batch_wild_metrics(n_runs: int, seed: int,
                        highrate: bool = False,
                        duration_s: Optional[float] = None,
                        scenario: Optional[str] = None,
-                       max_lag: int = 20,
-                       block_size: int = DEFAULT_BLOCK_SESSIONS,
-                       runner_config: Optional[RunnerConfig] = None
-                       ) -> List[Dict[str, Any]]:
+                       max_lag: int = 20) -> List[Dict[str, Any]]:
     """Whole-population counterpart of ``section4._wild_metrics``.
 
     Shards the population into cache-keyed blocks, maps
@@ -136,8 +130,7 @@ def batch_wild_metrics(n_runs: int, seed: int,
         n_sessions=n_runs, root_seed=seed,
         deltas=tuple(float(d) for d in deltas),
         mimo_branches=mimo_branches, highrate=highrate,
-        duration_s=duration_s, scenario=scenario, max_lag=max_lag,
-        block_size=block_size)
+        duration_s=duration_s, scenario=scenario, max_lag=max_lag)
     base: Dict[str, Any] = {
         "root_seed": seed,
         "deltas": [float(d) for d in deltas],
@@ -155,7 +148,7 @@ def batch_wild_metrics(n_runs: int, seed: int,
     # active-registry global); payloads and exported metrics are
     # unaffected — test_sanitize_does_not_perturb_block_metrics pins it.
     block_payloads = map_configs(  # reproflow: disable=PUR101
-        BATCH_TASK, items, config=runner_config)
+        BATCH_TASK, items)
     flat: List[Dict[str, Any]] = []
     for payload in block_payloads:
         flat.extend(payload)

@@ -54,7 +54,7 @@ from repro.batch.population import PopulationSpec, SessionSetup
 from repro.channel.gilbert import GilbertParams
 from repro.channel.interference import CongestionProcess, MicrowaveOven
 from repro.channel.link import LinkConfig
-from repro.channel.pathloss import rssi_to_snr_db
+from repro.channel.pathloss import SHADOWING_CORRELATION, rssi_to_snr_db
 from repro.core.config import StreamProfile
 from repro.core.packet import LinkTrace
 from repro.core.replication import PairedRun
@@ -62,7 +62,7 @@ from repro.core.types import BoolArray, FloatArray
 from repro.scenarios import InterferenceSpec, MobilityModel, ScenarioSetup
 from repro.sim.random import RandomRouter
 from repro.wifi.mac import contention_windows
-from repro.wifi.phy import MCS_TABLE, PhyConfig
+from repro.wifi.phy import MAC_OVERHEAD_S, MCS_TABLE, PhyConfig
 
 #: per-MCS curve constants, columnized for vectorized PER evaluation
 _MCS_MID_DB = np.array([m.snr_mid_db for m in MCS_TABLE])
@@ -71,9 +71,6 @@ _MCS_RATE_MBPS = np.array([m.phy_rate_mbps for m in MCS_TABLE])
 
 #: RSSI sampling period of the event path's paired-run renderer
 _RSSI_SAMPLE_PERIOD_S = 1.0
-
-#: airtime MAC/PHY overhead (preamble, SIFS, ACK) — phy.airtime_s default
-_MAC_OVERHEAD_S = 1.1e-4
 
 #: extra span horizon so attempt times past the last slot stay covered
 _SPAN_MARGIN_S = 0.5
@@ -338,7 +335,7 @@ def _slow_state(config: LinkConfig, drifting: bool,
     n_seg = len(seg_starts_s)
     shadow = np.empty(n_seg)
     shadow[0] = float(rng_shadow.normal(0.0, pl.shadowing_sigma_db))
-    correlation = 0.8   # LogDistancePathLoss.redraw_shadowing default
+    correlation = SHADOWING_CORRELATION
     innovation_sigma = pl.shadowing_sigma_db * np.sqrt(
         1.0 - correlation ** 2)
     for k in range(1, n_seg):
@@ -446,7 +443,7 @@ def _render_link(config: LinkConfig, slow: _SlowState,
     slope = _MCS_SLOPE_DB[mcs_idx]
     rate_mbps = _MCS_RATE_MBPS[mcs_idx]
     airtime = (profile.packet_size_bytes * 8.0 / (rate_mbps * 1e6)
-               + _MAC_OVERHEAD_S)                       # (n_ext,)
+               + MAC_OVERHEAD_S)                        # (n_ext,)
     backoff = _attempt_backoff_means_s(config)          # (n_attempts,)
 
     # Queueing delay, drawn at each slot's send time (event order: the

@@ -41,7 +41,7 @@ DELAY_REL_TOL = 0.5
 DELAY_ABS_TOL = 0.010
 
 #: sessions re-run through the event path per checked block
-DEFAULT_SAMPLE_SESSIONS = 3
+SAMPLE_SESSIONS = 3
 
 
 class BatchEquivalenceError(SanitizerError):
@@ -81,17 +81,15 @@ def _within(batch: float, event: float, rel: float, abs_tol: float) -> bool:
     return abs(batch - event) <= max(rel * abs(event), abs_tol)
 
 
-def check_block_equivalence(
-        spec: PopulationSpec, block: TraceBlock,
-        sample_sessions: int = DEFAULT_SAMPLE_SESSIONS
-) -> EquivalenceReport:
+def check_block_equivalence(spec: PopulationSpec, block: TraceBlock
+                            ) -> EquivalenceReport:
     """Re-run a sample of ``block`` through the event engine and compare.
 
     Returns the comparison report on success; raises
     :class:`BatchEquivalenceError` on scenario mismatch or statistical
     divergence.
     """
-    positions = _sample_positions(block.n_sessions, sample_sessions)
+    positions = _sample_positions(block.n_sessions, SAMPLE_SESSIONS)
     batch_loss = np.zeros((len(positions), 2))
     batch_delay = np.zeros((len(positions), 2))
     event_loss = np.zeros((len(positions), 2))

@@ -33,14 +33,13 @@ from repro.voice.quality import emodel_r_factor, r_to_mos
 _WINDOW_S = 5.0
 
 
-def worst_window_rows(losses: FloatArray, spacing_s: float,
-                      window_s: float = _WINDOW_S) -> FloatArray:
+def worst_window_rows(losses: FloatArray, spacing_s: float) -> FloatArray:
     """Per-row :func:`repro.analysis.windows.worst_window_loss`:
     fixed packet-count blocks including the trailing partial window."""
     b, n = losses.shape
     if n == 0:
         return np.zeros(b)
-    per_window = max(int(round(window_s / spacing_s)), 1)
+    per_window = max(int(round(_WINDOW_S / spacing_s)), 1)
     offsets = np.arange(0, n, per_window)
     sums = np.add.reduceat(losses, offsets, axis=1)
     counts = np.diff(np.append(offsets, n))

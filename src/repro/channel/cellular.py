@@ -72,12 +72,10 @@ class CellularLink:
         return DeliveryRecord(seq=seq, send_time=send_time, delivered=True,
                               arrival_time=send_time + delay)
 
-    def generate_trace(self, profile: StreamProfile,
-                       start_time: float = 0.0) -> LinkTrace:
+    def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call over the cellular link."""
         n = profile.n_packets
-        send_times = (start_time
-                      + np.arange(n) * profile.inter_packet_spacing_s)
+        send_times = np.arange(n) * profile.inter_packet_spacing_s
         delivered = np.zeros(n, dtype=bool)
         delays = np.full(n, np.nan)
         for seq in range(n):

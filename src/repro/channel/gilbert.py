@@ -55,11 +55,10 @@ class GilbertElliott:
 
     GOOD, BAD = 0, 1
 
-    def __init__(self, params: GilbertParams, rng: np.random.Generator,
-                 start_time: float = 0.0):
+    def __init__(self, params: GilbertParams, rng: np.random.Generator):
         self.params = params
         self._rng = rng
-        self._time = float(start_time)
+        self._time = 0.0
         # Start from the stationary distribution so traces are unbiased.
         in_bad = rng.random() < params.stationary_bad_fraction
         self._state = self.BAD if in_bad else self.GOOD

@@ -227,12 +227,10 @@ class WifiLink:
             seq=seq, send_time=send_time, delivered=result.delivered,
             arrival_time=arrival if result.delivered else float("nan"))
 
-    def generate_trace(self, profile: StreamProfile,
-                       start_time: float = 0.0) -> LinkTrace:
+    def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call's outcomes as a :class:`LinkTrace`."""
         n = profile.n_packets
-        send_times = (start_time
-                      + np.arange(n) * profile.inter_packet_spacing_s)
+        send_times = np.arange(n) * profile.inter_packet_spacing_s
         delivered = np.zeros(n, dtype=bool)
         delays = np.full(n, np.nan)
         for seq in range(n):

@@ -10,7 +10,7 @@ diagonal corners of a 30 m x 15 m floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -51,14 +51,13 @@ class RandomWaypointMobility:
     def __init__(self, rng: np.random.Generator,
                  floor: Tuple[float, float] = (30.0, 15.0),
                  speed_range: Tuple[float, float] = (0.5, 1.5),
-                 pause_s: float = 2.0,
-                 start: Optional[Position] = None):
+                 pause_s: float = 2.0):
         self._rng = rng
         self.floor = floor
         self.speed_range = speed_range
         self.pause_s = pause_s
         self._time = 0.0
-        self._position = start or self._random_point()
+        self._position = self._random_point()
         self._begin_leg()
 
     @property

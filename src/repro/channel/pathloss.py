@@ -21,13 +21,13 @@ import numpy as np
 NOISE_FLOOR_DBM = -101.0
 #: typical client receiver noise figure, dB
 NOISE_FIGURE_DB = 7.0
+#: lag-one correlation of the shadowing term across a client move
+SHADOWING_CORRELATION = 0.8
 
 
-def rssi_to_snr_db(rssi_dbm: float,
-                   noise_floor_dbm: float = NOISE_FLOOR_DBM,
-                   noise_figure_db: float = NOISE_FIGURE_DB) -> float:
+def rssi_to_snr_db(rssi_dbm: float) -> float:
     """Convert an RSSI reading to an SNR estimate in dB."""
-    return rssi_dbm - (noise_floor_dbm + noise_figure_db)
+    return rssi_dbm - (NOISE_FLOOR_DBM + NOISE_FIGURE_DB)
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ class LogDistancePathLoss:
         """Current log-normal shadowing term in dB."""
         return self._shadowing_db
 
-    def redraw_shadowing(self, correlation: float = 0.8) -> None:
+    def redraw_shadowing(self) -> None:
         """Evolve shadowing as an AR(1) step (used on client movement)."""
-        if not 0.0 <= correlation <= 1.0:
-            raise ValueError("correlation must lie in [0, 1]")
+        correlation = SHADOWING_CORRELATION
         sigma = self.params.shadowing_sigma_db
         innovation = self._rng.normal(
             0.0, sigma * np.sqrt(1.0 - correlation ** 2))

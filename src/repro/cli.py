@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run count override (per experiment; "
                              "table1: calls generated, table2: calls "
                              "scaled against the 9224-call deployment)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="root random seed (default 0)")
     parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes for independent runs "

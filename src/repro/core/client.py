@@ -31,12 +31,16 @@ import numpy as np
 from repro.core.config import ClientConfig, StreamProfile
 from repro.core.packet import Packet, StreamTrace
 from repro.core.types import ReplicaBuffer
-from repro.obs.registry import LabelValue, MetricsRegistry
+from repro.obs.registry import LabelValue
 from repro.obs.runtime import active_registry
 from repro.obs.spans import Span, SpanTracker
 from repro.sim.engine import Event, Simulator
 from repro.sim.tracing import EventLog
 from repro.wifi.association import WifiManager
+
+#: expected wired-path delay of a packet, added to its send time before
+#: ``PacketLossTimeout`` starts to run
+NOMINAL_DELAY_S = 0.005
 
 
 @dataclass
@@ -63,29 +67,25 @@ class DiversiFiClient:
 
     def __init__(self, sim: Simulator, manager: WifiManager,
                  profile: StreamProfile, config: ClientConfig,
-                 stream_start_time: float = 0.0,
-                 nominal_delay_s: float = 0.005,
                  middlebox: Optional[ReplicaBuffer] = None,
-                 flow_id: str = "rt0",
                  enabled: bool = True,
                  event_log: Optional[EventLog] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.sim = sim
         self.manager = manager
         self.profile = profile
         self.config = config
-        self.flow_id = flow_id
+        #: the flow ``run_session`` registers with the middlebox
+        self.flow_id = "rt0"
         self.middlebox = middlebox
         #: with ``enabled=False`` the client never taps the secondary —
         #: the single-link baseline of Figure 8.
         self.enabled = enabled
         self.stats = ClientStats()
         self._event_log = event_log
-        # Explicit registry wins; otherwise pick up the registry the
-        # runner installed for this task, if any (see repro.obs.runtime).
-        self._metrics = metrics if metrics is not None \
-            else active_registry()
+        # The registry the runner installed for this task, if any (see
+        # repro.obs.runtime).
+        self._metrics = active_registry()
         self._metric_labels: Dict[str, LabelValue] = \
             dict(metric_labels or {})
         self._spans = SpanTracker(clock=lambda: self.sim.now,
@@ -94,11 +94,9 @@ class DiversiFiClient:
         self._visit_span: Optional[Span] = None
 
         n = profile.n_packets
-        send_times = (stream_start_time
-                      + np.arange(n) * profile.inter_packet_spacing_s)
+        send_times = np.arange(n) * profile.inter_packet_spacing_s
         self.trace = StreamTrace(n_packets=n, send_times=send_times)
         self._send_times = send_times
-        self._nominal_delay_s = nominal_delay_s
         self._highest_seen = -1
         #: seq -> recovery deadline (send time + MaxTolerableDelay)
         self._pending_lost: Dict[int, float] = {}
@@ -126,7 +124,7 @@ class DiversiFiClient:
     def _schedule_loss_checks(self) -> None:
         # One overdue check per packet; cheap on the event heap and exact.
         for seq in range(self.profile.n_packets):
-            check_at = (self._send_times[seq] + self._nominal_delay_s
+            check_at = (self._send_times[seq] + NOMINAL_DELAY_S
                         + self.config.packet_loss_timeout_s)
             self.sim.call_at(float(check_at), self._check_overdue, seq)
 
@@ -195,9 +193,9 @@ class DiversiFiClient:
         if self._event_log is not None:
             self._event_log.record(self.sim.now, "client", kind, detail)
 
-    def _count(self, name: str, amount: float = 1.0) -> None:
+    def _count(self, name: str) -> None:
         if self._metrics is not None:
-            self._metrics.counter(name, **self._metric_labels).inc(amount)
+            self._metrics.counter(name, **self._metric_labels).inc()
 
     def _declare_lost(self, seq: int) -> None:
         if seq in self._declared_lost or seq in self.trace.arrivals:

@@ -31,7 +31,6 @@ from repro.core.packet import LinkTrace, Packet, StreamTrace
 from repro.net.lan import LanSegment
 from repro.net.middlebox import Middlebox
 from repro.net.sdn import FlowMatch, MatchAction, SdnSwitch
-from repro.obs.registry import LabelValue, MetricsRegistry
 from repro.obs.runtime import active_registry
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomRouter
@@ -92,22 +91,20 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
                 ap_config: Optional[APConfig] = None,
                 seed: int = 0,
                 with_tcp: bool = False,
-                event_log: Optional[EventLog] = None,
-                metrics: Optional[MetricsRegistry] = None) -> SessionResult:
+                event_log: Optional[EventLog] = None) -> SessionResult:
     """Simulate one call end to end and return its result.
 
     ``link_factory(rng_router)`` builds the (primary, secondary) WifiLink
     pair — e.g. ``repro.scenarios.build_office_pair``.
 
-    ``metrics`` defaults to the registry the parallel runner installed
-    for this task (``repro.obs.runtime.active_registry``); every metric
-    the session records carries a ``mode`` label so the Figure 8
-    architectures stay distinguishable after a batch merge.
+    Metrics go to the registry installed for this task
+    (``repro.obs.runtime.active_registry``); every metric the session
+    records carries a ``mode`` label so the Figure 8 architectures stay
+    distinguishable after a batch merge.
     """
     if mode not in VALID_MODES:
         raise ValueError(f"unknown mode {mode!r}; pick from {VALID_MODES}")
-    if metrics is None:
-        metrics = active_registry()
+    metrics = active_registry()
     metric_labels: dict = {"mode": mode}
     client_config = client_config or ClientConfig().for_profile(profile)
     ap_config = ap_config or APConfig(
@@ -135,8 +132,7 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
                                secondary_ap_config)
 
     # --- client NIC and associations ------------------------------------
-    manager = WifiManager(sim, router.stream("client.psm"),
-                          metrics=metrics)
+    manager = WifiManager(sim, router.stream("client.psm"))
     manager.create_adapter(DiversiFiClient.PRIMARY)
     manager.create_adapter(DiversiFiClient.SECONDARY)
     # The queue-length IE carries the experiment's AP buffer depth; a
@@ -176,7 +172,7 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
         sim, manager, profile, client_config,
         middlebox=middlebox if mode == "diversifi-mbox" else None,
         enabled=not single_link, event_log=event_log,
-        metrics=metrics, metric_labels=metric_labels)
+        metric_labels=metric_labels)
     primary_ap.set_receiver(client.on_receive)
     secondary_ap.set_receiver(client.on_receive)
 

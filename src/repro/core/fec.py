@@ -42,16 +42,16 @@ class FecConfig:
 
 
 def apply_fec(data_trace: LinkTrace, parity_trace: LinkTrace,
-              config: FecConfig = FecConfig(),
-              decode_deadline_s: float = 0.100) -> LinkTrace:
+              config: FecConfig = FecConfig()) -> LinkTrace:
     """Decode a stream protected by per-block XOR parity.
 
     ``data_trace`` holds the data packets' outcomes; ``parity_trace`` the
     parity packets' outcomes, one per block, indexed by block (only the
     first ``ceil(n/k)`` entries are used).  A lost data packet is
     recovered iff it is the only loss in its block, the block's parity
-    arrived, and the decode completes within ``decode_deadline_s`` of the
-    packet's send time (recovery must wait for the whole block).
+    arrived, and the decode completes within 100 ms (the MaxTolerableDelay
+    budget) of the packet's send time (recovery must wait for the whole
+    block).
     """
     n = len(data_trace)
     k = config.block_size
@@ -76,7 +76,7 @@ def apply_fec(data_trace: LinkTrace, parity_trace: LinkTrace,
         decode_time = max(needed_arrivals)
         seq = int(lost[0])
         decode_delay = decode_time - data_trace.send_times[seq]
-        if decode_delay <= decode_deadline_s + 1e-12:
+        if decode_delay <= 0.100 + 1e-12:
             delivered[seq] = True
             delays[seq] = decode_delay
     return LinkTrace(f"{data_trace.name}+fec", data_trace.send_times,

@@ -28,6 +28,11 @@ from repro.core.config import StreamProfile
 from repro.core.packet import LinkTrace, merge_traces
 from repro.core.types import RadioLink
 
+#: packets between the handoff baseline's link re-evaluations
+HANDOFF_WINDOW = 50
+#: handoff hysteresis, read as percentage points of delivery rate
+HANDOFF_HYSTERESIS_DB = 5.0
+
 
 @dataclass
 class MultiLinkRun:
@@ -101,27 +106,26 @@ def diversity_gain_curve(runs: Sequence[MultiLinkRun],
     return curve
 
 
-def make_before_break(run: MultiLinkRun,
-                      rssi_hysteresis_db: float = 5.0,
-                      evaluation_window: int = 50) -> LinkTrace:
+def make_before_break(run: MultiLinkRun) -> LinkTrace:
     """Seamless-handoff selection baseline ([19]-style).
 
     The client listens on ONE link, re-evaluates every
-    ``evaluation_window`` packets, and hands off to another link when
-    that link's recent delivery rate beats the current one by enough to
-    overcome hysteresis.  Because associations are pre-established
-    (make-before-break) the handoff itself is lossless — but packets lost
-    before the handoff are still gone, which is why replication wins.
+    ``HANDOFF_WINDOW`` packets, and hands off to another link when that
+    link's recent delivery rate beats the current one by enough to
+    overcome ``HANDOFF_HYSTERESIS_DB``.  Because associations are
+    pre-established (make-before-break) the handoff itself is lossless —
+    but packets lost before the handoff are still gone, which is why
+    replication wins.
     """
     n = run.profile.n_packets
     delivered = np.zeros(n, dtype=bool)
     delays = np.full(n, np.nan)
     # Start on the strongest link.
     current = int(np.argmax(run.rssi_dbm)) if run.rssi_dbm else 0
-    hysteresis_margin = rssi_hysteresis_db / 100.0  # delivery-rate units
+    hysteresis_margin = HANDOFF_HYSTERESIS_DB / 100.0  # delivery-rate units
 
-    for start in range(0, n, evaluation_window):
-        block = slice(start, min(start + evaluation_window, n))
+    for start in range(0, n, HANDOFF_WINDOW):
+        block = slice(start, min(start + HANDOFF_WINDOW, n))
         trace = run.traces[current]
         delivered[block] = trace.delivered[block]
         delays[block] = trace.delays[block]

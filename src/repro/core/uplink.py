@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Tuple
 
 import numpy as np
 
@@ -55,13 +55,12 @@ class UplinkDiversiFiClient:
     def __init__(self, sim: Simulator, link_primary: NamedRadioLink,
                  link_secondary: NamedRadioLink,
                  profile: StreamProfile,
-                 config: Optional[ClientConfig] = None,
                  enabled: bool = True):
         self.sim = sim
         self.link_primary = link_primary
         self.link_secondary = link_secondary
         self.profile = profile
-        self.config = config or ClientConfig().for_profile(profile)
+        self.config = ClientConfig().for_profile(profile)
         self.enabled = enabled
         self.stats = UplinkStats()
 

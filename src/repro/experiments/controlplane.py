@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from repro.sim.random import RandomRouter
 from repro.voice.pcr import score_call
 
 CONTROLLER_TASK = "repro.experiments.controlplane:controller_run_metrics"
+#: candidate paths per topology in the head-to-head sweep
+SWEEP_N_PATHS = 3
+SWEEP_PROFILE = StreamProfile(duration_s=30.0)
 
 
 def _controller_config(config: ControllerConfig) -> Dict[str, Any]:
@@ -147,19 +150,15 @@ class ControlPlaneResult:
             table)
 
 
-def run_controller_sweep(n_runs: int = 8, seed: int = 0,
-                         scenario: str = "mix", n_paths: int = 3,
-                         profile: StreamProfile = StreamProfile(
-                             duration_s=30.0),
-                         config: Optional[ControllerConfig] = None
+def run_controller_sweep(n_runs: int = 8, seed: int = 0
                          ) -> ControlPlaneResult:
-    """The head-to-head sweep (cached + parallel via the runner)."""
-    controller_config = config if config is not None else ControllerConfig()
+    """The head-to-head sweep over the ``mp_*`` mix (cached + parallel
+    via the runner)."""
     payloads = map_task(
         CONTROLLER_TASK, range(n_runs),
-        {"root_seed": seed, "scenario": scenario, "n_paths": n_paths,
-         "profile": dataclasses.asdict(profile),
-         "controller": _controller_config(controller_config)})
+        {"root_seed": seed, "scenario": "mix", "n_paths": SWEEP_N_PATHS,
+         "profile": dataclasses.asdict(SWEEP_PROFILE),
+         "controller": _controller_config(ControllerConfig())})
     rows: Dict[str, Dict[str, float]] = {}
     metrics = ("mos", "loss_pct", "worst_pct", "copies_per_packet",
                "duplicates", "reroutes", "mbox_starts", "polls")
@@ -171,5 +170,5 @@ def run_controller_sweep(n_runs: int = 8, seed: int = 0,
     for payload in payloads:
         name = str(payload[CONTROLLER_MODES[0]]["scenario"])
         counts[name] = counts.get(name, 0) + 1
-    return ControlPlaneResult(n_runs=n_runs, n_paths=n_paths,
+    return ControlPlaneResult(n_runs=n_runs, n_paths=SWEEP_N_PATHS,
                               rows=rows, scenario_counts=counts)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.channel.mobility import Position, StaticPosition
 from repro.core.config import StreamProfile
 from repro.core.fec import FecConfig, apply_fec, render_fec_run
 from repro.core.multilink import (
-    best_of,
     diversity_gain_curve,
     make_before_break,
     render_multilink_run,
@@ -46,6 +45,16 @@ UPLINK_TASK = "repro.experiments.extensions:uplink_run_metrics"
 NLINK_TASK = "repro.experiments.extensions:nlink_run_metrics"
 GAMING_TASK = "repro.experiments.extensions:gaming_run_metrics"
 FEC_TASK = "repro.experiments.extensions:fec_run_metrics"
+
+#: primary-link outage fractions the uplink sweep visits
+UPLINK_SEVERITIES = (0.01, 0.03, 0.08)
+UPLINK_PROFILE = StreamProfile(duration_s=30.0)
+#: links hedged at most in the n-link sweep
+N_LINKS = 4
+NLINK_PROFILE = StreamProfile(duration_s=60.0)
+FEC_PROFILE = StreamProfile(duration_s=60.0)
+#: the wild scenarios the game stream crosses
+GAMING_SCENARIOS = ("weak_link", "congestion", "mobility")
 
 
 def _profile_config(profile: StreamProfile) -> Dict[str, Any]:
@@ -116,24 +125,21 @@ def uplink_run_metrics(seed: int, *, outage_fraction: float,
     }
 
 
-def run_uplink(severities=(0.01, 0.03, 0.08), n_runs: int = 5,
-               seed: int = 0,
-               profile: StreamProfile = StreamProfile(duration_s=30.0)
-               ) -> UplinkResult:
+def run_uplink(n_runs: int = 5, seed: int = 0) -> UplinkResult:
     """Sweep primary outage severity; average over ``n_runs`` seeds."""
-    profile_cfg = _profile_config(profile)
+    profile_cfg = _profile_config(UPLINK_PROFILE)
     items: List[Tuple[int, Mapping[str, Any]]] = [
         (seed + k, {"outage_fraction": float(severity),
                     "profile": profile_cfg})
-        for severity in severities for k in range(n_runs)]
+        for severity in UPLINK_SEVERITIES for k in range(n_runs)]
     rows = map_configs(UPLINK_TASK, items)
     plain_out, hedged_out, retx_out = [], [], []
-    for i, _severity in enumerate(severities):
+    for i, _severity in enumerate(UPLINK_SEVERITIES):
         chunk = rows[i * n_runs:(i + 1) * n_runs]
         plain_out.append(float(np.mean([r["plain"] for r in chunk])))
         hedged_out.append(float(np.mean([r["hedged"] for r in chunk])))
         retx_out.append(float(np.mean([r["retx"] for r in chunk])))
-    return UplinkResult(severities=list(severities),
+    return UplinkResult(severities=list(UPLINK_SEVERITIES),
                         plain_loss_pct=plain_out,
                         hedged_loss_pct=hedged_out,
                         retransmissions=retx_out)
@@ -192,14 +198,12 @@ def nlink_run_metrics(index: int, *, root_seed: int, n_links: int,
             "mbb": float(mbb)}
 
 
-def run_nlink_sweep(n_links: int = 4, n_runs: int = 10, seed: int = 0,
-                    profile: StreamProfile = StreamProfile(
-                        duration_s=60.0)) -> NLinkResult:
+def run_nlink_sweep(n_runs: int = 10, seed: int = 0) -> NLinkResult:
     rows = map_task(NLINK_TASK, range(n_runs),
-                    {"root_seed": seed, "n_links": n_links,
-                     "profile": _profile_config(profile)})
+                    {"root_seed": seed, "n_links": N_LINKS,
+                     "profile": _profile_config(NLINK_PROFILE)})
     curve = {k: float(np.mean([row["curve"][str(k)] for row in rows]))
-             for k in range(1, n_links + 1)}
+             for k in range(1, N_LINKS + 1)}
     mbb = float(np.mean([row["mbb"] for row in rows]))
     return NLinkResult(curve=curve, make_before_break_pct=mbb)
 
@@ -247,16 +251,13 @@ def gaming_run_metrics(index: int, *, root_seed: int, scenario: str,
     }
 
 
-def run_gaming(n_runs: int = 3, seed: int = 11,
-               duration_s: float = 20.0,
-               scenarios=("weak_link", "congestion", "mobility")
-               ) -> GamingResult:
-    """Stream 60 fps game video over the wild scenarios."""
+def run_gaming(n_runs: int = 3, seed: int = 11) -> GamingResult:
+    """Stream 20 s of 60 fps game video over the wild scenarios."""
     rows: List[List[str]] = []
-    for scenario in scenarios:
+    for scenario in GAMING_SCENARIOS:
         payloads = map_task(GAMING_TASK, range(n_runs),
                             {"root_seed": seed, "scenario": scenario,
-                             "duration_s": float(duration_s)})
+                             "duration_s": 20.0})
         for label in ("single", "cross-link"):
             scores = [p[label] for p in payloads]
             rows.append([
@@ -310,13 +311,12 @@ def fec_run_metrics(index: int, *, root_seed: int, block_size: int,
     }
 
 
-def run_fec_comparison(n_runs: int = 10, seed: int = 0,
-                       profile: StreamProfile = StreamProfile(
-                           duration_s=60.0)) -> FecComparisonResult:
+def run_fec_comparison(n_runs: int = 10, seed: int = 0
+                       ) -> FecComparisonResult:
     config = FecConfig(block_size=5)
     rows = map_task(FEC_TASK, range(n_runs),
                     {"root_seed": seed, "block_size": config.block_size,
-                     "profile": _profile_config(profile)})
+                     "profile": _profile_config(FEC_PROFILE)})
     return FecComparisonResult(
         fec_loss_pct=float(np.mean([r["fec_loss"] for r in rows])),
         fec_worst_pct=float(np.mean([r["fec_worst"] for r in rows])),

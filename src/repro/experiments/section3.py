@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.analysis.report import render_table
-from repro.analysis.sketch import GridCdf
+from repro.analysis.sketch import GridCdf, MomentSketch
 from repro.runner import map_task
 from repro.studies.population import (
     NetTestPopulationTables,
@@ -53,6 +53,13 @@ def figure1_metrics(seed: int) -> Dict[str, Any]:
     }
 
 
+def _mos_moments(mos: MomentSketch) -> str:
+    """``mean=... sd=...``; an empty sketch keeps mean=0.0, outside
+    MOS's range [1, 4.5], so its mean reads nan like its spread."""
+    mean = mos.mean if mos.count else float("nan")
+    return f"mean={mean:.3f} sd={mos.stddev:.3f}"
+
+
 def _mos_quantiles(cdf: GridCdf) -> str:
     return (f"p10/p50/p90={cdf.quantile(0.10):.2f}/"
             f"{cdf.quantile(0.50):.2f}/{cdf.quantile(0.90):.2f}")
@@ -77,14 +84,13 @@ class Table1Result:
             "(+ = better, - = worse)",
             ["Subset", "EE", "EW", "WW", "#calls"], rows)
         lo, hi = t.pcr_wilson
-        mos = t.mos_moments
         return (f"{table}\n"
                 f"calls generated: {t.n_calls:,}  "
                 f"rated: {t.n_rated_calls:,}\n"
                 f"overall PCR: {t.overall_pcr * 100:.2f}%  "
                 f"(95% Wilson: {lo * 100:.2f}-{hi * 100:.2f}%)\n"
-                f"rated-call MOS: mean={mos.mean:.3f} "
-                f"sd={mos.stddev:.3f}  {_mos_quantiles(t.mos_cdf)} "
+                f"rated-call MOS: {_mos_moments(t.mos_moments)}  "
+                f"{_mos_quantiles(t.mos_cdf)} "
                 f"(grid resolution {t.mos_cdf.bin_width:.3f})")
 
 
@@ -109,7 +115,6 @@ class Table2Result:
             "Table 2: poor call rates by call category",
             ["Call Type", "Total Calls", "PCR (%)"], rows)
         lo, hi = t.pcr_wilson
-        mos = t.mos_moments
         return (f"{table}\n"
                 f"overall PCR: {t.overall_pcr * 100:.2f}%  "
                 f"(95% Wilson: {lo * 100:.2f}-{hi * 100:.2f}%)\n"
@@ -117,7 +122,7 @@ class Table2Result:
                 f"{t.frac_users_any_poor * 100:.1f}%  (paper: 57.9%)\n"
                 f"users with PCR >= 20%:    "
                 f"{t.frac_users_pcr20 * 100:.1f}%  (paper: 16.3%)\n"
-                f"call MOS: mean={mos.mean:.3f} sd={mos.stddev:.3f}  "
+                f"call MOS: {_mos_moments(t.mos_moments)}  "
                 f"{_mos_quantiles(t.mos_cdf)}")
 
 

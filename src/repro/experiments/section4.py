@@ -64,29 +64,18 @@ WILD_TASK = "repro.experiments.section4:wild_run_metrics"
 
 
 @lru_cache(maxsize=8)
-def _wild_dataset(n_runs: int, seed: int, deltas: Tuple[float, ...],
-                  mimo_branches: int, highrate: bool,
-                  duration_s) -> Tuple[PairedRun, ...]:
-    profile = profile_for(highrate, duration_s)
-    runs = generate_wild_runs(n_runs, profile, seed=seed,
-                              temporal_deltas=deltas,
-                              mimo_branches=mimo_branches)
-    return tuple(runs)
+def _wild_dataset(n_runs: int, seed: int, deltas: Tuple[float, ...]
+                  ) -> Tuple[PairedRun, ...]:
+    return tuple(generate_wild_runs(n_runs, G711_PROFILE, seed=seed,
+                                    temporal_deltas=deltas))
 
 
 def wild_dataset(n_runs: int = 60, seed: int = 0,
-                 deltas: Sequence[float] = TEMPORAL_DELTAS,
-                 mimo_branches: int = 1,
-                 highrate: bool = False,
-                 duration_s: float = None) -> Sequence[PairedRun]:
-    """The shared Section 4 dataset of raw traces (cached in memory).
-
-    ``duration_s`` overrides the call length (the 5 Mbps workload at the
-    paper's full 2 minutes is 75k packets per link per call — pass a
-    shorter duration for quick sweeps).
-    """
-    return _wild_dataset(n_runs, seed, tuple(deltas), mimo_branches,
-                         highrate, duration_s)
+                 deltas: Sequence[float] = TEMPORAL_DELTAS
+                 ) -> Sequence[PairedRun]:
+    """The shared Section 4 dataset of raw G.711 traces (cached in
+    memory)."""
+    return _wild_dataset(n_runs, seed, tuple(deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +302,11 @@ def run_figure2d(n_runs: int = 44, seed: int = 0,
 # --------------------------------------------------------------- Figure 2e
 
 def run_figure2e(n_runs: int = 40, seed: int = 0,
-                 duration_s: float = 30.0,
                  backend: str = "event") -> CdfFigure:
-    """High-rate (5 Mbps) streams (paper: 80 two-minute runs)."""
+    """High-rate (5 Mbps) 30 s streams (paper: 80 two-minute runs;
+    one is 75k packets per link)."""
     rows = _wild_metrics(n_runs, seed, deltas=(), highrate=True,
-                         duration_s=duration_s, backend=backend)
+                         duration_s=30.0, backend=backend)
     series = _series(rows, [("cross-link", "cross-link"),
                             ("stronger", "stronger"),
                             ("better", "better")])
@@ -358,15 +347,16 @@ def _jitter_ms(trace) -> float:
     return float(np.std(delays) * 1000.0)
 
 
-def run_figure3(seed: int = 0, max_tries: int = 40) -> Figure3Result:
+def run_figure3(seed: int = 0) -> Figure3Result:
     """Find a weak-link run like the paper's example (A ~4%, B ~15%).
 
-    Sequential by design: the search stops at the first qualifying run,
-    so later attempts depend on earlier outcomes (no parallel map).
+    Sequential by design: the search stops at the first qualifying run
+    (at most 40 tries), so later attempts depend on earlier outcomes (no
+    parallel map).
     """
     root = RandomRouter(seed)
     best = None
-    for attempt in range(max_tries):
+    for attempt in range(40):
         router = root.fork(f"fig3-{attempt}")
         link_a, link_b = build_scenario("weak_link", router)
         from repro.core.replication import render_paired_run
@@ -412,8 +402,9 @@ class Figure4Result:
 
 
 def run_figure4(n_runs: int = 60, seed: int = 0,
-                max_lag: int = 20,
                 backend: str = "event") -> Figure4Result:
+    """Loss correlation at lags 1..20."""
+    max_lag = 20
     rows = _wild_metrics(n_runs, seed, max_lag=max_lag, backend=backend)
     if rows:
         auto = np.mean(np.vstack([row["autocorr"] for row in rows]), axis=0)

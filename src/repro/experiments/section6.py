@@ -19,7 +19,7 @@ seeds with ``--jobs``, caches per run, and merges deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,12 +30,7 @@ from repro.analysis.report import (
     render_table,
 )
 from repro.analysis.windows import worst_window_loss
-from repro.core.config import (
-    ClientConfig,
-    G711_PROFILE,
-    MiddleboxConfig,
-    StreamProfile,
-)
+from repro.core.config import G711_PROFILE, MiddleboxConfig
 from repro.core.controller import run_session
 from repro.experiments.section4 import (
     _burst_contribution,
@@ -57,16 +52,14 @@ RETRIEVAL_TASK = "repro.experiments.section6:mbox_retrieval_metrics"
 # ---------------------------------------------------------------------------
 # per-seed tasks (the repro.runner units of work)
 
-def office_run_metrics(seed: int, *,
-                       modes: Sequence[str] = OFFICE_MODES
-                       ) -> Dict[str, Dict[str, Any]]:
+def office_run_metrics(seed: int) -> Dict[str, Dict[str, Any]]:
     """One office location/seed evaluated under every mode.
 
     The payload carries everything Figures 8/9 and Section 6.3 need, so
     all three artifacts share one cache entry per seed.
     """
     out: Dict[str, Dict[str, Any]] = {}
-    for mode in modes:
+    for mode in OFFICE_MODES:
         result = run_session(build_office_pair, mode=mode,
                              profile=G711_PROFILE, seed=seed)
         trace = result.effective_trace()

@@ -86,8 +86,7 @@ class QoeController:
 
     def __init__(self, sim: Simulator, topology: Topology, flow_id: str,
                  mode: str, config: Optional[ControllerConfig] = None,
-                 middlebox: Optional[Middlebox] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 middlebox: Optional[Middlebox] = None):
         if mode not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {mode!r} "
                              f"(expected one of {CONTROLLER_MODES})")
@@ -113,7 +112,7 @@ class QoeController:
         self._active: Tuple[str, ...] = ()
         self._mbox_streaming = False
         # Instruments are resolved once (the poll loop is periodic).
-        registry = metrics if metrics is not None else active_registry()
+        registry = active_registry()
         self._m_polls: Optional[Counter] = None
         self._m_reroutes: Optional[Counter] = None
         self._m_mbox_toggles: Optional[Counter] = None

@@ -69,14 +69,12 @@ class Middlebox:
     """Buffering and start/stop retrieval for replicated real-time flows."""
 
     def __init__(self, sim: Simulator,
-                 config: Optional[MiddleboxConfig] = None,
-                 name: str = "mbox"):
+                 config: Optional[MiddleboxConfig] = None):
         self.sim = sim
         # A fresh config per instance: a shared default-argument instance
         # would alias every default-constructed middlebox to one object
         # (the SER302-shaped stateful-default hazard).
         self.config = config if config is not None else MiddleboxConfig()
-        self.name = name
         self.stats = MiddleboxStats()
         self._flows: Dict[str, _FlowBuffer] = {}
         self._sinks: Dict[str, Callable[[Packet], None]] = {}

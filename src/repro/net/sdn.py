@@ -16,6 +16,9 @@ from typing import Callable, Dict, List, Optional
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
 
+#: per-packet forwarding delay of a switch
+FORWARDING_DELAY_S = 0.0001
+
 
 @dataclass(frozen=True)
 class FlowMatch:
@@ -40,11 +43,9 @@ class MatchAction:
 class SdnSwitch:
     """Ordered match-action forwarding with per-rule counters."""
 
-    def __init__(self, sim: Simulator, name: str = "sw0",
-                 forwarding_delay_s: float = 0.0001):
+    def __init__(self, sim: Simulator, name: str = "sw0"):
         self.sim = sim
         self.name = name
-        self.forwarding_delay_s = forwarding_delay_s
         self._ports: Dict[str, Callable[[Packet], None]] = {}
         self._rules: List[MatchAction] = []
         self.table_misses = 0
@@ -81,7 +82,7 @@ class SdnSwitch:
                 rule.packets_matched += 1
                 for i, port in enumerate(rule.output_ports):
                     copy = packet.copy_for_link(port, is_duplicate=(i > 0))
-                    self.sim.call_in(self.forwarding_delay_s,
+                    self.sim.call_in(FORWARDING_DELAY_S,
                                      self._ports[port], copy)
                 return
         self.table_misses += 1

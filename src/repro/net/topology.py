@@ -40,6 +40,9 @@ from repro.net.sdn import FlowMatch, MatchAction, SdnSwitch
 from repro.sim.engine import Simulator
 from repro.channel.link import WifiLink
 
+#: wired delay of every switch-to-switch and switch-to-AP hop
+HOP_DELAY_S = 0.0005
+
 
 @dataclass(frozen=True)
 class TopologyPath:
@@ -138,8 +141,7 @@ class ClientCapture:
             return
         self._arrivals[packet.seq] = self.sim.now
 
-    def trace(self, profile: StreamProfile, name: str = "client"
-              ) -> LinkTrace:
+    def trace(self, profile: StreamProfile) -> LinkTrace:
         """Render received packets as a :class:`LinkTrace`."""
         n = profile.n_packets
         send_times: FloatArray = (np.arange(n)
@@ -150,7 +152,7 @@ class ClientCapture:
             if 0 <= seq < n:
                 delivered[seq] = True
                 delays[seq] = self._arrivals[seq] - send_times[seq]
-        return LinkTrace(name, send_times, delivered, delays)
+        return LinkTrace("client", send_times, delivered, delays)
 
 
 class StreamSource:
@@ -187,9 +189,8 @@ class Topology:
     its node sequence alone.
     """
 
-    def __init__(self, sim: Simulator, name: str = "topo"):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.name = name
         self._switches: Dict[str, SdnSwitch] = {}
         self._radios: Dict[str, RadioPort] = {}
         self._paths: Tuple[TopologyPath, ...] = ()
@@ -205,20 +206,18 @@ class Topology:
         self._switches[name] = switch
         return switch
 
-    def connect(self, src: str, dst: str,
-                delay_s: float = 0.0005) -> None:
+    def connect(self, src: str, dst: str) -> None:
         """Wire switch ``src`` to switch ``dst`` (port named ``dst``)."""
-        hop = WiredHop(self.sim, self._switches[dst].ingress, delay_s)
+        hop = WiredHop(self.sim, self._switches[dst].ingress, HOP_DELAY_S)
         self._switches[src].attach_port(dst, hop.send)
 
     def attach_radio(self, switch: str, name: str, link: WifiLink,
-                     client: ClientCapture,
-                     delay_s: float = 0.0005) -> RadioPort:
+                     client: ClientCapture) -> RadioPort:
         """Terminate ``switch`` with an AP radio port toward the client."""
         if name in self._radios:
             raise ValueError(f"duplicate radio {name!r}")
         radio = RadioPort(self.sim, link, client.sink, name=name)
-        hop = WiredHop(self.sim, radio.send, delay_s)
+        hop = WiredHop(self.sim, radio.send, HOP_DELAY_S)
         self._switches[switch].attach_port(name, hop.send)
         self._radios[name] = radio
         return radio
@@ -291,9 +290,7 @@ class Topology:
 
 
 def build_npath_topology(sim: Simulator, links: Sequence[WifiLink],
-                         client: ClientCapture,
-                         core_edge_delay_s: float = 0.0005,
-                         edge_ap_delay_s: float = 0.0005) -> Topology:
+                         client: ClientCapture) -> Topology:
     """The canonical N-path graph: server -> core -> edge_i -> ap_i ->
     client, one chain per WiFi link.
 
@@ -311,9 +308,8 @@ def build_npath_topology(sim: Simulator, links: Sequence[WifiLink],
         edge = f"edge{i}"
         ap = f"ap{i}"
         topo.add_switch(edge)
-        topo.connect("core", edge, delay_s=core_edge_delay_s)
-        topo.attach_radio(edge, ap, link, client,
-                          delay_s=edge_ap_delay_s)
+        topo.connect("core", edge)
+        topo.attach_radio(edge, ap, link, client)
         paths.append(TopologyPath(
             name=ap, nodes=("server", "core", edge, ap, "client"),
             radio=ap))

@@ -40,7 +40,6 @@ EMPTY_METRICS_JSON = to_canonical_json(MetricsRegistry())
 
 
 def record_trace_metrics(registry: MetricsRegistry, trace: object,
-                         window_s: float = 5.0,
                          **labels: Union[str, int, bool]) -> None:
     """Record the standard per-trace metrics for one ``LinkTrace``.
 
@@ -74,6 +73,5 @@ def record_trace_metrics(registry: MetricsRegistry, trace: object,
         spacing = float(send_times[1] - send_times[0])
     else:
         spacing = 0.020
-    for rate in window_loss_rates(loss, window_s=window_s,
-                                  inter_packet_spacing_s=spacing):
+    for rate in window_loss_rates(loss, inter_packet_spacing_s=spacing):
         windows.observe(float(rate))

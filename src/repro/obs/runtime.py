@@ -8,11 +8,11 @@ installs a fresh registry around each task invocation::
     metrics_json = to_canonical_json(registry)
 
 Instrumented components (``run_session``, ``MacLayer``,
-``PlayoutBuffer`` ...) default their ``metrics`` parameter to
-:func:`active_registry`, so every simulation executed inside a runner
-task is metered without threading a registry through each signature —
-and code running outside any collection scope pays a single ``None``
-check.  The installation is plain module state, not thread-local: tasks
+``PlayoutBuffer`` ...) read :func:`active_registry` when they are
+built, so every simulation executed inside a runner task is metered
+without threading a registry through each signature — and code running
+outside any collection scope pays a single ``None`` check.
+:func:`collecting` is the one way to choose the registry.  The installation is plain module state, not thread-local: tasks
 execute single-threaded inside a worker process (the paralellism is
 *between* processes), and the sanitizer-checked determinism contract
 forbids in-process concurrency here anyway.

@@ -26,7 +26,7 @@ injected ``clock`` (simulated time), never from the host clock.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.obs.registry import (
     DURATION_BUCKETS_S,
@@ -93,8 +93,8 @@ class SimulatedClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def advance(self, dt: float) -> None:
         if dt < 0:
@@ -111,13 +111,11 @@ class SpanTracker:
     def __init__(self, clock: Callable[[], float],
                  registry: Optional[MetricsRegistry] = None,
                  event_log: Optional[EventLog] = None,
-                 source: str = "span",
-                 buckets: Sequence[float] = DURATION_BUCKETS_S) -> None:
+                 source: str = "span") -> None:
         self._clock = clock
         self._registry = registry
         self._event_log = event_log
         self._source = source
-        self._buckets = tuple(buckets)
 
     def now(self) -> float:
         return self._clock()
@@ -140,5 +138,5 @@ class SpanTracker:
                 _detail(span.labels, extra=f"duration={duration:.6f}"))
         if self._registry is not None:
             self._registry.histogram(
-                f"{span.name}.duration_s", bounds=self._buckets,
+                f"{span.name}.duration_s", bounds=DURATION_BUCKETS_S,
                 **span.labels).observe(duration)

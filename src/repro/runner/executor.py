@@ -158,13 +158,11 @@ def map_configs(task: str,
 
 
 def map_task(task: str, seeds: Iterable[int],
-             task_config: Optional[Mapping[str, Any]] = None,
-             config: Optional[RunnerConfig] = None) -> List[Any]:
+             task_config: Optional[Mapping[str, Any]] = None) -> List[Any]:
     """Run ``task`` once per seed with a shared config; payloads in seed
     order.  This is the API the experiment drivers are built on."""
     shared: Mapping[str, Any] = dict(task_config or {})
-    return map_configs(task, [(seed, shared) for seed in seeds],
-                       config=config)
+    return map_configs(task, [(seed, shared) for seed in seeds])
 
 
 # ------------------------------------------------------------------ internal
@@ -226,16 +224,16 @@ def _shared_pool(jobs: int) -> ProcessPoolExecutor:
     with _shared_lock:
         if _shared is not None and _shared[0] == key:
             return _shared[1]
-        _drop_pool()
+        _drop_pool(False)
         pool = ProcessPoolExecutor(
             max_workers=jobs, mp_context=multiprocessing.get_context("spawn"))
         _shared = (key, pool)
         return pool
 
 
-def _drop_pool(wait: bool = False) -> None:
+def _drop_pool(wait: bool) -> None:
     """Shut down the shared pool, if any; the next parallel batch builds
-    a fresh one."""
+    a fresh one.  ``wait`` blocks until its workers have exited."""
     global _shared
     if _shared is not None:
         pool = _shared[1]
@@ -243,7 +241,7 @@ def _drop_pool(wait: bool = False) -> None:
         pool.shutdown(wait=wait, cancel_futures=True)
 
 
-atexit.register(_drop_pool, wait=True)
+atexit.register(_drop_pool, True)
 
 
 def _run_pool(pending: List[Tuple[int, RunSpec]],
@@ -294,7 +292,7 @@ def _run_pool(pending: List[Tuple[int, RunSpec]],
                 # task error or an interrupt: the pool is not fit for the
                 # next batch.
                 with _shared_lock:
-                    _drop_pool()
+                    _drop_pool(False)
         remaining = remaining[done:]
     return []
 

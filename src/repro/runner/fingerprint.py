@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
 
 
 def _package_root() -> Path:
@@ -27,8 +26,10 @@ def _package_root() -> Path:
     return Path(module_file).resolve().parent
 
 
-@lru_cache(maxsize=4)
-def _fingerprint_of(root: Path) -> str:
+@lru_cache(maxsize=1)
+def code_fingerprint() -> str:
+    """Fingerprint of the ``repro`` sources."""
+    root = _package_root()
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
@@ -37,8 +38,3 @@ def _fingerprint_of(root: Path) -> str:
         digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()
-
-
-def code_fingerprint(root: Optional[Path] = None) -> str:
-    """Fingerprint of the ``repro`` sources (or any directory tree)."""
-    return _fingerprint_of((root or _package_root()).resolve())

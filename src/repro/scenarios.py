@@ -313,7 +313,6 @@ def generate_wild_run(index: int, profile: StreamProfile,
                       seed: int = 0,
                       temporal_deltas: Sequence[float] = (),
                       mimo_branches: int = 1,
-                      mix: Sequence[ScenarioSpec] = WILD_MIX,
                       scenario: Optional[str] = None) -> PairedRun:
     """Run ``index`` of the Section 4 dataset, independently renderable.
 
@@ -325,7 +324,7 @@ def generate_wild_run(index: int, profile: StreamProfile,
     root = RandomRouter(seed)
     run_router = root.fork(f"wild-run-{index}")
     name = scenario or sample_scenario_name(
-        run_router.stream("scenario.pick"), mix)
+        run_router.stream("scenario.pick"), WILD_MIX)
     link_a, link_b = build_scenario(name, run_router, mimo_branches)
     return render_paired_run(link_a, link_b, profile,
                              temporal_deltas=temporal_deltas,
@@ -334,19 +333,11 @@ def generate_wild_run(index: int, profile: StreamProfile,
 
 def generate_wild_runs(n_runs: int, profile: StreamProfile,
                        seed: int = 0,
-                       temporal_deltas: Sequence[float] = (),
-                       mimo_branches: int = 1,
-                       mix: Sequence[ScenarioSpec] = WILD_MIX,
-                       scenario: Optional[str] = None) -> List[PairedRun]:
-    """The Section 4 dataset: ``n_runs`` calls over the wild mix.
-
-    ``scenario`` pins every run to one impairment (Figure 6 breakdown);
-    otherwise each run draws from ``mix``.
-    """
+                       temporal_deltas: Sequence[float] = ()
+                       ) -> List[PairedRun]:
+    """The Section 4 dataset: ``n_runs`` calls over the wild mix."""
     return [generate_wild_run(idx, profile, seed=seed,
-                              temporal_deltas=temporal_deltas,
-                              mimo_branches=mimo_branches,
-                              mix=mix, scenario=scenario)
+                              temporal_deltas=temporal_deltas)
             for idx in range(n_runs)]
 
 
@@ -463,8 +454,7 @@ def _mp_gilbert(rng: np.random.Generator, frac_scale: float
 
 
 def build_multipath_links(name: str, rng_router: RandomRouter,
-                          n_paths: int = 3,
-                          mimo_branches: int = 1) -> List[WifiLink]:
+                          n_paths: int = 3) -> List[WifiLink]:
     """Instantiate the ``n_paths`` candidate links for one control-plane
     run of scenario ``name``.
 
@@ -490,7 +480,7 @@ def build_multipath_links(name: str, rng_router: RandomRouter,
     if name not in {spec.name for spec in MULTIPATH_MIX}:
         raise ValueError(f"unknown multipath scenario {name!r}")
     rng = rng_router.stream("scenario.mp.params")
-    phy = _phy(mimo_branches)
+    phy = _phy(1)
     pathloss = PathLossParams(exponent=3.3, shadowing_sigma_db=4.5)
 
     mobility: MobilityModel

@@ -82,8 +82,8 @@ class Simulator:
     cover, so compacting the heap would change recorded outputs.
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False

@@ -66,6 +66,9 @@ class SurveyLocation:
 
 
 #: the survey route: 16 locations across the three cities
+#: residential clients the multi-BSSID fraction is measured over
+N_HOMES = 500
+
 SURVEY_LOCATIONS: Sequence[SurveyLocation] = (
     SurveyLocation("BLR office 1", "Bengaluru", "office"),
     SurveyLocation("BLR office 2", "Bengaluru", "office"),
@@ -113,29 +116,27 @@ def _scan_venue(venue: VenueClass, rng: np.random.Generator,
     return ScanResult(location, entries)
 
 
-def run_site_survey(seed: int = 0,
-                    locations: Sequence[SurveyLocation] = SURVEY_LOCATIONS
+def run_site_survey(seed: int = 0
                     ) -> List[Tuple[SurveyLocation, ScanResult]]:
     """Scan every survey location (Figure 1's bars and dashes)."""
     router = RandomRouter(seed)
     results: List[Tuple[SurveyLocation, ScanResult]] = []
-    for i, location in enumerate(locations):
+    for i, location in enumerate(SURVEY_LOCATIONS):
         rng = router.stream(f"scan.{i}.{location.label}")
         venue = VENUE_CLASSES[location.venue_class]
         results.append((location, _scan_venue(venue, rng, location.label)))
     return results
 
 
-def residential_multi_bssid_fraction(seed: int = 0,
-                                     n_homes: int = 500) -> float:
+def residential_multi_bssid_fraction(seed: int = 0) -> float:
     """Fraction of (NetTest-style) residential clients with more than one
-    connectable BSSID — the paper found ~30%."""
+    connectable BSSID over ``N_HOMES`` homes — the paper found ~30%."""
     router = RandomRouter(seed)
     home = VENUE_CLASSES["home"]
     multi = 0
-    for i in range(n_homes):
+    for i in range(N_HOMES):
         rng = router.stream(f"home.{i}")
         scan = _scan_venue(home, rng, f"home{i}")
         if scan.n_bssids > 1:
             multi += 1
-    return multi / n_homes
+    return multi / N_HOMES

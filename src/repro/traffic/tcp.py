@@ -23,6 +23,15 @@ import numpy as np
 
 from repro.sim.engine import Simulator
 
+#: bottleneck rate of the DEF link as the iperf flow sees it
+CAPACITY_BPS = 4.6e6
+#: wired round trip behind the AP
+BASE_RTT_S = 0.020
+MSS_BYTES = 1460
+#: tail-drop bottleneck queue at the AP, in segments
+QUEUE_LIMIT = 64
+RTO_S = 0.200
+
 
 @dataclass
 class TcpStats:
@@ -52,24 +61,14 @@ class TcpReno:
     """A greedy Reno sender over the client's DEF WiFi link."""
 
     def __init__(self, sim: Simulator, rng: np.random.Generator,
-                 capacity_bps: float = 4.6e6,
-                 base_rtt_s: float = 0.020,
-                 mss_bytes: int = 1460,
-                 queue_limit: int = 64,
                  duration_s: float = 120.0,
                  radio_present=lambda: True,
-                 wireless_loss_prob=0.002,
-                 rto_s: float = 0.200):
+                 wireless_loss_prob=0.002):
         self.sim = sim
         self._rng = rng
-        self.capacity_bps = capacity_bps
-        self.base_rtt_s = base_rtt_s
-        self.mss = mss_bytes
-        self.queue_limit = queue_limit
         self.duration_s = duration_s
         self.radio_present = radio_present
         self.wireless_loss_prob = wireless_loss_prob
-        self.rto_s = rto_s
         self.stats = TcpStats(duration_s=duration_s)
 
         self._cwnd = 2.0            # segments
@@ -110,12 +109,12 @@ class TcpReno:
         if self.sim.now >= self._end_time:
             return
         while (self._in_flight() < int(self._cwnd)
-               and len(self._queue) < self.queue_limit):
+               and len(self._queue) < QUEUE_LIMIT):
             self._queue.append(self._next_seq)
             self._next_seq += 1
             self.stats.segments_sent += 1
         if (self._in_flight() < int(self._cwnd)
-                and len(self._queue) >= self.queue_limit):
+                and len(self._queue) >= QUEUE_LIMIT):
             # Window wants more than the queue can hold: tail drop.  The
             # sender notices via dup-acks later; model by capping.
             self.stats.queue_drops += 1
@@ -138,7 +137,7 @@ class TcpReno:
             self.sim.call_in(0.001, self._serve)
             return
         seq = self._queue.popleft()
-        service_s = self.mss * 8.0 / self.capacity_bps
+        service_s = MSS_BYTES * 8.0 / CAPACITY_BPS
         self.sim.call_in(service_s, self._delivered, seq)
         self.sim.call_in(service_s, self._serve)
 
@@ -151,7 +150,7 @@ class TcpReno:
         if self._rng.random() < self._loss_prob_now():
             self.stats.wireless_drops += 1
             return  # receiver never sees it; dup-acks will follow
-        self.sim.call_in(self.base_rtt_s / 2.0, self._ack_arrives, seq)
+        self.sim.call_in(BASE_RTT_S / 2.0, self._ack_arrives, seq)
 
     # ------------------------------------------------------------------
     # ACK processing
@@ -169,7 +168,7 @@ class TcpReno:
 
         if cumulative_new:
             self._snd_una = seq + 1
-            acked_bytes = self.mss
+            acked_bytes = MSS_BYTES
             self.stats.bytes_acked += acked_bytes
             self._dup_acks = 0
             if self._cwnd < self._ssthresh:
@@ -201,7 +200,7 @@ class TcpReno:
             self._rto_event.cancel()
         if self.sim.now >= self._end_time:
             return
-        self._rto_event = self.sim.call_in(self.rto_s, self._rto_fired)
+        self._rto_event = self.sim.call_in(RTO_S, self._rto_fired)
 
     def _rto_fired(self) -> None:
         if self.sim.now >= self._end_time:

@@ -20,11 +20,10 @@ class VoipSender:
     """CBR real-time sender on the event engine."""
 
     def __init__(self, sim: Simulator, profile: StreamProfile,
-                 flow_id: str = "rt0", start_time: float = 0.0):
+                 flow_id: str = "rt0"):
         self.sim = sim
         self.profile = profile
         self.flow_id = flow_id
-        self.start_time = start_time
         self._sinks: List[Callable[[Packet], None]] = []
         self.sent = 0
 
@@ -39,7 +38,7 @@ class VoipSender:
             raise RuntimeError("no sinks attached to VoipSender")
         spacing = self.profile.inter_packet_spacing_s
         for seq in range(self.profile.n_packets):
-            self.sim.call_at(self.start_time + seq * spacing,
+            self.sim.call_at(seq * spacing,
                              self._emit, seq)
 
     def _emit(self, seq: int) -> None:

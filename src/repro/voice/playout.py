@@ -13,12 +13,10 @@ for the access hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.packet import LinkTrace
-from repro.obs.registry import LabelValue, MetricsRegistry
 from repro.obs.runtime import active_registry
 
 
@@ -48,16 +46,11 @@ class PlayoutResult:
 class PlayoutBuffer:
     """Fixed-delay playout schedule."""
 
-    def __init__(self, playout_delay_s: float = 0.100,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metric_labels: Optional[Dict[str, LabelValue]] = None):
+    def __init__(self, playout_delay_s: float = 0.100):
         if playout_delay_s <= 0:
             raise ValueError("playout delay must be positive")
         self.playout_delay_s = playout_delay_s
-        self._metrics = metrics if metrics is not None \
-            else active_registry()
-        self._metric_labels: Dict[str, LabelValue] = \
-            dict(metric_labels or {})
+        self._metrics = active_registry()
 
     def replay(self, trace: LinkTrace) -> PlayoutResult:
         """Replay a trace against the playout schedule."""
@@ -68,8 +61,7 @@ class PlayoutBuffer:
         late_losses = 0
         margin_hist = None
         if self._metrics is not None:
-            margin_hist = self._metrics.histogram(
-                "playout.margin_s", **self._metric_labels)
+            margin_hist = self._metrics.histogram("playout.margin_s")
         for i in range(len(trace)):
             if not trace.delivered[i]:
                 network_losses += 1
@@ -82,16 +74,12 @@ class PlayoutBuffer:
             else:
                 late_losses += 1
         if self._metrics is not None:
-            labels = self._metric_labels
-            self._metrics.counter("playout.frames",
-                                  **labels).inc(len(trace))
-            self._metrics.counter("playout.network_losses",
-                                  **labels).inc(network_losses)
-            self._metrics.counter("playout.late_losses",
-                                  **labels).inc(late_losses)
+            self._metrics.counter("playout.frames").inc(len(trace))
+            self._metrics.counter("playout.network_losses").inc(
+                network_losses)
+            self._metrics.counter("playout.late_losses").inc(late_losses)
             # Every missing frame at its playout instant is concealed.
-            self._metrics.counter(
-                "playout.concealment_events",
-                **labels).inc(network_losses + late_losses)
+            self._metrics.counter("playout.concealment_events").inc(
+                network_losses + late_losses)
         return PlayoutResult(played=played, network_losses=network_losses,
                              late_losses=late_losses)

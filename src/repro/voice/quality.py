@@ -1,6 +1,9 @@
-"""Call-quality scoring: the ITU-T E-model (G.107) mapped to MOS.
+"""Call-quality scoring of G.711 calls: the ITU-T E-model (G.107) mapped
+to MOS.
 
-The transmission rating factor is
+Every call in the paper is G.711 with packet-loss concealment, so the
+codec constants below are G.711's and no other codec is scored.  The
+transmission rating factor is
 
     R = R0 - Is - Id - Ie_eff + A
 
@@ -27,53 +30,11 @@ from typing import Any, TypeVar
 
 import numpy as np
 
-#: G.711 defaults
+#: G.711 with packet-loss concealment: R0, and the equipment impairment
+#: and packet-loss robustness of ITU-T G.113 Appendix I
 R0 = 93.2
 IE_G711 = 0.0
 BPL_G711 = 25.1
-
-
-@dataclass(frozen=True)
-class CodecImpairment:
-    """Per-codec E-model constants (ITU-T G.113 Appendix I).
-
-    ``ie`` is the equipment impairment at zero loss; ``bpl`` the packet-
-    loss robustness (higher = more robust concealment).
-    """
-
-    name: str
-    ie: float
-    bpl: float
-
-
-#: G.113 values for the codecs in the RTP static profile table.
-CODEC_IMPAIRMENTS = {
-    "g711": CodecImpairment("G.711 w/ PLC", ie=0.0, bpl=25.1),
-    "PCMU/G711u": CodecImpairment("G.711 w/ PLC", ie=0.0, bpl=25.1),
-    "PCMA/G711a": CodecImpairment("G.711 w/ PLC", ie=0.0, bpl=25.1),
-    "G722": CodecImpairment("G.722", ie=13.0, bpl=15.0),
-    "G723": CodecImpairment("G.723.1", ie=15.0, bpl=16.1),
-    "G729": CodecImpairment("G.729A w/ VAD", ie=11.0, bpl=19.0),
-}
-
-
-class UnknownCodecError(KeyError):
-    """``codec_impairment`` was asked about a codec G.113 doesn't cover."""
-
-
-def codec_impairment(codec: str) -> CodecImpairment:
-    """G.113 constants for ``codec``.
-
-    An unknown codec raises :class:`UnknownCodecError` rather than
-    falling back to G.711, whose constants are the *most* loss-robust in
-    the table and would quietly inflate a misspelled codec's MOS.
-    """
-    constants = CODEC_IMPAIRMENTS.get(codec)
-    if constants is None:
-        raise UnknownCodecError(
-            f"no G.113 impairment constants for codec {codec!r}; known: "
-            f"{sorted(CODEC_IMPAIRMENTS)}")
-    return constants
 
 
 #: A float or a float64 array.  Every E-model function below is
@@ -96,12 +57,13 @@ def delay_impairment(one_way_delay_s: Level) -> Level:
         0.024 * d_ms + 0.11 * (d_ms - 177.3) * (d_ms > 177.3))
 
 
-def loss_impairment(loss_fraction: Level, burst_ratio: Level = 1.0,
-                    ie: float = IE_G711, bpl: float = BPL_G711) -> Level:
-    """Ie_eff — packet-loss impairment with burstiness (G.107 eq. 7-29)."""
+def loss_impairment(loss_fraction: Level, burst_ratio: Level = 1.0) -> Level:
+    """Ie_eff of G.711 with PLC — packet-loss impairment with burstiness
+    (G.107 eq. 7-29)."""
     ppl = np.maximum(loss_fraction, 0.0) * 100.0
     burst_r = np.maximum(burst_ratio, 1.0)
-    return _scalar_or_array(ie + (95.0 - ie) * ppl / (ppl / burst_r + bpl))
+    return _scalar_or_array(
+        IE_G711 + (95.0 - IE_G711) * ppl / (ppl / burst_r + BPL_G711))
 
 
 def burst_ratio(loss_fraction: Level, mean_burst_len: Level) -> Level:
@@ -117,14 +79,11 @@ def burst_ratio(loss_fraction: Level, mean_burst_len: Level) -> Level:
 
 
 def emodel_r_factor(loss_fraction: Level, one_way_delay_s: Level,
-                    mean_burst_len: Level = 1.0,
-                    codec: str = "g711") -> Level:
-    """Full-call R factor (codec-aware via the G.113 constants)."""
-    constants = codec_impairment(codec)
+                    mean_burst_len: Level = 1.0) -> Level:
+    """Full-call R factor of a G.711 call with PLC."""
     br = burst_ratio(loss_fraction, mean_burst_len)
     r = (R0 - delay_impairment(one_way_delay_s)
-         - loss_impairment(loss_fraction, br,
-                           ie=constants.ie, bpl=constants.bpl))
+         - loss_impairment(loss_fraction, br))
     return _scalar_or_array(np.clip(r, 0.0, 100.0))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.obs.registry import MetricsRegistry, TimeWeightedGauge
+from repro.obs.registry import TimeWeightedGauge
 from repro.obs.runtime import active_registry
 from repro.sim.engine import Simulator
 from repro.wifi.psm import PowerSaveClient, PsmConfig
@@ -50,11 +50,9 @@ class VirtualAdapter:
 class WifiManager:
     """The client's single physical NIC and its virtual adapters."""
 
-    def __init__(self, sim: Simulator, rng, psm_config: PsmConfig = None,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim: Simulator, rng):
         self.sim = sim
         self._rng = rng
-        self._psm_config = psm_config or PsmConfig()
         self.adapters: Dict[str, VirtualAdapter] = {}
         self._active: Optional[str] = None
         self._switching = False
@@ -62,8 +60,7 @@ class WifiManager:
         self.switch_count = 0
         self.off_channel_time_s = 0.0
         self._mac_counter = 0
-        self._metrics = metrics if metrics is not None \
-            else active_registry()
+        self._metrics = active_registry()
         # Session-local awake gauges (0/1 indicator; time-weighted mean =
         # the PSM wake ratio).  Kept off the registry until
         # :meth:`record_metrics` because each session's simulator clock
@@ -119,8 +116,7 @@ class WifiManager:
         """
         adapter = self.adapters[adapter_name]
         psm = PowerSaveClient(
-            self.sim, ap, self._rng, self._psm_config,
-            metrics=self._metrics,
+            self.sim, ap, self._rng,
             metric_labels={"adapter": adapter_name})
         association = Association(
             adapter_name=adapter_name, ap=ap, channel=channel,
@@ -199,7 +195,7 @@ class WifiManager:
             self._active = None
             if previous is not None:
                 self._mark_awake(previous, False)
-            self.sim.call_in(self._psm_config.channel_switch_s, after_retune)
+            self.sim.call_in(PsmConfig.channel_switch_s, after_retune)
 
         if current is not None:
             current.psm.send_sleep(after_sleep)

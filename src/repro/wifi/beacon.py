@@ -22,7 +22,9 @@ from typing import Callable, List
 from repro.sim.engine import Simulator
 
 #: the 802.11 default beacon interval (100 TU of 1024 us)
-DEFAULT_BEACON_INTERVAL_S = 0.1024
+BEACON_INTERVAL_S = 0.1024
+#: how long a polling station stays awake after a TIM-set beacon
+DRAIN_WINDOW_S = 0.010
 
 
 @dataclass
@@ -36,24 +38,18 @@ class Beacon:
 
 
 class BeaconScheduler:
-    """Emits beacons for one AP at a fixed interval.
+    """Emits beacons for one AP every ``BEACON_INTERVAL_S``, from t=0.
 
     Subscribers receive :class:`Beacon` objects; the TIM bit reflects the
     AP's PSM buffer occupancy at transmission time.
     """
 
-    def __init__(self, sim: Simulator, ap,
-                 interval_s: float = DEFAULT_BEACON_INTERVAL_S,
-                 offset_s: float = 0.0):
-        if interval_s <= 0:
-            raise ValueError("beacon interval must be positive")
+    def __init__(self, sim: Simulator, ap):
         self.sim = sim
         self.ap = ap
-        self.interval_s = interval_s
         self.beacons_sent = 0
         self._subscribers: List[Callable[[Beacon], None]] = []
         self._running = False
-        self._offset_s = offset_s
 
     def subscribe(self, callback: Callable[[Beacon], None]) -> None:
         self._subscribers.append(callback)
@@ -62,7 +58,7 @@ class BeaconScheduler:
         if self._running:
             raise RuntimeError("beacon scheduler already started")
         self._running = True
-        self.sim.call_in(self._offset_s, self._tick)
+        self.sim.call_in(0.0, self._tick)
 
     def _tick(self) -> None:
         beacon = Beacon(timestamp=self.sim.now,
@@ -71,7 +67,7 @@ class BeaconScheduler:
         self.beacons_sent += 1
         for subscriber in self._subscribers:
             subscriber(beacon)
-        self.sim.call_in(self.interval_s, self._tick)
+        self.sim.call_in(BEACON_INTERVAL_S, self._tick)
 
 
 class StandardPsmClient:
@@ -79,15 +75,13 @@ class StandardPsmClient:
 
     On a TIM-set beacon the station wakes the AP (PS-Poll equivalent),
     receives the buffered frames, and goes back to sleep one
-    ``drain_window_s`` later.  Retrieval latency is therefore bounded
+    ``DRAIN_WINDOW_S`` later.  Retrieval latency is therefore bounded
     below by the residual wait to the next beacon.
     """
 
-    def __init__(self, sim: Simulator, ap, scheduler: BeaconScheduler,
-                 drain_window_s: float = 0.010):
+    def __init__(self, sim: Simulator, ap, scheduler: BeaconScheduler):
         self.sim = sim
         self.ap = ap
-        self.drain_window_s = drain_window_s
         self.polls = 0
         self._draining = False
         ap.client_sleep()
@@ -104,4 +98,4 @@ class StandardPsmClient:
             self.ap.client_sleep()
             self._draining = False
 
-        self.sim.call_in(self.drain_window_s, back_to_sleep)
+        self.sim.call_in(DRAIN_WINDOW_S, back_to_sleep)

@@ -21,7 +21,6 @@ from repro.obs.registry import (
     Counter,
     Histogram,
     LabelValue,
-    MetricsRegistry,
 )
 from repro.obs.runtime import active_registry
 from repro.sim.random import BufferedDraws
@@ -71,7 +70,6 @@ class MacLayer:
     """
 
     def __init__(self, config: MacConfig, rng: np.random.Generator,
-                 metrics: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.config = config
         #: per-stage contention windows, see :func:`contention_windows`
@@ -83,7 +81,7 @@ class MacLayer:
         self._draws = BufferedDraws(rng)
         # Instruments are resolved once here, not per frame: transmit()
         # runs per packet and a dict lookup per counter would be hot.
-        registry = metrics if metrics is not None else active_registry()
+        registry = active_registry()
         self._m_attempts: Optional[Counter] = None
         self._m_retries: Optional[Counter] = None
         self._m_dropped: Optional[Counter] = None

@@ -96,8 +96,12 @@ def effective_snr_db(base_snr_db: float, fade_db: float,
     return base_snr_db + fade_db - interference_penalty_db
 
 
-def airtime_s(frame_bytes: int, mcs: Mcs, mac_overhead_s: float = 1.1e-4) -> float:
+#: per-frame MAC/PHY overhead: preamble, SIFS and ACK
+MAC_OVERHEAD_S = 1.1e-4
+
+
+def airtime_s(frame_bytes: int, mcs: Mcs) -> float:
     """Rough per-frame airtime: payload at PHY rate plus MAC/PHY overhead
-    (preamble, SIFS, ACK)."""
+    (preamble, SIFS, ACK) of ``MAC_OVERHEAD_S``."""
     payload_s = frame_bytes * 8.0 / (mcs.phy_rate_mbps * 1e6)
-    return payload_s + mac_overhead_s
+    return payload_s + MAC_OVERHEAD_S

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.obs.registry import Counter, LabelValue, MetricsRegistry
+from repro.obs.registry import Counter, LabelValue
 from repro.obs.runtime import active_registry
 from repro.sim.engine import Simulator
 
@@ -42,17 +42,15 @@ class PowerSaveClient:
     """Issues sleep/wake null frames for one association."""
 
     def __init__(self, sim: Simulator, ap, rng: np.random.Generator,
-                 config: PsmConfig = PsmConfig(),
-                 metrics: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.sim = sim
         self.ap = ap
-        self.config = config
+        self.config = PsmConfig()
         self._rng = rng
         #: exchanges attempted (observability)
         self.exchanges = 0
         self.retries = 0
-        registry = metrics if metrics is not None else active_registry()
+        registry = active_registry()
         self._m_exchanges: Optional[Counter] = None
         self._m_retries: Optional[Counter] = None
         if registry is not None:

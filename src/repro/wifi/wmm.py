@@ -28,6 +28,8 @@ AC_VIDEO = "AC_VI"
 AC_BEST_EFFORT = "AC_BE"
 AC_BACKGROUND = "AC_BK"
 PRIORITY_ORDER = (AC_VOICE, AC_VIDEO, AC_BEST_EFFORT, AC_BACKGROUND)
+#: shortest air time a frame holds the medium, as in ``APConfig``
+SERVICE_TIME_S = 0.0015
 
 #: EDCA medium-access penalty per category (AIFS + mean backoff), seconds
 _ACCESS_DELAY_S = {
@@ -55,22 +57,18 @@ class WmmStats:
 class WmmAccessPoint:
     """An AP with four strict-priority EDCA queues over one link.
 
-    ``classify(packet) -> AC`` maps flows to categories (default: flow ids
-    starting with "rt" are voice, everything else best effort).  With
-    ``enabled=False`` all traffic shares one FIFO — the ablation baseline.
+    Flow ids starting with "rt" are voice, "video" video, everything
+    else best effort.  Each frame holds the air for at least
+    ``SERVICE_TIME_S``.  With ``enabled=False`` all traffic shares one
+    FIFO — the ablation baseline.
     """
 
-    def __init__(self, sim: Simulator, link,
-                 classify: Optional[Callable[[Packet], str]] = None,
-                 queue_limit: int = 64,
-                 service_time_s: float = 0.0015,
+    def __init__(self, sim: Simulator, link, queue_limit: int = 64,
                  enabled: bool = True):
         self.sim = sim
         self.link = link
         self.enabled = enabled
         self.queue_limit = queue_limit
-        self.service_time_s = service_time_s
-        self._classify = classify or self._default_classify
         self._queues: Dict[str, Deque] = {
             ac: deque() for ac in PRIORITY_ORDER}
         self._serving = False
@@ -78,7 +76,7 @@ class WmmAccessPoint:
         self.stats = WmmStats()
 
     @staticmethod
-    def _default_classify(packet: Packet) -> str:
+    def _classify(packet: Packet) -> str:
         if packet.flow_id.startswith("rt"):
             return AC_VOICE
         if packet.flow_id.startswith("video"):
@@ -134,8 +132,8 @@ class WmmAccessPoint:
         self.stats.transmitted[ac] += 1
         self.stats.queueing_delay_sum_s[ac] += self.sim.now - enqueue_time
         service = max(record.arrival_time - start, 0.0) \
-            if record.delivered else self.service_time_s
-        finish = start + max(service, self.service_time_s)
+            if record.delivered else SERVICE_TIME_S
+        finish = start + max(service, SERVICE_TIME_S)
 
         def complete():
             if record.delivered and self._receiver is not None:

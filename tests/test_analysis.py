@@ -57,37 +57,34 @@ def test_partial_trailing_window_counted():
 def test_assign_windows_boundary_belongs_to_later_window():
     # Half-open [start, end): the 5.0 s timestamp is in window 1, never
     # in both windows 0 and 1.
-    ids = assign_windows(np.array([0.0, 4.98, 5.0, 5.02, 10.0]),
-                         window_s=5.0)
+    ids = assign_windows(np.array([0.0, 4.98, 5.0, 5.02, 10.0]))
     assert ids.tolist() == [0, 0, 1, 1, 2]
 
 
 def test_assign_windows_tiles_without_double_counting():
     times = np.arange(0.0, 15.0, 0.5)
-    ids = assign_windows(times, window_s=5.0)
+    ids = assign_windows(times)
     assert np.bincount(ids).sum() == times.size
     assert ids.max() == 2
 
 
 def test_assign_windows_validation():
     with pytest.raises(ValueError):
-        assign_windows(np.array([1.0]), window_s=0.0)
-    with pytest.raises(ValueError):
-        assign_windows(np.array([-1.0]), window_s=5.0)
+        assign_windows(np.array([-1.0]))
 
 
 def test_window_loss_rates_timed_boundary_packet_counted_once():
     # A lost packet exactly on the 5 s boundary affects only window 1.
     times = np.array([0.0, 2.5, 5.0, 7.5])
     losses = np.array([0.0, 0.0, 1.0, 0.0])
-    rates = window_loss_rates_timed(times, losses, window_s=5.0)
+    rates = window_loss_rates_timed(times, losses)
     assert rates.tolist() == [0.0, 0.5]
 
 
 def test_window_loss_rates_timed_empty_interior_window():
     times = np.array([0.0, 12.0])
     losses = np.array([1.0, 1.0])
-    rates = window_loss_rates_timed(times, losses, window_s=5.0)
+    rates = window_loss_rates_timed(times, losses)
     assert rates.tolist() == [1.0, 0.0, 1.0]
 
 
@@ -95,7 +92,7 @@ def test_window_loss_rates_timed_matches_block_slicing_on_regular_grid():
     rng = np.random.default_rng(7)
     losses = (rng.random(1000) < 0.07).astype(float)
     times = np.arange(1000) * 0.020
-    timed = window_loss_rates_timed(times, losses, window_s=5.0)
+    timed = window_loss_rates_timed(times, losses)
     block = window_loss_rates(losses, window_s=5.0,
                               inter_packet_spacing_s=0.020)
     assert timed.tolist() == block.tolist()
@@ -199,8 +196,8 @@ def test_crosscorrelation_identical_series_is_autocorrelation():
 def test_mean_correlation_series_averages():
     a = np.array([1, 1, 0, 0] * 100, dtype=float)
     pairs = [(a, a), (a, a)]
-    auto = mean_correlation_series(pairs, max_lag=3)
-    single = loss_autocorrelation(a, max_lag=3)
+    auto = mean_correlation_series(pairs)
+    single = loss_autocorrelation(a)
     assert np.allclose(auto, single)
 
 
@@ -225,12 +222,12 @@ def test_cdf_quantile_bounds():
 
 def test_cdf_series_monotone():
     cdf = EmpiricalCdf(np.random.default_rng(3).random(500))
-    points = cdf.series(points=50)
+    points = cdf.series()
     xs = [x for x, _ in points]
     fs = [f for _, f in points]
     assert xs == sorted(xs)
     assert fs == sorted(fs)
-    assert len(points) == 50
+    assert len(points) == 100
 
 
 def test_cdf_empty_raises():

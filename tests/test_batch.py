@@ -372,7 +372,7 @@ def test_divert_degenerate_lengths(lost_a, lost_b):
 
 def test_worst_window_rows_trailing_partial():
     losses = np.asarray([[0.0] * 10 + [1.0]])
-    # window of 5 packets (0.1s window / 0.02 spacing): the trailing
+    # window of 5 packets (5 s window / 1 s spacing): the trailing
     # partial window is a single fully-lost packet
-    assert worst_window_rows(losses, 0.02, window_s=0.1)[0] == 1.0
+    assert worst_window_rows(losses, 1.0)[0] == 1.0
     assert worst_window_rows(losses[:, :0], 0.02)[0] == 0.0

@@ -78,7 +78,7 @@ def test_check_block_equivalence_passes_and_reports():
     spec = PopulationSpec(n_sessions=5, root_seed=1, deltas=(0.0,),
                           duration_s=20.0)
     block = render_block(spec)
-    report = check_block_equivalence(spec, block, sample_sessions=3)
+    report = check_block_equivalence(spec, block)
     assert len(report.indices) == 3
     assert all(0.0 <= loss <= 1.0 for loss in report.batch_loss)
     assert all(delay >= 0.0 for delay in report.event_delay_s)
@@ -92,7 +92,7 @@ def test_check_block_equivalence_detects_loss_divergence():
     corrupted = dataclasses.replace(
         block, delivered=np.zeros_like(block.delivered))
     with pytest.raises(BatchEquivalenceError, match="loss diverged"):
-        check_block_equivalence(spec, corrupted, sample_sessions=2)
+        check_block_equivalence(spec, corrupted)
 
 
 def test_check_block_equivalence_detects_scenario_divergence():
@@ -101,7 +101,7 @@ def test_check_block_equivalence_detects_scenario_divergence():
     corrupted = dataclasses.replace(
         block, scenarios=("definitely-wrong",) * block.n_sessions)
     with pytest.raises(BatchEquivalenceError, match="scenario"):
-        check_block_equivalence(spec, corrupted, sample_sessions=1)
+        check_block_equivalence(spec, corrupted)
 
 
 def test_equivalence_error_is_sanitizer_error():

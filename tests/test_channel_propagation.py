@@ -59,24 +59,17 @@ def test_shadowing_redraw_changes_value_but_correlates():
     model = LogDistancePathLoss(params, rng(seed=7))
     for _ in range(500):
         values.append(model.shadowing_db)
-        model.redraw_shadowing(correlation=0.9)
+        model.redraw_shadowing()
     values = np.array(values)
-    # AR(1) with rho=0.9 keeps the marginal variance near sigma^2.
+    # AR(1) with rho=0.8 keeps the marginal variance near sigma^2.
     assert 3.0 < values.std() < 9.0
     x = values - values.mean()
     lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     assert lag1 > 0.7
 
 
-def test_redraw_correlation_validated():
-    model = LogDistancePathLoss(PathLossParams(), rng())
-    with pytest.raises(ValueError):
-        model.redraw_shadowing(correlation=1.5)
-
-
 def test_rssi_to_snr():
-    assert rssi_to_snr_db(-60.0, noise_floor_dbm=-101.0,
-                          noise_figure_db=7.0) == pytest.approx(34.0)
+    assert rssi_to_snr_db(-60.0) == pytest.approx(34.0)
 
 
 # ----------------------------------------------------------------- fading

@@ -247,6 +247,12 @@ def test_sanitized_one_run_sweep(name, backend, monkeypatch):
     (["fig3", "--jobs", "-2"], "--jobs"),
     (["fig3", "--cache-max-bytes", "-1", "--cache-dir", "{tmp}"],
      "--cache-max-bytes"),
+    # Regression: a negative seed ran fig3 and 13 other commands but
+    # crashed these nine with a SeedSequence traceback.
+    (["fig3", "--seed", "-1"], "--seed"),
+    *(([name, "--seed", "-1"], "--seed")
+      for name in ("table1", "table2", "table3", "fig1", "fig8", "fig9",
+                   "sec63", "sec64", "uplink")),
 ])
 def test_runner_options_reject_out_of_range_values(argv, option, tmp_path,
                                                     capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.config import StreamProfile
 from repro.core.controller import run_session
-from repro.obs.registry import MetricsRegistry
+from repro.obs.runtime import collecting
 from repro.scenarios import build_office_pair
 
 PROFILE = StreamProfile(duration_s=20.0)
@@ -46,9 +46,9 @@ FROZEN = {
 def test_office_session_matches_frozen_digest(monkeypatch, mode, with_tcp,
                                               seed):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    metrics = MetricsRegistry()
-    result = run_session(build_office_pair, mode=mode, profile=PROFILE,
-                         seed=seed, with_tcp=with_tcp, metrics=metrics)
+    with collecting() as metrics:
+        result = run_session(build_office_pair, mode=mode, profile=PROFILE,
+                             seed=seed, with_tcp=with_tcp)
     executed = metrics.counter("sim.events_executed", mode=mode).value
     peak = metrics.gauge("sim.peak_queue_depth", mode=mode).value
     assert (result.determinism_digest, executed, peak) == FROZEN[

@@ -58,12 +58,11 @@ def test_fec_needs_parity():
 
 
 def test_fec_decode_deadline_enforced():
-    data = trace_of([1, 0, 0, 0, 0])
-    # Block completes only at the last packet (t=80 ms) + parity; with a
-    # 50 ms deadline the first packet cannot be recovered in time.
+    data = trace_of([1, 0, 0, 0, 0], spacing=0.03)
+    # Block completes only at the last packet (t=120 ms) + delay; with
+    # the 100 ms deadline the first packet cannot be recovered in time.
     parity = parity_of([True], spacing=0.1)
-    decoded = apply_fec(data, parity, FecConfig(block_size=5),
-                        decode_deadline_s=0.050)
+    decoded = apply_fec(data, parity, FecConfig(block_size=5))
     assert not decoded.delivered[0]
 
 

@@ -1,5 +1,5 @@
-"""Every module and definition under ``src/repro`` must be reached by
-the program.
+"""Every module, definition and defaulted parameter under ``src/repro``
+must be reached by the program.
 
 The program is ``python -m repro`` plus ``examples/``, ``benchmarks/``
 and ``bench/``.  A module is reached when one of those files, or a
@@ -17,13 +17,21 @@ dotted string such as a runner task or a bench probe.  The check is by
 name, so a method shares its fate with every other definition of that
 name; it catches what nothing outside the tests mentions at all.  The
 few definitions kept for a named future caller are listed in ``KEEP``.
+
+A defaulted parameter of a reached function is set when a program call
+of that name passes it by keyword or by position, passes a ``*``/``**``
+splat, or when a program file uses its name as a string dict key or
+``dict(...)`` keyword outside the definition's own body (runner tasks
+receive their config that way).  A parameter only tests set is a
+second value no artifact uses; make its default a constant.  The test
+seams kept on purpose are listed in ``KEEP_PARAMS``.
 """
 
 import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
@@ -36,9 +44,9 @@ PROGRAM_ROOTS = ("examples", "benchmarks", "bench")
 ENTRY_MODULE = "repro.__main__"
 
 
-def _modules() -> Dict[str, Path]:
-    return {dotted_module_name(str(path.relative_to(REPO))): path
-            for path in sorted((REPO / "src" / "repro").rglob("*.py"))}
+def _modules(root: Path) -> Dict[str, Path]:
+    return {dotted_module_name(str(path.relative_to(root))): path
+            for path in sorted((root / "src" / "repro").rglob("*.py"))}
 
 
 def _reexports(modules: Dict[str, Path]) -> Dict[Tuple[str, str],
@@ -94,12 +102,16 @@ def _imported_by(path: Path, modules: Dict[str, Path],
     return reached
 
 
-def _reached_modules(modules: Dict[str, Path]) -> Set[str]:
+def _program_files(root: Path) -> List[Path]:
+    return [path for program_root in PROGRAM_ROOTS
+            for path in sorted((root / program_root).rglob("*.py"))]
+
+
+def _reached_modules(root: Path, modules: Dict[str, Path]) -> Set[str]:
     """Modules reached from the entry points, transitively: an import
     counts only when the importing ``src`` module is reached itself."""
     reexports = _reexports(modules)
-    frontier = [path for root in PROGRAM_ROOTS
-                for path in sorted((REPO / root).rglob("*.py"))]
+    frontier = _program_files(root)
     frontier.append(modules[ENTRY_MODULE])
     reached: Set[str] = set()
     while frontier:
@@ -113,8 +125,8 @@ def _reached_modules(modules: Dict[str, Path]) -> Set[str]:
 
 
 def test_every_module_is_reached_outside_tests():
-    modules = _modules()
-    reached = _reached_modules(modules)
+    modules = _modules(REPO)
+    reached = _reached_modules(REPO, modules)
     unreached = sorted(
         module for module, path in modules.items()
         if path.name != "__init__.py" and module != ENTRY_MODULE
@@ -186,15 +198,23 @@ def _docstrings(tree: ast.Module) -> Set[int]:
     return found
 
 
-def _names_used(tree: ast.Module
-                ) -> Iterator[Tuple[str, Tuple[ast.AST, ...]]]:
-    """Every name the file uses, with the definitions enclosing the use."""
-    docstrings = _docstrings(tree)
+def _walk(tree: ast.Module) -> Iterator[Tuple[ast.AST, Tuple[ast.AST, ...]]]:
+    """Every node of the file, with the definitions enclosing it."""
     stack: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = [(tree, ())]
     while stack:
         node, enclosing = stack.pop()
         if isinstance(node, _DEFINITION):
             enclosing = enclosing + (node,)
+        yield node, enclosing
+        stack.extend((child, enclosing)
+                     for child in ast.iter_child_nodes(node))
+
+
+def _names_used(tree: ast.Module
+                ) -> Iterator[Tuple[str, Tuple[ast.AST, ...]]]:
+    """Every name the file uses, with the definitions enclosing the use."""
+    docstrings = _docstrings(tree)
+    for node, enclosing in _walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, enclosing
         elif isinstance(node, ast.Attribute):
@@ -207,8 +227,6 @@ def _names_used(tree: ast.Module
                 and _CODE_STRING.fullmatch(node.value):
             for name in _IDENTIFIER.findall(node.value):
                 yield name, enclosing
-        stack.extend((child, enclosing)
-                     for child in ast.iter_child_nodes(node))
 
 
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
@@ -224,16 +242,22 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
                     stack.append((f"{prefix}{node.name}.", node))
 
 
-def _unnamed_definitions() -> List[str]:
+def _program_trees(root: Path, modules: Dict[str, Path]
+                   ) -> Dict[Path, ast.Module]:
+    """The parsed program: the files outside ``src`` and every reached
+    ``src`` module."""
+    reached = _reached_modules(root, modules)
+    sources = _program_files(root) + [
+        path for module, path in modules.items()
+        if path.name != "__init__.py"
+        and (module in reached or module == ENTRY_MODULE)]
+    return {path: ast.parse(path.read_text()) for path in sources}
+
+
+def _unnamed_definitions(root: Path) -> List[str]:
     """``module:qualname`` of each definition no program file names."""
-    modules = _modules()
-    reached = _reached_modules(modules)
-    sources = [path for root in PROGRAM_ROOTS
-               for path in sorted((REPO / root).rglob("*.py"))]
-    sources += [path for module, path in modules.items()
-                if path.name != "__init__.py"
-                and (module in reached or module == ENTRY_MODULE)]
-    trees = {path: ast.parse(path.read_text()) for path in sources}
+    modules = _modules(root)
+    trees = _program_trees(root, modules)
     uses: Dict[str, List[Tuple[Path, Tuple[ast.AST, ...]]]] = {}
     for path, tree in trees.items():
         for name, enclosing in _names_used(tree):
@@ -253,7 +277,7 @@ def _unnamed_definitions() -> List[str]:
 
 
 def test_every_definition_is_named_outside_tests():
-    unnamed = _unnamed_definitions()
+    unnamed = _unnamed_definitions(REPO)
     unexplained = [name for name in unnamed if name not in KEEP]
     assert unexplained == [], (
         "definitions that neither `python -m repro`, examples/, "
@@ -261,3 +285,169 @@ def test_every_definition_is_named_outside_tests():
         f"them with their tests: {unexplained}")
     stale = sorted(set(KEEP) - set(unnamed))
     assert stale == [], f"KEEP entries the program now names: {stale}"
+
+
+#: defaulted parameters only tests set today, each kept for the reason
+#: given: a seam through which a test injects a fake or captures output
+KEEP_PARAMS: Dict[str, str] = {
+    "repro.cli:main(argv)":
+        "tests run a command without touching sys.argv",
+    "repro.cli:main(out)":
+        "tests capture the printed report instead of stdout",
+    "repro.obs.runtime:collecting(registry)":
+        "tests install their own registry to observe what a scope records",
+    "repro.runner.spec:RunSpec.build(fingerprint)":
+        "tests fake a source change to check cache invalidation",
+    "repro.studies.population:nettest_population_study(runner_config)":
+        "tests run the study with a throwaway cache and jobs setting",
+}
+
+#: one program call: ``(file, enclosing definitions, positional
+#: arguments, keywords, passes a ``*``/``**`` splat)``
+_Call = Tuple[Path, Tuple[ast.AST, ...], int, List[str], bool]
+
+
+def _calls_and_keys(trees: Dict[Path, ast.Module]
+                    ) -> Tuple[Dict[str, List[_Call]],
+                               Dict[str, List[Tuple[Path,
+                                                    Tuple[ast.AST, ...]]]]]:
+    """Program calls by callee name, and string dict keys (``{"k": v}``
+    or ``dict(k=v)``) by key, each with where it appears."""
+    calls: Dict[str, List[_Call]] = {}
+    keys: Dict[str, List[Tuple[Path, Tuple[ast.AST, ...]]]] = {}
+    for path, tree in trees.items():
+        for node, enclosing in _walk(tree):
+            if isinstance(node, ast.Dict):
+                for key in node.keys:
+                    if isinstance(key, ast.Constant) \
+                            and isinstance(key.value, str):
+                        keys.setdefault(key.value, []).append(
+                            (path, enclosing))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            keywords = [kw.arg for kw in node.keywords if kw.arg]
+            if name == "dict":
+                for key in keywords:
+                    keys.setdefault(key, []).append((path, enclosing))
+            splat = any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg is None for kw in node.keywords)
+            positional = sum(not isinstance(arg, ast.Starred)
+                             for arg in node.args)
+            calls.setdefault(name, []).append(
+                (path, enclosing, positional, keywords, splat))
+    return calls, keys
+
+
+def _functions(tree: ast.Module
+               ) -> Iterator[Tuple[str, ast.AST, Optional[str]]]:
+    """``(qualified name, node, owning class or None)`` for every
+    function and method, nested ones included."""
+    stack: List[Tuple[str, ast.AST]] = [("", tree)]
+    while stack:
+        prefix, parent = stack.pop()
+        owner = parent.name if isinstance(parent, ast.ClassDef) else None
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, _DEFINITION):
+                stack.append((f"{prefix}{node.name}.", node))
+                if not isinstance(node, ast.ClassDef):
+                    yield prefix + node.name, node, owner
+            else:
+                stack.append((prefix, node))
+
+
+def _defaulted(node: ast.AST, method: bool
+               ) -> Iterator[Tuple[str, Optional[int]]]:
+    """``(name, index among a caller's positional arguments)`` of each
+    defaulted parameter; the index is None for keyword-only ones."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    bound = method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list)
+    for index in range(len(positional) - len(args.defaults),
+                       len(positional)):
+        yield positional[index].arg, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _unset_parameters(root: Path) -> List[str]:
+    """``module:qualname(parameter)`` of each defaulted parameter of a
+    reached ``src`` function that no program file sets."""
+    modules = _modules(root)
+    trees = _program_trees(root, modules)
+    calls, keys = _calls_and_keys(trees)
+    unset = []
+    for module, path in modules.items():
+        if path not in trees:
+            continue
+        for qualname, node, owner in _functions(trees[path]):
+            callee = owner if node.name == "__init__" else node.name
+            outside = [call for call in calls.get(callee, ())
+                       if call[0] != path or node not in call[1]]
+            for name, index in _defaulted(node, owner is not None):
+                if any(splat or name in keywords
+                       or (index is not None and positional > index)
+                       for _, _, positional, keywords, splat in outside):
+                    continue
+                if any(where != path or node not in enclosing
+                       for where, enclosing in keys.get(name, ())):
+                    continue
+                unset.append(f"{module}:{qualname}({name})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    unset = _unset_parameters(REPO)
+    unexplained = [name for name in unset if name not in KEEP_PARAMS]
+    assert unexplained == [], (
+        "defaulted parameters that neither `python -m repro`, examples/, "
+        "benchmarks/ nor bench/ set; make each default a constant at its "
+        f"one place of use: {unexplained}")
+    stale = sorted(set(KEEP_PARAMS) - set(unset))
+    assert stale == [], f"KEEP_PARAMS entries the program now sets: {stale}"
+
+
+def test_parameter_guard_on_a_fixture_tree(tmp_path):
+    """The guard reports a parameter only tests pass, and no parameter a
+    program call or a dict key outside the definition's body sets."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def run(a, by_position=2, by_keyword=1, only_tests=3, by_key=4):\n"
+        "    return a\n"
+        "\n"
+        "def own_key(x_own=1):\n"
+        "    return {'x_own': x_own}\n"
+        "\n"
+        "def splatted(x=1):\n"
+        "    return x\n"
+        "\n"
+        "class Box:\n"
+        "    def __init__(self, width=1, depth=2):\n"
+        "        self.width = width\n")
+    (package / "__main__.py").write_text(
+        "from repro.mod import Box, own_key, run, splatted\n"
+        "CONFIG = {'by_key': 4}\n"
+        "run(0, 5, by_keyword=1)\n"
+        "own_key()\n"
+        "splatted(**CONFIG)\n"
+        "Box(3)\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from repro.mod import Box, run\n"
+        "run(0, only_tests=9)\n"
+        "Box(depth=4)\n")
+    assert _unset_parameters(tmp_path) == [
+        "repro.mod:Box.__init__(depth)",
+        "repro.mod:own_key(x_own)",
+        "repro.mod:run(only_tests)",
+    ]

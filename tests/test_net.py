@@ -34,8 +34,7 @@ def test_lan_forwards_with_small_delay():
 def test_lan_preserves_order():
     sim = Simulator()
     got = []
-    lan = LanSegment(sim, lambda p: got.append(p.seq), rng(seed=5),
-                     jitter_s=0.0)
+    lan = LanSegment(sim, lambda p: got.append(p.seq), rng(seed=5))
     for i in range(5):
         sim.call_at(0.001 * i, lan.send, packet(i))
     sim.run()

@@ -56,28 +56,31 @@ def test_best_of_k_monotone_in_k(patterns, k):
 
 # --------------------------------------------------------------------- FEC
 
+#: packet spacing short enough that every block of up to 8 packets
+#: decodes within apply_fec's 100 ms deadline
+FEC_SPACING_S = 0.01
+
+
 @given(loss_patterns, st.integers(min_value=1, max_value=8))
 def test_fec_never_unrecovers(losses, k):
-    data = trace_of(losses)
+    data = trace_of(losses, spacing=FEC_SPACING_S)
     n_blocks = (len(losses) + k - 1) // k
-    parity = LinkTrace("p", np.arange(n_blocks) * 0.02 * k,
+    parity = LinkTrace("p", np.arange(n_blocks) * FEC_SPACING_S * k,
                        np.ones(n_blocks, dtype=bool),
                        np.full(n_blocks, 0.005))
-    decoded = apply_fec(data, parity, FecConfig(block_size=k),
-                        decode_deadline_s=10.0)
+    decoded = apply_fec(data, parity, FecConfig(block_size=k))
     # FEC can only add deliveries, never remove them.
     assert np.all(decoded.delivered >= data.delivered)
 
 
 @given(loss_patterns, st.integers(min_value=2, max_value=6))
 def test_fec_recovers_only_single_losses(losses, k):
-    data = trace_of(losses)
+    data = trace_of(losses, spacing=FEC_SPACING_S)
     n_blocks = (len(losses) + k - 1) // k
-    parity = LinkTrace("p", np.arange(n_blocks) * 0.02 * k,
+    parity = LinkTrace("p", np.arange(n_blocks) * FEC_SPACING_S * k,
                        np.ones(n_blocks, dtype=bool),
                        np.full(n_blocks, 0.005))
-    decoded = apply_fec(data, parity, FecConfig(block_size=k),
-                        decode_deadline_s=10.0)
+    decoded = apply_fec(data, parity, FecConfig(block_size=k))
     for block_start in range(0, len(losses), k):
         block = losses[block_start:block_start + k]
         lost = sum(block)

@@ -9,6 +9,7 @@ from repro.scenarios import (
     WILD_MIX,
     build_office_pair,
     build_scenario,
+    generate_wild_run,
     generate_wild_runs,
     sample_scenario_name,
     scenario_counts,
@@ -55,7 +56,8 @@ def test_generate_wild_runs_tags_scenarios():
 
 
 def test_generate_wild_runs_pinned_scenario():
-    runs = generate_wild_runs(3, SHORT, seed=3, scenario="microwave")
+    runs = [generate_wild_run(idx, SHORT, seed=3, scenario="microwave")
+            for idx in range(3)]
     assert scenario_counts(runs) == {"microwave": 3}
 
 

@@ -12,11 +12,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulator(start_time=5.0)
-    assert sim.now == 5.0
-
-
 def test_call_at_fires_at_time():
     sim = Simulator()
     fired = []
@@ -26,8 +21,15 @@ def test_call_at_fires_at_time():
     assert sim.now == 1.5
 
 
+def _simulator_at(time):
+    sim = Simulator()
+    sim.call_at(time, lambda: None)
+    sim.run()
+    return sim
+
+
 def test_call_in_relative():
-    sim = Simulator(start_time=2.0)
+    sim = _simulator_at(2.0)
     fired = []
     sim.call_in(0.5, lambda: fired.append(sim.now))
     sim.run()
@@ -62,7 +64,7 @@ def test_callback_args_passed():
 
 
 def test_scheduling_in_past_raises():
-    sim = Simulator(start_time=10.0)
+    sim = _simulator_at(10.0)
     with pytest.raises(SimulationError):
         sim.call_at(9.0, lambda: None)
 
@@ -233,7 +235,7 @@ def test_digest_counts_executed_events(monkeypatch):
 
 def test_scheduling_in_past_still_raises_with_sanitizer(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sim = Simulator(start_time=10.0)
+    sim = _simulator_at(10.0)
     with pytest.raises(SimulationError):
         sim.call_at(9.0, lambda: None)
 

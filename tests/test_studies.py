@@ -232,7 +232,7 @@ def test_virtual_aps_share_channels():
 
 
 def test_residential_fraction_near_30pct():
-    frac = residential_multi_bssid_fraction(seed=0, n_homes=400)
+    frac = residential_multi_bssid_fraction(seed=0)
     assert 0.15 < frac < 0.45
 
 

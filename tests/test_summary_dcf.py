@@ -24,16 +24,14 @@ def test_bootstrap_interval_covers_mean():
 
 def test_bootstrap_interval_narrows_with_n():
     rng = np.random.default_rng(1)
-    small = bootstrap_interval(rng.normal(0, 1, 20), seed=1)
-    large = bootstrap_interval(rng.normal(0, 1, 2000), seed=1)
+    small = bootstrap_interval(rng.normal(0, 1, 20))
+    large = bootstrap_interval(rng.normal(0, 1, 2000))
     assert (large.high - large.low) < (small.high - small.low)
 
 
 def test_bootstrap_validates_inputs():
     with pytest.raises(ValueError):
         bootstrap_interval([])
-    with pytest.raises(ValueError):
-        bootstrap_interval([1.0], confidence=1.5)
 
 
 def test_paired_difference_detects_shift():

@@ -100,12 +100,14 @@ def run_with_psm_loss(frame_loss_prob, seed=5):
     ap_config = APConfig(max_queue_len=config.ap_queue_len)
     primary = AccessPoint(sim, "primary", link_p, ap_config)
     secondary = AccessPoint(sim, "secondary", link_s, ap_config)
-    manager = WifiManager(sim, router.stream("psm"),
-                          PsmConfig(frame_loss_prob=frame_loss_prob))
+    manager = WifiManager(sim, router.stream("psm"))
     manager.create_adapter("primary")
     manager.create_adapter("secondary")
     manager.associate("primary", primary, channel=1)
     manager.associate("secondary", secondary, channel=11)
+    for adapter in manager.adapters.values():
+        adapter.association.psm.config = PsmConfig(
+            frame_loss_prob=frame_loss_prob)
     client = DiversiFiClient(sim, manager, SHORT, config)
     primary.set_receiver(client.on_receive)
     secondary.set_receiver(client.on_receive)

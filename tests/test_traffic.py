@@ -48,12 +48,11 @@ def test_voip_sender_without_sinks_raises():
 
 # --------------------------------------------------------------- TCP Reno
 
-def run_tcp(duration=20.0, capacity=4.6e6, radio=lambda: True,
-            loss=0.002, seed=0):
+def run_tcp(duration=20.0, radio=lambda: True, loss=0.002, seed=0):
     sim = Simulator()
     tcp = TcpReno(sim, RandomRouter(seed).stream("tcp"),
-                  capacity_bps=capacity, duration_s=duration,
-                  radio_present=radio, wireless_loss_prob=loss)
+                  duration_s=duration, radio_present=radio,
+                  wireless_loss_prob=loss)
     tcp.start()
     sim.run(until=duration + 1.0)
     return tcp

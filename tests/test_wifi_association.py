@@ -26,8 +26,8 @@ def test_psm_sleep_sets_ap_state():
     sim = Simulator()
     ap = make_ap(sim)
     done = []
-    psm = PowerSaveClient(sim, ap, rng(),
-                          PsmConfig(frame_loss_prob=0.0))
+    psm = PowerSaveClient(sim, ap, rng())
+    psm.config = PsmConfig(frame_loss_prob=0.0)
     sim.call_at(0.0, psm.send_sleep, lambda: done.append(sim.now))
     sim.run()
     assert not ap.client_awake
@@ -38,7 +38,8 @@ def test_psm_wake_sets_ap_state():
     sim = Simulator()
     ap = make_ap(sim)
     ap.client_sleep()
-    psm = PowerSaveClient(sim, ap, rng(), PsmConfig(frame_loss_prob=0.0))
+    psm = PowerSaveClient(sim, ap, rng())
+    psm.config = PsmConfig(frame_loss_prob=0.0)
     sim.call_at(0.0, psm.send_wake, lambda: None)
     sim.run()
     assert ap.client_awake
@@ -48,8 +49,8 @@ def test_psm_retries_on_frame_loss():
     sim = Simulator()
     ap = make_ap(sim)
     # Force heavy loss: retries must accumulate.
-    psm = PowerSaveClient(sim, ap, rng(seed=3),
-                          PsmConfig(frame_loss_prob=0.9, max_retries=5))
+    psm = PowerSaveClient(sim, ap, rng(seed=3))
+    psm.config = PsmConfig(frame_loss_prob=0.9, max_retries=5)
     sim.call_at(0.0, psm.send_sleep, lambda: None)
     sim.run()
     assert psm.retries > 0
@@ -59,14 +60,15 @@ def test_psm_retries_on_frame_loss():
 # ----------------------------------------------------------- WifiManager
 
 def build_manager(sim, seed=0):
-    manager = WifiManager(sim, rng(seed),
-                          PsmConfig(frame_loss_prob=0.0))
+    manager = WifiManager(sim, rng(seed))
     ap_a = make_ap(sim, "apA")
     ap_b = make_ap(sim, "apB")
     manager.create_adapter("primary")
     manager.create_adapter("secondary")
     manager.associate("primary", ap_a, channel=1)
     manager.associate("secondary", ap_b, channel=11)
+    for adapter in manager.adapters.values():
+        adapter.association.psm.config = PsmConfig(frame_loss_prob=0.0)
     return manager, ap_a, ap_b
 
 

@@ -10,7 +10,7 @@ from repro.wifi.ap import AccessPoint
 from repro.wifi.beacon import (
     Beacon,
     BeaconScheduler,
-    DEFAULT_BEACON_INTERVAL_S,
+    BEACON_INTERVAL_S,
     StandardPsmClient,
 )
 from repro.wifi.wmm import (
@@ -110,34 +110,34 @@ def test_wmm_cannot_fix_wireless_loss():
 
 # ------------------------------------------------------------------ beacon
 
-def make_psm_setup(interval=DEFAULT_BEACON_INTERVAL_S):
+def make_psm_setup():
     sim = Simulator()
     ap = AccessPoint(sim, "ap", PerfectLink(), APConfig(
         drop_policy="head", max_queue_len=50))
-    scheduler = BeaconScheduler(sim, ap, interval_s=interval)
+    scheduler = BeaconScheduler(sim, ap)
     return sim, ap, scheduler
 
 
 def test_beacons_emitted_at_interval():
-    sim, ap, scheduler = make_psm_setup(interval=0.1)
+    sim, ap, scheduler = make_psm_setup()
     seen = []
     scheduler.subscribe(lambda b: seen.append(b.timestamp))
     scheduler.start()
     sim.run(until=1.05)
-    assert len(seen) == 11
-    assert seen[1] - seen[0] == pytest.approx(0.1)
+    assert len(seen) == 11                         # t=0 .. t=1.024
+    assert seen[1] - seen[0] == pytest.approx(BEACON_INTERVAL_S)
 
 
 def test_tim_reflects_buffer_state():
-    sim, ap, scheduler = make_psm_setup(interval=0.1)
+    sim, ap, scheduler = make_psm_setup()
     ap.client_sleep()
     tims = []
     scheduler.subscribe(lambda b: tims.append(b.tim_set))
     scheduler.start()
     sim.call_at(0.15, ap.wired_arrival, packet(0))
     sim.run(until=0.35)
-    assert tims[0] is False and tims[1] is False   # t=0, t=0.1
-    assert tims[2] is True                         # t=0.2: buffered
+    assert tims[0] is False and tims[1] is False   # t=0, t=0.1024
+    assert tims[2] is True                         # t=0.2048: buffered
 
 
 def test_double_start_rejected():
@@ -148,7 +148,7 @@ def test_double_start_rejected():
 
 
 def test_standard_psm_client_retrieves_at_beacon_granularity():
-    sim, ap, scheduler = make_psm_setup(interval=0.1024)
+    sim, ap, scheduler = make_psm_setup()
     got = []
     ap.set_receiver(lambda p, t, n: got.append((p.seq, t)))
     client = StandardPsmClient(sim, ap, scheduler)
@@ -169,7 +169,7 @@ def test_standard_psm_mean_latency_half_interval():
     which already blows a 100 ms one-way budget half of the time."""
     latencies = []
     for k in range(20):
-        sim, ap, scheduler = make_psm_setup(interval=0.1024)
+        sim, ap, scheduler = make_psm_setup()
         got = []
         ap.set_receiver(lambda p, t, n: got.append(t))
         StandardPsmClient(sim, ap, scheduler)

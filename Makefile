@@ -52,7 +52,9 @@ bench-pytest:
 # the warm cache — and must print identical digests and write
 # byte-identical --metrics-out files, the warm rerun executing zero
 # simulations.
-#   bench-smoke       the parallel runner on a small event-path figure
+#   bench-smoke       the parallel runner on a small event-path figure,
+#                     and fig3, which submits no runner batch (its printed
+#                     report is compared instead of digests)
 #   batch-smoke       the batch backend: 120 sessions in two cache-keyed
 #                     blocks, each sanity-checked against the event
 #                     engine (repro.batch.sanity) before its digest counts
@@ -67,6 +69,7 @@ SMOKE = $(PYTHON) tools/digest_smoke.py
 
 bench-smoke:
 	$(SMOKE) fig2a --runs 6
+	$(SMOKE) fig3
 
 batch-smoke:
 	$(SMOKE) fig2a --runs 120 --backend batch

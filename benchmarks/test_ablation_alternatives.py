@@ -14,7 +14,7 @@ import numpy as np
 from conftest import scaled
 
 from repro.analysis.windows import worst_window_loss
-from repro.channel.cellular import CellularConfig, CellularLink
+from repro.channel.cellular import CellularLink
 from repro.core import strategies
 from repro.core.config import G711_PROFILE, StreamProfile
 from repro.core.fec import FecConfig, apply_fec, render_fec_run
@@ -66,7 +66,7 @@ def test_ablation_cross_technology(benchmark):
             router = root.fork(f"xtech-{i}")
             # Microwave scenario: BOTH WiFi links share the oven's fate...
             link_a, link_b = build_scenario("microwave", router)
-            lte = CellularLink(CellularConfig(), router)
+            lte = CellularLink(router)
             trace_a = link_a.generate_trace(PROFILE)
             trace_b = link_b.generate_trace(PROFILE)
             wifi_cross = merge_traces([trace_a, trace_b])

@@ -25,8 +25,8 @@ from repro.scenarios import (
 )
 from repro.sim.random import RandomRouter
 
-#: default sessions per runner-task block (one cache-keyed RunSpec each)
-DEFAULT_BLOCK_SESSIONS = 100
+#: sessions per runner-task block (one cache-keyed RunSpec each)
+BLOCK_SESSIONS = 100
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,10 @@ class PopulationSpec:
     #: draws each session from the wild mix
     scenario: Optional[str] = None
     max_lag: int = 20
-    block_size: int = DEFAULT_BLOCK_SESSIONS
 
     def __post_init__(self) -> None:
         if self.n_sessions < 0:
             raise ValueError("n_sessions must be >= 0")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
     @property
     def profile(self) -> StreamProfile:
@@ -93,7 +90,7 @@ class PopulationSpec:
         out: List[Tuple[int, int]] = []
         start = 0
         while start < self.n_sessions:
-            count = min(self.block_size, self.n_sessions - start)
+            count = min(BLOCK_SESSIONS, self.n_sessions - start)
             out.append((start, count))
             start += count
         return out

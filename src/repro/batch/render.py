@@ -14,7 +14,7 @@ airtime, ~15 ms end to end) straddles mains half-cycles of a microwave
 oven and the tail of a deep Rayleigh fade; collapsing it to
 ``p_slot^(R+1)`` overestimates loss severalfold in fading- or
 oven-dominated regimes.  The renderer therefore evaluates loss on
-``(retry_limit + 1) x T`` attempt-time matrices: fading is evolved
+``(RETRY_LIMIT + 1) x T`` attempt-time matrices: fading is evolved
 across the burst with per-gap AR(1) steps, and Gilbert / oven /
 congestion state is sampled at each attempt's expected transmit time.
 
@@ -54,20 +54,36 @@ from repro.batch.population import PopulationSpec, SessionSetup
 from repro.channel.gilbert import GilbertParams
 from repro.channel.interference import CongestionProcess, MicrowaveOven
 from repro.channel.link import LinkConfig
-from repro.channel.pathloss import SHADOWING_CORRELATION, rssi_to_snr_db
+from repro.channel.pathloss import (
+    REFERENCE_DISTANCE_M,
+    REFERENCE_LOSS_DB,
+    SHADOWING_CORRELATION,
+    TX_POWER_DBM,
+    rssi_to_snr_db,
+)
 from repro.core.config import StreamProfile
 from repro.core.packet import LinkTrace
 from repro.core.replication import PairedRun
 from repro.core.types import BoolArray, FloatArray
 from repro.scenarios import InterferenceSpec, MobilityModel, ScenarioSetup
 from repro.sim.random import RandomRouter
-from repro.wifi.mac import contention_windows
-from repro.wifi.phy import MAC_OVERHEAD_S, MCS_TABLE, PhyConfig
+from repro.wifi.mac import CONTENTION_WINDOWS, DIFS_S, SLOT_TIME_S
+from repro.wifi.phy import (
+    MAC_OVERHEAD_S,
+    MCS_TABLE,
+    SNR_SLOPE_DB,
+    TARGET_PER,
+)
 
 #: per-MCS curve constants, columnized for vectorized PER evaluation
 _MCS_MID_DB = np.array([m.snr_mid_db for m in MCS_TABLE])
-_MCS_SLOPE_DB = np.array([m.snr_slope_db for m in MCS_TABLE])
 _MCS_RATE_MBPS = np.array([m.phy_rate_mbps for m in MCS_TABLE])
+
+#: expected DIFS + contention backoff per retry stage: the mean of the
+#: uniform slot draw :class:`repro.wifi.mac.MacLayer` makes over each of
+#: :data:`repro.wifi.mac.CONTENTION_WINDOWS`
+_BACKOFF_MEANS_S = (DIFS_S + np.asarray(CONTENTION_WINDOWS, dtype=float)
+                    / 2.0 * SLOT_TIME_S)
 
 #: RSSI sampling period of the event path's paired-run renderer
 _RSSI_SAMPLE_PERIOD_S = 1.0
@@ -79,40 +95,21 @@ _SPAN_MARGIN_S = 0.5
 # ---------------------------------------------------------------------------
 # vectorized PHY
 
-def frame_error_prob_array(snr_db: FloatArray, mid_db: FloatArray,
-                           slope_db: FloatArray,
-                           frame_bytes: int) -> FloatArray:
+def frame_error_prob_array(snr_db: FloatArray,
+                           mid_db: FloatArray) -> FloatArray:
     """Vectorized :func:`repro.wifi.phy.frame_error_prob` (same math)."""
-    per_ref = 1.0 / (1.0 + np.exp((snr_db - mid_db) / slope_db))
-    if frame_bytes == 1500:
-        return per_ref
-    per_ref = np.clip(per_ref, 1e-12, 1.0 - 1e-12)
-    bits_ref = 1500 * 8.0
-    p_bit = 1.0 - (1.0 - per_ref) ** (1.0 / bits_ref)
-    return 1.0 - (1.0 - p_bit) ** (frame_bytes * 8.0)
+    return 1.0 / (1.0 + np.exp((snr_db - mid_db) / SNR_SLOPE_DB))
 
 
-def select_mcs_indices(mean_snr_db: FloatArray,
-                       phy: PhyConfig) -> np.ndarray:
+def select_mcs_indices(mean_snr_db: FloatArray) -> np.ndarray:
     """Vectorized :func:`repro.wifi.phy.select_mcs`: per-SNR index of the
     highest MCS meeting the target PER (index 0 when none does)."""
     snr = np.atleast_1d(np.asarray(mean_snr_db, dtype=float))
-    per = frame_error_prob_array(
-        snr[None, :], _MCS_MID_DB[:, None], _MCS_SLOPE_DB[:, None],
-        phy.reference_frame_bytes)
-    ok = per <= phy.target_per
+    per = frame_error_prob_array(snr[None, :], _MCS_MID_DB[:, None])
+    ok = per <= TARGET_PER
     # highest True index per column (select_mcs keeps the LAST passing MCS)
     highest = (len(MCS_TABLE) - 1) - np.argmax(ok[::-1, :], axis=0)
     return np.where(ok.any(axis=0), highest, 0)
-
-
-def _attempt_backoff_means_s(config: LinkConfig) -> FloatArray:
-    """Expected DIFS + contention backoff per retry stage: the mean of
-    the uniform slot draw :class:`repro.wifi.mac.MacLayer` makes over
-    each window of :func:`repro.wifi.mac.contention_windows`."""
-    mac = config.mac
-    cw = np.asarray(contention_windows(mac), dtype=float)
-    return mac.difs_s + cw / 2.0 * mac.slot_time_s
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +343,14 @@ def _slow_state(config: LinkConfig, drifting: bool,
             shadow[k] = shadow[k - 1]
     dx = xs - config.ap_position.x
     dy = ys - config.ap_position.y
-    distance = np.maximum(np.hypot(dx, dy), pl.reference_distance_m)
-    path_loss = (pl.reference_loss_db
+    distance = np.maximum(np.hypot(dx, dy), REFERENCE_DISTANCE_M)
+    path_loss = (REFERENCE_LOSS_DB
                  + 10.0 * pl.exponent
-                 * np.log10(distance / pl.reference_distance_m)
+                 * np.log10(distance / REFERENCE_DISTANCE_M)
                  + shadow)
-    rssi = pl.tx_power_dbm - path_loss
+    rssi = TX_POWER_DBM - path_loss
     base_snr = rssi_to_snr_db(rssi)
-    mcs_index = select_mcs_indices(base_snr, config.phy)
+    mcs_index = select_mcs_indices(base_snr)
     return _SlowState(seg_of_slot=seg_of_slot, seg_starts_s=seg_starts_s,
                       base_snr_db=base_snr, rssi_dbm=rssi,
                       mcs_index=mcs_index)
@@ -433,18 +430,16 @@ def _render_link(config: LinkConfig, slow: _SlowState,
 
     horizon_s = n_ext * spacing + _SPAN_MARGIN_S
     times = np.arange(n_ext) * spacing
-    retries = config.mac.retry_limit
-    n_attempts = retries + 1
+    n_attempts = len(CONTENTION_WINDOWS)
 
     seg = slow.seg_of_slot
     base_snr = slow.base_snr_db[seg]
     mcs_idx = slow.mcs_index[seg]
     mid = _MCS_MID_DB[mcs_idx]
-    slope = _MCS_SLOPE_DB[mcs_idx]
     rate_mbps = _MCS_RATE_MBPS[mcs_idx]
     airtime = (profile.packet_size_bytes * 8.0 / (rate_mbps * 1e6)
                + MAC_OVERHEAD_S)                        # (n_ext,)
-    backoff = _attempt_backoff_means_s(config)          # (n_attempts,)
+    backoff = _BACKOFF_MEANS_S                          # (n_attempts,)
 
     # Queueing delay, drawn at each slot's send time (event order: the
     # interference delay is sampled before the MAC burst begins).
@@ -480,17 +475,14 @@ def _render_link(config: LinkConfig, slow: _SlowState,
             penalty = penalty + comp.penalty(attempt_t)
     snr = base_snr[None, :] + fade - penalty
 
-    ref_bytes = config.phy.reference_frame_bytes
-    p_phy = frame_error_prob_array(snr, mid[None, :], slope[None, :],
-                                   ref_bytes)
+    p_phy = frame_error_prob_array(snr, mid[None, :])
     for comp in components:
         if isinstance(comp, _CongestionSpans):
             # Per-attempt collision penalty, integrated analytically:
             # while busy, an attempt collides with prob c and then sees
             # the penalized PER.
             p_hit = frame_error_prob_array(
-                snr - comp.collision_penalty_db, mid[None, :],
-                slope[None, :], ref_bytes)
+                snr - comp.collision_penalty_db, mid[None, :])
             chance = comp.collision_prob * comp.busy(attempt_t)
             p_phy = (1.0 - chance) * p_phy + chance * p_hit
 

@@ -11,7 +11,7 @@ a whole call's worth of per-packet (delivered?, delay) outcomes, and
 controllable cross-correlation for the Section 4 experiments.
 """
 
-from repro.channel.cellular import CellularConfig, CellularLink
+from repro.channel.cellular import CellularLink
 from repro.channel.gilbert import (
     GilbertElliott,
     GilbertParams,
@@ -28,7 +28,6 @@ from repro.channel.mobility import RandomWaypointMobility, StaticPosition
 from repro.channel.link import LinkConfig, WifiLink, paired_links
 
 __all__ = [
-    "CellularConfig",
     "CellularLink",
     "CongestionProcess",
     "GilbertElliott",

@@ -16,8 +16,6 @@ can consume it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.channel.gilbert import GilbertElliott, GilbertParams
@@ -26,38 +24,32 @@ from repro.core.packet import DeliveryRecord, LinkTrace
 from repro.sim.random import RandomRouter
 
 
-@dataclass
-class CellularConfig:
-    """LTE-like link parameters."""
-
-    name: str = "lte"
-    base_delay_s: float = 0.040
-    jitter_scale_s: float = 0.008
-    #: residual post-HARQ loss probability in coverage
-    residual_loss: float = 0.0005
-    #: outage process: rare but long (handover / coverage gaps)
-    outage: GilbertParams = field(default_factory=lambda: GilbertParams(
-        mean_good_s=120.0, mean_bad_s=2.0,
-        loss_good=0.0, loss_bad=1.0))
+#: LTE-like base latency and lognormal jitter scale
+BASE_DELAY_S = 0.040
+JITTER_SCALE_S = 0.008
+#: residual post-HARQ loss probability in coverage
+RESIDUAL_LOSS = 0.0005
+#: outage process: rare but long (handover / coverage gaps)
+OUTAGE = GilbertParams(mean_good_s=120.0, mean_bad_s=2.0,
+                       loss_good=0.0, loss_bad=1.0)
 
 
 class CellularLink:
     """An LTE-like link with HARQ-clean loss and rare deep outages."""
 
-    def __init__(self, config: CellularConfig,
-                 rng_router: RandomRouter) -> None:
-        self.config = config
-        self.name = config.name
-        prefix = f"cell.{config.name}"
+    name = "lte"
+
+    def __init__(self, rng_router: RandomRouter) -> None:
+        prefix = f"cell.{self.name}"
         self._rng = rng_router.stream(f"{prefix}.loss")
         self._rng_delay = rng_router.stream(f"{prefix}.delay")
         self._outage = GilbertElliott(
-            config.outage, rng_router.stream(f"{prefix}.outage"))
+            OUTAGE, rng_router.stream(f"{prefix}.outage"))
 
     def attempt_loss_prob(self, time: float) -> float:
         """Loss probability at ``time`` (outage dominates)."""
         p_outage = self._outage.loss_probability(time)
-        return 1.0 - (1.0 - p_outage) * (1.0 - self.config.residual_loss)
+        return 1.0 - (1.0 - p_outage) * (1.0 - RESIDUAL_LOSS)
 
     def transmit(self, seq: int, send_time: float,
                  frame_bytes: int = 160) -> DeliveryRecord:
@@ -66,9 +58,9 @@ class CellularLink:
         if lost:
             return DeliveryRecord(seq=seq, send_time=send_time,
                                   delivered=False)
-        delay = (self.config.base_delay_s
+        delay = (BASE_DELAY_S
                  + float(self._rng_delay.lognormal(0.0, 1.0)
-                         * self.config.jitter_scale_s))
+                         * JITTER_SCALE_S))
         return DeliveryRecord(seq=seq, send_time=send_time, delivered=True,
                               arrival_time=send_time + delay)
 

@@ -35,7 +35,7 @@ from repro.channel.mobility import Position, StaticPosition
 from repro.channel.pathloss import LogDistancePathLoss, PathLossParams
 from repro.core.packet import DeliveryRecord, LinkTrace
 from repro.core.config import StreamProfile
-from repro.wifi.mac import MacConfig, MacLayer
+from repro.wifi.mac import MacLayer
 from repro.sim.random import RandomRouter
 from repro.wifi.phy import (
     Mcs,
@@ -45,6 +45,10 @@ from repro.wifi.phy import (
     frame_error_prob,
     select_mcs,
 )
+
+#: how often rate control re-selects the MCS from the current mean SNR
+#: (Minstrel-style long-term adaptation)
+RATE_UPDATE_INTERVAL_S = 1.0
 
 
 @dataclass
@@ -58,7 +62,6 @@ class LinkConfig:
     pathloss: PathLossParams = field(default_factory=PathLossParams)
     gilbert: GilbertParams = field(default_factory=GilbertParams)
     phy: PhyConfig = field(default_factory=PhyConfig)
-    mac: MacConfig = field(default_factory=MacConfig)
     #: None -> Rayleigh fading; a K-factor in dB -> Rician
     rician_k_db: Optional[float] = None
     coherence_time_s: float = 0.050
@@ -69,9 +72,6 @@ class LinkConfig:
     #: redraw shadowing even for a static client (doors, people, carts —
     #: the environment moves even when the client does not)
     environment_drift: bool = False
-    #: how often rate control re-selects the MCS from the current mean SNR
-    #: (Minstrel-style long-term adaptation)
-    rate_update_interval_s: float = 1.0
 
 
 class WifiLink:
@@ -102,8 +102,7 @@ class WifiLink:
             config.gilbert, rng_router.stream(f"{prefix}.gilbert"))
         self._mobility = mobility or StaticPosition(Position(10.0, 7.0))
         self._interference = interference or NullInterference()
-        self._mac = MacLayer(config.mac,
-                             rng_router.stream(f"{prefix}.mac"),
+        self._mac = MacLayer(rng_router.stream(f"{prefix}.mac"),
                              metric_labels={"link": config.name})
         self._last_shadow_update = 0.0
         # Channel processes require non-decreasing query times, but MAC
@@ -114,7 +113,7 @@ class WifiLink:
         self._query_clock = 0.0
         # Rate adaptation off the initial average SNR; re-run periodically.
         initial_snr_db = float(self.mean_snr_db(0.0))
-        self._mcs = select_mcs(initial_snr_db, config.phy)
+        self._mcs = select_mcs(initial_snr_db)
         self._last_rate_update = 0.0
         # A static client's slow SNR changes only when shadowing is
         # redrawn.  Without environment drift that never happens, so the
@@ -186,9 +185,8 @@ class WifiLink:
             self._query_clock = time
         else:
             time = self._query_clock
-        config = self.config
-        if time - self._last_rate_update >= config.rate_update_interval_s:
-            self._mcs = select_mcs(self.mean_snr_db(time), config.phy)
+        if time - self._last_rate_update >= RATE_UPDATE_INTERVAL_S:
+            self._mcs = select_mcs(self.mean_snr_db(time))
             self._last_rate_update = time
         mean_snr_db = self._static_snr_db
         if mean_snr_db is None:
@@ -200,8 +198,7 @@ class WifiLink:
             mean_snr_db,
             self._fading.fade_db(time),
             self._interference.snr_penalty_db(time))
-        p_phy = frame_error_prob(
-            snr, self._mcs, config.phy.reference_frame_bytes)
+        p_phy = frame_error_prob(snr, self._mcs)
         p_ge = self._gilbert.loss_probability(time)
         return 1.0 - (1.0 - p_phy) * (1.0 - p_ge)
 

@@ -23,6 +23,12 @@ NOISE_FLOOR_DBM = -101.0
 NOISE_FIGURE_DB = 7.0
 #: lag-one correlation of the shadowing term across a client move
 SHADOWING_CORRELATION = 0.8
+#: AP transmit power, dBm
+TX_POWER_DBM = 20.0
+#: reference distance d0 of the log-distance model, and PL(d0): ~2.4 GHz
+#: free space at 1 m
+REFERENCE_DISTANCE_M = 1.0
+REFERENCE_LOSS_DB = 40.0
 
 
 def rssi_to_snr_db(rssi_dbm: float) -> float:
@@ -34,9 +40,6 @@ def rssi_to_snr_db(rssi_dbm: float) -> float:
 class PathLossParams:
     """Log-distance model parameters (indoor office defaults)."""
 
-    tx_power_dbm: float = 20.0
-    reference_distance_m: float = 1.0
-    reference_loss_db: float = 40.0   # ~2.4 GHz free space at 1 m
     exponent: float = 3.3             # office with cubicles and walls
     shadowing_sigma_db: float = 4.0
 
@@ -70,15 +73,15 @@ class LogDistancePathLoss:
 
     def path_loss_db(self, distance_m: float) -> float:
         """Mean path loss at ``distance_m`` (shadowing included)."""
-        d = max(distance_m, self.params.reference_distance_m)
-        return (self.params.reference_loss_db
+        d = max(distance_m, REFERENCE_DISTANCE_M)
+        return (REFERENCE_LOSS_DB
                 + 10.0 * self.params.exponent
-                * np.log10(d / self.params.reference_distance_m)
+                * np.log10(d / REFERENCE_DISTANCE_M)
                 + self._shadowing_db)
 
     def rssi_dbm(self, distance_m: float) -> float:
         """RSSI at the client for a given AP distance."""
-        return self.params.tx_power_dbm - self.path_loss_db(distance_m)
+        return TX_POWER_DBM - self.path_loss_db(distance_m)
 
     def snr_db(self, distance_m: float) -> float:
         """SNR implied by the RSSI at ``distance_m``."""

@@ -103,8 +103,6 @@ class APConfig:
     #: when the client wakes; >1 models firmware that flushes several PS
     #: frames at once (a source of wasteful duplication, Section 5.3.1)
     hardware_queue_batch: int = 1
-    #: per-packet over-the-air service time (transmission + MAC overhead)
-    service_time_s: float = 0.0015
 
 
 @dataclass(frozen=True)
@@ -113,11 +111,4 @@ class MiddleboxConfig:
 
     #: head-drop buffer depth per flow
     buffer_len: int = 5
-    #: base processing + LAN forwarding latency (Table 3: ~2 ms network,
-    #: ~0.9 ms queuing at the middlebox)
-    base_network_delay_s: float = 0.0020
-    base_queuing_delay_s: float = 0.0009
-    #: incremental delay per concurrent replicated stream (Section 6.4:
-    #: +1.1 ms at 1000 streams)
-    per_stream_delay_s: float = 1.1e-6
 

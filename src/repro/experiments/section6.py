@@ -32,6 +32,7 @@ from repro.analysis.report import (
 from repro.analysis.windows import worst_window_loss
 from repro.core.config import G711_PROFILE, MiddleboxConfig
 from repro.core.controller import run_session
+from repro.net.middlebox import BASE_QUEUING_DELAY_S
 from repro.experiments.section4 import (
     _burst_contribution,
     _merge_burst_contributions,
@@ -378,12 +379,11 @@ def run_table3(n_events: int = 100, seed0: int = 0) -> Table3Result:
     ap_total = [row["ap"][1] for row in rows]
     mb_switch = [row["mbox"][0] for row in rows]
     mb_total = [row["mbox"][1] for row in rows]
-    config = MiddleboxConfig()
     ap_switch_ms = 1000 * float(np.mean(ap_switch))
     ap_total_ms = 1000 * float(np.mean(ap_total))
     mb_switch_ms = 1000 * float(np.mean(mb_switch))
     mb_total_ms = 1000 * float(np.mean(mb_total))
-    mbox_queuing_ms = 1000 * config.base_queuing_delay_s
+    mbox_queuing_ms = 1000 * BASE_QUEUING_DELAY_S
     return Table3Result(
         ap_total_ms=ap_total_ms,
         ap_switching_ms=ap_switch_ms,

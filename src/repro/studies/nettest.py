@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.channel.gilbert import GilbertParams, sample_loss_array
-from repro.core.config import G711_PROFILE, StreamProfile
+from repro.core.config import G711_PROFILE
 from repro.core.packet import LinkTrace
 from repro.sim.random import RandomRouter
 from repro.voice.pcr import POOR_MOS_THRESHOLD, score_call
@@ -231,16 +231,15 @@ def nettest_block_router(seed: int, block: int) -> RandomRouter:
 
 
 def simulate_call(category: str, rng: np.random.Generator,
-                  clients: ClientState,
-                  profile: StreamProfile = G711_PROFILE) -> NetTestCall:
+                  clients: ClientState) -> NetTestCall:
     """Simulate and score one call from its private stream.
 
     The draw order within the stream is fixed (endpoint picks, loss
     processes, jitter, path extras); the *number* of draws is
     data-dependent, which is why the stream is private to the call.
     """
-    n = profile.n_packets
-    spacing = profile.inter_packet_spacing_s
+    n = G711_PROFILE.n_packets
+    spacing = G711_PROFILE.inter_packet_spacing_s
     relayed = "Relayed" in category
     two_wifi = category.startswith("WW")
 
@@ -274,8 +273,7 @@ def simulate_call(category: str, rng: np.random.Generator,
 
 
 def render_nettest_block(block: int, count: int, seed: int,
-                         clients: ClientState, scale: float = 1.0,
-                         profile: StreamProfile = G711_PROFILE
+                         clients: ClientState, scale: float = 1.0
                          ) -> List[NetTestCall]:
     """Render calls ``[block * NETTEST_BLOCK, ... + count)`` in order."""
     router = nettest_block_router(seed, block)
@@ -284,13 +282,11 @@ def render_nettest_block(block: int, count: int, seed: int,
         index = block * NETTEST_BLOCK + local
         category = category_of_index(index, scale)
         calls.append(simulate_call(
-            category, router.stream(f"call-{local}"), clients,
-            profile=profile))
+            category, router.stream(f"call-{local}"), clients))
     return calls
 
 
 def run_nettest_study(seed: int = 0,
-                      profile: StreamProfile = G711_PROFILE,
                       scale: float = 1.0) -> NetTestDataset:
     """Simulate the full 9224-call study (scalar reference path).
 
@@ -303,6 +299,6 @@ def run_nettest_study(seed: int = 0,
     while block * NETTEST_BLOCK < total:
         count = min(NETTEST_BLOCK, total - block * NETTEST_BLOCK)
         dataset.calls.extend(render_nettest_block(
-            block, count, seed, clients, scale=scale, profile=profile))
+            block, count, seed, clients, scale=scale))
         block += 1
     return dataset

@@ -131,11 +131,11 @@ _PC_GIVEN_ETHERNET = 0.95
 
 
 #: calibration knobs — ablations sweep them by passing explicit keyword
-#: arguments.  They are bound as *def-time* signature defaults below:
-#: the values are pinned by the source text the runner's code
-#: fingerprint hashes, so a cached result can never disagree with the
-#: defaults in force when it was computed (call-time ``None`` fallbacks
-#: would escape the cache key — reproflow KEY501).
+#: arguments to the population study.  Its tasks bind them as *def-time*
+#: signature defaults: the values are pinned by the source text the
+#: runner's code fingerprint hashes, so a cached result can never
+#: disagree with the defaults in force when it was computed (call-time
+#: ``None`` fallbacks would escape the cache key — reproflow KEY501).
 WIFI_LOSS_MEDIAN = 0.005      # median extra loss per WiFi endpoint
 WIFI_LOSS_SIGMA = 0.9         # lognormal spread of the WiFi loss
 DEVICE_PENALTY_SCALE = 0.07   # mean MOS penalty of non-PC hardware
@@ -194,12 +194,6 @@ _CATEGORY_BY_WIFI_COUNT = {0: "EE", 1: "EW", 2: "WW"}
 
 def synthesize_provider_block(block: int, count: int, seed: int,
                               pairs: PairState,
-                              wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                              wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                              device_penalty_scale: float =
-                              DEVICE_PENALTY_SCALE,
-                              glitch_penalty_scale: float =
-                              GLITCH_PENALTY_SCALE,
                               response_bias: bool = True
                               ) -> List[RatedCall]:
     """Scalar reference rendering of one call block's *rated* calls.
@@ -226,7 +220,7 @@ def synthesize_provider_block(block: int, count: int, seed: int,
     s_respond = router.stream("respond")
 
     n_subnet_pairs = len(pairs.archetype)
-    log_median = np.log(wifi_loss_median)
+    log_median = np.log(WIFI_LOSS_MEDIAN)
     rated: List[RatedCall] = []
     for _ in range(count):
         pair = int(s_pair.integers(0, n_subnet_pairs))
@@ -240,7 +234,7 @@ def synthesize_provider_block(block: int, count: int, seed: int,
             pc = s_pc.random() < (p_pc_wifi if on_wifi
                                   else _PC_GIVEN_ETHERNET)
             access = float(s_access.lognormal(log_median,
-                                              wifi_loss_sigma))
+                                              WIFI_LOSS_SIGMA))
             endpoints.append((on_wifi, pc, access))
         n_wifi = sum(1 for w, _, _ in endpoints if w)
         category = _CATEGORY_BY_WIFI_COUNT[n_wifi]
@@ -260,14 +254,14 @@ def synthesize_provider_block(block: int, count: int, seed: int,
         r = emodel_r_factor(loss, delay, mean_burst_len=burst)
         mos = r_to_mos(r)
         # Cheap hardware degrades what the user *hears*, not the network.
-        device = float(s_device.exponential(device_penalty_scale))
+        device = float(s_device.exponential(DEVICE_PENALTY_SCALE))
         if not pc_class:
             mos -= device
         # Non-network glitches everyone suffers regardless of access type:
         # echo, background noise, far-end problems, app hiccups.  Without
         # this floor the synthetic EE population would be implausibly
         # perfect and every relative delta would saturate.
-        mos -= float(s_glitch.exponential(glitch_penalty_scale))
+        mos -= float(s_glitch.exponential(GLITCH_PENALTY_SCALE))
         rating = int(np.clip(round(mos + s_noise.normal(0.0, 0.55)),
                              1, 5))
 

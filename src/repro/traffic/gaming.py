@@ -8,7 +8,7 @@ packets arrive before its display deadline.
 This module models the downlink video of such a service:
 
 * 60 fps frames; periodic large I-frames and smaller P-frames (sizes
-  drawn lognormal around configurable means);
+  drawn lognormal around fixed means);
 * frames packetized into MTU-sized packets at a paced spacing;
 * frame-level scoring of a packet-level :class:`LinkTrace`: a frame
   renders iff every one of its packets arrived within the frame
@@ -28,28 +28,30 @@ import numpy as np
 
 from repro.core.packet import LinkTrace
 
+#: video frame rate
+FPS = 60.0
+#: group-of-pictures length: one I-frame every ``GOP`` frames
+GOP = 30
+MEAN_P_FRAME_BYTES = 8_000     # ~4 Mbps at 60 fps
+MEAN_I_FRAME_BYTES = 40_000
+MTU_BYTES = 1200
+#: a frame must be complete this long after its capture instant
+FRAME_DEADLINE_S = 0.050
+
 
 @dataclass(frozen=True)
 class GameStreamProfile:
     """A cloud-gaming video stream."""
 
-    fps: float = 60.0
     duration_s: float = 60.0
-    #: group-of-pictures length: one I-frame every ``gop`` frames
-    gop: int = 30
-    mean_p_frame_bytes: int = 8_000     # ~4 Mbps at 60 fps
-    mean_i_frame_bytes: int = 40_000
-    mtu_bytes: int = 1200
-    #: a frame must be complete this long after its capture instant
-    frame_deadline_s: float = 0.050
 
     @property
     def n_frames(self) -> int:
-        return int(round(self.duration_s * self.fps))
+        return int(round(self.duration_s * FPS))
 
     @property
     def frame_interval_s(self) -> float:
-        return 1.0 / self.fps
+        return 1.0 / FPS
 
 
 @dataclass
@@ -81,12 +83,10 @@ def packetize_game_stream(profile: GameStreamProfile,
     frame_of_packet: List[int] = []
     frame_times = np.arange(profile.n_frames) * profile.frame_interval_s
     for f in range(profile.n_frames):
-        is_iframe = (f % profile.gop) == 0
-        mean = (profile.mean_i_frame_bytes if is_iframe
-                else profile.mean_p_frame_bytes)
+        is_iframe = (f % GOP) == 0
+        mean = MEAN_I_FRAME_BYTES if is_iframe else MEAN_P_FRAME_BYTES
         size = max(int(rng.lognormal(np.log(mean), 0.25)), 200)
-        n_packets = max((size + profile.mtu_bytes - 1)
-                        // profile.mtu_bytes, 1)
+        n_packets = max((size + MTU_BYTES - 1) // MTU_BYTES, 1)
         pacing = profile.frame_interval_s / (n_packets + 1)
         for p in range(n_packets):
             send_times.append(float(frame_times[f]) + (p + 1) * pacing)
@@ -123,7 +123,7 @@ class GameSessionScore:
     def longest_stall_ms(self) -> float:
         if not self.stalls:
             return 0.0
-        return max(self.stalls) * 1000.0 / 60.0
+        return max(self.stalls) * 1000.0 / FPS
 
 
 def score_game_session(stream: PacketizedGameStream,
@@ -138,7 +138,7 @@ def score_game_session(stream: PacketizedGameStream,
         raise ValueError("trace does not match the packet schedule")
     profile = stream.profile
     deadlines = (stream.frame_times[stream.frame_of_packet]
-                 + profile.frame_deadline_s)
+                 + FRAME_DEADLINE_S)
     arrivals = trace.arrival_times
     on_time = trace.delivered & (arrivals <= deadlines + 1e-12)
 
@@ -170,8 +170,7 @@ def transmit_game_stream(stream: PacketizedGameStream, link) -> LinkTrace:
     delivered = np.zeros(n, dtype=bool)
     delays = np.full(n, np.nan)
     for i in range(n):
-        record = link.transmit(i, float(stream.send_times[i]),
-                               stream.profile.mtu_bytes)
+        record = link.transmit(i, float(stream.send_times[i]), MTU_BYTES)
         delivered[i] = record.delivered
         if record.delivered:
             delays[i] = record.delay

@@ -9,7 +9,7 @@ duplication overhead.
 """
 
 from repro.wifi.phy import MCS_TABLE, PhyConfig, frame_error_prob, select_mcs
-from repro.wifi.mac import MacConfig, MacLayer, TransmissionResult
+from repro.wifi.mac import MacLayer, TransmissionResult
 from repro.wifi.ap import AccessPoint, BufferedPacket
 from repro.wifi.psm import PowerSaveClient
 from repro.wifi.association import Association, VirtualAdapter, WifiManager
@@ -25,7 +25,6 @@ __all__ = [
     "BssEntry",
     "BufferedPacket",
     "MCS_TABLE",
-    "MacConfig",
     "MacLayer",
     "PhyConfig",
     "PowerSaveClient",

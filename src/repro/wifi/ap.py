@@ -29,6 +29,8 @@ from repro.core.config import APConfig
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
 
+#: per-packet over-the-air service time (transmission + MAC overhead)
+SERVICE_TIME_S = 0.0015
 
 @dataclass
 class BufferedPacket:
@@ -163,8 +165,8 @@ class AccessPoint:
         record = self.link.transmit(packet.seq, self.sim.now,
                                     packet.size_bytes)
         service = max(record.arrival_time - self.sim.now, 0.0) \
-            if record.delivered else self.config.service_time_s
-        finish = self.sim.now + max(service, self.config.service_time_s)
+            if record.delivered else SERVICE_TIME_S
+        finish = self.sim.now + max(service, SERVICE_TIME_S)
 
         present = self._client_awake
         if not present:

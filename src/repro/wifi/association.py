@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 from repro.obs.registry import TimeWeightedGauge
 from repro.obs.runtime import active_registry
 from repro.sim.engine import Simulator
-from repro.wifi.psm import PowerSaveClient, PsmConfig
+from repro.wifi.psm import CHANNEL_SWITCH_S, PowerSaveClient
 
 
 @dataclass
@@ -128,8 +128,7 @@ class WifiManager:
                 ap.config = type(ap.config)(
                     drop_policy=ap.config.drop_policy,
                     max_queue_len=requested_queue_len,
-                    hardware_queue_batch=ap.config.hardware_queue_batch,
-                    service_time_s=ap.config.service_time_s)
+                    hardware_queue_batch=ap.config.hardware_queue_batch)
         # Newly associated adapters start asleep unless made active.
         ap.client_sleep()
         return association
@@ -195,7 +194,7 @@ class WifiManager:
             self._active = None
             if previous is not None:
                 self._mark_awake(previous, False)
-            self.sim.call_in(PsmConfig.channel_switch_s, after_retune)
+            self.sim.call_in(CHANNEL_SWITCH_S, after_retune)
 
         if current is not None:
             current.psm.send_sleep(after_sleep)

@@ -1,6 +1,6 @@
 """802.11 MAC layer: retransmissions, backoff, per-packet service time.
 
-The MAC retries each frame up to ``retry_limit`` times with exponential
+The MAC retries each frame up to ``RETRY_LIMIT`` times with exponential
 backoff.  Retries happen on the tens-of-microseconds-to-milliseconds
 timescale — this is the paper's *temporal diversity at a fine timescale*,
 which fails exactly when the channel impairment outlives the whole retry
@@ -26,29 +26,22 @@ from repro.obs.runtime import active_registry
 from repro.sim.random import BufferedDraws
 
 
-@dataclass(frozen=True)
-class MacConfig:
-    """MAC retransmission parameters (802.11 defaults)."""
+#: 802.11 retransmission parameters (OFDM PHY defaults): retries after
+#: the first attempt, backoff slot, DIFS, and the contention window bounds
+RETRY_LIMIT = 7
+SLOT_TIME_S = 9e-6
+DIFS_S = 34e-6
+CW_MIN = 15
+CW_MAX = 1023
+#: per-attempt frame airtime (transmission + ACK) when the caller gives none
+ATTEMPT_AIRTIME_S = 3e-4
 
-    retry_limit: int = 7
-    slot_time_s: float = 9e-6
-    sifs_s: float = 16e-6
-    difs_s: float = 34e-6
-    cw_min: int = 15
-    cw_max: int = 1023
-    #: per-attempt frame airtime (transmission + ACK), overridden by PHY
-    attempt_airtime_s: float = 3e-4
-
-
-def contention_windows(config: MacConfig) -> Tuple[int, ...]:
-    """Contention window of each retry stage (``retry_limit + 1`` of them).
-
-    Stage ``k`` backs off a uniform number of slots in ``[0, cw_k]`` with
-    ``cw_k = min((cw_min + 1) * 2**k - 1, cw_max)``.
-    """
-    return tuple(min(config.cw_min * (2 ** attempt) + (2 ** attempt - 1),
-                     config.cw_max)
-                 for attempt in range(config.retry_limit + 1))
+#: contention window of each retry stage (``RETRY_LIMIT + 1`` of them):
+#: stage ``k`` backs off a uniform number of slots in ``[0, cw_k]`` with
+#: ``cw_k = min((CW_MIN + 1) * 2**k - 1, CW_MAX)``
+CONTENTION_WINDOWS: Tuple[int, ...] = tuple(
+    min(CW_MIN * (2 ** attempt) + (2 ** attempt - 1), CW_MAX)
+    for attempt in range(RETRY_LIMIT + 1))
 
 
 @dataclass
@@ -69,13 +62,8 @@ class MacLayer:
     state correctly correlates consecutive attempts.
     """
 
-    def __init__(self, config: MacConfig, rng: np.random.Generator,
+    def __init__(self, rng: np.random.Generator,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
-        self.config = config
-        #: per-stage contention windows, see :func:`contention_windows`
-        self.contention_windows = contention_windows(config)
-        if any(not 0 <= cw < 2 ** 32 for cw in self.contention_windows):
-            raise ValueError("contention windows must lie in [0, 2**32)")
         # The MAC is its stream's only consumer, so the backoff slots and
         # loss coins come from prefetched blocks (same values).
         self._draws = BufferedDraws(rng)
@@ -97,25 +85,24 @@ class MacLayer:
 
     def transmit(self, start_time: float,
                  attempt_loss_prob: Callable[[float], float],
-                 airtime_s: float = None) -> TransmissionResult:
+                 airtime_s: float = ATTEMPT_AIRTIME_S
+                 ) -> TransmissionResult:
         """Attempt delivery starting at ``start_time``.
 
         Returns the result with the cumulative service time (backoffs +
         airtimes across all attempts).
         """
-        config = self.config
-        airtime = (airtime_s if airtime_s is not None
-                   else config.attempt_airtime_s)
-        difs_s = config.difs_s
-        slot_time_s = config.slot_time_s
+        windows = CONTENTION_WINDOWS
+        difs_s = DIFS_S
+        slot_time_s = SLOT_TIME_S
         draws = self._draws
         elapsed = 0.0
         result = None
-        for attempt, cw in enumerate(self.contention_windows):
+        for attempt, cw in enumerate(windows):
             # DIFS plus a backoff of 0..cw slots, drawn uniformly.
             elapsed += difs_s + draws.integers(cw + 1) * slot_time_s
             tx_time = start_time + elapsed
-            elapsed += airtime
+            elapsed += airtime_s
             p_loss = attempt_loss_prob(tx_time)
             if draws.random() >= p_loss:
                 result = TransmissionResult(
@@ -124,7 +111,7 @@ class MacLayer:
                 break
         if result is None:
             result = TransmissionResult(
-                delivered=False, attempts=config.retry_limit + 1,
+                delivered=False, attempts=len(windows),
                 service_time_s=elapsed)
         if self._m_attempts is not None:
             self._m_attempts.inc(result.attempts)

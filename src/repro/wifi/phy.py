@@ -2,8 +2,8 @@
 
 The frame error model is the standard logistic approximation to measured
 802.11 PER-vs-SNR curves: each MCS has a threshold SNR at which PER = 50%
-and a slope; a frame succeeds when the instantaneous SNR (slow RSSI-derived
-SNR + fading + interference penalties) clears the curve.
+and all share one slope; a frame succeeds when the instantaneous SNR (slow
+RSSI-derived SNR + fading + interference penalties) clears the curve.
 
 Rate adaptation is a Minstrel-flavoured long-term chooser: pick the highest
 MCS whose expected PER at the *average* SNR stays below a target.  That
@@ -28,9 +28,13 @@ class Mcs:
     phy_rate_mbps: float
     #: SNR (dB) at which per-frame error is 50% for a ~1500 B frame
     snr_mid_db: float
-    #: logistic slope (dB): smaller = sharper transition
-    snr_slope_db: float = 1.5
 
+
+#: logistic slope (dB) of every MCS's PER curve: smaller = sharper
+#: transition
+SNR_SLOPE_DB = 1.5
+#: target PER used by rate adaptation
+TARGET_PER = 0.10
 
 #: 802.11n single-stream MCS ladder (20 MHz, 800 ns GI), thresholds from
 #: published PER curves.
@@ -53,39 +57,22 @@ class PhyConfig:
     #: number of independent spatial/diversity branches (1 = SISO;
     #: >1 models 802.11n/ac MIMO receive diversity, Section 4.3)
     n_spatial_branches: int = 1
-    #: target PER used by rate adaptation
-    target_per: float = 0.10
-    #: frame size the PER curves are referenced to
-    reference_frame_bytes: int = 1500
 
 
-def frame_error_prob(snr_db: float, mcs: Mcs,
-                     frame_bytes: int = 1500) -> float:
-    """Per-frame error probability at ``snr_db`` for ``mcs``.
-
-    Logistic in SNR, rescaled for frame length (error probability scales
-    roughly with the number of bits at a fixed BER).
-    """
+def frame_error_prob(snr_db: float, mcs: Mcs) -> float:
+    """Per-frame error probability at ``snr_db`` for ``mcs``: logistic in
+    SNR, on the ~1500 B reference curve every frame is scored against."""
     # np.exp, not math.exp: the two differ in the last bit on some
     # inputs, and per-attempt loss coins are compared against this.
-    per_ref = 1.0 / (1.0 + float(np.exp((snr_db - mcs.snr_mid_db)
-                                        / mcs.snr_slope_db)))
-    if frame_bytes == 1500:
-        return per_ref
-    # P_frame = 1 - (1 - p_bit)^bits ; invert at reference then rescale.
-    per_ref = min(max(per_ref, 1e-12), 1.0 - 1e-12)
-    bits_ref = 1500 * 8.0
-    p_bit = 1.0 - (1.0 - per_ref) ** (1.0 / bits_ref)
-    return float(1.0 - (1.0 - p_bit) ** (frame_bytes * 8.0))
+    return 1.0 / (1.0 + float(np.exp((snr_db - mcs.snr_mid_db)
+                                     / SNR_SLOPE_DB)))
 
 
-def select_mcs(mean_snr_db: float, config: PhyConfig = PhyConfig()) -> Mcs:
+def select_mcs(mean_snr_db: float) -> Mcs:
     """Long-term rate adaptation: highest MCS meeting the target PER."""
     chosen = MCS_TABLE[0]
     for mcs in MCS_TABLE:
-        per = frame_error_prob(mean_snr_db, mcs,
-                               config.reference_frame_bytes)
-        if per <= config.target_per:
+        if frame_error_prob(mean_snr_db, mcs) <= TARGET_PER:
             chosen = mcs
     return chosen
 

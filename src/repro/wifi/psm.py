@@ -14,7 +14,6 @@ measured 2.8 ms link-switch latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -24,18 +23,14 @@ from repro.obs.runtime import active_registry
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
-class PsmConfig:
-    """Timing of the PSM null-frame exchange."""
-
-    #: one null-frame + ACK exchange
-    frame_exchange_s: float = 0.0003
-    #: probability one exchange fails and is retried
-    frame_loss_prob: float = 0.05
-    #: driver-level retries before giving up (paper: 5)
-    max_retries: int = 5
-    #: radio retune time between channels (paper measurement: 2.3 ms)
-    channel_switch_s: float = 0.0023
+#: one null-frame + ACK exchange
+FRAME_EXCHANGE_S = 0.0003
+#: probability one exchange fails and is retried
+FRAME_LOSS_PROB = 0.05
+#: driver-level retries before giving up (paper: 5)
+MAX_RETRIES = 5
+#: radio retune time between channels (paper measurement: 2.3 ms)
+CHANNEL_SWITCH_S = 0.0023
 
 
 class PowerSaveClient:
@@ -45,7 +40,6 @@ class PowerSaveClient:
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.sim = sim
         self.ap = ap
-        self.config = PsmConfig()
         self._rng = rng
         #: exchanges attempted (observability)
         self.exchanges = 0
@@ -61,12 +55,12 @@ class PowerSaveClient:
     def _exchange_duration(self) -> float:
         """Time to complete one null-frame exchange including retries."""
         duration = 0.0
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             self.exchanges += 1
             if self._m_exchanges is not None:
                 self._m_exchanges.inc()
-            duration += self.config.frame_exchange_s
-            if self._rng.random() >= self.config.frame_loss_prob:
+            duration += FRAME_EXCHANGE_S
+            if self._rng.random() >= FRAME_LOSS_PROB:
                 return duration
             self.retries += 1
             if self._m_retries is not None:

@@ -21,8 +21,6 @@ class BssEntry:
     channel: int
     band: str
     rssi_dbm: float
-    #: does the client hold credentials for this network?
-    connectable: bool = True
 
 
 @dataclass
@@ -30,19 +28,16 @@ class ScanResult:
     """The outcome of one scan at one location."""
 
     location: str
+    #: the connectable networks heard (the client holds credentials)
     entries: List[BssEntry]
-
-    def connectable(self) -> List[BssEntry]:
-        """Entries on networks the client can join."""
-        return [e for e in self.entries if e.connectable]
 
     @property
     def n_bssids(self) -> int:
         """Count of connectable BSSIDs (Figure 1 bars)."""
-        return len({e.bssid for e in self.connectable()})
+        return len({e.bssid for e in self.entries})
 
     @property
     def n_channels(self) -> int:
         """Count of distinct channels among connectable BSSIDs (dashes) —
         discounts virtual APs that share a radio."""
-        return len({e.channel for e in self.connectable()})
+        return len({e.channel for e in self.entries})

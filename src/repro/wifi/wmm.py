@@ -21,6 +21,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
+from repro.wifi.ap import SERVICE_TIME_S
 
 #: access categories, highest priority first
 AC_VOICE = "AC_VO"
@@ -28,8 +29,6 @@ AC_VIDEO = "AC_VI"
 AC_BEST_EFFORT = "AC_BE"
 AC_BACKGROUND = "AC_BK"
 PRIORITY_ORDER = (AC_VOICE, AC_VIDEO, AC_BEST_EFFORT, AC_BACKGROUND)
-#: shortest air time a frame holds the medium, as in ``APConfig``
-SERVICE_TIME_S = 0.0015
 
 #: EDCA medium-access penalty per category (AIFS + mean backoff), seconds
 _ACCESS_DELAY_S = {

@@ -17,7 +17,7 @@ import pytest
 from repro.batch.population import PopulationSpec, SessionSetup
 from repro.batch.render import (
     TraceBlock,
-    _attempt_backoff_means_s,
+    _BACKOFF_MEANS_S,
     ar1_complex,
     render_block,
     render_session,
@@ -41,7 +41,15 @@ from repro.obs import MetricsRegistry, record_trace_metrics
 from repro.scenarios import ScenarioSetup
 from repro.sim import RandomRouter
 from repro.voice.pcr import POOR_MOS_THRESHOLD, score_call
-from repro.wifi.mac import MacConfig, MacLayer
+from repro.wifi.mac import (
+    CONTENTION_WINDOWS,
+    CW_MAX,
+    CW_MIN,
+    DIFS_S,
+    RETRY_LIMIT,
+    SLOT_TIME_S,
+    MacLayer,
+)
 
 SPEC = PopulationSpec(n_sessions=6, root_seed=0, deltas=(0.0, 0.1),
                       duration_s=10.0)
@@ -88,25 +96,17 @@ def test_ar1_rho_zero_is_iid():
     assert abs(measured) < 0.02
 
 
-@pytest.mark.parametrize("mac", [
-    MacConfig(),
-    MacConfig(retry_limit=4, cw_min=31, cw_max=255, slot_time_s=20e-6,
-              difs_s=50e-6),
-    MacConfig(retry_limit=10, cw_min=7, cw_max=4095),
-], ids=["default", "short-retry", "long-retry"])
-def test_batch_backoff_means_mirror_the_mac_windows(mac):
+def test_batch_backoff_means_mirror_the_mac_windows():
     """The batch attempt schedule backs off the mean of the scalar MAC's
     uniform slot draw over each retry stage's contention window, and
     the MAC really draws its slots from those windows."""
-    layer = MacLayer(mac, np.random.default_rng(0))
-    windows = layer.contention_windows
-    assert windows == tuple(min((mac.cw_min + 1) * 2 ** k - 1, mac.cw_max)
-                            for k in range(mac.retry_limit + 1))
-    if mac == MacConfig():
-        assert windows == (15, 31, 63, 127, 255, 511, 1023, 1023)
-    expected = [mac.difs_s + cw / 2.0 * mac.slot_time_s for cw in windows]
-    assert _attempt_backoff_means_s(
-        LinkConfig(mac=mac)).tolist() == expected
+    layer = MacLayer(np.random.default_rng(0))
+    windows = CONTENTION_WINDOWS
+    assert windows == tuple(min((CW_MIN + 1) * 2 ** k - 1, CW_MAX)
+                            for k in range(RETRY_LIMIT + 1))
+    assert windows == (15, 31, 63, 127, 255, 511, 1023, 1023)
+    expected = [DIFS_S + cw / 2.0 * SLOT_TIME_S for cw in windows]
+    assert _BACKOFF_MEANS_S.tolist() == expected
 
     # Every attempt is lost, so each frame walks all stages; the gap
     # between consecutive attempt times is DIFS + slots * slot_time
@@ -118,8 +118,8 @@ def test_batch_backoff_means_mirror_the_mac_windows(mac):
                        airtime_s=0.0)
         previous = float(frame)
         for stage, t in enumerate(times):
-            slots[stage].append(round((t - previous - mac.difs_s)
-                                      / mac.slot_time_s))
+            slots[stage].append(round((t - previous - DIFS_S)
+                                      / SLOT_TIME_S))
             previous = t
     for stage, cw in enumerate(windows):
         assert min(slots[stage]) >= 0 and max(slots[stage]) <= cw

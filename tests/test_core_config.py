@@ -7,9 +7,9 @@ from repro.core.config import (
     ClientConfig,
     G711_PROFILE,
     HIGH_RATE_PROFILE,
-    MiddleboxConfig,
     StreamProfile,
 )
+from repro.net.middlebox import PER_STREAM_DELAY_S
 
 
 def test_g711_profile_matches_paper():
@@ -50,6 +50,5 @@ def test_ap_config_defaults():
 
 
 def test_middlebox_load_constants():
-    mb = MiddleboxConfig()
     # Section 6.4: ~+1.1 ms at 1000 streams
-    assert mb.per_stream_delay_s * 1000 == pytest.approx(0.0011)
+    assert PER_STREAM_DELAY_S * 1000 == pytest.approx(0.0011)

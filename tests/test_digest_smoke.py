@@ -58,3 +58,25 @@ def test_identical_runs_pass(monkeypatch, capsys):
 def test_each_check_can_fail(monkeypatch, outputs):
     stub_runs(monkeypatch, outputs)
     assert digest_smoke.main(["fig8", "--runs", "2"]) == 1
+
+
+REPORT = "Figure 3\nlink A  5.97\n[fig3: two-weak-links example; {t}s]\n"
+
+
+def test_footerless_runs_compare_reports(monkeypatch, capsys):
+    """A command with no runner footer passes when its reports match,
+    whatever the timing line says and though nothing reports
+    ``executed=0``."""
+    stub_runs(monkeypatch, [(REPORT.format(t="0.3"), "{}"),
+                            (REPORT.format(t="1.2"), "{}"),
+                            (REPORT.format(t="0.2"), "{}")])
+    assert digest_smoke.main(["fig3"]) == 0
+    assert "reports and metrics identical" in capsys.readouterr().out
+
+
+def test_footerless_runs_with_differing_reports_fail(monkeypatch):
+    stub_runs(monkeypatch, [
+        (REPORT.format(t="0.3"), "{}"),
+        (REPORT.format(t="0.3").replace("5.97", "5.98"), "{}"),
+        (REPORT.format(t="0.3"), "{}")])
+    assert digest_smoke.main(["fig3"]) == 1

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.channel.cellular import CellularConfig, CellularLink
+from repro.channel import cellular
+from repro.channel.cellular import CellularLink
 from repro.channel.gilbert import GilbertParams
 from repro.channel.link import LinkConfig, WifiLink
 from repro.channel.mobility import Position, StaticPosition
@@ -106,41 +107,41 @@ def test_fec_loses_to_cross_link_on_bursty_channel():
 
 # ---------------------------------------------------------------- cellular
 
-def test_cellular_low_steady_loss():
-    link = CellularLink(CellularConfig(outage=GilbertParams(
-        mean_good_s=1e9, mean_bad_s=0.01, loss_good=0.0, loss_bad=0.0)),
-        RandomRouter(1))
+def test_cellular_low_steady_loss(monkeypatch):
+    monkeypatch.setattr(cellular, "OUTAGE", GilbertParams(
+        mean_good_s=1e9, mean_bad_s=0.01, loss_good=0.0, loss_bad=0.0))
+    link = CellularLink(RandomRouter(1))
     trace = link.generate_trace(SHORT)
     assert trace.loss_rate < 0.01
 
 
 def test_cellular_delay_higher_than_wifi():
-    link = CellularLink(CellularConfig(), RandomRouter(2))
+    link = CellularLink(RandomRouter(2))
     trace = link.generate_trace(SHORT)
     delays = trace.delays[trace.delivered]
     assert np.median(delays) > 0.030
 
 
-def test_cellular_outages_are_long():
-    config = CellularConfig(outage=GilbertParams(
+def test_cellular_outages_are_long(monkeypatch):
+    monkeypatch.setattr(cellular, "OUTAGE", GilbertParams(
         mean_good_s=5.0, mean_bad_s=2.0, loss_good=0.0, loss_bad=1.0))
-    link = CellularLink(config, RandomRouter(3))
+    link = CellularLink(RandomRouter(3))
     trace = link.generate_trace(StreamProfile(duration_s=60.0))
     from repro.analysis.bursts import burst_lengths
     bursts = burst_lengths(trace)
     assert bursts and max(bursts) > 20      # multi-second outage
 
 
-def test_cross_technology_hedging_beats_either():
+def test_cross_technology_hedging_beats_either(monkeypatch):
     wifi_config = LinkConfig(
         name="wifi", ap_position=Position(0, 0),
         gilbert=GilbertParams(mean_good_s=2.0, mean_bad_s=0.5,
                               loss_good=0.0, loss_bad=0.98))
     wifi = WifiLink(wifi_config, RandomRouter(4),
                     mobility=StaticPosition(Position(12, 0)))
-    lte = CellularLink(CellularConfig(outage=GilbertParams(
-        mean_good_s=20.0, mean_bad_s=1.0, loss_good=0.0, loss_bad=1.0)),
-        RandomRouter(5))
+    monkeypatch.setattr(cellular, "OUTAGE", GilbertParams(
+        mean_good_s=20.0, mean_bad_s=1.0, loss_good=0.0, loss_bad=1.0))
+    lte = CellularLink(RandomRouter(5))
     wifi_trace = wifi.generate_trace(SHORT)
     lte_trace = lte.generate_trace(SHORT)
     merged = merge_traces([wifi_trace, lte_trace])

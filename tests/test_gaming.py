@@ -11,6 +11,8 @@ from repro.channel.mobility import Position, StaticPosition
 from repro.core.packet import LinkTrace, merge_traces
 from repro.sim import RandomRouter
 from repro.traffic.gaming import (
+    GOP,
+    MTU_BYTES,
     GameStreamProfile,
     packetize_game_stream,
     score_game_session,
@@ -42,15 +44,15 @@ def test_packetize_counts():
 def test_iframes_are_bigger():
     stream = packetize_game_stream(PROFILE, rng(1))
     counts = np.bincount(stream.frame_of_packet)
-    i_frames = counts[::PROFILE.gop]
-    p_frames = np.delete(counts, np.arange(0, len(counts), PROFILE.gop))
+    i_frames = counts[::GOP]
+    p_frames = np.delete(counts, np.arange(0, len(counts), GOP))
     assert i_frames.mean() > 2 * p_frames.mean()
 
 
 def test_bitrate_plausible():
     stream = packetize_game_stream(PROFILE, rng(2))
     # ~8 KB * 60 fps ~= 4 Mbps plus I-frame overhead.
-    bitrate_bps = (stream.n_packets * PROFILE.mtu_bytes * 8
+    bitrate_bps = (stream.n_packets * MTU_BYTES * 8
                    / PROFILE.duration_s)
     assert 2e6 < bitrate_bps < 12e6
 

@@ -1,5 +1,5 @@
-"""Every module, definition and defaulted parameter under ``src/repro``
-must be reached by the program.
+"""Every module, definition, defaulted parameter and defaulted config
+field under ``src/repro`` must be reached by the program.
 
 The program is ``python -m repro`` plus ``examples/``, ``benchmarks/``
 and ``bench/``.  A module is reached when one of those files, or a
@@ -19,19 +19,34 @@ name; it catches what nothing outside the tests mentions at all.  The
 few definitions kept for a named future caller are listed in ``KEEP``.
 
 A defaulted parameter of a reached function is set when a program call
-of that name passes it by keyword or by position, passes a ``*``/``**``
-splat, or when a program file uses its name as a string dict key or
-``dict(...)`` keyword outside the definition's own body (runner tasks
-receive their config that way).  A parameter only tests set is a
-second value no artifact uses; make its default a constant.  The test
-seams kept on purpose are listed in ``KEEP_PARAMS``.
+of that name passes it by keyword or by position, or passes a
+``*``/``**`` splat.  A runner task (a function a program
+``"module:function"`` string names) receives its config as a dict, so
+its parameter is also set when a program file uses the name as a string
+dict key or ``dict(...)`` keyword outside the task's own body; a key
+sets no parameter of any other function.  A parameter only tests set
+is a second value no artifact uses; make its default a constant.  The
+test seams and parity references kept on purpose are listed in
+``KEEP_PARAMS``.
+
+A defaulted field of a reached ``@dataclass`` is set when a program call
+of the class passes it by keyword, by position or through a splat, when
+a ``replace`` call passes it by keyword, or when a program statement
+assigns an attribute of that name (counters such as ``stats.drops +=
+1``).  A ``**kwargs`` forwarded into ``replace`` passes only what the
+forwarding function's program callers pass it; no other splat into
+``replace`` sets anything.  A field whose ``default_factory`` builds a
+list, dict or set is an accumulator, not an option.  The survivors are
+listed in ``KEEP_FIELDS``.
 """
 
 import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
@@ -288,7 +303,8 @@ def test_every_definition_is_named_outside_tests():
 
 
 #: defaulted parameters only tests set today, each kept for the reason
-#: given: a seam through which a test injects a fake or captures output
+#: given: a seam through which a test injects a fake or captures output,
+#: or a parity reference a test compares a faster path against
 KEEP_PARAMS: Dict[str, str] = {
     "repro.cli:main(argv)":
         "tests run a command without touching sys.argv",
@@ -300,47 +316,134 @@ KEEP_PARAMS: Dict[str, str] = {
         "tests fake a source change to check cache invalidation",
     "repro.studies.population:nettest_population_study(runner_config)":
         "tests run the study with a throwaway cache and jobs setting",
+    "repro.studies.nettest:run_nettest_study(seed)":
+        "the Table 2 parity test runs the scalar reference at the "
+        "population study's seed",
+    "repro.studies.nettest:run_nettest_study(scale)":
+        "the Table 2 parity test runs the scalar reference at the "
+        "population study's test scale",
+    "repro.studies.provider:synthesize_provider_block(response_bias)":
+        "the Table 1 parity test runs the scalar reference at the "
+        "response bias the population block is given",
 }
 
-#: one program call: ``(file, enclosing definitions, positional
-#: arguments, keywords, passes a ``*``/``**`` splat)``
-_Call = Tuple[Path, Tuple[ast.AST, ...], int, List[str], bool]
+
+class _Call(NamedTuple):
+    """One program call."""
+
+    path: Path
+    #: the definitions enclosing the call
+    enclosing: Tuple[ast.AST, ...]
+    positional: int
+    keywords: List[str]
+    #: passes a ``*``/``**`` splat
+    splat: bool
+    #: the enclosing function, when the call passes that function's own
+    #: ``**kwargs`` on
+    forwards: Optional[ast.AST]
 
 
-def _calls_and_keys(trees: Dict[Path, ast.Module]
-                    ) -> Tuple[Dict[str, List[_Call]],
-                               Dict[str, List[Tuple[Path,
-                                                    Tuple[ast.AST, ...]]]]]:
-    """Program calls by callee name, and string dict keys (``{"k": v}``
-    or ``dict(k=v)``) by key, each with where it appears."""
-    calls: Dict[str, List[_Call]] = {}
-    keys: Dict[str, List[Tuple[Path, Tuple[ast.AST, ...]]]] = {}
+class _Program(NamedTuple):
+    """What the program files do that can set a parameter or field."""
+
+    #: calls by callee name
+    calls: Dict[str, List[_Call]]
+    #: string dict keys (``{"k": v}`` or ``dict(k=v)``) by key
+    keys: Dict[str, List[Tuple[Path, Tuple[ast.AST, ...]]]]
+    #: ``module:function`` strings: the runner tasks
+    tasks: Set[str]
+    #: attribute names assigned (``x.attr = ...``, ``x.attr += ...``)
+    stores: Set[str]
+
+
+_TASK_STRING = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*:[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _callee(call: ast.Call) -> Optional[str]:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _forwards(call: ast.Call,
+              enclosing: Tuple[ast.AST, ...]) -> Optional[ast.AST]:
+    """The enclosing function, if ``call`` passes its ``**kwargs`` on."""
+    function = enclosing[-1] if enclosing else None
+    if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            or function.args.kwarg is None:
+        return None
+    kwarg = function.args.kwarg.arg
+    if any(kw.arg is None and isinstance(kw.value, ast.Name)
+           and kw.value.id == kwarg for kw in call.keywords):
+        return function
+    return None
+
+
+def _scan(trees: Dict[Path, ast.Module]) -> _Program:
+    program = _Program({}, {}, set(), set())
     for path, tree in trees.items():
         for node, enclosing in _walk(tree):
             if isinstance(node, ast.Dict):
                 for key in node.keys:
                     if isinstance(key, ast.Constant) \
                             and isinstance(key.value, str):
-                        keys.setdefault(key.value, []).append(
+                        program.keys.setdefault(key.value, []).append(
                             (path, enclosing))
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and _TASK_STRING.fullmatch(node.value):
+                program.tasks.add(node.value)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                program.stores.add(node.attr)
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
+            name = _callee(node)
             if name is None:
                 continue
             keywords = [kw.arg for kw in node.keywords if kw.arg]
             if name == "dict":
                 for key in keywords:
-                    keys.setdefault(key, []).append((path, enclosing))
+                    program.keys.setdefault(key, []).append(
+                        (path, enclosing))
             splat = any(isinstance(arg, ast.Starred) for arg in node.args) \
                 or any(kw.arg is None for kw in node.keywords)
             positional = sum(not isinstance(arg, ast.Starred)
                              for arg in node.args)
-            calls.setdefault(name, []).append(
-                (path, enclosing, positional, keywords, splat))
-    return calls, keys
+            program.calls.setdefault(name, []).append(
+                _Call(path, enclosing, positional, keywords, splat,
+                      _forwards(node, enclosing)))
+    return program
+
+
+def _outside(calls: Iterable[_Call], path: Path,
+             node: ast.AST) -> List[_Call]:
+    """The calls outside the body of the definition ``node`` in ``path``."""
+    return [call for call in calls
+            if call.path != path or node not in call.enclosing]
+
+
+def _keywords(call: _Call, program: _Program,
+              seen: Tuple[ast.AST, ...] = ()) -> Set[str]:
+    """The keywords a call passes, with those that reach it through a
+    forwarded ``**kwargs`` from the enclosing function's program callers
+    (``runner_context(no_cache=)`` -> ``configure(**overrides)`` ->
+    ``replace(config, **overrides)``); no other splat counts."""
+    keywords = set(call.keywords)
+    function = call.forwards
+    if function is not None and function not in seen:
+        for outer in _outside(program.calls.get(function.name, ()),
+                              call.path, function):
+            keywords |= _keywords(outer, program, seen + (function,))
+    return keywords
+
+
+def _sets(calls: List[_Call], name: str, index: Optional[int]) -> bool:
+    """Whether one of the calls sets the argument ``name`` (at positional
+    ``index``, None for keyword-only), by name, position or splat."""
+    return any(call.splat or name in call.keywords
+               or (index is not None and call.positional > index)
+               for call in calls)
 
 
 def _functions(tree: ast.Module
@@ -382,22 +485,21 @@ def _unset_parameters(root: Path) -> List[str]:
     reached ``src`` function that no program file sets."""
     modules = _modules(root)
     trees = _program_trees(root, modules)
-    calls, keys = _calls_and_keys(trees)
+    program = _scan(trees)
     unset = []
     for module, path in modules.items():
         if path not in trees:
             continue
         for qualname, node, owner in _functions(trees[path]):
             callee = owner if node.name == "__init__" else node.name
-            outside = [call for call in calls.get(callee, ())
-                       if call[0] != path or node not in call[1]]
+            calls = _outside(program.calls.get(callee, ()), path, node)
+            task = f"{module}:{qualname}" in program.tasks
             for name, index in _defaulted(node, owner is not None):
-                if any(splat or name in keywords
-                       or (index is not None and positional > index)
-                       for _, _, positional, keywords, splat in outside):
+                if _sets(calls, name, index):
                     continue
-                if any(where != path or node not in enclosing
-                       for where, enclosing in keys.get(name, ())):
+                if task and any(where != path or node not in enclosing
+                                for where, enclosing
+                                in program.keys.get(name, ())):
                     continue
                 unset.append(f"{module}:{qualname}({name})")
     return sorted(unset)
@@ -416,7 +518,8 @@ def test_every_defaulted_parameter_is_set_outside_tests():
 
 def test_parameter_guard_on_a_fixture_tree(tmp_path):
     """The guard reports a parameter only tests pass, and no parameter a
-    program call or a dict key outside the definition's body sets."""
+    program call, or a dict key outside a runner task's body, sets.  A
+    key sets nothing for a function no task string names."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -424,7 +527,10 @@ def test_parameter_guard_on_a_fixture_tree(tmp_path):
         "def run(a, by_position=2, by_keyword=1, only_tests=3, by_key=4):\n"
         "    return a\n"
         "\n"
-        "def own_key(x_own=1):\n"
+        "def task(seed, by_key=4):\n"
+        "    return seed\n"
+        "\n"
+        "def own_key(seed, x_own=1):\n"
         "    return {'x_own': x_own}\n"
         "\n"
         "def splatted(x=1):\n"
@@ -435,9 +541,10 @@ def test_parameter_guard_on_a_fixture_tree(tmp_path):
         "        self.width = width\n")
     (package / "__main__.py").write_text(
         "from repro.mod import Box, own_key, run, splatted\n"
+        "TASKS = ('repro.mod:task', 'repro.mod:own_key')\n"
         "CONFIG = {'by_key': 4}\n"
         "run(0, 5, by_keyword=1)\n"
-        "own_key()\n"
+        "own_key(0)\n"
         "splatted(**CONFIG)\n"
         "Box(3)\n")
     tests = tmp_path / "tests"
@@ -449,5 +556,138 @@ def test_parameter_guard_on_a_fixture_tree(tmp_path):
     assert _unset_parameters(tmp_path) == [
         "repro.mod:Box.__init__(depth)",
         "repro.mod:own_key(x_own)",
+        "repro.mod:run(by_key)",
         "repro.mod:run(only_tests)",
+    ]
+
+
+#: defaulted config-object fields only tests set today, each kept for the
+#: reason given, under the rules of ``KEEP_PARAMS``
+KEEP_FIELDS: Dict[str, str] = {}
+
+
+def _is_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        (_callee(decorator) if isinstance(decorator, ast.Call) else
+         decorator.id if isinstance(decorator, ast.Name) else
+         decorator.attr if isinstance(decorator, ast.Attribute) else None)
+        == "dataclass" for decorator in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef
+            ) -> Iterator[Tuple[str, Optional[ast.expr]]]:
+    """``(name, default or None)`` of each field, in ``__init__`` order."""
+    for statement in node.body:
+        if isinstance(statement, ast.AnnAssign) \
+                and isinstance(statement.target, ast.Name):
+            yield statement.target.id, statement.value
+
+
+_CONTAINERS = (ast.List, ast.Dict, ast.Set,
+               ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _accumulator(default: ast.expr) -> bool:
+    """Whether ``default`` is ``field(default_factory=...)`` building a
+    list, dict or set: a field the object fills, not an option."""
+    if not isinstance(default, ast.Call) or _callee(default) != "field":
+        return False
+    for keyword in default.keywords:
+        if keyword.arg == "default_factory":
+            factory = keyword.value
+            if isinstance(factory, ast.Lambda):
+                return isinstance(factory.body, _CONTAINERS)
+            return isinstance(factory, ast.Name) \
+                and factory.id in ("list", "dict", "set")
+    return False
+
+
+def _unset_fields(root: Path) -> List[str]:
+    """``module:Class.field`` of each defaulted field of a reached
+    ``src`` dataclass that no program file sets."""
+    modules = _modules(root)
+    trees = _program_trees(root, modules)
+    program = _scan(trees)
+    replaced: Set[str] = set()
+    for call in program.calls.get("replace", ()):
+        replaced |= _keywords(call, program)
+    unset = []
+    for module, path in modules.items():
+        if path not in trees:
+            continue
+        for qualname, node in _definitions(trees[path]):
+            if not _is_dataclass(node):
+                continue
+            calls = program.calls.get(node.name, [])
+            for index, (name, default) in enumerate(_fields(node)):
+                if default is None or _accumulator(default) \
+                        or name in replaced or name in program.stores \
+                        or _sets(calls, name, index):
+                    continue
+                unset.append(f"{module}:{qualname}.{name}")
+    return sorted(unset)
+
+
+def test_every_defaulted_field_is_set_outside_tests():
+    unset = _unset_fields(REPO)
+    unexplained = [name for name in unset if name not in KEEP_FIELDS]
+    assert unexplained == [], (
+        "defaulted config-object fields that neither `python -m repro`, "
+        "examples/, benchmarks/ nor bench/ set; make each default a "
+        f"named constant at its place of use: {unexplained}")
+    stale = sorted(set(KEEP_FIELDS) - set(unset))
+    assert stale == [], f"KEEP_FIELDS entries the program now sets: {stale}"
+
+
+def test_field_guard_on_a_fixture_tree(tmp_path):
+    """The guard reports a field only tests set, and no field a program
+    call, ``replace`` call or attribute store sets, nor an accumulator.
+    A ``**kwargs`` forwarded into ``replace`` sets only the keywords its
+    program callers pass."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    name: str\n"
+        "    by_position: int = 1\n"
+        "    by_keyword: int = 2\n"
+        "    only_tests: int = 3\n"
+        "    by_replace: int = 4\n"
+        "    by_store: int = 5\n"
+        "    log: list = field(default_factory=list)\n"
+        "    table: dict = field(default_factory=lambda: {'a': 0})\n"
+        "    nested: tuple = field(default_factory=lambda: (1, 2))\n"
+        "\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Options:\n"
+        "    forwarded: int = 1\n"
+        "    not_forwarded: int = 2\n"
+        "\n"
+        "def configure(options, **overrides):\n"
+        "    return dataclasses.replace(options, **overrides)\n"
+        "\n"
+        "def scoped(**overrides):\n"
+        "    return configure(Options(), **overrides)\n")
+    (package / "__main__.py").write_text(
+        "import dataclasses\n"
+        "from repro.mod import Config, scoped\n"
+        "config = Config('x', 7, by_keyword=8)\n"
+        "config = dataclasses.replace(config, by_replace=9)\n"
+        "config.by_store += 1\n"
+        "scoped(forwarded=3)\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from repro.mod import Config, Options\n"
+        "Config('x', only_tests=9, nested=())\n"
+        "Options(not_forwarded=4)\n")
+    assert _unset_fields(tmp_path) == [
+        "repro.mod:Config.nested",
+        "repro.mod:Config.only_tests",
+        "repro.mod:Options.not_forwarded",
     ]

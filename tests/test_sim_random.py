@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim import RandomRouter, StreamSharingError
 from repro.sim.random import DRAW_BLOCK, BufferedDraws
-from repro.wifi.mac import MacConfig, contention_windows
+from repro.wifi.mac import CONTENTION_WINDOWS
 
 
 def test_same_seed_same_name_same_sequence():
@@ -112,11 +112,10 @@ def test_sanitizer_does_not_change_stream_values(monkeypatch):
 
 # ------------------------------------------------------ BufferedDraws
 
-#: every contention window of the default MAC, as ``integers`` bounds,
-#: plus bounds near 2**31 (where Lemire rejection becomes likely) and the
+#: every contention window of the MAC, as ``integers`` bounds, plus
+#: bounds near 2**31 (where Lemire rejection becomes likely) and the
 #: ends of the supported range
-_BOUNDS = (sorted({cw + 1 for cw in contention_windows(
-    MacConfig(retry_limit=10))})
+_BOUNDS = (sorted({cw + 1 for cw in CONTENTION_WINDOWS})
     + [1, 2, 3, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 31 + 7919, 3 * 2 ** 30,
        2 ** 32 - 1, 2 ** 32])
 _SIGMAS = (0.0, 1e-9, 0.3, float(np.sqrt(0.5)), 1.0, 4.0)

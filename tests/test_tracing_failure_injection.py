@@ -9,7 +9,7 @@ from repro.core.config import APConfig, ClientConfig, StreamProfile
 from repro.core.controller import run_session
 from repro.sim import Simulator
 from repro.sim.tracing import EventLog, TraceEvent
-from repro.wifi.psm import PsmConfig
+from repro.wifi import psm as psm_module
 
 from tests.test_client_controller import (
     clean_gilbert,
@@ -82,7 +82,7 @@ def test_session_clean_channel_quiet_log():
 
 # -------------------------------------------------------- failure injection
 
-def run_with_psm_loss(frame_loss_prob, seed=5):
+def run_with_psm_loss(monkeypatch, frame_loss_prob, seed=5):
     """A session whose PSM null frames are frequently lost."""
     from repro.core.client import DiversiFiClient
     from repro.core.config import G711_PROFILE
@@ -92,6 +92,7 @@ def run_with_psm_loss(frame_loss_prob, seed=5):
     from repro.wifi.association import WifiManager
     from repro.net.lan import LanSegment
 
+    monkeypatch.setattr(psm_module, "FRAME_LOSS_PROB", frame_loss_prob)
     sim = Simulator()
     router = RandomRouter(seed)
     factory = link_factory(outage_gilbert(), clean_gilbert())
@@ -105,9 +106,6 @@ def run_with_psm_loss(frame_loss_prob, seed=5):
     manager.create_adapter("secondary")
     manager.associate("primary", primary, channel=1)
     manager.associate("secondary", secondary, channel=11)
-    for adapter in manager.adapters.values():
-        adapter.association.psm.config = PsmConfig(
-            frame_loss_prob=frame_loss_prob)
     client = DiversiFiClient(sim, manager, SHORT, config)
     primary.set_receiver(client.on_receive)
     secondary.set_receiver(client.on_receive)
@@ -122,18 +120,18 @@ def run_with_psm_loss(frame_loss_prob, seed=5):
     return client
 
 
-def test_heavy_psm_frame_loss_still_functions():
+def test_heavy_psm_frame_loss_still_functions(monkeypatch):
     """With 40% null-frame loss the retry logic (the paper's driver fix)
     keeps the system working, just with slower switches."""
-    client = run_with_psm_loss(0.4)
+    client = run_with_psm_loss(monkeypatch, 0.4)
     assert client.stats.recovered > 0
     eff = client.trace.effective_trace(deadline=0.100)
     assert eff.loss_rate < 0.05
 
 
-def test_psm_loss_degrades_gracefully():
-    clean = run_with_psm_loss(0.0, seed=6)
-    noisy = run_with_psm_loss(0.6, seed=6)
+def test_psm_loss_degrades_gracefully(monkeypatch):
+    clean = run_with_psm_loss(monkeypatch, 0.0, seed=6)
+    noisy = run_with_psm_loss(monkeypatch, 0.6, seed=6)
     clean_loss = clean.trace.effective_trace(0.100).loss_rate
     noisy_loss = noisy.trace.effective_trace(0.100).loss_rate
     # More PSM retries -> slower switches -> at worst a modest penalty.

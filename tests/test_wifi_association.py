@@ -6,7 +6,8 @@ from repro.core.config import APConfig
 from repro.sim import RandomRouter, Simulator
 from repro.wifi.ap import AccessPoint
 from repro.wifi.association import WifiManager
-from repro.wifi.psm import PowerSaveClient, PsmConfig
+from repro.wifi import psm as psm_module
+from repro.wifi.psm import PowerSaveClient
 from repro.wifi.scan import BssEntry, ScanResult
 
 from tests.test_wifi_ap import PerfectLink
@@ -22,35 +23,35 @@ def rng(seed=0):
 
 # --------------------------------------------------------------------- PSM
 
-def test_psm_sleep_sets_ap_state():
+def test_psm_sleep_sets_ap_state(monkeypatch):
+    monkeypatch.setattr(psm_module, "FRAME_LOSS_PROB", 0.0)
     sim = Simulator()
     ap = make_ap(sim)
     done = []
     psm = PowerSaveClient(sim, ap, rng())
-    psm.config = PsmConfig(frame_loss_prob=0.0)
     sim.call_at(0.0, psm.send_sleep, lambda: done.append(sim.now))
     sim.run()
     assert not ap.client_awake
     assert done and done[0] == pytest.approx(0.0003)
 
 
-def test_psm_wake_sets_ap_state():
+def test_psm_wake_sets_ap_state(monkeypatch):
+    monkeypatch.setattr(psm_module, "FRAME_LOSS_PROB", 0.0)
     sim = Simulator()
     ap = make_ap(sim)
     ap.client_sleep()
     psm = PowerSaveClient(sim, ap, rng())
-    psm.config = PsmConfig(frame_loss_prob=0.0)
     sim.call_at(0.0, psm.send_wake, lambda: None)
     sim.run()
     assert ap.client_awake
 
 
-def test_psm_retries_on_frame_loss():
+def test_psm_retries_on_frame_loss(monkeypatch):
+    # Force heavy loss: retries must accumulate.
+    monkeypatch.setattr(psm_module, "FRAME_LOSS_PROB", 0.9)
     sim = Simulator()
     ap = make_ap(sim)
-    # Force heavy loss: retries must accumulate.
     psm = PowerSaveClient(sim, ap, rng(seed=3))
-    psm.config = PsmConfig(frame_loss_prob=0.9, max_retries=5)
     sim.call_at(0.0, psm.send_sleep, lambda: None)
     sim.run()
     assert psm.retries > 0
@@ -59,7 +60,9 @@ def test_psm_retries_on_frame_loss():
 
 # ----------------------------------------------------------- WifiManager
 
-def build_manager(sim, seed=0):
+def build_manager(sim, monkeypatch, seed=0):
+    """Two associated adapters whose PSM null frames are never lost."""
+    monkeypatch.setattr(psm_module, "FRAME_LOSS_PROB", 0.0)
     manager = WifiManager(sim, rng(seed))
     ap_a = make_ap(sim, "apA")
     ap_b = make_ap(sim, "apB")
@@ -67,8 +70,6 @@ def build_manager(sim, seed=0):
     manager.create_adapter("secondary")
     manager.associate("primary", ap_a, channel=1)
     manager.associate("secondary", ap_b, channel=11)
-    for adapter in manager.adapters.values():
-        adapter.association.psm.config = PsmConfig(frame_loss_prob=0.0)
     return manager, ap_a, ap_b
 
 
@@ -88,24 +89,24 @@ def test_duplicate_adapter_name_rejected():
         manager.create_adapter("x")
 
 
-def test_new_associations_start_asleep():
+def test_new_associations_start_asleep(monkeypatch):
     sim = Simulator()
-    manager, ap_a, ap_b = build_manager(sim)
+    manager, ap_a, ap_b = build_manager(sim, monkeypatch)
     assert not ap_a.client_awake
     assert not ap_b.client_awake
 
 
-def test_activate_wakes_primary():
+def test_activate_wakes_primary(monkeypatch):
     sim = Simulator()
-    manager, ap_a, ap_b = build_manager(sim)
+    manager, ap_a, ap_b = build_manager(sim, monkeypatch)
     manager.activate("primary")
     assert ap_a.client_awake
     assert manager.active_adapter == "primary"
 
 
-def test_switch_sequence_and_latency():
+def test_switch_sequence_and_latency(monkeypatch):
     sim = Simulator()
-    manager, ap_a, ap_b = build_manager(sim)
+    manager, ap_a, ap_b = build_manager(sim, monkeypatch)
     manager.activate("primary")
     done_at = []
     sim.call_at(1.0, manager.switch_to, "secondary",
@@ -119,17 +120,17 @@ def test_switch_sequence_and_latency():
     assert manager.off_channel_time_s == pytest.approx(0.0029, abs=1e-6)
 
 
-def test_switch_to_active_adapter_is_noop():
+def test_switch_to_active_adapter_is_noop(monkeypatch):
     sim = Simulator()
-    manager, *_ = build_manager(sim)
+    manager, *_ = build_manager(sim, monkeypatch)
     manager.activate("primary")
     assert manager.switch_to("primary") is False
     assert manager.switch_count == 0
 
 
-def test_concurrent_switch_rejected():
+def test_concurrent_switch_rejected(monkeypatch):
     sim = Simulator()
-    manager, *_ = build_manager(sim)
+    manager, *_ = build_manager(sim, monkeypatch)
     manager.activate("primary")
     results = []
     sim.call_at(1.0, lambda: results.append(
@@ -148,9 +149,9 @@ def test_switch_to_unassociated_raises():
         manager.switch_to("primary")
 
 
-def test_switch_counts_accumulate():
+def test_switch_counts_accumulate(monkeypatch):
     sim = Simulator()
-    manager, *_ = build_manager(sim)
+    manager, *_ = build_manager(sim, monkeypatch)
     manager.activate("primary")
     sim.call_at(1.0, manager.switch_to, "secondary", None)
     sim.call_at(2.0, manager.switch_to, "primary", None)
@@ -166,7 +167,6 @@ def entries():
         BssEntry("aa:1", "corp", 1, "2.4GHz", -50.0),
         BssEntry("aa:2", "corp", 1, "2.4GHz", -61.0),   # virtual AP, same ch
         BssEntry("aa:3", "corp", 11, "2.4GHz", -70.0),
-        BssEntry("bb:1", "other", 6, "2.4GHz", -40.0, connectable=False),
     ]
 
 
@@ -177,4 +177,4 @@ def test_scan_counts_connectable_bssids():
 
 def test_scan_counts_distinct_channels():
     scan = ScanResult("office", entries())
-    assert scan.n_channels == 2   # channels 1 and 11; ch 6 not connectable
+    assert scan.n_channels == 2   # channels 1 and 11

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.sim import RandomRouter
-from repro.wifi.mac import MacConfig, MacLayer
+from repro.wifi import mac as mac_module
+from repro.wifi.mac import CONTENTION_WINDOWS, RETRY_LIMIT, MacLayer
 from repro.wifi.phy import (
     MCS_TABLE,
-    PhyConfig,
+    TARGET_PER,
     airtime_s,
     effective_snr_db,
     frame_error_prob,
@@ -32,14 +33,6 @@ def test_per_half_at_threshold():
         assert frame_error_prob(mcs.snr_mid_db, mcs) == pytest.approx(0.5)
 
 
-def test_per_scales_with_frame_size():
-    mcs = MCS_TABLE[0]
-    snr = mcs.snr_mid_db + 3.0
-    small = frame_error_prob(snr, mcs, frame_bytes=160)
-    large = frame_error_prob(snr, mcs, frame_bytes=1500)
-    assert small < large
-
-
 def test_per_bounds():
     mcs = MCS_TABLE[7]
     assert 0.0 <= frame_error_prob(-50.0, mcs) <= 1.0
@@ -57,9 +50,8 @@ def test_select_mcs_floor_is_mcs0():
 
 
 def test_select_mcs_respects_target_per():
-    config = PhyConfig(target_per=0.10)
-    mcs = select_mcs(15.0, config)
-    assert frame_error_prob(15.0, mcs, 1500) <= 0.10
+    mcs = select_mcs(15.0)
+    assert frame_error_prob(15.0, mcs) <= TARGET_PER
 
 
 def test_effective_snr_combines_terms():
@@ -76,24 +68,22 @@ def test_airtime_decreases_with_rate():
 # ------------------------------------------------------------------- MAC
 
 def test_perfect_channel_delivers_first_attempt():
-    mac = MacLayer(MacConfig(), rng(1))
+    mac = MacLayer(rng(1))
     result = mac.transmit(0.0, lambda t: 0.0)
     assert result.delivered
     assert result.attempts == 1
 
 
 def test_dead_channel_exhausts_retries():
-    config = MacConfig(retry_limit=7)
-    mac = MacLayer(config, rng(2))
+    mac = MacLayer(rng(2))
     result = mac.transmit(0.0, lambda t: 1.0)
     assert not result.delivered
-    assert result.attempts == 8
+    assert result.attempts == RETRY_LIMIT + 1
 
 
 def test_retry_recovers_transient_loss():
     """Loss prob drops after 1 ms: retries within the burst recover it."""
-    config = MacConfig(retry_limit=7)
-    mac = MacLayer(config, rng(3))
+    mac = MacLayer(rng(3))
     outcomes = [mac.transmit(0.0, lambda t: 1.0 if t < 0.001 else 0.0)
                 for _ in range(50)]
     assert all(o.delivered for o in outcomes)
@@ -101,18 +91,20 @@ def test_retry_recovers_transient_loss():
 
 
 def test_service_time_grows_with_attempts():
-    mac = MacLayer(MacConfig(), rng(4))
+    mac = MacLayer(rng(4))
     one = mac.transmit(0.0, lambda t: 0.0)
-    mac_fail = MacLayer(MacConfig(), rng(5))
+    mac_fail = MacLayer(rng(5))
     eight = mac_fail.transmit(0.0, lambda t: 1.0)
     assert eight.service_time_s > one.service_time_s
 
 
-def test_loss_rate_with_retries_matches_theory():
+def test_loss_rate_with_retries_matches_theory(monkeypatch):
     """iid per-attempt loss p, R retries -> residual loss p^(R+1)."""
     p = 0.5
-    config = MacConfig(retry_limit=3)
-    mac = MacLayer(config, rng(6))
+    # three retries: the first four retry stages
+    monkeypatch.setattr(mac_module, "CONTENTION_WINDOWS",
+                        CONTENTION_WINDOWS[:4])
+    mac = MacLayer(rng(6))
     n = 4000
     losses = sum(not mac.transmit(0.0, lambda t: p).delivered
                  for _ in range(n))
@@ -121,14 +113,17 @@ def test_loss_rate_with_retries_matches_theory():
 
 
 def test_airtime_override_used():
-    mac = MacLayer(MacConfig(), rng(7))
+    mac = MacLayer(rng(7))
     result = mac.transmit(0.0, lambda t: 0.0, airtime_s=0.5)
     assert result.service_time_s >= 0.5
 
 
-def test_attempt_times_passed_to_loss_model():
+def test_attempt_times_passed_to_loss_model(monkeypatch):
     seen = []
-    mac = MacLayer(MacConfig(retry_limit=2), rng(8))
+    # two retries: the first three retry stages
+    monkeypatch.setattr(mac_module, "CONTENTION_WINDOWS",
+                        CONTENTION_WINDOWS[:3])
+    mac = MacLayer(rng(8))
 
     def probe(t):
         seen.append(t)

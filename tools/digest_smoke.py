@@ -9,8 +9,11 @@ sanitizer on (``REPRO_SANITIZE=1``):
 
 All three must print the same ``digest=`` values and write
 byte-identical ``--metrics-out`` files, and the warm rerun must report
-``executed=0``.  Exits 0 and prints one "... identical" line on
-success, 1 on the first mismatch.
+``executed=0``.  A command that submits no runner batch (``fig3``'s
+sequential search) prints no runner footer in any mode; its printed
+report, less the ``[cmd: ...; N.Ns]`` timing line, must then be the
+same in all three instead.  Exits 0 and prints one "... identical" line
+on success, 1 on the first mismatch.
 
 Usage, from the repo root::
 
@@ -29,6 +32,8 @@ import tempfile
 from typing import List, Optional
 
 _DIGEST = re.compile(r"digest=[0-9a-f]*")
+#: the per-command timing line, e.g. ``[fig3: two-weak-links example; 0.3s]``
+_TIMING = re.compile(r"^\[[^\]\n]*; [0-9.]+s\]\n", re.M)
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     os.pardir, "src")
 
@@ -71,21 +76,27 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         digests = {mode: _DIGEST.findall(out)
                    for mode, out in outputs.items()}
-        if not digests["serial"]:
+        footer = any(digests.values())
+        if footer and not digests["serial"]:
             return _fail("no digest= line in the serial output")
+        reports = {mode: _TIMING.sub("", out)
+                   for mode, out in outputs.items()}
         for mode in ("jobs2", "warm"):
-            if digests[mode] != digests["serial"]:
+            if footer and digests[mode] != digests["serial"]:
                 return _fail(f"{mode} digests {digests[mode]} differ from "
                              f"serial {digests['serial']}")
+            if not footer and reports[mode] != reports["serial"]:
+                return _fail(f"{mode} report differs from serial")
             if metrics[mode] != metrics["serial"]:
                 return _fail(f"{mode} --metrics-out differs from serial")
-        if "executed=0" not in outputs["warm"]:
+        if footer and "executed=0" not in outputs["warm"]:
             return _fail("warm-cache rerun executed simulations")
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    compared = "digests" if footer else "reports"
     print(f"digest-smoke {opts.artifact}: serial, --jobs 2 and warm-cache "
-          "digests and metrics identical")
+          f"{compared} and metrics identical")
     return 0
 
 

@@ -37,7 +37,9 @@ sanitize-test:
 		tests/test_sim_random.py tests/test_client_controller.py \
 		tests/test_engine_frozen_digests.py \
 		tests/test_wild_frozen_digests.py \
-		tests/test_batch_frozen_digests.py -q
+		tests/test_batch_frozen_digests.py \
+		tests/test_channel_link.py tests/test_wifi_phy_mac.py \
+		tests/test_channel_gilbert.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

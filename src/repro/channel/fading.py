@@ -28,9 +28,18 @@ from repro.sim.random import BufferedDraws
 #: standard deviation of each quadrature of a unit-power complex gain
 _QUADRATURE_SIGMA = math.sqrt(0.5)
 
+# np.exp / np.log10, not math's: the two differ in the last bit on some
+# inputs.  Bound once, since fade_db runs once per MAC attempt.
+_exp = np.exp
+_log10 = np.log10
+
 
 class RayleighFading:
     """Rayleigh-faded channel gain with AR(1) temporal correlation."""
+
+    #: line-of-sight amplitude added to the scaled scatter gain (Rician)
+    _los_amplitude: Optional[float] = None
+    _scatter_scale = 1.0
 
     def __init__(self, rng: Union[np.random.Generator, BufferedDraws],
                  coherence_time_s: float = 0.050):
@@ -47,32 +56,29 @@ class RayleighFading:
         re = self._draws.normal(_QUADRATURE_SIGMA)
         return complex(re, self._draws.normal(_QUADRATURE_SIGMA))
 
-    def _rho(self, dt: float) -> float:
-        # AR(1) correlation decaying on the coherence timescale.
-        return float(np.exp(-dt / self.coherence_time_s))
-
-    def gain_at(self, time: float) -> complex:
-        """Complex channel gain at ``time`` (non-decreasing queries)."""
+    def fade_db(self, time: float) -> float:
+        """Instantaneous fade relative to average power, in dB; advances
+        the AR(1) gain to ``time`` (non-decreasing queries)."""
         if self._time is None:
             self._time = time
-            return self._gain
-        dt = time - self._time
-        if dt < -1e-12:
-            raise ValueError("fading process queried backwards")
-        if dt > 0:
-            rho = self._rho(dt)
-            variance = (1.0 - rho ** 2) / 2.0
-            sigma = math.sqrt(variance) if variance > 0.0 else 0.0
-            re = self._draws.normal(sigma)
-            innovation = complex(re, self._draws.normal(sigma))
-            self._gain = rho * self._gain + innovation
-            self._time = time
-        return self._gain
-
-    def fade_db(self, time: float) -> float:
-        """Instantaneous fade relative to average power, in dB."""
-        power = abs(self.gain_at(time)) ** 2
-        return 10.0 * float(np.log10(1e-12 if 1e-12 > power else power))
+        else:
+            dt = time - self._time
+            if dt < -1e-12:
+                raise ValueError("fading process queried backwards")
+            if dt > 0:
+                # AR(1) correlation decaying on the coherence timescale.
+                rho = float(_exp(-dt / self.coherence_time_s))
+                variance = (1.0 - rho ** 2) / 2.0
+                sigma = math.sqrt(variance) if variance > 0.0 else 0.0
+                re = self._draws.normal(sigma)
+                innovation = complex(re, self._draws.normal(sigma))
+                self._gain = rho * self._gain + innovation
+                self._time = time
+        gain = self._gain
+        if self._los_amplitude is not None:
+            gain = self._los_amplitude + gain * self._scatter_scale
+        power = abs(gain) ** 2
+        return 10.0 * float(_log10(1e-12 if 1e-12 > power else power))
 
 
 class RicianFading(RayleighFading):
@@ -89,12 +95,6 @@ class RicianFading(RayleighFading):
         k = 10.0 ** (k_factor_db / 10.0)
         self._los_amplitude = math.sqrt(k / (k + 1.0))
         self._scatter_scale = math.sqrt(1.0 / (k + 1.0))
-
-    def fade_db(self, time: float) -> float:
-        scatter = self.gain_at(time) * self._scatter_scale
-        total = self._los_amplitude + scatter
-        power = abs(total) ** 2
-        return 10.0 * float(np.log10(1e-12 if 1e-12 > power else power))
 
 
 class SelectionDiversityFading:

@@ -62,6 +62,7 @@ class GilbertElliott:
         # Start from the stationary distribution so traces are unbiased.
         in_bad = rng.random() < params.stationary_bad_fraction
         self._state = self.BAD if in_bad else self.GOOD
+        self._loss = params.loss_bad if in_bad else params.loss_good
         self._next_transition = self._time + self._draw_sojourn()
 
     def _draw_sojourn(self) -> float:
@@ -78,6 +79,8 @@ class GilbertElliott:
             self._time = self._next_transition
             self._next_transition = self._time + self._draw_sojourn()
         self._time = time
+        self._loss = (self.params.loss_bad if self._state == self.BAD
+                      else self.params.loss_good)
 
     def state_at(self, time: float) -> int:
         """Chain state (GOOD/BAD) at ``time`` (must be non-decreasing)."""
@@ -86,9 +89,13 @@ class GilbertElliott:
 
     def loss_probability(self, time: float) -> float:
         """Per-attempt loss probability at ``time``."""
-        state = self.state_at(time)
-        return (self.params.loss_bad if state == self.BAD
-                else self.params.loss_good)
+        # Runs once per MAC attempt: a query inside the current sojourn
+        # is answered without entering the transition loop.
+        if self._time <= time < self._next_transition:
+            self._time = time
+        else:
+            self._advance(time)
+        return self._loss
 
     def sample_states(self, times: np.ndarray) -> np.ndarray:
         """Vector of states for a sorted array of query times."""

@@ -20,7 +20,7 @@ structure that Figure 4/5 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.wifi.phy import (
     Mcs,
     PhyConfig,
     airtime_s,
-    effective_snr_db,
     frame_error_prob,
     select_mcs,
 )
@@ -102,6 +101,9 @@ class WifiLink:
             config.gilbert, rng_router.stream(f"{prefix}.gilbert"))
         self._mobility = mobility or StaticPosition(Position(10.0, 7.0))
         self._interference = interference or NullInterference()
+        # A quiet channel adds no delay and no SNR penalty (x - 0.0 is
+        # x), so the per-packet and per-attempt paths skip its calls.
+        self._quiet = isinstance(self._interference, NullInterference)
         self._mac = MacLayer(rng_router.stream(f"{prefix}.mac"),
                              metric_labels={"link": config.name})
         self._last_shadow_update = 0.0
@@ -115,6 +117,10 @@ class WifiLink:
         initial_snr_db = float(self.mean_snr_db(0.0))
         self._mcs = select_mcs(initial_snr_db)
         self._last_rate_update = 0.0
+        # The per-attempt airtime, for the MCS and frame size it was
+        # last computed for.
+        self._airtime_for: Tuple[Optional[Mcs], int] = (None, 0)
+        self._airtime_s = 0.0
         # A static client's slow SNR changes only when shadowing is
         # redrawn.  Without environment drift that never happens, so the
         # SNR is one number for the whole call; with drift it is cached
@@ -194,10 +200,10 @@ class WifiLink:
                 mean_snr_db = self._drift_snr(time, self._drift_distance_m)
             else:
                 mean_snr_db = float(self.mean_snr_db(time))
-        snr = effective_snr_db(
-            mean_snr_db,
-            self._fading.fade_db(time),
-            self._interference.snr_penalty_db(time))
+        # The instantaneous SNR: slow SNR + fade - interference penalty.
+        snr = mean_snr_db + self._fading.fade_db(time)
+        if not self._quiet:
+            snr -= self._interference.snr_penalty_db(time)
         p_phy = frame_error_prob(snr, self._mcs)
         p_ge = self._gilbert.loss_probability(time)
         return 1.0 - (1.0 - p_phy) * (1.0 - p_ge)
@@ -205,37 +211,44 @@ class WifiLink:
     # ------------------------------------------------------------------
     # transmission
 
-    def transmit(self, seq: int, send_time: float,
-                 frame_bytes: int = 160) -> DeliveryRecord:
-        """Send one packet copy; returns its delivery record.
+    def send(self, send_time: float, frame_bytes: int) -> Tuple[bool, float]:
+        """Send one packet copy: ``(delivered, arrival_time)``.
 
         ``send_time`` is when the packet reaches the AP's transmit queue
         for this client (wired-side delay already included by the caller
         for system-mode runs; trace mode adds ``base_delay_s`` here).
+        The arrival time of a lost copy is when the MAC gave up.
         """
-        queue_delay = self._interference.extra_delay_s(
-            send_time, self._rng_delay)
-        air_start = send_time + self.config.base_delay_s + queue_delay
-        per_attempt_airtime = airtime_s(frame_bytes, self._mcs)
-        result = self._mac.transmit(
-            air_start, self.attempt_loss_prob, per_attempt_airtime)
-        arrival = air_start + result.service_time_s
+        air_start = send_time + self.config.base_delay_s
+        if not self._quiet:
+            air_start += self._interference.extra_delay_s(
+                send_time, self._rng_delay)
+        if self._airtime_for != (self._mcs, frame_bytes):
+            self._airtime_for = (self._mcs, frame_bytes)
+            self._airtime_s = airtime_s(frame_bytes, self._mcs)
+        delivered, _, service_time_s = self._mac.transmit(
+            air_start, self.attempt_loss_prob, self._airtime_s)
+        return delivered, air_start + service_time_s
+
+    def transmit(self, seq: int, send_time: float,
+                 frame_bytes: int = 160) -> DeliveryRecord:
+        """Send one packet copy; returns its delivery record (see
+        :meth:`send`)."""
+        delivered, arrival = self.send(send_time, frame_bytes)
         return DeliveryRecord(
-            seq=seq, send_time=send_time, delivered=result.delivered,
-            arrival_time=arrival if result.delivered else float("nan"))
+            seq=seq, send_time=send_time, delivered=delivered,
+            arrival_time=arrival if delivered else float("nan"))
 
     def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call's outcomes as a :class:`LinkTrace`."""
-        n = profile.n_packets
-        send_times = np.arange(n) * profile.inter_packet_spacing_s
-        delivered = np.zeros(n, dtype=bool)
-        delays = np.full(n, np.nan)
-        for seq in range(n):
-            record = self.transmit(seq, float(send_times[seq]),
-                                   profile.packet_size_bytes)
-            delivered[seq] = record.delivered
-            if record.delivered:
-                delays[seq] = record.delay
+        send_times = (np.arange(profile.n_packets)
+                      * profile.inter_packet_spacing_s)
+        delivered: List[bool] = []
+        delays: List[float] = []
+        for send_time in send_times.tolist():
+            ok, arrival = self.send(send_time, profile.packet_size_bytes)
+            delivered.append(ok)
+            delays.append(arrival - send_time if ok else np.nan)
         return LinkTrace(self.name, send_times, delivered, delays)
 
 

@@ -28,7 +28,12 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.core.config import ClientConfig, StreamProfile
+from repro.core.config import (
+    LINK_SWITCH_LATENCY_S,
+    SECONDARY_RESIDENCY_TIME_S,
+    ClientConfig,
+    StreamProfile,
+)
 from repro.core.packet import Packet, StreamTrace
 from repro.core.types import ReplicaBuffer
 from repro.obs.registry import LabelValue
@@ -229,7 +234,7 @@ class DiversiFiClient:
         if self._on_secondary or self._visit_planned:
             return  # the active/planned visit will collect it
         wake_at = self._recovery_wake_time(seq)
-        begin_at = wake_at - self.config.link_switch_latency_s
+        begin_at = wake_at - LINK_SWITCH_LATENCY_S
         self._visit_planned = True
         if begin_at <= self.sim.now:
             self._begin_switch_to_secondary()
@@ -284,7 +289,7 @@ class DiversiFiClient:
             self._visit_span.end()
             self._visit_span = None
         # Expire pending packets that can no longer make their deadline.
-        horizon = self.sim.now + self.config.link_switch_latency_s
+        horizon = self.sim.now + LINK_SWITCH_LATENCY_S
         self._pending_lost = {
             seq: dl for seq, dl in self._pending_lost.items()
             if dl > horizon}
@@ -323,5 +328,4 @@ class DiversiFiClient:
         if self.middlebox is not None:
             self.middlebox.start(self.flow_id)
         self._return_event = self.sim.call_in(
-            self.config.secondary_residency_time_s,
-            self._return_to_primary)
+            SECONDARY_RESIDENCY_TIME_S, self._return_to_primary)

@@ -48,6 +48,14 @@ def profile_for(highrate: bool,
     return replace(base, duration_s=duration_s)
 
 
+#: Algorithm 1's link switch latency, LSL (measured: 2.8 ms)
+LINK_SWITCH_LATENCY_S = 0.0028
+#: Algorithm 1's secondary residency time, SRT
+SECONDARY_RESIDENCY_TIME_S = 0.040
+#: multiplier on IPS for the packet-loss timeout (PLT = 2 * IPS)
+PACKET_LOSS_TIMEOUT_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     """Algorithm 1's constants (paper Section 5.3.1).
@@ -58,18 +66,12 @@ class ClientConfig:
 
     inter_packet_spacing_s: float = 0.020       # IPS
     max_tolerable_delay_s: float = 0.100        # MTD
-    link_switch_latency_s: float = 0.0028       # LSL (measured: 2.8 ms)
-    secondary_residency_time_s: float = 0.040   # SRT
     association_keepalive_timeout_s: float = 30.0  # AKT
-    #: multiplier on IPS for the packet-loss timeout (PLT = 2 * IPS)
-    packet_loss_timeout_factor: float = 2.0
-    #: how long without a packet before the client declares a loss
-    loss_detection_grace_s: float = 0.005
 
     @property
     def packet_loss_timeout_s(self) -> float:
         """PLT = 2 * IPS (= 40 ms with defaults)."""
-        return self.packet_loss_timeout_factor * self.inter_packet_spacing_s
+        return PACKET_LOSS_TIMEOUT_FACTOR * self.inter_packet_spacing_s
 
     @property
     def ap_queue_len(self) -> int:
@@ -82,12 +84,8 @@ class ClientConfig:
         return ClientConfig(
             inter_packet_spacing_s=profile.inter_packet_spacing_s,
             max_tolerable_delay_s=profile.max_tolerable_delay_s,
-            link_switch_latency_s=self.link_switch_latency_s,
-            secondary_residency_time_s=self.secondary_residency_time_s,
             association_keepalive_timeout_s=(
-                self.association_keepalive_timeout_s),
-            packet_loss_timeout_factor=self.packet_loss_timeout_factor,
-            loss_detection_grace_s=self.loss_detection_grace_s)
+                self.association_keepalive_timeout_s))
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,15 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import StreamProfile
 from repro.core.packet import LinkTrace
-from repro.core.types import NamedRadioLink
+
+if TYPE_CHECKING:
+    from repro.channel.link import WifiLink
 
 
 @dataclass
@@ -49,7 +51,7 @@ class PairedRun:
         return len(self.trace_a)
 
 
-def render_paired_run(link_a: NamedRadioLink, link_b: NamedRadioLink,
+def render_paired_run(link_a: "WifiLink", link_b: "WifiLink",
                       profile: StreamProfile,
                       temporal_deltas: Sequence[float] = (),
                       scenario: str = "") -> PairedRun:
@@ -61,51 +63,50 @@ def render_paired_run(link_a: NamedRadioLink, link_b: NamedRadioLink,
     n = profile.n_packets
     spacing = profile.inter_packet_spacing_s
     send_times = np.arange(n) * spacing
+    times = send_times.tolist()
+    size = profile.packet_size_bytes
 
-    # Build the global transmission schedule: (time, stream_key, seq).
-    schedule: List[Tuple[float, str, int]] = []
-    for seq in range(n):
-        t = float(send_times[seq])
-        schedule.append((t, "a", seq))
-        schedule.append((t, "b", seq))
-        for delta in temporal_deltas:
-            # A back-to-back copy (delta=0) still follows the original by
-            # one frame's airtime; represent "immediately after" with a
-            # tiny epsilon so ordering is well defined.
-            offset_time = t + max(delta, 1e-6)
-            schedule.append((offset_time, f"offset:{delta}", seq))
-    schedule.sort(key=lambda item: (item[0], item[1]))
+    # One column pair (delivered, delay) per stream copy; a stream's
+    # rank is its key's place in sorted order.
+    keys = sorted({"a", "b", *(f"offset:{d}" for d in temporal_deltas)})
+    rank = {key: i for i, key in enumerate(keys)}
+    columns = {key: ([False] * n, [np.nan] * n) for key in keys}
+    streams = [(link_b if key == "b" else link_a, *columns[key])
+               for key in keys]
 
-    columns: Dict[str, Dict[str, np.ndarray]] = {}
-    keys = ["a", "b"] + [f"offset:{d}" for d in temporal_deltas]
-    for key in keys:
-        columns[key] = {
-            "delivered": np.zeros(n, dtype=bool),
-            "delays": np.full(n, np.nan),
-        }
+    # The global transmission schedule (time, rank, seq), sorted: that is
+    # (time, key) order.  A back-to-back copy (delta=0) still follows the
+    # original by one frame's airtime; represent "immediately after" with
+    # a tiny epsilon so ordering is well defined.
+    offsets = [(rank[f"offset:{d}"], max(d, 1e-6)) for d in temporal_deltas]
+    schedule: List[Tuple[float, int, int]] = []
+    for seq, t in enumerate(times):
+        schedule.append((t, rank["a"], seq))
+        schedule.append((t, rank["b"], seq))
+        for offset_rank, offset in offsets:
+            schedule.append((t + offset, offset_rank, seq))
+    schedule.sort()
 
     rssi_samples_a: List[float] = []
     rssi_samples_b: List[float] = []
     rssi_sample_period = 1.0
     next_rssi_sample = 0.0
 
-    for time, key, seq in schedule:
-        link = link_b if key == "b" else link_a
+    for time, stream, seq in schedule:
         if time >= next_rssi_sample:
             rssi_samples_a.append(link_a.rssi_dbm(time))
             rssi_samples_b.append(link_b.rssi_dbm(time))
             next_rssi_sample += rssi_sample_period
-        record = link.transmit(seq, time, profile.packet_size_bytes)
-        columns[key]["delivered"][seq] = record.delivered
-        if record.delivered:
+        link, delivered, delays = streams[stream]
+        ok, arrival = link.send(time, size)
+        if ok:
+            delivered[seq] = True
             # Delay is accounted relative to the ORIGINAL send time, so an
             # offset copy's delay includes its temporal offset.
-            columns[key]["delays"][seq] = (record.arrival_time
-                                           - float(send_times[seq]))
+            delays[seq] = arrival - times[seq]
 
     def build(key: str, name: str) -> LinkTrace:
-        return LinkTrace(name, send_times,
-                         columns[key]["delivered"], columns[key]["delays"])
+        return LinkTrace(name, send_times, *columns[key])
 
     offset_traces = {
         delta: build(f"offset:{delta}", f"{link_a.name}+{delta * 1e3:.0f}ms")

@@ -27,7 +27,12 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Tuple
 
 import numpy as np
 
-from repro.core.config import ClientConfig, StreamProfile
+from repro.core.config import (
+    LINK_SWITCH_LATENCY_S,
+    SECONDARY_RESIDENCY_TIME_S,
+    ClientConfig,
+    StreamProfile,
+)
 from repro.core.packet import StreamTrace
 from repro.core.types import NamedRadioLink
 from repro.sim.engine import Simulator
@@ -146,10 +151,9 @@ class UplinkDiversiFiClient:
             self._drain_retries()
             if to_secondary:
                 self._return_event = self.sim.call_in(
-                    self.config.secondary_residency_time_s,
-                    self._begin_switch, False)
+                    SECONDARY_RESIDENCY_TIME_S, self._begin_switch, False)
 
-        self.sim.call_in(self.config.link_switch_latency_s, done)
+        self.sim.call_in(LINK_SWITCH_LATENCY_S, done)
 
     def _drain_retries(self) -> None:
         link = (self.link_secondary if self._on_secondary

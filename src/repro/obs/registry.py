@@ -18,12 +18,19 @@ therefore produce byte-identical exported metrics, and merging per-run
 registries in spec order (:meth:`MetricsRegistry.merge`) is
 order-deterministic too.  No instrument ever reads a wall clock; time
 enters only through explicitly passed simulated timestamps.
+
+A component on a per-packet hot path may keep its own plain tally and
+register a *read hook* (:meth:`MetricsRegistry.on_read`) that folds the
+tally into its instruments.  Every read-out path (``items``, ``get``,
+``snapshot``, ``merge``) runs the hooks first, so a reader always sees
+the same instruments the per-event updates would have produced.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union)
 
 #: canonical label encoding: sorted (key, value) pairs
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -217,11 +224,12 @@ class Histogram:
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value``, ``times`` times over."""
         value = float(value)
-        self.counts[bisect.bisect_right(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
+        self.counts[bisect.bisect_right(self.bounds, value)] += times
+        self.count += times
+        self.total += value * times
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
@@ -285,6 +293,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelItems], Metric] = {}
+        self._read_hooks: List[Callable[[], None]] = []
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -350,13 +359,25 @@ class MetricsRegistry:
 
     # --------------------------------------------------------- read-out
 
+    def on_read(self, fold: Callable[[], None]) -> None:
+        """Run ``fold`` before every read-out.  ``fold`` moves a
+        component's pending tally into its instruments and clears the
+        tally, so running it twice counts nothing twice."""
+        self._read_hooks.append(fold)
+
+    def _fold_pending(self) -> None:
+        for fold in self._read_hooks:
+            fold()
+
     def items(self) -> List[Tuple[str, LabelItems, Metric]]:
         """Instruments in sorted ``(name, labels)`` order."""
+        self._fold_pending()
         return [(name, labels, self._metrics[(name, labels)])
                 for name, labels in sorted(self._metrics)]
 
     def get(self, name: str,
             **labels: LabelValue) -> Optional[Metric]:
+        self._fold_pending()
         return self._metrics.get((name, _label_items(labels)))
 
     def snapshot(self) -> Dict[str, object]:
@@ -378,6 +399,7 @@ class MetricsRegistry:
         """Fold ``other`` into this registry (deterministic in call
         order: counters/histograms/time-gauges add, gauges last-write-
         wins).  Returns ``self`` for chaining."""
+        self._fold_pending()
         for name, labels, metric in other.items():
             key = (name, labels)
             existing = self._metrics.get(key)

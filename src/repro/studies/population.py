@@ -281,8 +281,12 @@ def _phase_span(tracker: Optional[SpanTracker], name: str,
 # ---------------------------------------------------------------------------
 # provider runner tasks
 
+#: /24 subnet pairs of the provider population
+N_SUBNET_PAIRS = 3000
+
+
 def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
-                           n_subnet_pairs: int = 3000,
+                           n_subnet_pairs: int = N_SUBNET_PAIRS,
                            wifi_loss_median: float = WIFI_LOSS_MEDIAN,
                            wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
                            device_penalty_scale: float =
@@ -347,7 +351,7 @@ def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
 def provider_pass2_metrics(block: int, *, count: int, root_seed: int,
                            balanced: Sequence[int],
                            pc_balanced: Sequence[int],
-                           n_subnet_pairs: int = 3000,
+                           n_subnet_pairs: int = N_SUBNET_PAIRS,
                            wifi_loss_median: float = WIFI_LOSS_MEDIAN,
                            wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
                            device_penalty_scale: float =
@@ -427,13 +431,9 @@ def _provider_items(n_calls: int, base: Dict[str, Any]
 
 
 def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
-                              n_subnet_pairs: int = 3000,
                               wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                              wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
                               device_penalty_scale: float =
                               DEVICE_PENALTY_SCALE,
-                              glitch_penalty_scale: float =
-                              GLITCH_PENALTY_SCALE,
                               response_bias: bool = True,
                               runner_config: Optional[RunnerConfig] =
                               None) -> ProviderPopulationTables:
@@ -449,11 +449,11 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
     """
     base: Dict[str, Any] = {
         "root_seed": seed,
-        "n_subnet_pairs": n_subnet_pairs,
+        "n_subnet_pairs": N_SUBNET_PAIRS,
         "wifi_loss_median": wifi_loss_median,
-        "wifi_loss_sigma": wifi_loss_sigma,
+        "wifi_loss_sigma": WIFI_LOSS_SIGMA,
         "device_penalty_scale": device_penalty_scale,
-        "glitch_penalty_scale": glitch_penalty_scale,
+        "glitch_penalty_scale": GLITCH_PENALTY_SCALE,
         "response_bias": response_bias,
     }
     items = _provider_items(n_calls, base)
@@ -462,7 +462,7 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
     cdf = GridCdf(*MOS_GRID)
     moments = MomentSketch()
     pair_ee, pair_ww, pc_ee, pc_ww = (
-        np.zeros(n_subnet_pairs, dtype=np.int64) for _ in range(4))
+        np.zeros(N_SUBNET_PAIRS, dtype=np.int64) for _ in range(4))
     # map_configs returns payloads in spec order — the merge contract.
     for payload in map_configs(PASS1_TASK, items, config=runner_config):
         table.merge(LabeledCounts.from_payload(payload["table"]))

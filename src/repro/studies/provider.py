@@ -130,8 +130,9 @@ _ARCHETYPES = {
 _PC_GIVEN_ETHERNET = 0.95
 
 
-#: calibration knobs — ablations sweep them by passing explicit keyword
-#: arguments to the population study.  Its tasks bind them as *def-time*
+#: calibration knobs — every one reaches the population study's tasks as
+#: a config entry, and ablations sweep the median and the device penalty
+#: through the study's keyword arguments.  The tasks bind them as *def-time*
 #: signature defaults: the values are pinned by the source text the
 #: runner's code fingerprint hashes, so a cached result can never
 #: disagree with the defaults in force when it was computed (call-time

@@ -9,7 +9,7 @@ duplication overhead.
 """
 
 from repro.wifi.phy import MCS_TABLE, PhyConfig, frame_error_prob, select_mcs
-from repro.wifi.mac import MacLayer, TransmissionResult
+from repro.wifi.mac import MacLayer
 from repro.wifi.ap import AccessPoint, BufferedPacket
 from repro.wifi.psm import PowerSaveClient
 from repro.wifi.association import Association, VirtualAdapter, WifiManager
@@ -30,7 +30,6 @@ __all__ = [
     "PowerSaveClient",
     "ScanResult",
     "StandardPsmClient",
-    "TransmissionResult",
     "VirtualAdapter",
     "WifiManager",
     "WmmAccessPoint",

@@ -11,17 +11,11 @@ retry burst's actual attempt times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.registry import (
-    COUNT_BUCKETS,
-    Counter,
-    Histogram,
-    LabelValue,
-)
+from repro.obs.registry import COUNT_BUCKETS, LabelValue, MetricsRegistry
 from repro.obs.runtime import active_registry
 from repro.sim.random import BufferedDraws
 
@@ -44,14 +38,40 @@ CONTENTION_WINDOWS: Tuple[int, ...] = tuple(
     for attempt in range(RETRY_LIMIT + 1))
 
 
-@dataclass
-class TransmissionResult:
-    """Outcome of one MAC-layer delivery attempt burst."""
+class _MacTally:
+    """One MAC's frames by outcome, and the instruments they fold into.
 
-    delivered: bool
-    attempts: int
-    #: time from frame reaching the head of the queue to final ACK/drop
-    service_time_s: float
+    ``counts[k]`` for ``k >= 1`` is the frames delivered on attempt
+    ``k``; ``counts[0]`` is the frames dropped after every attempt.  The
+    registry runs :meth:`fold` before each read-out; the per-frame sums
+    are integers, so folding them late gives the same instruments as
+    updating them per frame.
+    """
+
+    __slots__ = ("counts", "_attempts", "_retries", "_dropped", "_hist")
+
+    def __init__(self, counts: List[int], registry: MetricsRegistry,
+                 labels: Dict[str, LabelValue]) -> None:
+        self.counts = counts
+        self._attempts = registry.counter("mac.attempts", **labels)
+        self._retries = registry.counter("mac.retries", **labels)
+        self._dropped = registry.counter("mac.frames_dropped", **labels)
+        self._hist = registry.histogram(
+            "mac.attempts_per_frame", bounds=COUNT_BUCKETS, **labels)
+
+    def fold(self) -> None:
+        counts = self.counts
+        dropped = counts[0]
+        frames = [(k, n) for k, n in enumerate(counts) if k and n]
+        if dropped:
+            # a dropped frame used every attempt
+            frames.append((len(counts) - 1, dropped))
+            self._dropped.inc(dropped)
+        for attempts, n in frames:
+            self._attempts.inc(attempts * n)
+            self._retries.inc((attempts - 1) * n)
+            self._hist.observe(attempts, n)
+        counts[:] = [0] * len(counts)
 
 
 class MacLayer:
@@ -67,56 +87,38 @@ class MacLayer:
         # The MAC is its stream's only consumer, so the backoff slots and
         # loss coins come from prefetched blocks (same values).
         self._draws = BufferedDraws(rng)
-        # Instruments are resolved once here, not per frame: transmit()
-        # runs per packet and a dict lookup per counter would be hot.
+        # transmit() runs per packet, so it only bumps a plain tally; the
+        # active registry folds it into the mac.* instruments on read.
+        self._counts = [0] * (len(CONTENTION_WINDOWS) + 1)
         registry = active_registry()
-        self._m_attempts: Optional[Counter] = None
-        self._m_retries: Optional[Counter] = None
-        self._m_dropped: Optional[Counter] = None
-        self._m_attempt_hist: Optional[Histogram] = None
         if registry is not None:
-            labels = dict(metric_labels or {})
-            self._m_attempts = registry.counter("mac.attempts", **labels)
-            self._m_retries = registry.counter("mac.retries", **labels)
-            self._m_dropped = registry.counter("mac.frames_dropped",
-                                               **labels)
-            self._m_attempt_hist = registry.histogram(
-                "mac.attempts_per_frame", bounds=COUNT_BUCKETS, **labels)
+            registry.on_read(_MacTally(self._counts, registry,
+                                       dict(metric_labels or {})).fold)
 
     def transmit(self, start_time: float,
                  attempt_loss_prob: Callable[[float], float],
                  airtime_s: float = ATTEMPT_AIRTIME_S
-                 ) -> TransmissionResult:
+                 ) -> Tuple[bool, int, float]:
         """Attempt delivery starting at ``start_time``.
 
-        Returns the result with the cumulative service time (backoffs +
-        airtimes across all attempts).
+        Returns ``(delivered, attempts, service_time_s)``: the service
+        time is the cumulative backoffs and airtimes of every attempt,
+        from the frame reaching the head of the queue to its final ACK
+        or drop.
         """
-        windows = CONTENTION_WINDOWS
         difs_s = DIFS_S
         slot_time_s = SLOT_TIME_S
         draws = self._draws
         elapsed = 0.0
-        result = None
-        for attempt, cw in enumerate(windows):
+        attempt = 0
+        for cw in CONTENTION_WINDOWS:
+            attempt += 1
             # DIFS plus a backoff of 0..cw slots, drawn uniformly.
             elapsed += difs_s + draws.integers(cw + 1) * slot_time_s
-            tx_time = start_time + elapsed
+            p_loss = attempt_loss_prob(start_time + elapsed)
             elapsed += airtime_s
-            p_loss = attempt_loss_prob(tx_time)
             if draws.random() >= p_loss:
-                result = TransmissionResult(
-                    delivered=True, attempts=attempt + 1,
-                    service_time_s=elapsed)
-                break
-        if result is None:
-            result = TransmissionResult(
-                delivered=False, attempts=len(windows),
-                service_time_s=elapsed)
-        if self._m_attempts is not None:
-            self._m_attempts.inc(result.attempts)
-            self._m_retries.inc(result.attempts - 1)
-            if not result.delivered:
-                self._m_dropped.inc()
-            self._m_attempt_hist.observe(result.attempts)
-        return result
+                self._counts[attempt] += 1
+                return True, attempt, elapsed
+        self._counts[0] += 1
+        return False, attempt, elapsed

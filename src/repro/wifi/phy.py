@@ -77,12 +77,6 @@ def select_mcs(mean_snr_db: float) -> Mcs:
     return chosen
 
 
-def effective_snr_db(base_snr_db: float, fade_db: float,
-                     interference_penalty_db: float) -> float:
-    """Instantaneous SNR combining slow SNR, fading and interference."""
-    return base_snr_db + fade_db - interference_penalty_db
-
-
 #: per-frame MAC/PHY overhead: preamble, SIFS and ACK
 MAC_OVERHEAD_S = 1.1e-4
 

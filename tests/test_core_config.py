@@ -7,6 +7,7 @@ from repro.core.config import (
     ClientConfig,
     G711_PROFILE,
     HIGH_RATE_PROFILE,
+    SECONDARY_RESIDENCY_TIME_S,
     StreamProfile,
 )
 from repro.net.middlebox import PER_STREAM_DELAY_S
@@ -27,7 +28,7 @@ def test_algorithm1_constants():
     cfg = ClientConfig()
     assert cfg.packet_loss_timeout_s == pytest.approx(0.040)   # PLT = 2*IPS
     assert cfg.ap_queue_len == 5                               # MTD/IPS
-    assert cfg.secondary_residency_time_s == pytest.approx(0.040)
+    assert SECONDARY_RESIDENCY_TIME_S == pytest.approx(0.040)
     assert cfg.association_keepalive_timeout_s == pytest.approx(30.0)
 
 

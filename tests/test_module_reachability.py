@@ -20,14 +20,15 @@ few definitions kept for a named future caller are listed in ``KEEP``.
 
 A defaulted parameter of a reached function is set when a program call
 of that name passes it by keyword or by position, or passes a
-``*``/``**`` splat.  A runner task (a function a program
-``"module:function"`` string names) receives its config as a dict, so
-its parameter is also set when a program file uses the name as a string
-dict key or ``dict(...)`` keyword outside the task's own body; a key
-sets no parameter of any other function.  A parameter only tests set
-is a second value no artifact uses; make its default a constant.  The
-test seams and parity references kept on purpose are listed in
-``KEEP_PARAMS``.
+``*``/``**`` splat; a forwarded ``**kwargs`` passes only what the
+forwarding function's program callers pass it.  A runner task (a
+function a program ``"module:function"`` string names) receives its
+config as a dict, so its parameter is also set when a program file uses
+the name as a string dict key or ``dict(...)`` keyword outside the
+task's own body; a key sets no parameter of any other function.  A
+parameter only tests set is a second value no artifact uses; make its
+default a constant.  The test seams and parity references kept on
+purpose are listed in ``KEEP_PARAMS``.
 
 A defaulted field of a reached ``@dataclass`` is set when a program call
 of the class passes it by keyword, by position or through a splat, when
@@ -35,9 +36,11 @@ a ``replace`` call passes it by keyword, or when a program statement
 assigns an attribute of that name (counters such as ``stats.drops +=
 1``).  A ``**kwargs`` forwarded into ``replace`` passes only what the
 forwarding function's program callers pass it; no other splat into
-``replace`` sets anything.  A field whose ``default_factory`` builds a
-list, dict or set is an accumulator, not an option.  The survivors are
-listed in ``KEEP_FIELDS``.
+``replace`` sets anything.  A call of the class inside its own body
+that passes ``field=self.field`` copies the field and sets nothing.  A
+field whose ``default_factory`` builds a list, dict or set is an
+accumulator, not an option.  The survivors are listed in
+``KEEP_FIELDS``.
 """
 
 import ast
@@ -336,7 +339,8 @@ class _Call(NamedTuple):
     enclosing: Tuple[ast.AST, ...]
     positional: int
     keywords: List[str]
-    #: passes a ``*``/``**`` splat
+    #: passes a ``*``/``**`` splat other than the enclosing function's
+    #: own ``**kwargs``
     splat: bool
     #: the enclosing function, when the call passes that function's own
     #: ``**kwargs`` on
@@ -379,6 +383,17 @@ def _forwards(call: ast.Call,
     return None
 
 
+def _copies_own_field(keyword: ast.keyword, callee: str,
+                      enclosing: Tuple[ast.AST, ...]) -> bool:
+    """Whether a call of a class inside its own body passes
+    ``field=self.field``: a copy of the value, which sets nothing."""
+    value = keyword.value
+    return isinstance(value, ast.Attribute) and value.attr == keyword.arg \
+        and isinstance(value.value, ast.Name) and value.value.id == "self" \
+        and any(isinstance(node, ast.ClassDef) and node.name == callee
+                for node in enclosing)
+
+
 def _scan(trees: Dict[Path, ast.Module]) -> _Program:
     program = _Program({}, {}, set(), set())
     for path, tree in trees.items():
@@ -401,18 +416,20 @@ def _scan(trees: Dict[Path, ast.Module]) -> _Program:
             name = _callee(node)
             if name is None:
                 continue
-            keywords = [kw.arg for kw in node.keywords if kw.arg]
+            keywords = [kw.arg for kw in node.keywords if kw.arg
+                        and not _copies_own_field(kw, name, enclosing)]
             if name == "dict":
                 for key in keywords:
                     program.keys.setdefault(key, []).append(
                         (path, enclosing))
-            splat = any(isinstance(arg, ast.Starred) for arg in node.args) \
-                or any(kw.arg is None for kw in node.keywords)
-            positional = sum(not isinstance(arg, ast.Starred)
-                             for arg in node.args)
+            forwards = _forwards(node, enclosing)
+            splats = sum(isinstance(arg, ast.Starred) for arg in node.args) \
+                + sum(kw.arg is None for kw in node.keywords)
+            positional = len(node.args) - sum(
+                isinstance(arg, ast.Starred) for arg in node.args)
             program.calls.setdefault(name, []).append(
-                _Call(path, enclosing, positional, keywords, splat,
-                      _forwards(node, enclosing)))
+                _Call(path, enclosing, positional, keywords,
+                      splats > (forwards is not None), forwards))
     return program
 
 
@@ -438,10 +455,12 @@ def _keywords(call: _Call, program: _Program,
     return keywords
 
 
-def _sets(calls: List[_Call], name: str, index: Optional[int]) -> bool:
+def _sets(calls: List[_Call], name: str, index: Optional[int],
+          program: _Program) -> bool:
     """Whether one of the calls sets the argument ``name`` (at positional
-    ``index``, None for keyword-only), by name, position or splat."""
-    return any(call.splat or name in call.keywords
+    ``index``, None for keyword-only), by name, position or splat; a
+    forwarded ``**kwargs`` sets only what :func:`_keywords` resolves."""
+    return any(call.splat or name in _keywords(call, program)
                or (index is not None and call.positional > index)
                for call in calls)
 
@@ -495,7 +514,7 @@ def _unset_parameters(root: Path) -> List[str]:
             calls = _outside(program.calls.get(callee, ()), path, node)
             task = f"{module}:{qualname}" in program.tasks
             for name, index in _defaulted(node, owner is not None):
-                if _sets(calls, name, index):
+                if _sets(calls, name, index, program):
                     continue
                 if task and any(where != path or node not in enclosing
                                 for where, enclosing
@@ -519,7 +538,8 @@ def test_every_defaulted_parameter_is_set_outside_tests():
 def test_parameter_guard_on_a_fixture_tree(tmp_path):
     """The guard reports a parameter only tests pass, and no parameter a
     program call, or a dict key outside a runner task's body, sets.  A
-    key sets nothing for a function no task string names."""
+    key sets nothing for a function no task string names, and a
+    forwarded ``**kwargs`` sets only what its program callers pass."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -536,17 +556,23 @@ def test_parameter_guard_on_a_fixture_tree(tmp_path):
         "def splatted(x=1):\n"
         "    return x\n"
         "\n"
+        "def study(n, swept=1, fixed=2):\n"
+        "    return n\n"
+        "\n"
         "class Box:\n"
         "    def __init__(self, width=1, depth=2):\n"
         "        self.width = width\n")
     (package / "__main__.py").write_text(
-        "from repro.mod import Box, own_key, run, splatted\n"
+        "from repro.mod import Box, own_key, run, splatted, study\n"
         "TASKS = ('repro.mod:task', 'repro.mod:own_key')\n"
         "CONFIG = {'by_key': 4}\n"
         "run(0, 5, by_keyword=1)\n"
         "own_key(0)\n"
         "splatted(**CONFIG)\n"
-        "Box(3)\n")
+        "Box(3)\n"
+        "def rows_with(n, **overrides):\n"
+        "    return study(n, **overrides)\n"
+        "rows_with(1, swept=3)\n")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_mod.py").write_text(
@@ -558,6 +584,7 @@ def test_parameter_guard_on_a_fixture_tree(tmp_path):
         "repro.mod:own_key(x_own)",
         "repro.mod:run(by_key)",
         "repro.mod:run(only_tests)",
+        "repro.mod:study(fixed)",
     ]
 
 
@@ -622,7 +649,7 @@ def _unset_fields(root: Path) -> List[str]:
             for index, (name, default) in enumerate(_fields(node)):
                 if default is None or _accumulator(default) \
                         or name in replaced or name in program.stores \
-                        or _sets(calls, name, index):
+                        or _sets(calls, name, index, program):
                     continue
                 unset.append(f"{module}:{qualname}.{name}")
     return sorted(unset)
@@ -643,7 +670,8 @@ def test_field_guard_on_a_fixture_tree(tmp_path):
     """The guard reports a field only tests set, and no field a program
     call, ``replace`` call or attribute store sets, nor an accumulator.
     A ``**kwargs`` forwarded into ``replace`` sets only the keywords its
-    program callers pass."""
+    program callers pass, and a call of the class in its own body that
+    passes ``field=self.field`` copies the field without setting it."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -662,6 +690,12 @@ def test_field_guard_on_a_fixture_tree(tmp_path):
         "    log: list = field(default_factory=list)\n"
         "    table: dict = field(default_factory=lambda: {'a': 0})\n"
         "    nested: tuple = field(default_factory=lambda: (1, 2))\n"
+        "    copied: int = 6\n"
+        "    rescaled: int = 7\n"
+        "\n"
+        "    def renamed(self, name):\n"
+        "        return Config(name, copied=self.copied,\n"
+        "                      rescaled=2 * self.rescaled)\n"
         "\n"
         "@dataclasses.dataclass(frozen=True)\n"
         "class Options:\n"
@@ -679,6 +713,7 @@ def test_field_guard_on_a_fixture_tree(tmp_path):
         "config = Config('x', 7, by_keyword=8)\n"
         "config = dataclasses.replace(config, by_replace=9)\n"
         "config.by_store += 1\n"
+        "config = config.renamed('y')\n"
         "scoped(forwarded=3)\n")
     tests = tmp_path / "tests"
     tests.mkdir()
@@ -687,6 +722,7 @@ def test_field_guard_on_a_fixture_tree(tmp_path):
         "Config('x', only_tests=9, nested=())\n"
         "Options(not_forwarded=4)\n")
     assert _unset_fields(tmp_path) == [
+        "repro.mod:Config.copied",
         "repro.mod:Config.nested",
         "repro.mod:Config.only_tests",
         "repro.mod:Options.not_forwarded",

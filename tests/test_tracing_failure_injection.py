@@ -6,6 +6,7 @@ import pytest
 
 from repro.channel.gilbert import GilbertParams
 from repro.core.config import APConfig, ClientConfig, StreamProfile
+from repro.core import client as client_module
 from repro.core.controller import run_session
 from repro.sim import Simulator
 from repro.sim.tracing import EventLog, TraceEvent
@@ -174,14 +175,13 @@ def test_zero_length_ap_queue_disables_recovery():
     assert result.client_stats.recovered <= 2
 
 
-def test_pathological_switch_latency():
+def test_pathological_switch_latency(monkeypatch):
     """A 90 ms switch latency makes just-in-time recovery impossible;
     the client must not crash and losses simply stand."""
-    config = ClientConfig(link_switch_latency_s=0.090)
+    monkeypatch.setattr(client_module, "LINK_SWITCH_LATENCY_S", 0.090)
     result = run_session(
         link_factory(outage_gilbert(), clean_gilbert()),
-        mode="diversifi-ap", profile=SHORT, seed=10,
-        client_config=config)
+        mode="diversifi-ap", profile=SHORT, seed=10)
     assert result.stream.n_packets == SHORT.n_packets  # ran to completion
 
 

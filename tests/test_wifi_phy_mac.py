@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.channel.gilbert import GilbertParams
+from repro.channel.link import LinkConfig, WifiLink
+from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
+from repro.obs.runtime import collecting
 from repro.sim import RandomRouter
 from repro.wifi import mac as mac_module
 from repro.wifi.mac import CONTENTION_WINDOWS, RETRY_LIMIT, MacLayer
@@ -10,7 +14,6 @@ from repro.wifi.phy import (
     MCS_TABLE,
     TARGET_PER,
     airtime_s,
-    effective_snr_db,
     frame_error_prob,
     select_mcs,
 )
@@ -55,7 +58,25 @@ def test_select_mcs_respects_target_per():
 
 
 def test_effective_snr_combines_terms():
-    assert effective_snr_db(20.0, -5.0, 3.0) == pytest.approx(12.0)
+    """A link scores each attempt at slow SNR + fade - interference."""
+    class Fade:
+        def fade_db(self, time):
+            return -5.0
+
+    class Penalty:
+        def snr_penalty_db(self, time):
+            return 3.0
+
+        def extra_delay_s(self, time, rng):
+            return 0.0
+
+    link = WifiLink(LinkConfig(gilbert=GilbertParams(loss_good=0.0,
+                                                     loss_bad=0.0)),
+                    RandomRouter(0), interference=Penalty())
+    link._fading = Fade()
+    snr = link.mean_snr_db(0.5) + -5.0 - 3.0
+    assert link.attempt_loss_prob(0.5) == pytest.approx(
+        frame_error_prob(snr, link.mcs), rel=1e-12)
 
 
 def test_airtime_decreases_with_rate():
@@ -69,16 +90,16 @@ def test_airtime_decreases_with_rate():
 
 def test_perfect_channel_delivers_first_attempt():
     mac = MacLayer(rng(1))
-    result = mac.transmit(0.0, lambda t: 0.0)
-    assert result.delivered
-    assert result.attempts == 1
+    delivered, attempts, _ = mac.transmit(0.0, lambda t: 0.0)
+    assert delivered
+    assert attempts == 1
 
 
 def test_dead_channel_exhausts_retries():
     mac = MacLayer(rng(2))
-    result = mac.transmit(0.0, lambda t: 1.0)
-    assert not result.delivered
-    assert result.attempts == RETRY_LIMIT + 1
+    delivered, attempts, _ = mac.transmit(0.0, lambda t: 1.0)
+    assert not delivered
+    assert attempts == RETRY_LIMIT + 1
 
 
 def test_retry_recovers_transient_loss():
@@ -86,16 +107,16 @@ def test_retry_recovers_transient_loss():
     mac = MacLayer(rng(3))
     outcomes = [mac.transmit(0.0, lambda t: 1.0 if t < 0.001 else 0.0)
                 for _ in range(50)]
-    assert all(o.delivered for o in outcomes)
-    assert any(o.attempts > 1 for o in outcomes)
+    assert all(delivered for delivered, _, _ in outcomes)
+    assert any(attempts > 1 for _, attempts, _ in outcomes)
 
 
 def test_service_time_grows_with_attempts():
     mac = MacLayer(rng(4))
-    one = mac.transmit(0.0, lambda t: 0.0)
+    *_, one_s = mac.transmit(0.0, lambda t: 0.0)
     mac_fail = MacLayer(rng(5))
-    eight = mac_fail.transmit(0.0, lambda t: 1.0)
-    assert eight.service_time_s > one.service_time_s
+    *_, eight_s = mac_fail.transmit(0.0, lambda t: 1.0)
+    assert eight_s > one_s
 
 
 def test_loss_rate_with_retries_matches_theory(monkeypatch):
@@ -106,7 +127,7 @@ def test_loss_rate_with_retries_matches_theory(monkeypatch):
                         CONTENTION_WINDOWS[:4])
     mac = MacLayer(rng(6))
     n = 4000
-    losses = sum(not mac.transmit(0.0, lambda t: p).delivered
+    losses = sum(not mac.transmit(0.0, lambda t: p)[0]
                  for _ in range(n))
     expected = p ** 4
     assert losses / n == pytest.approx(expected, abs=0.015)
@@ -114,8 +135,8 @@ def test_loss_rate_with_retries_matches_theory(monkeypatch):
 
 def test_airtime_override_used():
     mac = MacLayer(rng(7))
-    result = mac.transmit(0.0, lambda t: 0.0, airtime_s=0.5)
-    assert result.service_time_s >= 0.5
+    *_, service_time_s = mac.transmit(0.0, lambda t: 0.0, airtime_s=0.5)
+    assert service_time_s >= 0.5
 
 
 def test_attempt_times_passed_to_loss_model(monkeypatch):
@@ -133,3 +154,77 @@ def test_attempt_times_passed_to_loss_model(monkeypatch):
     assert len(seen) == 3
     assert all(t >= 10.0 for t in seen)
     assert seen == sorted(seen)
+
+
+# ------------------------------------------------------- MAC instruments
+
+def _send(mac, n_frames):
+    """``n_frames`` frames over a channel that loses attempts in bursts,
+    so frames end on every attempt count and some are dropped."""
+    outcomes = []
+    for frame in range(n_frames):
+        lossy = frame % 5 == 0
+        outcomes.append(mac.transmit(
+            float(frame), lambda t: 0.97 if lossy else 0.3))
+    return outcomes
+
+
+def _per_frame_registry(outcomes):
+    """The mac.* instruments updated frame by frame."""
+    reference = MetricsRegistry()
+    attempts = reference.counter("mac.attempts", link="x")
+    retries = reference.counter("mac.retries", link="x")
+    dropped = reference.counter("mac.frames_dropped", link="x")
+    per_frame = reference.histogram("mac.attempts_per_frame",
+                                    bounds=COUNT_BUCKETS, link="x")
+    for delivered, n_attempts, _ in outcomes:
+        attempts.inc(n_attempts)
+        retries.inc(n_attempts - 1)
+        if not delivered:
+            dropped.inc()
+        per_frame.observe(n_attempts)
+    return reference
+
+
+def test_mac_tally_reads_out_per_frame_totals():
+    with collecting() as registry:
+        mac = MacLayer(rng(9), metric_labels={"link": "x"})
+    outcomes = _send(mac, 400)
+    assert {1, 2, 3, RETRY_LIMIT + 1} <= {
+        attempts for _, attempts, _ in outcomes}
+    assert not all(delivered for delivered, _, _ in outcomes)
+    assert registry.get("mac.attempts", link="x").value == sum(
+        attempts for _, attempts, _ in outcomes)
+    assert registry.snapshot() == _per_frame_registry(outcomes).snapshot()
+    # A second read counts nothing twice.
+    assert registry.snapshot() == _per_frame_registry(outcomes).snapshot()
+    assert registry.get("mac.frames_dropped", link="x").value == sum(
+        not delivered for delivered, _, _ in outcomes)
+
+
+def test_mac_tally_frames_after_a_read_appear_in_the_next():
+    with collecting() as registry:
+        mac = MacLayer(rng(10), metric_labels={"link": "x"})
+    first = _send(mac, 50)
+    assert registry.snapshot() == _per_frame_registry(first).snapshot()
+    second = _send(mac, 70)
+    assert (registry.snapshot()
+            == _per_frame_registry(first + second).snapshot())
+
+
+def test_mac_tally_merge_carries_a_pending_tally():
+    with collecting() as source:
+        mac = MacLayer(rng(11), metric_labels={"link": "x"})
+    outcomes = _send(mac, 120)
+    merged = MetricsRegistry().merge(source)
+    assert merged.snapshot() == _per_frame_registry(outcomes).snapshot()
+    # The merge read the source, so the tally is now in its instruments.
+    assert source.snapshot() == merged.snapshot()
+
+
+def test_mac_without_registry_keeps_no_instruments():
+    mac = MacLayer(rng(12))
+    assert len(_send(mac, 10)) == 10
+    with collecting() as registry:
+        pass
+    assert len(registry) == 0

@@ -625,7 +625,10 @@ class TraceBlock:
     def spacing_s(self) -> float:
         return self.profile.inter_packet_spacing_s
 
-    def paired_run(self, position: int) -> PairedRun:
+    # bridge from a batch block to the event strategies that the batch
+    # parity tests compare against
+    def paired_run(  # reproflow: disable=RCH602
+            self, position: int) -> PairedRun:
         """Session at ``position`` as an event-path-shaped PairedRun."""
         offsets = {
             float(d): LinkTrace(

@@ -97,7 +97,9 @@ class GilbertElliott:
             self._advance(time)
         return self._loss
 
-    def sample_states(self, times: np.ndarray) -> np.ndarray:
+    # tests observe the chain's state sequence; no public field has it
+    def sample_states(  # reproflow: disable=RCH602
+            self, times: np.ndarray) -> np.ndarray:
         """Vector of states for a sorted array of query times."""
         return np.array([self.state_at(float(t)) for t in times], dtype=int)
 

@@ -258,7 +258,9 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def main(argv=None, out=sys.stdout) -> int:
+# test seams: tests run a command without touching sys.argv and
+# capture the printed report instead of stdout
+def main(argv=None, out=sys.stdout) -> int:  # reproflow: disable=RCH603
     args = build_parser().parse_args(argv)
     error = _usage_error(args)
     if error is not None:

@@ -152,12 +152,16 @@ class QoeController:
         return tuple(sorted(rssi,
                             key=lambda name: (-rssi[name], order[name])))
 
-    def path_metrics(self, name: str) -> RollingLinkMetrics:
+    # tests observe probe-fed metrics of idle paths; no public field has
+    # them
+    def path_metrics(  # reproflow: disable=RCH602
+            self, name: str) -> RollingLinkMetrics:
         """The rolling metrics for one path (observability/tests)."""
         return self._metrics[name]
 
+    # tests observe the controller's path choice; no public field has it
     @property
-    def active_paths(self) -> Tuple[str, ...]:
+    def active_paths(self) -> Tuple[str, ...]:  # reproflow: disable=RCH602
         """Currently active path names, primary first."""
         return self._active
 

@@ -39,8 +39,10 @@ def merge_metrics_json(blobs: List[str]) -> MetricsRegistry:
 EMPTY_METRICS_JSON = to_canonical_json(MetricsRegistry())
 
 
-def record_trace_metrics(registry: MetricsRegistry, trace: object,
-                         **labels: Union[str, int, bool]) -> None:
+# reference of the batch instrument-schema parity test
+def record_trace_metrics(  # reproflow: disable=RCH602
+        registry: MetricsRegistry, trace: object,
+        **labels: Union[str, int, bool]) -> None:
     """Record the standard per-trace metrics for one ``LinkTrace``.
 
     Populates loss counters, the burst-length histogram and the

@@ -34,8 +34,11 @@ def active_registry() -> Optional[MetricsRegistry]:
 
 
 @contextlib.contextmanager
-def collecting(registry: Optional[MetricsRegistry] = None
-               ) -> Iterator[MetricsRegistry]:
+def collecting(
+    # test seam: tests install their own registry to observe what a scope
+    # records
+    registry: Optional[MetricsRegistry] = None,  # reproflow: disable=RCH603
+) -> Iterator[MetricsRegistry]:
     """Install ``registry`` (or a fresh one) as the active registry."""
     global _ACTIVE
     previous = _ACTIVE

@@ -51,7 +51,8 @@ def memo_put(key: str, payload_json: str, metrics_json: str) -> None:
     _MEMO[key] = (payload_json, metrics_json)
 
 
-def clear_memo() -> None:
+# test-isolation hook for the in-process result memo
+def clear_memo() -> None:  # reproflow: disable=RCH602
     """Drop the in-process memo (tests; long-lived servers)."""
     _MEMO.clear()
 

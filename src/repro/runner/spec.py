@@ -64,7 +64,10 @@ class RunSpec:
     @classmethod
     def build(cls, task: str, seed: int,
               config: Optional[Mapping[str, Any]] = None,
-              fingerprint: Optional[str] = None) -> "RunSpec":
+              # test seam: tests fake a source change to check cache
+              # invalidation
+              fingerprint: Optional[str] = None,  # reproflow: disable=RCH603
+              ) -> "RunSpec":
         """Construct a spec, canonicalizing ``config`` and defaulting the
         fingerprint to the current :func:`~repro.runner.fingerprint.code_fingerprint`."""
         if not isinstance(task, str) or ":" not in task:

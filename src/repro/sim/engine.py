@@ -141,7 +141,8 @@ class Simulator:
         """Stop the run loop after the current event finishes."""
         self._stopped = True
 
-    def peek(self) -> Optional[float]:
+    # public engine API, kept with `Simulator.step`
+    def peek(self) -> Optional[float]:  # reproflow: disable=RCH602
         """Time of the next pending (non-cancelled) event, or ``None``."""
         queue = self._queue
         while queue and queue[0][2].cancelled:

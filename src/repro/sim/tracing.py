@@ -40,10 +40,14 @@ class EventLog:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
+    # ROADMAP item 7: `--explain` reads the session's event log
+    def of_kind(  # reproflow: disable=RCH602
+            self, kind: str) -> List[TraceEvent]:
         return [e for e in self._events if e.kind == kind]
 
-    def between(self, start: float, end: float) -> List[TraceEvent]:
+    # ROADMAP item 7: `--explain` reads the session's event log
+    def between(  # reproflow: disable=RCH602
+            self, start: float, end: float) -> List[TraceEvent]:
         """Events in the half-open interval ``[start, end)``.
 
         Half-open slices tile a timeline without double-counting:

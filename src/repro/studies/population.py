@@ -579,9 +579,11 @@ class NetTestPopulationTables:
     mos_moments: MomentSketch
 
 
-def nettest_population_study(seed: int = 0, scale: float = 1.0,
-                             runner_config: Optional[RunnerConfig] = None
-                             ) -> NetTestPopulationTables:
+def nettest_population_study(
+    seed: int = 0, scale: float = 1.0,
+    # test seam: tests run the study with a throwaway cache and jobs setting
+    runner_config: Optional[RunnerConfig] = None,  # reproflow: disable=RCH603
+) -> NetTestPopulationTables:
     """Run the NetTest study sharded over runner blocks.
 
     Table 2 rows and the spatial stats are exactly equal to the scalar

@@ -193,10 +193,12 @@ def n_call_blocks(n_calls: int) -> int:
 _CATEGORY_BY_WIFI_COUNT = {0: "EE", 1: "EW", 2: "WW"}
 
 
-def synthesize_provider_block(block: int, count: int, seed: int,
-                              pairs: PairState,
-                              response_bias: bool = True
-                              ) -> List[RatedCall]:
+# bit-parity reference of population.render_provider_block; its parity
+# test runs it at the response bias the population block is given
+def synthesize_provider_block(  # reproflow: disable=RCH602
+    block: int, count: int, seed: int, pairs: PairState,
+    response_bias: bool = True,  # reproflow: disable=RCH603
+) -> List[RatedCall]:
     """Scalar reference rendering of one call block's *rated* calls.
 
     Draw layout (one call consumes, in order, from each named
@@ -317,7 +319,9 @@ def _row(label: str, calls: List[RatedCall],
         n_calls=len(calls))
 
 
-def analyze_table1(dataset: ProviderDataset) -> List[Table1Row]:
+# bit-parity reference of the Table 1 population study
+def analyze_table1(  # reproflow: disable=RCH602
+        dataset: ProviderDataset) -> List[Table1Row]:
     """The four rows of Table 1."""
     calls = dataset.calls
     pcr_all = dataset.pcr()

@@ -86,8 +86,9 @@ class TcpReno:
 
     # ------------------------------------------------------------------
 
+    # tests observe slow-start growth; no public field has the window
     @property
-    def cwnd_segments(self) -> float:
+    def cwnd_segments(self) -> float:  # reproflow: disable=RCH602
         return self._cwnd
 
     def start(self, start_time: float = 0.0) -> None:

@@ -90,8 +90,9 @@ class AccessPoint:
     # ------------------------------------------------------------------
     # client power state (driven by PSM null frames)
 
+    # tests observe the AP's power-save state; no public field has it
     @property
-    def client_awake(self) -> bool:
+    def client_awake(self) -> bool:  # reproflow: disable=RCH602
         return self._client_awake
 
     @property

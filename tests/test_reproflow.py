@@ -2,18 +2,18 @@
 
 Each rule family (UNT / LIF) gets triggering, clean, and suppressed
 fixtures; the index is tested for cross-module resolution and ambiguity
-guarding; and the real CLI is run over ``src/`` (must be clean) and over
-seeded violations (must fail).
+guarding; and the real CLI is run over ``src/`` (must be clean), over
+seeded violations (must fail), in its output formats and on bad usage.
 """
 
 import json
-import os
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+
+from tests.test_reprolint import repo_findings, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
@@ -334,27 +334,20 @@ def test_import_alias_is_not_resolved():
 
 # ----------------------------------------------------------------- CLI
 
-def run_cli(*args, cwd=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "tools"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    return subprocess.run(
-        [sys.executable, "-m", "reproflow", *args],
-        capture_output=True, text=True, cwd=cwd or str(REPO), env=env)
+UNIT_VIOLATION = "def f(a_ms, b_s):\n    return a_ms + b_s\n"
 
 
 def test_cli_clean_on_repo_source_tree():
     """`python -m reproflow src/` over the real tree: zero findings (the
-    acceptance criterion for this subsystem)."""
-    result = run_cli("src/")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "0 finding(s)" in result.stdout
+    acceptance criterion for this subsystem), read off the one
+    whole-tree lint."""
+    assert repo_findings(path_prefix="src/") == []
 
 
 def test_cli_fails_on_seeded_unit_violation(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(a_ms, b_s):\n    return a_ms + b_s\n")
-    result = run_cli(str(bad))
+    bad.write_text(UNIT_VIOLATION)
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "UNT001" in result.stdout
 
@@ -374,16 +367,18 @@ def test_cli_seeded_violation_resolves_against_src_schemas(tmp_path):
 
 
 def test_cli_select_restricts_rules(tmp_path):
+    """A project-wide rule selected alone ignores the other family's
+    violation."""
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(a_ms, b_s):\n    return a_ms + b_s\n")
-    result = run_cli(str(bad), "--select", "LIF001")
+    bad.write_text(UNIT_VIOLATION)
+    result = run_cli(str(bad), "--select", "LIF001", cwd=tmp_path)
     assert result.returncode == 0
 
 
 def test_cli_json_format(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(a_ms, b_s):\n    return a_ms + b_s\n")
-    result = run_cli(str(bad), "--format=json")
+    bad.write_text(UNIT_VIOLATION)
+    result = run_cli(str(bad), "--format=json", cwd=tmp_path)
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["tool"] == "reproflow"
@@ -393,38 +388,55 @@ def test_cli_json_format(tmp_path):
 
 def test_cli_github_format(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(a_ms, b_s):\n    return a_ms + b_s\n")
-    result = run_cli(str(bad), "--format=github")
+    bad.write_text(UNIT_VIOLATION)
+    result = run_cli(str(bad), "--format=github", cwd=tmp_path)
     assert result.returncode == 1
     assert "::error file=" in result.stdout
     assert "title=UNT001" in result.stdout
 
 
 def test_cli_list_rules_mentions_every_rule():
+    """Each rule's table line carries its id, name and summary."""
     result = run_cli("--list-rules")
     assert result.returncode == 0
-    for rule in ALL_RULES:
-        assert rule in result.stdout
+    lines = result.stdout.splitlines()
+    for rule, (name, summary) in ALL_RULES.items():
+        line = next(line for line in lines if line.startswith(rule + " "))
+        assert name in line and summary in line, line
 
 
-def test_cli_unknown_rule_is_usage_error():
-    result = run_cli("src/", "--select", "NOPE999")
+def test_cli_unknown_rule_is_usage_error(tmp_path):
+    """One unknown id among known ones fails the run before any lint."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(UNIT_VIOLATION)
+    result = run_cli(str(bad), "--select", "UNT001,NOPE999", cwd=tmp_path)
     assert result.returncode == 2
+    assert "NOPE999" in result.stderr
+    assert result.stdout == ""
 
 
-def test_cli_missing_path_is_usage_error():
-    result = run_cli("no/such/dir")
+def test_cli_missing_path_is_usage_error(tmp_path):
+    """One missing path among existing ones fails the run."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(UNIT_VIOLATION)
+    result = run_cli(str(bad), "no/such/dir", cwd=tmp_path)
     assert result.returncode == 2
+    assert "no/such/dir" in result.stderr
+    assert result.stdout == ""
 
 
 def test_syntax_error_reported_as_parse_finding(tmp_path):
-    bad = tmp_path / "broken.py"
-    bad.write_text("def oops(:\n")
-    result = run_cli(str(bad))
+    """A file that does not parse is a finding, and the project-wide
+    rules still run over the files that do."""
+    (tmp_path / "broken.py").write_text("def oops(:\n")
+    (tmp_path / "bad.py").write_text(UNIT_VIOLATION)
+    result = run_cli("broken.py", "bad.py", cwd=tmp_path)
     assert result.returncode == 1
-    assert "PARSE" in result.stdout
+    assert "broken.py:1:10: PARSE" in result.stdout
+    assert "bad.py:2:12: UNT001" in result.stdout
 
 
 def test_tests_policy_exempts_lifecycle_families():
-    findings = analyze_paths([str(REPO / "tests" / "test_core_packet.py")])
+    findings = analyze_paths([str(REPO / "tests" / "test_core_packet.py")],
+                             rules=["LIF002", "LIF003"])
     assert [f for f in findings if f.rule in ("LIF002", "LIF003")] == []

@@ -9,13 +9,13 @@ in a third) and the impure-runner-task case are each proven to be
 caught; and the real CLI is run over seeded violations.
 """
 
-import os
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+
+from tests.test_reprolint import run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
@@ -662,15 +662,6 @@ def test_task_root_collection():
 # CLI integration.
 # ------------------------------------------------------------------
 
-def run_cli(*args, cwd=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "tools"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    return subprocess.run(
-        [sys.executable, "-m", "reproflow", *args],
-        capture_output=True, text=True, cwd=cwd or str(REPO), env=env)
-
-
 def test_cli_fails_on_seeded_pur_violation(tmp_path):
     bad = tmp_path / "bad_task.py"
     bad.write_text(textwrap.dedent("""
@@ -682,7 +673,7 @@ def test_cli_fails_on_seeded_pur_violation(tmp_path):
         def submit(runner, configs):
             return runner.map_task("bad_task:noisy", configs)
     """))
-    result = run_cli(str(bad))
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "PUR103" in result.stdout
 
@@ -698,7 +689,7 @@ def test_cli_fails_on_seeded_flo_violation(tmp_path):
 
         STREAM = RandomRouter(0).stream("module")
     """))
-    result = run_cli(str(bad))
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "FLO002" in result.stdout
 

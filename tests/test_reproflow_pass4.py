@@ -8,13 +8,13 @@ synthetic ``<module>`` nodes are exercised directly; and the real CLI
 is run over seeded violations.
 """
 
-import os
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+
+from tests.test_reprolint import run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
@@ -742,15 +742,6 @@ def test_pass4_rules_have_no_policy_exemptions():
 # CLI integration.
 # ------------------------------------------------------------------
 
-def run_cli(*args, cwd=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "tools"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    return subprocess.run(
-        [sys.executable, "-m", "reproflow", *args],
-        capture_output=True, text=True, cwd=cwd or str(REPO), env=env)
-
-
 def test_cli_fails_on_seeded_pass4_violations(tmp_path):
     bad = tmp_path / "bad_parallel.py"
     bad.write_text(textwrap.dedent("""
@@ -767,7 +758,7 @@ def test_cli_fails_on_seeded_pass4_violations(tmp_path):
             runner.map_task("bad_parallel:env_task", configs)
             runner.map_configs("bad_parallel:guarded_task", configs)
     """))
-    result = run_cli(str(bad))
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "KEY501" in result.stdout
     assert "SER302" in result.stdout

@@ -8,6 +8,8 @@ the real CLI is run over the ``make lint`` trees (must be clean) and over
 synthetic violations (must fail).
 """
 
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from reproflow.engine import analyze_source   # noqa: E402
+from reproflow.engine import analyze_paths, analyze_source   # noqa: E402
 from reproflow.filerules import FILE_CHECKERS   # noqa: E402
 from reproflow.rules import ALL_RULES     # noqa: E402
 
@@ -27,9 +29,10 @@ from reproflow.rules import ALL_RULES     # noqa: E402
 FILE_RULES = sorted(FILE_CHECKERS)
 
 
-def lint(source, path="pkg/module.py", rules=FILE_RULES):
+def lint(source, path="pkg/module.py", rules=FILE_RULES, extra=None):
     """Analyze ``source``; ``rules=None`` runs every rule."""
-    return analyze_source(textwrap.dedent(source), path, rules=rules)
+    return analyze_source(textwrap.dedent(source), path, rules=rules,
+                          extra=extra)
 
 
 def rule_ids(findings):
@@ -247,14 +250,142 @@ def plugin_task(seed, config=None):
     impl = importlib.import_module(config["impl"])
     return impl.run(seed)
 """ + _SUBMIT.format(task="plugin_task"),
+    # The RCH fixtures are src/repro/mod.py; a program file and a test
+    # that reaches what the program does not are in FIXTURE_EXTRA.
+    "RCH601": """
+        def helper():
+            return 1
+        """,
+    "RCH602": """
+        def named():
+            return 1
+
+        def unnamed(n):
+            return unnamed(n - 1) if n else 0
+        """,
+    "RCH603": """
+        def run(a, by_position=2, by_keyword=1, only_tests=3, by_key=4):
+            return a
+
+        def task(seed, by_key=4):
+            return seed
+
+        def own_key(seed, x_own=1):
+            return {'x_own': x_own}
+
+        def splatted(x=1):
+            return x
+
+        def study(n, swept=1, fixed=2):
+            return n
+
+        class Box:
+            def __init__(self, width=1, depth=2):
+                self.width = width
+        """,
+    "RCH604": """
+        import dataclasses
+        from dataclasses import dataclass, field
+
+        @dataclass
+        class Config:
+            name: str
+            by_position: int = 1
+            by_keyword: int = 2
+            only_tests: int = 3
+            by_replace: int = 4
+            by_store: int = 5
+            log: list = field(default_factory=list)
+            table: dict = field(default_factory=lambda: {'a': 0})
+            nested: tuple = field(default_factory=lambda: (1, 2))
+            copied: int = 6
+            rescaled: int = 7
+
+            def renamed(self, name):
+                return Config(name, copied=self.copied,
+                              rescaled=2 * self.rescaled)
+
+        @dataclasses.dataclass(frozen=True)
+        class Options:
+            forwarded: int = 1
+            not_forwarded: int = 2
+
+        def configure(options, **overrides):
+            return dataclasses.replace(options, **overrides)
+
+        def scoped(**overrides):
+            return configure(Options(), **overrides)
+        """,
 }
 
 #: rules that only fire on specific paths lint their fixture there
-FIXTURE_PATHS = {"OBS001": "src/repro/wifi/mac.py"}
+FIXTURE_PATHS = {"OBS001": "src/repro/wifi/mac.py",
+                 "RCH601": "src/repro/mod.py", "RCH602": "src/repro/mod.py",
+                 "RCH603": "src/repro/mod.py", "RCH604": "src/repro/mod.py"}
+
+
+def _program(main, tests="", where="src/repro/__main__.py"):
+    """The rest of a fixture tree: a program file (by default the
+    ``python -m repro`` entry point) and a test, which is not one."""
+    return {"src/repro/__init__.py": "", where: textwrap.dedent(main),
+            "tests/test_mod.py": textwrap.dedent(tests)}
+
+
+#: the files a rule's fixture is analyzed with
+FIXTURE_EXTRA = {
+    "RCH601": _program("import sys\n",
+                       tests="from repro.mod import helper\n"),
+    "RCH602": _program("from repro.mod import named\nnamed()\n",
+                       tests="from repro.mod import unnamed\n",
+                       where="examples/demo.py"),
+    # a program call, or a dict key outside a runner task's body, sets a
+    # parameter; a key sets nothing for a function no task string names,
+    # and a forwarded **kwargs sets only what its program callers pass
+    "RCH603": _program("""
+        from repro.mod import Box, own_key, run, splatted, study
+        TASKS = ('repro.mod:task', 'repro.mod:own_key')
+        CONFIG = {'by_key': 4}
+        run(0, 5, by_keyword=1)
+        own_key(0)
+        splatted(**CONFIG)
+        Box(3)
+        def rows_with(n, **overrides):
+            return study(n, **overrides)
+        rows_with(1, swept=3)
+        """, tests="""
+        from repro.mod import Box, run
+        run(0, only_tests=9)
+        Box(depth=4)
+        """),
+    # a program call, replace call or attribute store sets a field, and an
+    # accumulator is not an option; a **kwargs forwarded into replace sets
+    # only what its program callers pass, and field=self.field in the
+    # class's own body copies the field without setting it
+    "RCH604": _program("""
+        import dataclasses
+        from repro.mod import Config, scoped
+        config = Config('x', 7, by_keyword=8)
+        config = dataclasses.replace(config, by_replace=9)
+        config.by_store += 1
+        config = config.renamed('y')
+        scoped(forwarded=3)
+        """, tests="""
+        from repro.mod import Config, Options
+        Config('x', only_tests=9, nested=())
+        Options(not_forwarded=4)
+        """),
+}
 
 
 def fixture_path(rule):
     return FIXTURE_PATHS.get(rule, "pkg/module.py")
+
+
+def lint_fixture(rule, source=None):
+    """Every rule on ``rule``'s fixture (or ``source`` in its place)."""
+    return lint(FIXTURES[rule] if source is None else source,
+                path=fixture_path(rule), rules=None,
+                extra=FIXTURE_EXTRA.get(rule))
 
 
 def with_inline_disable(source, rule, lines):
@@ -272,20 +403,16 @@ def test_every_rule_has_fixture(rule):
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
 def test_rule_triggers(rule):
-    findings = lint(FIXTURES[rule], path=fixture_path(rule), rules=None)
-    assert rule in rule_ids(findings), \
+    assert rule in rule_ids(lint_fixture(rule)), \
         f"{rule} did not fire on its fixture"
 
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
 def test_rule_suppressed_inline(rule):
-    fired = [f.line for f in lint(FIXTURES[rule], path=fixture_path(rule),
-                                  rules=None)
-             if f.rule == rule]
+    fired = sorted({f.line for f in lint_fixture(rule) if f.rule == rule})
     assert fired
     suppressed = with_inline_disable(FIXTURES[rule], rule, fired)
-    findings = lint(suppressed, path=fixture_path(rule), rules=None)
-    assert rule not in rule_ids(findings), \
+    assert rule not in rule_ids(lint_fixture(rule, suppressed)), \
         f"{rule} fired despite inline disable"
 
 
@@ -304,6 +431,68 @@ def test_disable_list_is_rule_specific():
         rng = np.random.default_rng(0)  # reproflow: disable=DET002
         """)
     assert rule_ids(findings) == ["DET001"]
+
+
+# ------------------------------------------------------------ RCH60x
+
+def reported(rule, source=None):
+    """What ``rule`` names on its fixture (or on ``source``)."""
+    return sorted(f.message.split()[0] for f in lint_fixture(rule, source)
+                  if f.rule == rule)
+
+
+def test_rch601_rch602_report_only_what_tests_alone_reach():
+    assert reported("RCH601") == ["repro.mod"]
+    assert reported("RCH602") == ["repro.mod:unnamed"]
+
+
+def test_rch603_reports_the_parameters_only_tests_set():
+    assert reported("RCH603") == [
+        "repro.mod:Box.__init__(depth)",
+        "repro.mod:own_key(x_own)",
+        "repro.mod:run(by_key)",
+        "repro.mod:run(only_tests)",
+        "repro.mod:study(fixed)",
+    ]
+
+
+def test_rch604_reports_the_fields_only_tests_set():
+    assert reported("RCH604") == [
+        "repro.mod:Config.copied",
+        "repro.mod:Config.nested",
+        "repro.mod:Config.only_tests",
+        "repro.mod:Options.not_forwarded",
+    ]
+
+
+def test_rch_disable_that_silences_nothing_is_a_finding():
+    source = FIXTURES["RCH602"].replace(
+        "def named():", "def named():  # reproflow: disable=RCH602")
+    assert reported("RCH602", source) == ["`disable=RCH602`",
+                                          "repro.mod:unnamed"]
+
+
+def test_rch_family_is_silent_without_a_program():
+    extra = dict(FIXTURE_EXTRA["RCH602"])
+    del extra["examples/demo.py"]
+    findings = lint(FIXTURES["RCH602"], path=fixture_path("RCH602"),
+                    rules=None, extra=extra)
+    assert [f for f in findings if f.rule.startswith("RCH")] == []
+
+
+def test_rch_program_roots_fold_in_by_real_path(tmp_path, monkeypatch):
+    """``analyze_paths`` folds ``examples/`` in as the program, and a
+    target named by absolute path is not parsed again through ``src/``."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(textwrap.dedent(FIXTURES["RCH602"]))
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        FIXTURE_EXTRA["RCH602"]["examples/demo.py"])
+    monkeypatch.chdir(tmp_path)
+    findings = analyze_paths([str(package)], rules=["RCH602"])
+    assert [f.message.split()[0] for f in findings] == ["repro.mod:unnamed"]
 
 
 # ------------------------------------------------------------ DET001
@@ -527,27 +716,47 @@ def test_obs001_metrics_calls_ok():
 
 
 # ------------------------------------------------------------ CLI
+# A single-file run from the repo root folds all of src/ into the index;
+# from tmp_path it parses the one file, so those runs use cwd=tmp_path.
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=REPO):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "tools"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     return subprocess.run(
         [sys.executable, "-m", "reproflow", *args],
-        capture_output=True, text=True, cwd=cwd or str(REPO), env=env)
+        capture_output=True, text=True, cwd=str(cwd), env=env)
+
+
+@functools.lru_cache(maxsize=None)
+def repo_lint():
+    """`make lint` over the real trees, RCH family included, as its json
+    payload.  The only whole-tree lint in the tests: run once, and read
+    by every test that checks some part of the tree is clean."""
+    result = run_cli("src/", "tools/", "tests/", "--format=json")
+    assert result.returncode in (0, 1), result.stdout + result.stderr
+    return json.loads(result.stdout)
+
+
+def repo_findings(rule_prefix="", path_prefix=""):
+    """The whole-tree lint's findings of the given rule and path prefix,
+    rendered for an assertion message."""
+    return [f"{f['path']}:{f['line']}: {f['rule']} {f['message']}"
+            for f in repo_lint()["findings"]
+            if f["rule"].startswith(rule_prefix)
+            and f["path"].startswith(path_prefix)]
 
 
 def test_cli_clean_on_repo_source_tree():
     """`make lint` over the real trees: zero findings."""
-    result = run_cli("src/", "tools/", "tests/")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "0 finding(s)" in result.stdout
+    assert repo_findings() == []
+    assert "0 finding(s) (all rules)" in repo_lint()["summary"]
 
 
 def test_cli_fails_on_synthetic_det001(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nr = np.random.default_rng(1)\n")
-    result = run_cli(str(bad))
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "DET001" in result.stdout
 
@@ -555,7 +764,7 @@ def test_cli_fails_on_synthetic_det001(tmp_path):
 def test_cli_fails_on_synthetic_det002(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    result = run_cli(str(bad))
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "DET002" in result.stdout
 
@@ -563,8 +772,16 @@ def test_cli_fails_on_synthetic_det002(tmp_path):
 def test_cli_select_restricts_rules(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    result = run_cli(str(bad), "--select", "DET001")
+    result = run_cli(str(bad), "--select", "DET001", cwd=tmp_path)
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("selection", [",", ""])
+def test_cli_empty_select_is_usage_error(tmp_path, selection):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nt = time.time()\n")
+    result = run_cli(str(bad), "--select", selection, cwd=tmp_path)
+    assert result.returncode == 2, result.stdout
 
 
 def test_cli_list_rules_mentions_every_rule():
@@ -579,14 +796,14 @@ def test_cli_unknown_rule_is_usage_error():
     assert result.returncode == 2
 
 
-def test_cli_missing_path_is_usage_error():
-    result = run_cli("no/such/dir")
+def test_cli_missing_path_is_usage_error(tmp_path):
+    result = run_cli("no/such/dir", cwd=tmp_path)
     assert result.returncode == 2
 
 
 def test_syntax_error_reported_as_parse_finding(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n")
-    result = run_cli(str(bad))
+    result = run_cli(str(bad), cwd=tmp_path)
     assert result.returncode == 1
     assert "PARSE" in result.stdout

@@ -1,14 +1,14 @@
-"""Annotation-completeness gate for the strict packages.
+"""Annotation-completeness gate for the packages ``mypy.ini`` gates.
 
-``make typecheck`` runs mypy with strict profiles over ``repro.core``,
-``repro.runner`` and ``repro.obs``, and strict-lite profiles (see
-``mypy.ini``) over ``repro.sim``, ``repro.channel``, ``repro.batch``,
-``repro.studies`` and ``repro.analysis.sketch`` — but mypy is an
-optional dev dependency; this test is the always-on proxy that keeps
-every gated package's public surface fully annotated, so a strict mypy
-run never regresses silently on machines without it.
+``make typecheck`` runs mypy over ``src/repro``; every ``mypy.ini``
+section that sets ``disallow_untyped_defs = True`` (the strict and
+strict-lite profiles) names a package or module it holds to full
+annotation.  mypy is an optional dev dependency; this test is the
+always-on proxy that keeps those modules fully annotated, so a strict
+mypy run never regresses silently on machines without it.  It reads the
+gated set from ``mypy.ini`` itself, so the two cannot drift.
 
-Every function and method in a strict package must annotate every
+Every function and method in a gated module must annotate every
 parameter (``self``/``cls``/``*args``/``**kwargs`` positions included
 once named) and its return type.  Nested helper functions and lambdas
 are exempt — mypy infers those.
@@ -17,18 +17,39 @@ are exempt — mypy infers those.
 from __future__ import annotations
 
 import ast
+import configparser
 from pathlib import Path
+from typing import List
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
-#: the packages mypy.ini holds to a strict or strict-lite profile
-STRICT_PACKAGES = ("batch", "channel", "core", "net", "obs", "runner",
-                   "sim", "studies")
 
-STRICT_FILES = sorted(path for package in STRICT_PACKAGES
-                      for path in (SRC / package).glob("*.py"))
+def _gated_patterns() -> List[str]:
+    """The module patterns (``repro.core.*``, ``repro.analysis.sketch``)
+    of the ``mypy.ini`` sections that set ``disallow_untyped_defs``."""
+    config = configparser.ConfigParser()
+    config.read(REPO / "mypy.ini")
+    return [section[len("mypy-"):] for section in config.sections()
+            if section.startswith("mypy-repro.")
+            and config.getboolean(section, "disallow_untyped_defs",
+                                  fallback=False)]
+
+
+def _files(pattern: str) -> List[Path]:
+    """The source files a mypy module pattern covers."""
+    parts = pattern.split(".")[1:]
+    if parts[-1] == "*":
+        return sorted(SRC.joinpath(*parts[:-1]).rglob("*.py"))
+    return [SRC.joinpath(*parts).with_suffix(".py")]
+
+
+GATED_PATTERNS = _gated_patterns()
+
+STRICT_FILES = sorted({path for pattern in GATED_PATTERNS
+                       for path in _files(pattern)})
 
 
 def _module_scope_functions(tree: ast.Module):
@@ -61,9 +82,10 @@ def _missing_annotations(owner: str, func: ast.FunctionDef):
 
 
 def test_strict_packages_exist():
-    for package in STRICT_PACKAGES:
-        assert list((SRC / package).glob("*.py")), \
-            f"no python files under {SRC / package}"
+    assert "repro.analysis.sketch" in GATED_PATTERNS
+    for pattern in GATED_PATTERNS:
+        assert all(path.is_file() for path in _files(pattern)) \
+            and _files(pattern), f"no python files for {pattern}"
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,11 @@ Every target file is parsed once and the same trees feed every pass:
   the project call graph with effect summaries and runs the **FLO**
   stream-flow, **PUR** task-purity and **ORD** ordering families;
 * pass 4 (:mod:`reproflow.parsafe`) runs the **SER**/**IMP**/**KEY**
-  runner-safety families.
+  runner-safety families;
+* the **RCH** family (:mod:`reproflow.reach`) reports what of
+  ``src/repro`` only tests reach, judged against the program files the
+  same parse folds in (``python -m repro``, ``examples/``,
+  ``benchmarks/``, ``bench/``).
 
 Findings are suppressed per line with ``# reproflow: disable=RULE``
 comments and exempted per directory by :mod:`reproflow.policy`; nothing

@@ -22,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reproflow",
         description="Static analysis for the DiversiFi simulator: "
                     "per-file determinism rules plus project-wide units, "
-                    "packet lifecycle, dataflow and runner-safety "
-                    "passes on one shared parse.")
+                    "packet lifecycle, dataflow, runner-safety and "
+                    "reachability passes on one shared parse.")
     parser.add_argument("paths", nargs="*", default=[],
                         help="files or directories to lint (default: src/)")
     parser.add_argument("--select", default=None,
@@ -58,8 +58,11 @@ def main(argv: Optional[List[str]] = None,
         return 2
 
     rules: Optional[List[str]] = None
-    if args.select:
+    if args.select is not None:
         rules = [r.strip() for r in args.select.split(",") if r.strip()]
+        if not rules:
+            print("reproflow: --select names no rule", file=sys.stderr)
+            return 2
         unknown = [r for r in rules if r not in ALL_RULES]
         if unknown:
             print(f"reproflow: unknown rule(s): {', '.join(unknown)}",

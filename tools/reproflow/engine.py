@@ -8,10 +8,12 @@ per-file DET/GEN/OBS rules and the analyzers of passes 2, 3b and 4 all
 run off that shared state — ``make lint`` pays for the filesystem walk
 and parsing exactly once no matter how many passes run.
 
-``analyze_paths`` always folds ``src/`` into the pass-1 index (when it
-exists) even if only a subset of files was asked for — cross-module
-resolution is the whole point, and a ``Packet`` constructed in a test
-must still be checked against the schema defined in ``src/repro/core``.
+``analyze_paths`` always folds ``src/`` and the program roots
+(``examples/``, ``benchmarks/``, ``bench/``) into the one parse (when
+they exist) even if only a subset of files was asked for — cross-module
+resolution is the whole point: a ``Packet`` constructed in a test must
+still be checked against the schema defined in ``src/repro/core``, and
+the RCH family (:mod:`reproflow.reach`) asks what the program reaches.
 PARSE and rule findings are only *reported* for the files actually
 requested.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from reproflow.callgraph import CallGraph, build_callgraph
 from reproflow.dataflow import Pass3Analyzer, Summaries, propagate_effects
@@ -30,6 +32,8 @@ from reproflow.index import ProjectIndex, build_index
 from reproflow.parsafe import (GRANULAR_KINDS, ParsafeInfo, Pass4Analyzer,
                                collect_parsafe)
 from reproflow.policy import DEFAULT_POLICY
+from reproflow.reach import (PROGRAM_ROOTS, RCH_RULES, RawFinding,
+                             reachability, stale_disables)
 from reproflow.rules import ALL_RULES, ScopeAnalyzer
 
 __all__ = ["Finding", "analyze_paths", "analyze_source"]
@@ -62,27 +66,34 @@ def _parse(source: str, path: str
 
 
 def _analyze_tree(path: str, tree: ast.Module, source: str,
-                  index: ProjectIndex,
-                  rules: Optional[Sequence[str]],
+                  index: ProjectIndex, selected: Set[str],
                   graph: CallGraph, summaries: Summaries,
-                  parsafe: ParsafeInfo) -> List[Finding]:
+                  parsafe: ParsafeInfo,
+                  reach: Dict[str, List[RawFinding]]) -> List[Finding]:
     lines = source.splitlines()
     suppressions = parse_suppressions(lines)
-    selected = set(rules) if rules is not None else set(ALL_RULES)
     raw = check_file(tree, path, graph.imports[path], selected)
     raw += ScopeAnalyzer(path, index).analyze(tree)
     raw += Pass3Analyzer(path, index, graph, summaries).analyze(tree)
     raw += Pass4Analyzer(path, index, graph, summaries, parsafe).analyze()
+    family = reach.get(path)
+    kept = [finding for finding in raw + (family or [])
+            if finding[2] in selected
+            and not is_suppressed(suppressions, finding[0], finding[2])]
+    if family is not None:
+        # a disable of the family that silences nothing is a finding,
+        # which that same disable cannot silence
+        kept += stale_disables(suppressions, family, selected)
     findings: List[Finding] = []
-    for lineno, col, rule_id, message in raw:
-        if rule_id not in selected:
-            continue
-        if is_suppressed(suppressions, lineno, rule_id):
-            continue
+    for lineno, col, rule_id, message in kept:
         text = lines[lineno - 1].strip() if lineno <= len(lines) else ""
         findings.append(Finding(path=path, rule=rule_id, line=lineno,
                                 col=col, message=message, text=text))
     return findings
+
+
+def _selection(rules: Optional[Sequence[str]]) -> Set[str]:
+    return set(rules) if rules is not None else set(ALL_RULES)
 
 
 def analyze_source(source: str, path: str,
@@ -109,8 +120,11 @@ def analyze_source(source: str, path: str,
     graph = build_callgraph(trees, sources, index)
     parsafe = collect_parsafe(graph, trees)
     summaries = propagate_effects(graph, GRANULAR_KINDS)
-    findings = _analyze_tree(path, tree, source, index, rules,
-                             graph, summaries, parsafe)
+    selected = _selection(rules)
+    reach = reachability(trees, graph.imports) \
+        if RCH_RULES & selected else {}
+    findings = _analyze_tree(path, tree, source, index, selected,
+                             graph, summaries, parsafe, reach)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -118,20 +132,28 @@ def analyze_source(source: str, path: str,
 def analyze_paths(paths: Iterable[str],
                   rules: Optional[Sequence[str]] = None) -> List[Finding]:
     """Analyze every ``.py`` file under ``paths`` against a project-wide
-    index that always includes ``src/`` when present, dropping findings
-    the :data:`~reproflow.policy.DEFAULT_POLICY` exempts."""
+    index that always includes ``src/`` and the program roots when
+    present, dropping findings the
+    :data:`~reproflow.policy.DEFAULT_POLICY` exempts."""
     targets = list(iter_python_files(paths))
-    index_files = list(targets)
-    if os.path.isdir("src"):
-        seen = set(targets)
-        index_files += [p for p in iter_python_files(["src"])
-                        if p not in seen]
+    target_set = set(targets)
+    # by real path, so `./src/` or an absolute target is not parsed twice
+    seen = {os.path.realpath(path) for path in targets}
+
+    def fold(roots: Sequence[str]) -> List[str]:
+        return [path for path in iter_python_files(
+                    [root for root in roots if os.path.isdir(root)])
+                if os.path.realpath(path) not in seen]
+
+    index_files = targets + fold(["src"])
+    # program files feed the RCH family alone, so a definition in bench/
+    # cannot make a src schema ambiguous to the other passes
+    program_only = fold(PROGRAM_ROOTS)
 
     sources: Dict[str, str] = {}
     trees: Dict[str, ast.Module] = {}
     parse_findings: List[Finding] = []
-    target_set = set(targets)
-    for path in index_files:
+    for path in index_files + program_only:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 sources[path] = handle.read()
@@ -143,17 +165,22 @@ def analyze_paths(paths: Iterable[str],
         elif parse_error is not None and path in target_set:
             parse_findings.append(parse_error)
 
+    program = {path: trees.pop(path) for path in program_only
+               if path in trees}
     index = build_index(trees)
     graph = build_callgraph(trees, sources, index)
     parsafe = collect_parsafe(graph, trees)
     summaries = propagate_effects(graph, GRANULAR_KINDS)
+    selected = _selection(rules)
+    reach = reachability({**trees, **program}, graph.imports) \
+        if RCH_RULES & selected else {}
     findings = list(parse_findings)
     for path in targets:
         if path not in trees:
             continue
         findings.extend(
-            _analyze_tree(path, trees[path], sources[path], index, rules,
-                          graph, summaries, parsafe))
+            _analyze_tree(path, trees[path], sources[path], index, selected,
+                          graph, summaries, parsafe, reach))
     findings = [f for f in findings
                 if not DEFAULT_POLICY.exempt(f.path, f.rule)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

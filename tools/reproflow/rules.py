@@ -554,6 +554,16 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "KEY502": ("dynamic-dispatch-escape",
                "Task-reachable dynamic import/getattr dispatch whose "
                "callee escapes the RunSpec code fingerprint."),
+    # reachability of src/repro from the program (reproflow.reach)
+    "RCH601": ("unreached-module",
+               "A src/repro module no program file imports."),
+    "RCH602": ("unnamed-definition",
+               "A src/repro definition no program file names outside "
+               "its own body."),
+    "RCH603": ("unset-parameter",
+               "A defaulted parameter no program call sets."),
+    "RCH604": ("unset-field",
+               "A defaulted dataclass field no program code sets."),
 }
 
 

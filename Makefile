@@ -14,9 +14,8 @@ test:
 
 # Static analysis (tools/reproflow): per-file determinism rules plus
 # project-wide passes on one shared parse — pass 1 index, pass 2
-# units/lifecycle, pass 3 interprocedural dataflow (FLO/PUR/ORD),
-# pass 4 concurrency & serialization safety (SER/IMP/KEY), and the RCH
-# reachability family (what of src/repro only tests reach, judged against
+# units and delivery reads, pass 3 interprocedural dataflow and runner-task
+# safety (FLO/ORD/PUR/SER/KEY), and the RCH reachability family (what of src/repro only tests reach, judged against
 # `python -m repro`, examples/, benchmarks/ and bench/).  Fails on any
 # finding not silenced by an inline disable comment or the directory
 # policy; see CONTRIBUTING.md for the rule tables and suppression syntax.

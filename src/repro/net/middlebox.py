@@ -80,7 +80,7 @@ class Middlebox:
         self.sim = sim
         # A fresh config per instance: a shared default-argument instance
         # would alias every default-constructed middlebox to one object
-        # (the SER302-shaped stateful-default hazard).
+        # (a stateful default shared by every call).
         self.config = config if config is not None else MiddleboxConfig()
         self.stats = MiddleboxStats()
         self._flows: Dict[str, _FlowBuffer] = {}

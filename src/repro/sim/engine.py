@@ -213,7 +213,7 @@ class Simulator:
                 "was mutated after scheduling or the heap was "
                 "corrupted")
         # Exact on purpose: the key is a copy of Event.time, not a result.
-        if event.time != time:   # reproflow: disable=GEN103
+        if event.time != time:
             raise HeapOrderError(
                 f"event scheduled for t={time:.9f} now reads "
                 f"t={event.time:.9f}; an Event.time was mutated after "

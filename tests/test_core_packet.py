@@ -165,8 +165,8 @@ def test_merge_single_trace_identity():
 
 def test_copy_for_link_preserves_every_field():
     """Introspective guard: if a field is ever added to Packet,
-    copy_for_link must carry it over (this is exactly the failure mode
-    reproflow's LIF002 exists to prevent in hand-rolled replicas)."""
+    copy_for_link must carry it over (a hand-rolled replica would
+    silently drop it)."""
     import dataclasses
 
     p = Packet(seq=7, send_time=1.23, size_bytes=1200, flow_id="rt9",

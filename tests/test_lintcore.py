@@ -12,7 +12,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from reproflow.findings import (Finding, emit, is_suppressed,             # noqa: E402
-                                parse_suppressions, render_github)
+                                parse_suppressions)
 from reproflow.policy import PathPolicy                                   # noqa: E402
 
 
@@ -27,6 +27,15 @@ def make_finding(path="src/a.py", rule="X001", line=3, col=4,
 def test_suppression_disable_all():
     sup = parse_suppressions(["z = 1  # reproflow: disable=all"])
     assert is_suppressed(sup, 1, "ANY999")
+
+
+def test_suppression_reads_every_disable_comment_on_a_line():
+    sup = parse_suppressions([
+        "t = time.time()  # reproflow: disable=GEN102  "
+        "# reproflow: disable=DET002,DET001"])
+    for rule in ("GEN102", "DET002", "DET001"):
+        assert is_suppressed(sup, 1, rule), rule
+    assert not is_suppressed(sup, 1, "OBS001")
 
 
 # -------------------------------------------------------------- policy
@@ -84,12 +93,6 @@ def test_path_policy_empty_and_describe():
 
 
 # -------------------------------------------------------------- output
-
-def test_render_github_workflow_command():
-    rendered = render_github(make_finding())
-    assert rendered.startswith("::error file=src/a.py,line=3,col=5,")
-    assert "title=X001" in rendered
-
 
 def test_emit_json_payload():
     out = io.StringIO()

@@ -53,19 +53,8 @@ class RandomRouter:
         return object()
 """
 
-_PACKETS = """
+_RECORDS = """
 from dataclasses import dataclass
-
-@dataclass
-class Packet:
-    seq: int
-    send_time: float
-    flow_id: str = "rt0"
-    link: str = ""
-
-    def copy_for_link(self, link):
-        return Packet(seq=self.seq, send_time=self.send_time,
-                      flow_id=self.flow_id, link=link)
 
 @dataclass
 class DeliveryRecord:
@@ -94,10 +83,6 @@ FIXTURES = {
             for link in set(links):
                 sim.call_in(0.1, link.poll)
         """,
-    "DET004": """
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        """,
     "GEN101": """
         def collect(items=[]):
             return items
@@ -108,15 +93,6 @@ FIXTURES = {
                 fn()
             except Exception:
                 pass
-        """,
-    "GEN103": """
-        def due(event, sim):
-            return event.time == sim.now
-        """,
-    "GEN104": """
-        class RetryEvent:
-            def __init__(self, when):
-                self.when = when
         """,
     "OBS001": """
         def transmit(frame):
@@ -137,18 +113,7 @@ FIXTURES = {
             spacing_s = spacing_ms
             return spacing_s
         """,
-    "LIF001": _PACKETS + """
-def forward(queue):
-    p = Packet(seq=1, send_time=0.0)
-    queue.append(p)
-    p.link = "secondary"
-""",
-    "LIF002": _PACKETS + """
-def replicate(base):
-    return Packet(seq=base.seq, send_time=base.send_time,
-                  flow_id=base.flow_id, link="secondary")
-""",
-    "LIF003": _PACKETS + """
+    "LIF003": _RECORDS + """
 def sample(link, seq, t):
     r = link.transmit(seq, t, 160)
     return r.delay
@@ -178,19 +143,6 @@ def counting_task(seed, config=None):
     COUNTER["n"] = COUNTER["n"] + 1
     return seed
 """ + _SUBMIT.format(task="counting_task"),
-    "PUR102": """
-import time
-
-def slow_task(seed, config=None):
-    time.time()
-    return seed
-""" + _SUBMIT.format(task="slow_task"),
-    "PUR103": """
-import random
-
-def noisy_task(seed, config=None):
-    return random.random()
-""" + _SUBMIT.format(task="noisy_task"),
     "ORD201": """
         def merge(metrics):
             links = {m.link for m in metrics}
@@ -199,17 +151,6 @@ def noisy_task(seed, config=None):
                 out.append(link)
             return out
         """,
-    "ORD202": """
-        def total(delays):
-            pending = set(delays)
-            return sum(pending)
-        """,
-    "SER302": """
-from threading import Lock
-
-def guarded_task(seed, lock=Lock(), config=None):
-    return seed
-""" + _SUBMIT.format(task="guarded_task"),
     "SER303": """
 from threading import Lock
 
@@ -219,37 +160,12 @@ def locked_task(seed, config=None):
     with _GUARD:
         return seed
 """ + _SUBMIT.format(task="locked_task"),
-    "IMP401": """
-import time
-
-_IMPORT_STAMP = time.time()
-
-def stamped_task(seed, config=None):
-    return seed
-""" + _SUBMIT.format(task="stamped_task"),
-    "IMP402": """
-TOTALS = {}
-
-def tally_task(seed, config=None):
-    TOTALS[seed] = seed
-    return seed
-
-def report():
-    return len(TOTALS)
-""" + _SUBMIT.format(task="tally_task"),
     "KEY501": """
 import os
 
 def env_task(seed, config=None):
     return os.getenv("REPRO_SCALE")
 """ + _SUBMIT.format(task="env_task"),
-    "KEY502": """
-import importlib
-
-def plugin_task(seed, config=None):
-    impl = importlib.import_module(config["impl"])
-    return impl.run(seed)
-""" + _SUBMIT.format(task="plugin_task"),
     # The RCH fixtures are src/repro/mod.py; a program file and a test
     # that reaches what the program does not are in FIXTURE_EXTRA.
     "RCH601": """
@@ -433,6 +349,87 @@ def test_disable_list_is_rule_specific():
     assert rule_ids(findings) == ["DET001"]
 
 
+# ------------------------------------------------------------ subsumption
+
+#: a deleted rule's former trigger, linted as a ``src/repro`` file, and
+#: the surviving rule that reports it (CONTRIBUTING.md, "Deleted rules")
+SUBSUMED = {
+    ("PUR102", "DET002"): """
+        import time
+
+        def slow_task(seed, config=None):
+            time.time()
+            return seed
+
+        def submit(runner, configs):
+            return runner.map_task("repro.mod:slow_task", configs)
+        """,
+    ("PUR103", "DET001"): """
+        import random
+
+        def noisy_task(seed, config=None):
+            return random.random()
+
+        def submit(runner, configs):
+            return runner.map_task("repro.mod:noisy_task", configs)
+        """,
+    ("IMP401", "DET002"): """
+        import time
+
+        _IMPORT_STAMP = time.time()
+
+        def stamped_task(seed, config=None):
+            return seed
+
+        def submit(runner, configs):
+            return runner.map_task("repro.mod:stamped_task", configs)
+        """,
+    ("IMP401", "DET001"): """
+        import random
+
+        _IMPORT_SALT = random.random()
+
+        def salted_task(seed, config=None):
+            return seed
+
+        def submit(runner, configs):
+            return runner.map_task("repro.mod:salted_task", configs)
+        """,
+    ("IMP402", "PUR101"): """
+        TOTALS = {}
+
+        def tally_task(seed, config=None):
+            TOTALS[seed] = seed
+            return seed
+
+        def report():
+            return len(TOTALS)
+
+        def submit(runner, configs):
+            return runner.map_task("repro.mod:tally_task", configs)
+        """,
+    ("SER302", "RCH603"): """
+        from threading import Lock
+
+        def guarded_task(seed, lock=Lock()):
+            return seed
+
+        def submit(runner, configs):
+            return runner.map_task("repro.mod:guarded_task", configs)
+        """,
+}
+
+
+@pytest.mark.parametrize("deleted,survivor", sorted(SUBSUMED))
+def test_deleted_rule_trigger_still_reported(deleted, survivor):
+    findings = lint(SUBSUMED[deleted, survivor], path="src/repro/mod.py",
+                    rules=None, extra=_program("""
+                        from repro.mod import submit
+                        submit(None, [(0, {})])
+                        """))
+    assert survivor in rule_ids(findings), findings
+
+
 # ------------------------------------------------------------ RCH60x
 
 def reported(rule, source=None):
@@ -579,34 +576,6 @@ def test_det003_comprehension_in_scheduler():
     assert rule_ids(findings) == ["DET003"]
 
 
-# ------------------------------------------------------------ DET004
-
-def test_det004_set_start_method_fork():
-    findings = lint("""
-        import multiprocessing as mp
-        mp.set_start_method("fork")
-        """)
-    assert rule_ids(findings) == ["DET004"]
-
-
-def test_det004_pool_without_mp_context():
-    findings = lint("""
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=4)
-        """)
-    assert rule_ids(findings) == ["DET004"]
-
-
-def test_det004_spawn_context_ok():
-    findings = lint("""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        ctx = multiprocessing.get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=4, mp_context=ctx)
-        """)
-    assert findings == []
-
-
 # ------------------------------------------------------------ GEN10x
 
 def test_gen101_kwonly_defaults():
@@ -633,30 +602,6 @@ def test_gen102_specific_except_ok():
             risky()
         except ValueError:
             pass
-        """)
-    assert findings == []
-
-
-def test_gen103_tolerance_compare_ok():
-    findings = lint("""
-        def due(event, sim):
-            return abs(event.time - sim.now) < 1e-9
-        """)
-    assert findings == []
-
-
-def test_gen104_slots_and_dataclass_ok():
-    findings = lint("""
-        from dataclasses import dataclass
-
-        class AckEvent:
-            __slots__ = ("when",)
-            def __init__(self, when):
-                self.when = when
-
-        @dataclass(frozen=True)
-        class LogEvent:
-            when: float
         """)
     assert findings == []
 

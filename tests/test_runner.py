@@ -111,7 +111,7 @@ def test_spec_key_ignores_config_ordering():
 @pytest.mark.parametrize("other", [
     RunSpec.build(ADD_TASK, 2, {"offset": 2}),              # seed
     RunSpec.build(ADD_TASK, 1, {"offset": 3}),              # config
-    RunSpec.build("tests.test_runner:sleep_task", 1,  # reproflow: disable=PUR102
+    RunSpec.build("tests.test_runner:sleep_task", 1,
                   {"offset": 2}),                            # task
     RunSpec.build(ADD_TASK, 1, {"offset": 2},
                   fingerprint="f" * 64),                     # fingerprint
@@ -569,7 +569,7 @@ def _running(pid):
 def test_pool_timeout_aborts_batch(pool_pythonpath):
     # the task sleeps on purpose: the clock read IS the behavior under
     # test (timeouts), and no_cache=True keeps it out of the ResultCache
-    specs = [RunSpec.build(SLEEP_TASK, s)  # reproflow: disable=PUR102
+    specs = [RunSpec.build(SLEEP_TASK, s)
              for s in range(2)]
     before = _worker_pids()   # the pool the sleeping batch runs on
     config = RunnerConfig(jobs=2, timeout_s=0.2, no_cache=True)

@@ -3,20 +3,20 @@
 Every target file is parsed once and the same trees feed every pass:
 
 * the per-file family (:mod:`reproflow.filerules`) — **DET** determinism
-  (routed RNG, no wall clocks, ordered scheduling, no fork), **GEN**
+  (routed RNG, no wall clocks, ordered scheduling), **GEN**
   hygiene and **OBS** observability rules that need one module only;
 * pass 1 (:mod:`reproflow.index`) builds a
   :class:`~reproflow.index.ProjectIndex` — dataclass field schemas with
   units inferred from the ``_s``/``_ms``/``_bytes``/``_dbm``/``_mw``/
   ``_hz`` suffix convention, function and method signatures, and the
-  packet/delivery-record class roster;
-* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit and **LIF** packet
-  lifecycle families against that index;
+  delivery-record class roster;
+* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit family and the
+  **LIF** delay-read rule against that index;
 * pass 3 (:mod:`reproflow.callgraph`, :mod:`reproflow.dataflow`) builds
   the project call graph with effect summaries and runs the **FLO**
-  stream-flow, **PUR** task-purity and **ORD** ordering families;
-* pass 4 (:mod:`reproflow.parsafe`) runs the **SER**/**IMP**/**KEY**
-  runner-safety families;
+  stream-flow and **ORD** ordering families, plus the runner-task rules
+  read off each task's summary: **PUR** (module state), **SER**
+  (module-level handles) and **KEY** (inputs the cache key omits);
 * the **RCH** family (:mod:`reproflow.reach`) reports what of
   ``src/repro`` only tests reach, judged against the program files the
   same parse folds in (``python -m repro``, ``examples/``,

@@ -11,31 +11,28 @@ carrying:
   the edge is dropped rather than guessed.  ``self.m(...)`` prefers the
   enclosing class's own method.
 * **local effect sites** — the determinism-relevant things the function
-  does *directly*: writing module/global state, reading the wall clock,
-  drawing from an unrouted RNG, iterating an unordered collection, and
-  (for the stream taint) whether it *returns* a ``RandomRouter`` stream.
-
-Clock reads on lines carrying ``# reproflow: disable=DET002`` are
-*sanctioned telemetry* (the repo-wide convention for wall-time that never
-feeds back into simulated behaviour) and are excluded from the effect
-summary — a task is not impure for reporting how long it took.
+  does *directly*: writing module/global state, reading a task input the
+  ``RunSpec`` key omits (an environment variable, a file opened at call
+  time, a module global another module rebinds, a parameter that falls
+  back to a module global at call time), using a module-level open
+  handle or lock, and (for the stream taint) whether it *returns* a
+  ``RandomRouter`` stream.
 
 The import model (:class:`ImportInfo`) and the clock/RNG classifier
 (:func:`classify_call`) defined here are the only ones in the tool: the
-per-file DET001/DET002 rules and pass 4's env/dispatch checks read the
-same per-module :class:`ImportInfo` the effect collector builds.
+per-file DET001/DET002 rules and the env-read collector read the same
+per-module :class:`ImportInfo`.
 
 Task roots — the ``"module:function"`` entry points handed to
 ``repro.runner.map_task`` / ``map_configs`` / ``RunSpec.build`` — are
 collected here too, resolving string constants through module-level
 assignments (``OFFICE_TASK = "repro...:office_run_metrics"``).
 
-For pass 4 every module additionally gets a synthetic ``<module>`` node
-whose "body" is the module scope minus any ``if __name__ == "__main__"``
-guard — exactly the code a spawned worker replays when it imports the
-module.  Its effect summary is what IMP401 checks; its call edges make
-import-time work transitive (``CONST = helper()`` at module scope
-carries ``helper``'s effects).
+Env reads named in :data:`SANCTIONED_ENV_VARS` are exempt:
+``REPRO_SANITIZE`` gates *assertions and digest checks*, never results
+(the bench/obs smoke targets prove serial, parallel and warm-cache runs
+byte-identical with it on), so folding it into the key would only
+defeat cache sharing between sanitized and unsanitized sessions.
 """
 
 from __future__ import annotations
@@ -44,14 +41,29 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from reproflow.findings import parse_suppressions
 from reproflow.index import ProjectIndex
+
+#: what :func:`classify_call` says of one call
+CLOCK_READ = "clock-read"
+UNROUTED_RNG = "unrouted-rng"
 
 #: effect kinds recorded on a node (and propagated by pass 3b)
 GLOBAL_WRITE = "global-write"
-CLOCK_READ = "clock-read"
-UNROUTED_RNG = "unrouted-rng"
-UNORDERED_ITER = "unordered-iter"
+ENV_READ = "env-read"
+FILE_READ = "file-read"
+SHADOW_CONFIG = "shadow-config"
+MODULE_STATE_READ = "module-state-read"
+HANDLE_USE = "handle-use"
+
+#: the task inputs the RunSpec key omits (KEY501)
+KEY_ESCAPES = frozenset({ENV_READ, FILE_READ, SHADOW_CONFIG,
+                         MODULE_STATE_READ})
+#: kinds propagated per-symbol (``"kind:symbol"`` summary entries) so a
+#: task root reports every distinct offender, not just the first
+GRANULAR_KINDS = KEY_ESCAPES | {HANDLE_USE}
+
+#: env vars that gate checking, never results (see module docstring)
+SANCTIONED_ENV_VARS = frozenset({"REPRO_SANITIZE"})
 
 _CLOCK_FUNCTIONS = frozenset({
     "time", "time_ns", "sleep", "perf_counter", "perf_counter_ns",
@@ -64,13 +76,6 @@ _MUTATOR_METHODS = frozenset({
 })
 #: calls a task entry point is submitted through
 TASK_SUBMIT_NAMES = frozenset({"map_task", "map_configs"})
-#: RNG constructors that are deterministic when given an explicit seed —
-#: building one *with arguments* is routing, not an unrouted draw (the
-#: RandomRouter itself derives streams via seeded default_rng)
-_SEEDED_RNG_CONSTRUCTORS = frozenset({
-    "default_rng", "SeedSequence", "Generator", "PCG64", "Philox",
-    "SFC64", "MT19937", "RandomState", "Random",
-})
 
 
 @dataclass
@@ -82,8 +87,8 @@ class EffectSite:
     col: int
     detail: str
     #: the module-level name (or other stable token) the effect touches,
-    #: when one exists — pass 4 propagates some kinds per-symbol so one
-    #: task root can report every distinct offender, not just the first
+    #: when one exists — :data:`GRANULAR_KINDS` propagate per-symbol so
+    #: one task root can report every distinct offender, not just the first
     symbol: Optional[str] = None
 
 
@@ -150,10 +155,10 @@ class CallGraph:
         self._aliased: Dict[str, Set[str]] = {}
         #: per-module: module-level string constants (task indirection)
         self._str_constants: Dict[str, Dict[str, str]] = {}
-        #: path -> synthetic ``<module>`` node id (import-time execution)
-        self.module_nodes: Dict[str, str] = {}
-        #: per-module: names assigned at module scope (pass 4 reads this)
+        #: per-module: names assigned at module scope
         self._module_assigned: Dict[str, Set[str]] = {}
+        #: per-module: module-level names bound to handles -> description
+        self._handles: Dict[str, Dict[str, str]] = {}
         #: path -> the module's import model (shared by every pass)
         self.imports: Dict[str, ImportInfo] = {}
 
@@ -208,12 +213,18 @@ def dotted_module_name(path: str) -> str:
 
 
 def build_callgraph(trees: Dict[str, ast.Module],
-                    sources: Dict[str, str],
                     index: ProjectIndex) -> CallGraph:
     """Build nodes, effects, and resolved edges for every module."""
     graph = CallGraph(index)
     for path in sorted(trees):
-        _collect_module(graph, path, trees[path], sources.get(path, ""))
+        _collect_module(graph, path, trees[path])
+    # a module global is rebound at runtime when another module assigns
+    # it, which only the complete module table can tell
+    poked: Set[Tuple[str, str]] = set()
+    for path in sorted(trees):
+        poked |= _collect_pokes(graph, path, trees[path])
+    for node in graph.nodes.values():
+        _collect_task_inputs(graph, node, poked)
     for path in sorted(trees):
         _resolve_module_calls(graph, path, trees[path])
         _collect_task_roots(graph, path, trees[path])
@@ -224,16 +235,12 @@ def build_callgraph(trees: Dict[str, ast.Module],
 # ---------------------------------------------------------------- pass A:
 # nodes, local effects, name tables
 
-def _collect_module(graph: CallGraph, path: str, tree: ast.Module,
-                    source: str) -> None:
+def _collect_module(graph: CallGraph, path: str, tree: ast.Module) -> None:
     graph._module_paths.setdefault(dotted_module_name(path), path)
     graph._module_functions.setdefault(path, {})
     aliased: Set[str] = set()
     module_names: Set[str] = set()
     str_constants: Dict[str, str] = {}
-    sanctioned = {lineno for lineno, rules
-                  in parse_suppressions(source.splitlines()).items()
-                  if "DET002" in rules}
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -256,8 +263,8 @@ def _collect_module(graph: CallGraph, path: str, tree: ast.Module,
     graph._aliased[path] = aliased
     graph._str_constants[path] = str_constants
     graph._module_assigned[path] = module_names
-
-    imports = graph.imports[path] = ImportInfo(tree)
+    graph._handles[path] = _module_handles(tree)
+    graph.imports[path] = ImportInfo(tree)
 
     def visit(body: Sequence[ast.stmt], prefix: str,
               enclosing_class: Optional[str]) -> None:
@@ -269,8 +276,7 @@ def _collect_module(graph: CallGraph, path: str, tree: ast.Module,
                     id=node_id, name=stmt.name, qualname=qualname,
                     path=path, lineno=stmt.lineno,
                     enclosing_class=enclosing_class, func_ast=stmt)
-                _collect_effects(fn, stmt, module_names, imports,
-                                 sanctioned)
+                _collect_effects(fn, stmt, module_names)
                 graph.nodes[node_id] = fn
                 if enclosing_class is None and prefix == "":
                     graph._module_functions[path][stmt.name] = node_id
@@ -294,42 +300,10 @@ def _collect_module(graph: CallGraph, path: str, tree: ast.Module,
 
     visit(tree.body, "", None)
 
-    # the synthetic <module> node: what importing this module *executes*
-    # (a __main__ guard never runs on a worker import, and def/class
-    # statements only *bind* — their bodies are the functions' own
-    # scope, already covered by their own nodes)
-    import_body = [stmt for stmt in tree.body
-                   if not _is_main_guard(stmt)
-                   and not isinstance(stmt, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef,
-                                             ast.ClassDef))]
-    module_ast = ast.Module(body=import_body, type_ignores=[])
-    module_node = FunctionNode(
-        id=f"{path}::<module>", name="<module>", qualname="<module>",
-        path=path, lineno=1, func_ast=module_ast)
-    _collect_effects(module_node, module_ast, module_names, imports,
-                     sanctioned)
-    graph.nodes[module_node.id] = module_node
-    graph.module_nodes[path] = module_node.id
-
-
-def _is_main_guard(stmt: ast.stmt) -> bool:
-    """``if __name__ == "__main__":`` (either comparison order)."""
-    if not isinstance(stmt, ast.If) \
-            or not isinstance(stmt.test, ast.Compare):
-        return False
-    test = stmt.test
-    if len(test.ops) != 1 or not isinstance(test.ops[0], ast.Eq):
-        return False
-    sides = [test.left] + list(test.comparators)
-    names = {n.id for n in sides if isinstance(n, ast.Name)}
-    consts = {c.value for c in sides if isinstance(c, ast.Constant)}
-    return "__name__" in names and "__main__" in consts
-
 
 class ImportInfo:
-    """Names a module binds to clock, RNG, ``os`` and ``importlib``
-    providers, plus every import statement as written."""
+    """Names a module binds to clock, RNG and ``os`` providers, plus
+    every import statement as written."""
 
     def __init__(self, tree: ast.Module):
         #: ``import M [as A]`` as ``(M, A)``, anywhere in the module
@@ -343,16 +317,12 @@ class ImportInfo:
         self.numpy_mods: Set[str] = set()
         self.numpy_random_mods: Set[str] = set()
         self.os_mods: Set[str] = set()
-        self.importlib_mods: Set[str] = set()
         self.bare_rng: Set[str] = set()
         self.bare_clock: Set[str] = set()
         self.environ_names: Set[str] = set()
         self.bare_getenv: Set[str] = set()
-        self.bare_putenv: Set[str] = set()
-        self.bare_import_module: Set[str] = set()
         plain = {"time": self.time_mods, "datetime": self.datetime_mods,
-                 "random": self.random_mods, "os": self.os_mods,
-                 "importlib": self.importlib_mods}
+                 "random": self.random_mods, "os": self.os_mods}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -388,11 +358,6 @@ class ImportInfo:
                         self.environ_names.add(bound)
                     elif module == "os" and alias.name == "getenv":
                         self.bare_getenv.add(bound)
-                    elif module == "os" and alias.name == "putenv":
-                        self.bare_putenv.add(bound)
-                    elif module == "importlib" \
-                            and alias.name == "import_module":
-                        self.bare_import_module.add(bound)
 
     def is_environ(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Name):
@@ -403,16 +368,12 @@ class ImportInfo:
                 and node.value.id in self.os_mods)
 
 
-def classify_call(call: ast.Call, imports: ImportInfo,
-                  seeded_is_routed: bool = True) -> Optional[str]:
+def classify_call(call: ast.Call, imports: ImportInfo) -> Optional[str]:
     """``CLOCK_READ``, ``UNROUTED_RNG`` or None for one call.
 
-    Clock reads include host entropy (``os.urandom``).  With
-    ``seeded_is_routed`` a generator built from an explicit seed
-    (``default_rng(seq)``, ``SeedSequence(entropy=...)``) is
-    deterministic routing, not a draw — the RandomRouter itself derives
-    its streams that way.  DET001 passes False: outside the stream
-    factory even a seeded generator bypasses the named streams.
+    Clock reads include host entropy (``os.urandom``).  A generator
+    built from an explicit seed (``default_rng(seq)``) is unrouted too:
+    outside the stream factory it bypasses the named streams.
     """
     name = _dotted(call.func)
     if not name:
@@ -427,9 +388,6 @@ def classify_call(call: ast.Call, imports: ImportInfo,
                 and rest in _DATETIME_FACTORIES)
             or ("." not in name and name in imports.bare_clock)):
         return CLOCK_READ
-    if seeded_is_routed and (call.args or call.keywords) \
-            and name.rsplit(".", 1)[-1] in _SEEDED_RNG_CONSTRUCTORS:
-        return None
     if ((head in imports.random_mods and rest)
             or (head in imports.numpy_mods and rest.startswith("random."))
             or (head in imports.numpy_random_mods and rest)
@@ -467,8 +425,7 @@ def _own_body(func: ast.AST):
 
 
 def _collect_effects(fn: FunctionNode, func: ast.AST,
-                     module_names: Set[str], imports: ImportInfo,
-                     sanctioned: Set[int]) -> None:
+                     module_names: Set[str]) -> None:
     global_names: Set[str] = set()
     for node in _own_body(func):
         if isinstance(node, ast.Global):
@@ -502,8 +459,7 @@ def _collect_effects(fn: FunctionNode, func: ast.AST,
                         f"mutates module-level object '{base.id}'",
                         symbol=base.id))
         elif isinstance(node, ast.Call):
-            _call_effects(fn, node, module_names, imports, sanctioned,
-                          _local_bindings(func))
+            _call_effects(fn, node, module_names, _local_bindings(func))
 
     fn.returns_set = _returns_matching(func, _is_set_expr)
 
@@ -545,23 +501,7 @@ def _local_bindings(func: ast.AST) -> Set[str]:
 
 
 def _call_effects(fn: FunctionNode, call: ast.Call,
-                  module_names: Set[str], imports: ImportInfo,
-                  sanctioned: Set[int], local_names: Set[str]) -> None:
-    name = _dotted(call.func)
-    if not name:
-        return
-    kind = classify_call(call, imports)
-    if kind == CLOCK_READ:
-        if call.lineno not in sanctioned:
-            fn.effects.append(EffectSite(
-                CLOCK_READ, call.lineno, call.col_offset,
-                f"reads the wall clock via '{name}()'"))
-        return
-    if kind == UNROUTED_RNG:
-        fn.effects.append(EffectSite(
-            UNROUTED_RNG, call.lineno, call.col_offset,
-            f"draws from unrouted RNG '{name}()'"))
-        return
+                  module_names: Set[str], local_names: Set[str]) -> None:
     # mutation of module-level containers (CACHE.append, REGISTRY[k]=...)
     if isinstance(call.func, ast.Attribute) \
             and call.func.attr in _MUTATOR_METHODS:
@@ -594,6 +534,266 @@ def _returns_matching(func: ast.AST, predicate) -> bool:
         if isinstance(node, ast.Return) and predicate(node.value):
             return True
     return False
+
+
+# ---------------------------------------------------------------- task
+# inputs the RunSpec key omits, and module-level handles
+
+_LOCK_CONSTRUCTORS = frozenset({
+    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+    "Event", "Barrier",
+})
+#: ``open()`` modes that only produce output
+_PURE_WRITE_MODES = ("w", "a", "x")
+_SHADOW_HINT = ("falls back to module-level '%s' at call time; the "
+                "RunSpec key fingerprints source text, not runtime "
+                "values, so rebinding the global changes results "
+                "without changing the key")
+
+
+def _module_handles(tree: ast.Module) -> Dict[str, str]:
+    """Module-level names bound to an open file, lock or socket."""
+    handles: Dict[str, str] = {}
+    for stmt in tree.body:
+        targets: List[ast.expr] = []
+        value: Optional[ast.expr] = None
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        if not isinstance(value, ast.Call):
+            continue
+        tail = _dotted(value.func).rsplit(".", 1)[-1]
+        if tail == "open":
+            kind = "open file handle"
+        elif tail in _LOCK_CONSTRUCTORS:
+            kind = f"synchronization primitive ({tail})"
+        elif tail in ("socket", "socketpair"):
+            kind = "socket"
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                handles[target.id] = kind
+    return handles
+
+
+def _module_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> dotted module it denotes (absolute imports only)."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = \
+                    f"{module}.{alias.name}" if module else alias.name
+    return aliases
+
+
+def _collect_pokes(graph: CallGraph, path: str,
+                   tree: ast.Module) -> Set[Tuple[str, str]]:
+    """``(module path, name)`` for every module-level name this module
+    rebinds *in another module* (``othermod.KNOB = x`` /
+    ``othermod.REGISTRY.update(...)``)."""
+    aliases = _module_aliases(tree)
+    poked: Set[Tuple[str, str]] = set()
+
+    def resolve_attr(node: ast.expr) -> Optional[Tuple[str, str]]:
+        parts = _dotted(node).split(".")
+        head = aliases.get(parts[0])
+        if len(parts) < 2 or head is None:
+            return None
+        target = graph._module_paths.get(".".join([head] + parts[1:-1]))
+        if target is None or target == path:
+            return None
+        return target, parts[-1]
+
+    for node in ast.walk(tree):
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = [t for t in node.targets
+                       if isinstance(t, ast.Attribute)]
+        elif isinstance(node, ast.AugAssign) \
+                and isinstance(node.target, ast.Attribute):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MUTATOR_METHODS:
+            targets = [node.func.value]
+        for target in targets:
+            poke = resolve_attr(target)
+            if poke is not None:
+                poked.add(poke)
+    return poked
+
+
+def _collect_task_inputs(graph: CallGraph, fn: FunctionNode,
+                         poked: Set[Tuple[str, str]]) -> None:
+    """Env reads, call-time file reads, reads of rebound module globals,
+    shadow-config fallbacks and module-level handle uses in ``fn``'s own
+    body."""
+    func = fn.func_ast
+    assert func is not None
+    imports = graph.imports[fn.path]
+    locals_here = _local_bindings(func)
+    handles = graph._handles.get(fn.path, {})
+    poked_here = {name for (p, name) in poked if p == fn.path}
+
+    for node in _own_body(func):
+        if isinstance(node, ast.Call):
+            _env_read_call(fn, node, imports)
+            _file_read(fn, node)
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.ctx, ast.Load) \
+                and imports.is_environ(node.value):
+            _env_read(fn, node, node.slice)
+        elif isinstance(node, ast.Name) \
+                and isinstance(node.ctx, ast.Load) \
+                and node.id not in locals_here:
+            if node.id in handles:
+                fn.effects.append(EffectSite(
+                    HANDLE_USE, node.lineno, node.col_offset,
+                    f"uses module-level {handles[node.id]} "
+                    f"'{node.id}'", symbol=node.id))
+            if node.id in poked_here:
+                fn.effects.append(EffectSite(
+                    MODULE_STATE_READ, node.lineno, node.col_offset,
+                    f"reads module-level '{node.id}', which another "
+                    "module rebinds at runtime", symbol=node.id))
+    _shadow_config(fn, func, graph._module_assigned.get(fn.path, set()))
+
+
+def _const_str(node: Optional[ast.expr]) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _env_read(fn: FunctionNode, node: ast.AST,
+              key: Optional[ast.expr]) -> None:
+    name = _const_str(key)
+    if name in SANCTIONED_ENV_VARS:
+        return
+    shown = f"'{name}'" if name else "a dynamic name"
+    fn.effects.append(EffectSite(
+        ENV_READ, node.lineno, node.col_offset,
+        f"reads environment variable {shown}",
+        symbol=name or "<dynamic>"))
+
+
+def _env_read_call(fn: FunctionNode, call: ast.Call,
+                   imports: ImportInfo) -> None:
+    func = call.func
+    dotted = _dotted(func)
+    head, _, rest = dotted.partition(".")
+    if (head in imports.os_mods and rest == "getenv") \
+            or dotted in imports.bare_getenv \
+            or (isinstance(func, ast.Attribute) and func.attr == "get"
+                and imports.is_environ(func.value)):
+        _env_read(fn, call, call.args[0] if call.args else None)
+
+
+def _file_read(fn: FunctionNode, call: ast.Call) -> None:
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = _const_str(call.args[1]) if len(call.args) >= 2 else None
+        for keyword in call.keywords:
+            if keyword.arg == "mode":
+                mode = _const_str(keyword.value)
+        if mode is not None and "+" not in mode \
+                and any(m in mode for m in _PURE_WRITE_MODES):
+            return   # write-only: produces output, reads no input
+        target = _const_str(call.args[0]) if call.args else None
+        fn.effects.append(EffectSite(
+            FILE_READ, call.lineno, call.col_offset,
+            f"reads file "
+            f"{'%r' % target if target else 'at a runtime path'} "
+            "via open()", symbol=target or "<dynamic>"))
+    elif isinstance(func, ast.Attribute) \
+            and func.attr in ("read_text", "read_bytes"):
+        fn.effects.append(EffectSite(
+            FILE_READ, call.lineno, call.col_offset,
+            f"reads a file via .{func.attr}()", symbol="<path>"))
+
+
+def _shadow_config(fn: FunctionNode, func: ast.AST,
+                   module_assigned: Set[str]) -> None:
+    """``x = KNOB if x is None else x`` / ``if x is None: x = KNOB`` /
+    ``x = x or KNOB`` where ``x`` is a parameter and ``KNOB`` a
+    module-level name."""
+    args = getattr(func, "args", None)
+    if args is None:
+        return
+    params = {a.arg for a in (list(args.posonlyargs) + list(args.args)
+                              + list(args.kwonlyargs))}
+
+    def is_none_test(test: ast.expr, param: str) -> Optional[bool]:
+        # True -> "is None", False -> "is not None", None -> no match
+        if not isinstance(test, ast.Compare) or len(test.ops) != 1:
+            return None
+        left, comp = test.left, test.comparators[0]
+        if not (isinstance(left, ast.Name) and left.id == param
+                and isinstance(comp, ast.Constant)
+                and comp.value is None):
+            return None
+        if isinstance(test.ops[0], ast.Is):
+            return True
+        if isinstance(test.ops[0], ast.IsNot):
+            return False
+        return None
+
+    def fallback_name(value: ast.expr, param: str) -> Optional[str]:
+        if isinstance(value, ast.IfExp):
+            none_first = is_none_test(value.test, param)
+            if none_first is None:
+                return None
+            branch = value.body if none_first else value.orelse
+            if isinstance(branch, ast.Name) \
+                    and branch.id in module_assigned:
+                return branch.id
+        elif isinstance(value, ast.BoolOp) \
+                and isinstance(value.op, ast.Or) \
+                and len(value.values) == 2 \
+                and isinstance(value.values[0], ast.Name) \
+                and value.values[0].id == param \
+                and isinstance(value.values[1], ast.Name) \
+                and value.values[1].id in module_assigned:
+            return value.values[1].id
+        return None
+
+    def emit(node: ast.AST, param: str, knob: str) -> None:
+        fn.effects.append(EffectSite(
+            SHADOW_CONFIG, node.lineno, node.col_offset,
+            f"parameter '{param}' " + _SHADOW_HINT % knob,
+            symbol=f"{param}<-{knob}"))
+
+    for node in _own_body(func):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) \
+                and node.targets[0].id in params:
+            param = node.targets[0].id
+            knob = fallback_name(node.value, param)
+            if knob is not None:
+                emit(node, param, knob)
+        elif isinstance(node, ast.If):
+            for param in sorted(params):
+                if is_none_test(node.test, param) is not True:
+                    continue
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) \
+                            and len(stmt.targets) == 1 \
+                            and isinstance(stmt.targets[0], ast.Name) \
+                            and stmt.targets[0].id == param \
+                            and isinstance(stmt.value, ast.Name) \
+                            and stmt.value.id in module_assigned:
+                        emit(stmt, param, stmt.value.id)
 
 
 # ---------------------------------------------------------------- pass B:

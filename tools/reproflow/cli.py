@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reproflow",
         description="Static analysis for the DiversiFi simulator: "
                     "per-file determinism rules plus project-wide units, "
-                    "packet lifecycle, dataflow, runner-safety and "
+                    "delivery-read, dataflow, runner-safety and "
                     "reachability passes on one shared parse.")
     parser.add_argument("paths", nargs="*", default=[],
                         help="files or directories to lint (default: src/)")
@@ -31,8 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all)")
     parser.add_argument("--format", default="text", choices=FORMATS,
                         dest="fmt",
-                        help="output format: text (default), json, or "
-                             "github (Actions annotations)")
+                        help="output format: text (default) or json")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and path exemptions, "
                              "then exit")

@@ -4,7 +4,7 @@ Two layers on top of the :mod:`reproflow.callgraph`:
 
 * :func:`propagate_effects` — closes each function's local effect sites
   over the call graph to a fixpoint, so a task entry point "has" every
-  global write, wall-clock read and unrouted RNG draw of anything it can
+  global write, key-escaping input and handle use of anything it can
   transitively reach.  Each propagated effect remembers the *first* call
   chain that introduced it, so the finding can show the path
   (``task → helper → offender``).
@@ -34,19 +34,29 @@ PUR101      impure-task-state             a function submitted to the runner
                                           transitively mutates module/global (or
                                           closure) state — the content-addressed
                                           cache would return stale results
-PUR102      impure-task-clock             a runner task transitively reads the
-                                          wall clock (unsanctioned)
-PUR103      impure-task-rng               a runner task transitively draws from an
-                                          unrouted RNG
+SER303      task-captures-handle          a runner task transitively uses a
+                                          module-level open handle / lock — each
+                                          spawn worker re-creates its own copy,
+                                          so state read or coordinated through
+                                          it differs between serial and
+                                          ``--jobs`` runs
+KEY501      cache-key-escape              a runner task's behaviour depends on
+                                          state outside the RunSpec key: env
+                                          vars, call-time file reads, module
+                                          globals poked by other modules, or the
+                                          ``x = KNOB if x is None else x``
+                                          shadow-config fallback
 ORD201      unordered-iteration-to-state  set/unordered iteration whose values
                                           flow into ordered state, schedules,
                                           dicts, or digests
-ORD202      unordered-float-accumulation  ``sum()``/``fsum()`` over an unordered
-                                          iterable, or ``+=`` accumulation inside
-                                          a loop over one — float addition is not
-                                          associative, so the result depends on
-                                          hash order
 ==========  ============================  =========================================
+
+The cache-key reasoning behind KEY501 is worth pinning down: a def-time
+signature default (``def task(x=KNOB)``) is *sound* — the default is
+source text, and the RunSpec key folds in a fingerprint of all source
+text.  The unsound variant is the call-time read (``x = KNOB if x is
+None else x``): the fingerprint still matches after ``KNOB`` is rebound
+at runtime, so two runs with different effective configs share one key.
 """
 
 from __future__ import annotations
@@ -55,33 +65,23 @@ import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from reproflow.callgraph import (
-    CLOCK_READ,
     GLOBAL_WRITE,
-    UNROUTED_RNG,
+    GRANULAR_KINDS,
+    HANDLE_USE,
+    KEY_ESCAPES,
     CallGraph,
     EffectSite,
-    FunctionNode,
-    TaskRoot,
     _own_body,
 )
 from reproflow.index import ProjectIndex
 
 RawFinding = Tuple[int, int, str, str]   # (lineno, col, rule, message)
 
-#: effect kind -> PUR rule id
-_PUR_RULES = {
-    GLOBAL_WRITE: "PUR101",
-    CLOCK_READ: "PUR102",
-    UNROUTED_RNG: "PUR103",
-}
-
 #: call targets considered order-insensitive consumers of an iterable
 _ORDER_INSENSITIVE = frozenset({
     "set", "frozenset", "sorted", "min", "max", "any", "all", "len",
     "Counter",
 })
-#: reductions whose float result depends on summation order
-_FLOAT_ACCUMULATORS = frozenset({"sum", "fsum", "nansum"})
 #: sequence materializers that freeze the (arbitrary) iteration order
 _ORDER_MATERIALIZERS = frozenset({"list", "tuple", "join"})
 #: loop-body calls that hand values onward in order (schedulers, queues)
@@ -125,16 +125,15 @@ class PropagatedEffect:
                 + (f" [via {path}]" if len(hops) > 1 else ""))
 
 
-#: summary keys are the plain effect kind, plus — for kinds listed in
-#: ``granular_kinds`` with a known symbol — ``"<kind>:<symbol>"`` entries
-#: so a consumer can see *every* distinct offender, not just the first
+#: summary keys are the plain effect kind, plus — for
+#: :data:`~reproflow.callgraph.GRANULAR_KINDS` with a known symbol —
+#: ``"<kind>:<symbol>"`` entries so a consumer can see *every* distinct
+#: offender, not just the first
 Summary = Dict[str, PropagatedEffect]          # key -> best chain
 Summaries = Dict[str, Summary]                 # node id -> summary
 
 
-def propagate_effects(graph: CallGraph,
-                      granular_kinds: frozenset = frozenset()
-                      ) -> Summaries:
+def propagate_effects(graph: CallGraph) -> Summaries:
     """Close local effects over call edges to a fixpoint.
 
     Each node's summary maps effect kind to the shortest known chain;
@@ -146,7 +145,7 @@ def propagate_effects(graph: CallGraph,
         summary: Summary = {}
         for site in node.effects:
             keys = [site.kind]
-            if site.kind in granular_kinds and site.symbol:
+            if site.kind in GRANULAR_KINDS and site.symbol:
                 keys.append(f"{site.kind}:{site.symbol}")
             for key in keys:
                 if key not in summary:
@@ -201,7 +200,7 @@ def _names_in(node: Optional[ast.AST]) -> Set[str]:
 
 
 class Pass3Analyzer:
-    """Runs the FLO / PUR / ORD families over one file."""
+    """Runs the FLO / PUR / ORD / SER / KEY families over one file."""
 
     def __init__(self, path: str, index: ProjectIndex, graph: CallGraph,
                  summaries: Summaries):
@@ -229,7 +228,7 @@ class Pass3Analyzer:
                 if isinstance(target, ast.Name):
                     self._module_names.add(target.id)
 
-        self._check_pur(tree)
+        self._check_tasks()
         # module body is a scope of its own (stream leaked at import time)
         self._check_flo_scope(tree, is_module_scope=True,
                               global_names=set())
@@ -254,26 +253,45 @@ class Pass3Analyzer:
         unique.sort()
         return unique
 
-    # -- PUR: runner-task purity ---------------------------------------
+    # -- PUR / SER / KEY: what a runner task reaches ------------------
 
-    def _check_pur(self, tree: ast.Module) -> None:
+    def _check_tasks(self) -> None:
         for root in self.graph.task_roots:
             if root.path != self.path or root.node_id is None:
                 continue
             summary = self.summaries.get(root.node_id, {})
-            for kind in (GLOBAL_WRITE, CLOCK_READ, UNROUTED_RNG):
-                effect = summary.get(kind)
-                if effect is None:
-                    continue
-                rule = _PUR_RULES[kind]
-                self.findings.append((
-                    root.lineno, root.col,
-                    rule,
-                    f"task '{root.entry}' submitted to "
-                    f"{root.submit_name}() is impure: "
+            submitted = f"task '{root.entry}' submitted to " \
+                        f"{root.submit_name}()"
+            effect = summary.get(GLOBAL_WRITE)
+            if effect is not None:
+                self._emit_root(
+                    root, "PUR101",
+                    f"{submitted} is impure: "
                     f"{effect.describe(self.graph)}; the "
                     "content-addressed cache would replay results that "
-                    "no longer match a fresh execution"))
+                    "no longer match a fresh execution")
+            for key in sorted(summary):
+                kind, _, symbol = key.partition(":")
+                if not symbol:
+                    continue
+                described = summary[key].describe(self.graph)
+                if kind == HANDLE_USE:
+                    self._emit_root(
+                        root, "SER303",
+                        f"{submitted} captures per-process state: "
+                        f"{described}; every spawn worker re-creates its "
+                        "own copy, so coordination through it silently "
+                        "fails")
+                elif kind in KEY_ESCAPES:
+                    self._emit_root(
+                        root, "KEY501",
+                        f"{submitted} depends on state outside its "
+                        f"RunSpec key: {described} — fold the value "
+                        "into the task's config so cache hits cannot "
+                        "replay stale results")
+
+    def _emit_root(self, root, rule: str, message: str) -> None:
+        self.findings.append((root.lineno, root.col, rule, message))
 
     # -- FLO: stream flow ----------------------------------------------
 
@@ -645,16 +663,7 @@ class Pass3Analyzer:
                     arg, ast.GeneratorExp) and any(
                     self._unordered_expr(g.iter, tainted)
                     for g in arg.generators)
-                if not direct and not via_gen:
-                    continue
-                if callee in _FLOAT_ACCUMULATORS:
-                    self._emit(
-                        node, "ORD202",
-                        f"'{callee}()' accumulates floats over an "
-                        "unordered iterable; float addition is not "
-                        "associative, so the result depends on hash "
-                        "order — reduce over sorted(...) in spec order")
-                elif callee in _ORDER_MATERIALIZERS:
+                if (direct or via_gen) and callee in _ORDER_MATERIALIZERS:
                     self._emit(
                         node, "ORD201",
                         f"'{callee}()' freezes the arbitrary order of "
@@ -664,13 +673,6 @@ class Pass3Analyzer:
     def _check_ord_loop(self, loop: ast.AST, tainted: Set[str]) -> None:
         target_names = _names_in(loop.target)
         for node in _own_body_of_loop(loop):
-            if isinstance(node, ast.AugAssign):
-                self._emit(
-                    loop, "ORD202",
-                    "accumulation inside a loop over an unordered "
-                    "iterable; float addition order follows the hash "
-                    "seed — iterate sorted(...) instead")
-                return
             if isinstance(node, ast.Call):
                 callee = _last_segment(node.func)
                 if callee in _ORDER_SINK_CALLS:

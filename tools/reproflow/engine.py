@@ -2,10 +2,8 @@
 
 One parse feeds all passes: pass 1 builds the :class:`ProjectIndex`,
 pass 3a builds the :class:`CallGraph` (with effect summaries propagated
-to fixpoint) on the *same* trees, pass 4 folds its
-concurrency/serialization effect sites into the same fixpoint, and the
-per-file DET/GEN/OBS rules and the analyzers of passes 2, 3b and 4 all
-run off that shared state — ``make lint`` pays for the filesystem walk
+to fixpoint) on the *same* trees, and the per-file DET/GEN/OBS rules and
+the analyzers of passes 2 and 3b all run off that shared state — ``make lint`` pays for the filesystem walk
 and parsing exactly once no matter how many passes run.
 
 ``analyze_paths`` always folds ``src/`` and the program roots
@@ -29,8 +27,6 @@ from reproflow.dataflow import Pass3Analyzer, Summaries, propagate_effects
 from reproflow.filerules import check_file
 from reproflow.findings import Finding, is_suppressed, parse_suppressions
 from reproflow.index import ProjectIndex, build_index
-from reproflow.parsafe import (GRANULAR_KINDS, ParsafeInfo, Pass4Analyzer,
-                               collect_parsafe)
 from reproflow.policy import DEFAULT_POLICY
 from reproflow.reach import (PROGRAM_ROOTS, RCH_RULES, RawFinding,
                              reachability, stale_disables)
@@ -68,14 +64,12 @@ def _parse(source: str, path: str
 def _analyze_tree(path: str, tree: ast.Module, source: str,
                   index: ProjectIndex, selected: Set[str],
                   graph: CallGraph, summaries: Summaries,
-                  parsafe: ParsafeInfo,
                   reach: Dict[str, List[RawFinding]]) -> List[Finding]:
     lines = source.splitlines()
     suppressions = parse_suppressions(lines)
     raw = check_file(tree, path, graph.imports[path], selected)
     raw += ScopeAnalyzer(path, index).analyze(tree)
     raw += Pass3Analyzer(path, index, graph, summaries).analyze(tree)
-    raw += Pass4Analyzer(path, index, graph, summaries, parsafe).analyze()
     family = reach.get(path)
     kept = [finding for finding in raw + (family or [])
             if finding[2] in selected
@@ -110,21 +104,18 @@ def analyze_source(source: str, path: str,
         return [parse_error]
     assert tree is not None
     trees: Dict[str, ast.Module] = {path: tree}
-    sources: Dict[str, str] = {path: source}
     for extra_path, extra_source in (extra or {}).items():
         extra_tree, _ = _parse(extra_source, extra_path)
         if extra_tree is not None:
             trees[extra_path] = extra_tree
-            sources[extra_path] = extra_source
     index = build_index(trees)
-    graph = build_callgraph(trees, sources, index)
-    parsafe = collect_parsafe(graph, trees)
-    summaries = propagate_effects(graph, GRANULAR_KINDS)
+    graph = build_callgraph(trees, index)
+    summaries = propagate_effects(graph)
     selected = _selection(rules)
     reach = reachability(trees, graph.imports) \
         if RCH_RULES & selected else {}
     findings = _analyze_tree(path, tree, source, index, selected,
-                             graph, summaries, parsafe, reach)
+                             graph, summaries, reach)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -168,9 +159,8 @@ def analyze_paths(paths: Iterable[str],
     program = {path: trees.pop(path) for path in program_only
                if path in trees}
     index = build_index(trees)
-    graph = build_callgraph(trees, sources, index)
-    parsafe = collect_parsafe(graph, trees)
-    summaries = propagate_effects(graph, GRANULAR_KINDS)
+    graph = build_callgraph(trees, index)
+    summaries = propagate_effects(graph)
     selected = _selection(rules)
     reach = reachability({**trees, **program}, graph.imports) \
         if RCH_RULES & selected else {}
@@ -180,7 +170,7 @@ def analyze_paths(paths: Iterable[str],
             continue
         findings.extend(
             _analyze_tree(path, trees[path], sources[path], index, selected,
-                          graph, summaries, parsafe, reach))
+                          graph, summaries, reach))
     findings = [f for f in findings
                 if not DEFAULT_POLICY.exempt(f.path, f.rule)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

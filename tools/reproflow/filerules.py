@@ -4,10 +4,8 @@ observability (OBS) checks that need only one module's tree.
 They run off the same parse as every other pass, and DET001/DET002
 classify calls with the call graph's :func:`~reproflow.callgraph.
 classify_call` over the module's shared :class:`~reproflow.callgraph.
-ImportInfo` — the clock/RNG model that also feeds the PUR and IMP
-effect summaries.  The one difference is DET001's stricter reading of
-seeded generators: outside the stream factory even ``default_rng(seed)``
-bypasses the named streams, so DET001 asks with ``seeded_is_routed=False``.
+ImportInfo`.  Outside the stream factory even ``default_rng(seed)``
+bypasses the named streams, so DET001 reports seeded generators too.
 
 ==========  =============================  =======================================
 id          name                           what it flags
@@ -22,16 +20,8 @@ DET002      wall-clock                     wall/monotonic clock or OS entropy
                                            ``os.urandom``) in simulation code
 DET003      unordered-iteration            iteration over sets inside functions
                                            that schedule events
-DET004      fork-start-method              ``fork`` multiprocessing start method
-                                           (``get_context("fork")``,
-                                           ``set_start_method("fork")``) or a
-                                           ``ProcessPoolExecutor`` without an
-                                           explicit ``mp_context``
 GEN101      mutable-default-arg            ``def f(x=[])`` and friends
 GEN102      overbroad-except               bare ``except:`` / ``except Exception``
-GEN103      float-time-equality            ``==``/``!=`` on simulated timestamps
-GEN104      event-class-missing-slots      hot ``*Event`` classes without
-                                           ``__slots__``
 OBS001      adhoc-observability            ``print`` / stdout-stderr writes /
                                            module-global ad-hoc counters inside
                                            the instrumented simulation packages
@@ -59,8 +49,8 @@ def check_det001(tree: ast.Module, path: str, imports: ImportInfo
     if path.replace("\\", "/").endswith("sim/random.py"):
         return
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and classify_call(
-                node, imports, seeded_is_routed=False) == UNROUTED_RNG:
+        if isinstance(node, ast.Call) \
+                and classify_call(node, imports) == UNROUTED_RNG:
             yield (node.lineno, node.col_offset,
                    f"'{_dotted(node.func)}()' bypasses RandomRouter; "
                    "draw from a named stream instead")
@@ -121,42 +111,6 @@ def check_det003(tree: ast.Module, path: str, imports: ImportInfo
                                "first")
 
 
-_START_METHOD_CALLS = {"get_context", "set_start_method"}
-
-
-def check_det004(tree: ast.Module, path: str, imports: ImportInfo
-                 ) -> Iterator[_Hit]:
-    """Forked workers inherit RNG state and sanitizer digests; use spawn.
-
-    A forked child starts as a copy of the parent at fork time — lazily
-    created generators, the in-process memo and the sanitizer's event
-    digest all come along, so worker results can depend on what the
-    parent happened to do first.  The spawn start method re-imports from
-    a clean interpreter.  ``ProcessPoolExecutor`` without an explicit
-    ``mp_context`` silently uses the platform default (fork on older
-    POSIX Pythons)."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted(node.func)
-        if not name:
-            continue
-        tail = name.rsplit(".", 1)[-1]
-        if tail in _START_METHOD_CALLS:
-            first = node.args[0] if node.args else None
-            if isinstance(first, ast.Constant) and first.value == "fork":
-                yield (node.lineno, node.col_offset,
-                       f"'{tail}(\"fork\")' inherits parent RNG/sanitizer "
-                       "state into workers; use the spawn start method")
-        elif tail == "ProcessPoolExecutor":
-            if not any(kw.arg == "mp_context" for kw in node.keywords):
-                yield (node.lineno, node.col_offset,
-                       "ProcessPoolExecutor without mp_context uses the "
-                       "platform-default start method (fork on POSIX); "
-                       "pass mp_context=multiprocessing.get_context"
-                       "('spawn')")
-
-
 def _is_mutable_literal(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set,
                          ast.ListComp, ast.DictComp, ast.SetComp)):
@@ -198,78 +152,6 @@ def check_gen102(tree: ast.Module, path: str, imports: ImportInfo
             yield (node.lineno, node.col_offset,
                    f"overbroad 'except {node.type.id}' hides engine "
                    "invariant failures; catch the specific error")
-
-
-_TIME_NAMES = {"now", "time", "deadline", "timestamp", "t"}
-_TIME_SUFFIXES = ("_time", "_ts", "_deadline", "_at")
-
-
-def _looks_time_like(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        ident = node.id
-    elif isinstance(node, ast.Attribute):
-        ident = node.attr
-    else:
-        return False
-    return ident in _TIME_NAMES or ident.endswith(_TIME_SUFFIXES)
-
-
-def check_gen103(tree: ast.Module, path: str, imports: ImportInfo
-                 ) -> Iterator[_Hit]:
-    """Float timestamps accumulate rounding error; == comparisons flap."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left] + list(node.comparators)
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            if _looks_time_like(left) or _looks_time_like(right):
-                yield (node.lineno, node.col_offset,
-                       "exact ==/!= on a simulated timestamp; compare "
-                       "with a tolerance (abs(a - b) < eps)")
-
-
-def _has_slots(cls: ast.ClassDef) -> bool:
-    for stmt in cls.body:
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__slots__":
-                return True
-    return False
-
-
-def _is_dataclass_or_namedtuple(cls: ast.ClassDef) -> bool:
-    for decorator in cls.decorator_list:
-        name = _dotted(decorator.func if isinstance(decorator, ast.Call)
-                       else decorator)
-        if name.rsplit(".", 1)[-1] == "dataclass":
-            return True
-    for base in cls.bases:
-        if _dotted(base).rsplit(".", 1)[-1] in ("NamedTuple", "Enum"):
-            return True
-    return False
-
-
-def check_gen104(tree: ast.Module, path: str, imports: ImportInfo
-                 ) -> Iterator[_Hit]:
-    """Hot *Event classes need __slots__; per-instance dicts dominate.
-
-    Event objects are allocated millions of times per run.  Dataclasses
-    and NamedTuples are exempt (they manage their own layout)."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not node.name.endswith("Event"):
-            continue
-        if _is_dataclass_or_namedtuple(node) or _has_slots(node):
-            continue
-        yield (node.lineno, node.col_offset,
-               f"hot event class '{node.name}' lacks __slots__")
 
 
 #: Subpackages of src/repro that carry repro.obs instrumentation.  Code
@@ -333,11 +215,8 @@ FILE_CHECKERS: Dict[str, Callable[[ast.Module, str, ImportInfo],
     "DET001": check_det001,
     "DET002": check_det002,
     "DET003": check_det003,
-    "DET004": check_det004,
     "GEN101": check_gen101,
     "GEN102": check_gen102,
-    "GEN103": check_gen103,
-    "GEN104": check_gen104,
     "OBS001": check_obs001,
 }
 

@@ -4,19 +4,18 @@ A finding on line *n* is suppressed when line *n* carries a comment of
 the form::
 
     something()   # reproflow: disable=DET001
-    something()   # reproflow: disable=UNT001,LIF002
+    something()   # reproflow: disable=UNT001,LIF003
     something()   # reproflow: disable=all
 
-Suppressions are deliberately line-scoped (the flagged statement's first
+Every disable comment on a line counts: ``# reproflow: disable=GEN102  #
+reproflow: disable=DET002`` silences both rules.  Suppressions are deliberately line-scoped (the flagged statement's first
 physical line) so that every exception is visible right where the rule
 fires — there is no file- or block-level escape hatch.  They and the
 directory exemptions of :mod:`reproflow.policy` are the only two ways a
 finding is silenced.
 
-``--format=github`` emits workflow commands that GitHub Actions turns
-into inline PR-diff annotations; ``json`` is a stable machine-readable
-dump for other tooling.  Both include every finding the text format
-would.
+``--format=json`` is a stable machine-readable dump for other tooling;
+it includes every finding the text format would.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Dict, List, Sequence, Set
 
-FORMATS = ("text", "json", "github")
+FORMATS = ("text", "json")
 
 _DISABLE = re.compile(
     r"#\s*reproflow:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
@@ -52,14 +51,15 @@ class Finding:
 def parse_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
     """Map 1-based line numbers to the set of rule ids disabled there.
 
-    The special id ``all`` disables every rule on that line.
+    The special id ``all`` disables every rule on that line; several
+    disable comments on one line add up.
     """
     suppressions: Dict[int, Set[str]] = {}
     for lineno, line in enumerate(lines, start=1):
-        match = _DISABLE.search(line)
-        if match:
-            rules = {part.strip() for part in match.group(1).split(",")}
-            suppressions[lineno] = {r for r in rules if r}
+        rules = {part.strip() for match in _DISABLE.finditer(line)
+                 for part in match.group(1).split(",")}
+        if rules:
+            suppressions[lineno] = rules
     return suppressions
 
 
@@ -72,23 +72,11 @@ def is_suppressed(suppressions: Dict[int, Set[str]],
     return rule in disabled or "all" in disabled
 
 
-def _github_escape(value: str) -> str:
-    """Escape per the workflow-command property/data rules."""
-    return (value.replace("%", "%25").replace("\r", "%0D")
-            .replace("\n", "%0A"))
-
-
-def render_github(finding: Finding) -> str:
-    return (f"::error file={finding.path},line={finding.line},"
-            f"col={finding.col + 1},title={finding.rule}::"
-            f"{_github_escape(finding.message)}")
-
-
 def emit(findings: List[Finding], fmt: str, summary: str,
          out: "IO[str]") -> None:
     """Write ``findings`` to ``out`` in ``fmt``, ending with ``summary``.
 
-    The summary line is always present on text/github output (CI logs and
+    The summary line is always present on text output (CI logs and
     humans both key off it); json folds it into the payload instead.
     """
     if fmt == "json":
@@ -106,8 +94,5 @@ def emit(findings: List[Finding], fmt: str, summary: str,
         out.write("\n")
         return
     for finding in findings:
-        if fmt == "github":
-            print(render_github(finding), file=out)
-        else:
-            print(finding.render(), file=out)
+        print(finding.render(), file=out)
     print(summary, file=out)

@@ -8,9 +8,8 @@ need to reason *across* files:
   parameters, and base classes (merged on demand);
 * :class:`FuncSchema` — module-level functions and methods, with per-
   parameter units;
-* the packet/delivery-record roster — classes that define
-  ``copy_for_link`` (packets) or a ``delivered``/``arrival_time`` pair
-  (delivery records), which the LIF family keys on.
+* the delivery-record roster — classes with a ``delivered``/
+  ``arrival_time`` pair, which LIF003 keys on.
 
 Names are indexed *unqualified* (call sites rarely carry module paths);
 when two definitions of the same name disagree, the entry is marked
@@ -86,8 +85,6 @@ class ProjectIndex:
     classes: Dict[str, ClassSchema] = field(default_factory=dict)
     functions: Dict[str, FuncSchema] = field(default_factory=dict)
     methods: Dict[str, FuncSchema] = field(default_factory=dict)
-    #: classes whose instances are stream packets (define copy_for_link)
-    packet_classes: Set[str] = field(default_factory=set)
     #: classes that look like per-copy delivery records
     record_classes: Set[str] = field(default_factory=set)
     #: instance-attribute names that hold a ``set``/``frozenset`` anywhere
@@ -234,15 +231,11 @@ def _index_module(index: ProjectIndex, path: str, tree: ast.Module) -> None:
         if isinstance(node, ast.ClassDef):
             schema = _class_schema(node, path)
             _insert_class(index, schema)
-            method_names: Set[str] = set()
             for stmt in node.body:
                 if isinstance(stmt, ast.FunctionDef) \
                         and not stmt.name.startswith("__"):
-                    method_names.add(stmt.name)
                     _insert_method(index,
                                    _func_schema(stmt, path, is_method=True))
-            if "copy_for_link" in method_names or node.name == "Packet":
-                index.packet_classes.add(node.name)
             if _looks_like_record(node):
                 index.record_classes.add(node.name)
             _collect_set_attributes(index, node)

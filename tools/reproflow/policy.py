@@ -12,19 +12,12 @@ entry covers gets every rule, so a new package needs no registration.
     * DET001/DET002 — tests legitimately build throwaway seeded RNGs and
       measure wall-clock time (e.g. performance smoke tests).
     * DET003 — test helpers freely schedule from literal collections.
-    * GEN103 — engine unit tests assert *exact* event timestamps they
-      themselves constructed — exactness is the property under test.
-    * LIF002 — tests deliberately build packets field-by-field to pin
-      down exact constructor behaviour (including tests *about*
-      ``copy_for_link`` itself).
     * LIF003 — tests assert on ``delay``/``arrival_time`` of packets
       they *know* were delivered (they arranged the loss pattern).
     * FLO003 — the paired identical-realization methodology *is* seed
       reuse: determinism tests run the same seed twice and assert
       byte-identical digests.  PUR and the other FLO rules still apply
-      in full — a test that submits an impure task is a real bug (see
-      the inline PUR102 suppressions in ``tests/test_runner.py`` for the
-      sanctioned sleep-task sites).
+      in full — a test that submits an impure task is a real bug.
 
 ``tools/``
     * DET002/DET003 — developer tooling runs in real time and schedules
@@ -34,9 +27,9 @@ Everything else applies everywhere, including to this tool itself.  The
 runner, batch, control-plane and studies packages get no exemption at
 all: their code runs inside cached runner workers, where a stray
 unseeded draw, wall-clock read or ``print`` would break the serial /
-``--jobs`` / warm-cache digest equality.  The pass-4 families (SER, IMP,
-KEY) fire only on code reachable from a submitted task and are exempt
-nowhere.
+``--jobs`` / warm-cache digest equality.  The runner-task rules (PUR,
+SER, KEY) fire only on code reachable from a submitted task and are
+exempt nowhere.
 
 An entry ``("tests/", {"DET001", ...})`` exempts the rules for any file
 whose normalized path starts with, or contains, the ``tests/`` directory
@@ -73,7 +66,6 @@ class PathPolicy:
 
 
 DEFAULT_POLICY = PathPolicy((
-    ("tests/", ("DET001", "DET002", "DET003", "GEN103", "LIF002",
-                "LIF003", "FLO003")),
+    ("tests/", ("DET001", "DET002", "DET003", "LIF003", "FLO003")),
     ("tools/", ("DET002", "DET003")),
 ))

@@ -4,8 +4,8 @@ Every rule runs per-file but reasons with the whole-project
 :class:`~reproflow.index.ProjectIndex` in hand, so a ``_ms`` expression
 flowing into a ``_s`` dataclass field *defined three modules away* is
 still caught.  :data:`ALL_RULES` lists these together with the per-file
-DET/GEN/OBS family (:mod:`reproflow.filerules`) and the pass-3/4
-families.
+DET/GEN/OBS family (:mod:`reproflow.filerules`), the pass-3 families
+and the RCH family.
 
 ==========  ============================  ========================================
 id          name                          what it flags
@@ -20,14 +20,6 @@ UNT002      unit-mismatched-argument      a unit-suffixed expression passed to a
 UNT003      unit-mismatched-assignment    assigning a known ``_ms`` quantity to a
                                           ``_s``-suffixed name (or any other
                                           cross-unit binding)
-LIF001      packet-mutated-after-handoff  a ``Packet`` attribute written after
-                                          the object was handed to a queue, link
-                                          or scheduler — the receiver sees the
-                                          mutation
-LIF002      hand-rolled-replica           ``Packet(seq=p.seq, send_time=
-                                          p.send_time, ...)`` instead of
-                                          ``p.copy_for_link(...)`` — silently
-                                          drops fields added later
 LIF003      unguarded-delay-read          ``record.delay`` / ``.arrival_time``
                                           read without a ``delivered`` guard or
                                           NaN check — NaN propagates into
@@ -41,19 +33,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from reproflow.callgraph import _dotted
 from reproflow.index import ClassSchema, FuncSchema, ProjectIndex
 from reproflow.units import UnitInferrer, unit_of_identifier
 
 RawFinding = Tuple[int, int, str, str]   # (lineno, col, rule, message)
-
-#: callee names that transfer ownership of a packet to another component
-_HANDOFF_NAMES = frozenset({
-    "send", "enqueue", "push", "put", "append", "appendleft", "transmit",
-    "ingress", "forward", "deliver", "attach", "call_at", "call_in",
-    "schedule", "sink", "emit", "dispatch", "on_receive", "wired_arrival",
-    "replica_arrival", "record_arrival", "handoff", "submit", "receive",
-})
 
 #: calls that acknowledge NaN explicitly (count as a delay guard)
 _NAN_GUARDS = frozenset({
@@ -105,8 +88,6 @@ class _Scope:
     """One analysis scope: the module body or one function body."""
 
     body: Sequence[ast.stmt]
-    name: str = "<module>"
-    enclosing_class: Optional[str] = None
     is_nested: bool = False
     node: Optional[ast.AST] = None
 
@@ -114,20 +95,16 @@ class _Scope:
 def _collect_scopes(tree: ast.Module) -> List[_Scope]:
     scopes = [_Scope(body=tree.body)]
 
-    def visit(node: ast.AST, enclosing_class: Optional[str],
-              nested: bool) -> None:
+    def visit(node: ast.AST, nested: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(_Scope(body=child.body, name=child.name,
-                                     enclosing_class=enclosing_class,
-                                     is_nested=nested, node=child))
-                visit(child, enclosing_class, True)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, child.name, nested)
+                scopes.append(_Scope(body=child.body, is_nested=nested,
+                                     node=child))
+                visit(child, True)
             else:
-                visit(child, enclosing_class, nested)
+                visit(child, nested)
 
-    visit(tree, None, False)
+    visit(tree, False)
     return scopes
 
 
@@ -172,23 +149,16 @@ class ScopeAnalyzer:
         inferrer = UnitInferrer(
             report=lambda node, msg: self._emit(node, "UNT001", msg))
         muted = UnitInferrer(env=inferrer.env)
-        #: packet-tracking state (LIF001)
-        packet_vars: Dict[str, Tuple[int, int]] = {}
-        handed_off: Dict[str, Tuple[int, int]] = {}
 
         for stmt in _iter_scope_statements(scope.body):
-            pos = (stmt.lineno, stmt.col_offset)
             if isinstance(stmt, ast.Assign):
                 value_unit = inferrer.infer(stmt.value)
                 for target in stmt.targets:
-                    self._handle_assign_target(
-                        target, stmt.value, value_unit, inferrer,
-                        packet_vars, handed_off)
+                    self._handle_assign_target(target, value_unit, inferrer)
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 value_unit = inferrer.infer(stmt.value)
-                self._handle_assign_target(
-                    stmt.target, stmt.value, value_unit, inferrer,
-                    packet_vars, handed_off)
+                self._handle_assign_target(stmt.target, value_unit,
+                                           inferrer)
             elif isinstance(stmt, ast.AugAssign):
                 target_unit = muted.infer(stmt.target)
                 value_unit = inferrer.infer(stmt.value)
@@ -199,8 +169,6 @@ class ScopeAnalyzer:
                     self._emit(stmt, "UNT001",
                                f"mixed-unit in-place arithmetic: "
                                f"'{target_unit}' op '{value_unit}'")
-                self._check_mutation(stmt.target, packet_vars, handed_off,
-                                     pos)
             else:
                 for expr in self._expression_roots(stmt):
                     inferrer.infer(expr)
@@ -208,7 +176,6 @@ class ScopeAnalyzer:
             for node in _walk_pruned(stmt):
                 if isinstance(node, ast.Call):
                     self._check_call(node, muted, scope)
-                    self._note_handoff(node, packet_vars, handed_off)
 
     def _expression_roots(self, stmt: ast.stmt) -> List[ast.expr]:
         roots: List[ast.expr] = []
@@ -222,36 +189,20 @@ class ScopeAnalyzer:
 
     # -- assignments (UNT003 + bookkeeping) ----------------------------
 
-    def _handle_assign_target(self, target: ast.AST, value: ast.expr,
+    def _handle_assign_target(self, target: ast.AST,
                               value_unit: Optional[str],
-                              inferrer: UnitInferrer,
-                              packet_vars: Dict[str, Tuple[int, int]],
-                              handed_off: Dict[str, Tuple[int, int]]
-                              ) -> None:
-        pos = (target.lineno, target.col_offset)
+                              inferrer: UnitInferrer) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._handle_assign_target(
-                    element, value, None, inferrer, packet_vars,
-                    handed_off)
+                self._handle_assign_target(element, None, inferrer)
             return
         if isinstance(target, ast.Attribute):
             self._check_target_unit(target, target.attr, value_unit)
-            self._check_mutation(target, packet_vars, handed_off, pos)
             return
         if not isinstance(target, ast.Name):
             return
-        name = target.id
-        self._check_target_unit(target, name, value_unit)
+        self._check_target_unit(target, target.id, value_unit)
         inferrer.learn(target, value_unit)
-        # rebinding invalidates any prior tracking
-        packet_vars.pop(name, None)
-        handed_off.pop(name, None)
-        if isinstance(value, ast.Call):
-            callee = _last_segment(value.func)
-            if callee in self.index.packet_classes \
-                    or callee == "copy_for_link":
-                packet_vars[name] = pos
 
     def _check_target_unit(self, node: ast.AST, name: str,
                            value_unit: Optional[str]) -> None:
@@ -263,64 +214,10 @@ class ScopeAnalyzer:
                        f"'{name}' (declared '{target_unit}'); convert "
                        "explicitly")
 
-    # -- packet lifecycle (LIF001/LIF002) ------------------------------
-
-    def _check_mutation(self, target: ast.AST,
-                        packet_vars: Dict[str, Tuple[int, int]],
-                        handed_off: Dict[str, Tuple[int, int]],
-                        pos: Tuple[int, int]) -> None:
-        if not (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)):
-            return
-        name = target.value.id
-        off_at = handed_off.get(name)
-        if name in packet_vars and off_at is not None and off_at < pos:
-            self._emit(target, "LIF001",
-                       f"packet '{name}' mutated after handoff at line "
-                       f"{off_at[0]}; the receiver observes this write — "
-                       "copy before mutating")
-
-    def _note_handoff(self, call: ast.Call,
-                      packet_vars: Dict[str, Tuple[int, int]],
-                      handed_off: Dict[str, Tuple[int, int]]) -> None:
-        callee = _last_segment(call.func)
-        if callee not in _HANDOFF_NAMES:
-            return
-        for arg in list(call.args) + [k.value for k in call.keywords]:
-            if isinstance(arg, ast.Name) and arg.id in packet_vars:
-                handed_off.setdefault(
-                    arg.id, (call.lineno, call.col_offset))
-
-    def _check_replica(self, call: ast.Call, scope: _Scope) -> None:
-        callee = _last_segment(call.func)
-        if callee not in self.index.packet_classes:
-            return
-        if scope.name == "copy_for_link" \
-                or scope.enclosing_class in self.index.packet_classes:
-            return   # the blessed implementation itself
-        copied_from: Dict[str, int] = {}
-        for keyword in call.keywords:
-            if keyword.arg is None:
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Attribute) \
-                    and value.attr == keyword.arg:
-                base = _dotted(value.value)
-                if base:
-                    copied_from[base] = copied_from.get(base, 0) + 1
-        for base, count in copied_from.items():
-            if count >= 2:
-                self._emit(call, "LIF002",
-                           f"hand-rolled replica copying {count} fields "
-                           f"from '{base}'; use "
-                           f"'{base}.copy_for_link(...)' so new fields "
-                           "are never silently dropped")
-
-    # -- call sites (UNT002 / LIF002) ---------------------------------
+    # -- call sites (UNT002) -------------------------------------------
 
     def _check_call(self, call: ast.Call, muted: UnitInferrer,
                     scope: _Scope) -> None:
-        self._check_replica(call, scope)
         callee = _last_segment(call.func)
         if callee is None:
             return
@@ -478,17 +375,10 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
                "Wall-clock read or OS entropy in simulation code."),
     "DET003": ("unordered-iteration",
                "Set iteration inside a function that schedules events."),
-    "DET004": ("fork-start-method",
-               "fork start method, or a ProcessPoolExecutor without "
-               "mp_context."),
     "GEN101": ("mutable-default-arg",
                "Mutable default argument shared across calls."),
     "GEN102": ("overbroad-except",
                "Bare except / except Exception hides invariant failures."),
-    "GEN103": ("float-time-equality",
-               "Exact ==/!= on a simulated timestamp."),
-    "GEN104": ("event-class-missing-slots",
-               "Hot *Event class without __slots__."),
     "OBS001": ("adhoc-observability",
                "print / stdout writes / global tallies in instrumented "
                "simulation packages."),
@@ -501,12 +391,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "UNT003": ("unit-mismatched-assignment",
                "Known-unit value bound to a name suffixed with a "
                "different unit."),
-    "LIF001": ("packet-mutated-after-handoff",
-               "Packet attribute written after the packet was handed to "
-               "a queue, link or scheduler."),
-    "LIF002": ("hand-rolled-replica",
-               "Packet replica built field-by-field instead of "
-               "copy_for_link()."),
     "LIF003": ("unguarded-delay-read",
                "DeliveryRecord delay/arrival_time read without a "
                "delivered guard or NaN check."),
@@ -523,37 +407,15 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "PUR101": ("impure-task-state",
                "A runner task transitively mutates module/global or "
                "closure state (stale ResultCache)."),
-    "PUR102": ("impure-task-clock",
-               "A runner task transitively reads the wall clock "
-               "(unsanctioned)."),
-    "PUR103": ("impure-task-rng",
-               "A runner task transitively draws from an unrouted "
-               "RNG."),
     "ORD201": ("unordered-iteration-to-state",
                "set/unordered iteration flowing into ordered state, "
                "schedules, keyed writes, or digests."),
-    "ORD202": ("unordered-float-accumulation",
-               "Float accumulation (sum/fsum/+=) over an unordered "
-               "iterable."),
-    # pass 4 (concurrency & serialization safety — reproflow.parsafe)
-    "SER302": ("stateful-task-default",
-               "A runner task parameter default constructing a "
-               "handle/lock/queue/RNG — per-worker shared state."),
     "SER303": ("task-captures-handle",
                "A runner task transitively uses a module-level open "
                "handle or lock; each spawn worker gets its own copy."),
-    "IMP401": ("import-time-effect",
-               "Module-scope clock read/RNG draw/env mutation in a "
-               "worker-imported module, replayed per worker import."),
-    "IMP402": ("cross-process-global-read",
-               "A function reads a module global that a runner task "
-               "mutates inside worker processes."),
     "KEY501": ("cache-key-escape",
                "A runner task depends on env vars, call-time file "
                "reads, or module globals outside its RunSpec key."),
-    "KEY502": ("dynamic-dispatch-escape",
-               "Task-reachable dynamic import/getattr dispatch whose "
-               "callee escapes the RunSpec code fingerprint."),
     # reachability of src/repro from the program (reproflow.reach)
     "RCH601": ("unreached-module",
                "A src/repro module no program file imports."),

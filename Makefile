@@ -14,7 +14,7 @@ test:
 
 # Static analysis (tools/reproflow): per-file determinism rules plus
 # project-wide passes on one shared parse — pass 1 index, pass 2
-# units and delivery reads, pass 3 interprocedural dataflow and runner-task
+# units, pass 3 interprocedural dataflow and runner-task
 # safety (FLO/ORD/PUR/SER/KEY), and the RCH reachability family (what of src/repro only tests reach, judged against
 # `python -m repro`, examples/, benchmarks/ and bench/).  Fails on any
 # finding not silenced by an inline disable comment or the directory
@@ -40,7 +40,9 @@ sanitize-test:
 		tests/test_wild_frozen_digests.py \
 		tests/test_batch_frozen_digests.py \
 		tests/test_channel_link.py tests/test_wifi_phy_mac.py \
-		tests/test_channel_gilbert.py -q
+		tests/test_channel_gilbert.py tests/test_wifi_ap.py \
+		tests/test_wifi_wmm_beacon.py tests/test_net.py \
+		tests/test_controlplane.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

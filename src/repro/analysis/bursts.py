@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.core.packet import LinkTrace
+from repro.core.packet import LinkTrace, loss_array
 
 #: the burst-length bars of Figures 5 and 9: "1" .. "10", then ">10"
 MAX_BURST_BUCKET = 10
@@ -26,15 +26,9 @@ def burst_bucket(length: int) -> str:
     return BURST_BUCKETS[min(length, MAX_BURST_BUCKET + 1) - 1]
 
 
-def _loss_array(trace: Union[LinkTrace, np.ndarray]) -> np.ndarray:
-    if isinstance(trace, LinkTrace):
-        return trace.loss_indicator
-    return np.asarray(trace, dtype=float)
-
-
 def burst_lengths(trace: Union[LinkTrace, np.ndarray]) -> List[int]:
     """Lengths of maximal runs of consecutive losses."""
-    losses = _loss_array(trace) > 0.5
+    losses = loss_array(trace) > 0.5
     lengths: List[int] = []
     run = 0
     for lost in losses:

@@ -13,13 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.packet import LinkTrace
-
-
-def _loss_array(trace: Union[LinkTrace, np.ndarray]) -> np.ndarray:
-    if isinstance(trace, LinkTrace):
-        return trace.loss_indicator
-    return np.asarray(trace, dtype=float)
+from repro.core.packet import LinkTrace, loss_array
 
 
 def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
@@ -41,7 +35,7 @@ def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
 def loss_autocorrelation(trace: Union[LinkTrace, np.ndarray],
                          max_lag: int = 20) -> np.ndarray:
     """Autocorrelation of the loss indicator at lags 1..max_lag."""
-    x = _loss_array(trace)
+    x = loss_array(trace)
     return np.array([_corr_at_lag(x, x, lag)
                      for lag in range(1, max_lag + 1)])
 
@@ -50,8 +44,8 @@ def loss_crosscorrelation(trace_a: Union[LinkTrace, np.ndarray],
                           trace_b: Union[LinkTrace, np.ndarray],
                           max_lag: int = 20) -> np.ndarray:
     """Cross-correlation of two links' loss processes at lags 1..max_lag."""
-    x = _loss_array(trace_a)
-    y = _loss_array(trace_b)
+    x = loss_array(trace_a)
+    y = loss_array(trace_b)
     n = min(len(x), len(y))
     x, y = x[:n], y[:n]
     return np.array([_corr_at_lag(x, y, lag)

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from repro.channel.gilbert import GilbertParams
-from repro.core.packet import LinkTrace
+from repro.core.packet import LinkTrace, loss_array
 
 
 @dataclass
@@ -45,12 +45,6 @@ class GilbertFit:
         return (f"GilbertFit(good={p.mean_good_s:.2f}s, "
                 f"bad={p.mean_bad_s:.3f}s, loss_bad={p.loss_bad:.2f}, "
                 f"rate={self.loss_rate:.3%})")
-
-
-def _loss_array(trace: Union[LinkTrace, np.ndarray]) -> np.ndarray:
-    if isinstance(trace, LinkTrace):
-        return trace.loss_indicator
-    return np.asarray(trace, dtype=float)
 
 
 def _run_lengths(indicator: np.ndarray):
@@ -73,7 +67,7 @@ def fit_gilbert(trace: Union[LinkTrace, np.ndarray],
                 spacing_s: float = 0.020) -> GilbertFit:
     """Fit a Gilbert–Elliott model to a loss indicator sequence: every
     packet in the bad state is lost, none in the good state."""
-    indicator = _loss_array(trace)
+    indicator = loss_array(trace)
     if indicator.size == 0:
         raise ValueError("empty trace")
     loss_runs, good_runs = _run_lengths(indicator)

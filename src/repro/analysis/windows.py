@@ -23,13 +23,7 @@ from typing import List, Union
 
 import numpy as np
 
-from repro.core.packet import LinkTrace
-
-
-def _loss_array(trace: Union[LinkTrace, np.ndarray]) -> np.ndarray:
-    if isinstance(trace, LinkTrace):
-        return trace.loss_indicator
-    return np.asarray(trace, dtype=float)
+from repro.core.packet import LinkTrace, loss_array
 
 
 def window_loss_rates(trace: Union[LinkTrace, np.ndarray],
@@ -42,7 +36,7 @@ def window_loss_rates(trace: Union[LinkTrace, np.ndarray],
     ``window_s / inter_packet_spacing_s`` packets; a trailing partial
     window is included if it holds at least one packet.
     """
-    losses = _loss_array(trace)
+    losses = loss_array(trace)
     if losses.size == 0:
         return np.array([])
     per_window = max(int(round(window_s / inter_packet_spacing_s)), 1)
@@ -78,7 +72,7 @@ def window_loss_rates_timed(times: np.ndarray,
     of 0.0, and the observation period ends at the last timestamp's
     window.
     """
-    loss = _loss_array(losses)
+    loss = loss_array(losses)
     times = np.asarray(times, dtype=float)
     if times.shape != loss.shape:
         raise ValueError(

@@ -16,11 +16,14 @@ can consume it unchanged.
 
 from __future__ import annotations
 
+import math
+from typing import Tuple
+
 import numpy as np
 
 from repro.channel.gilbert import GilbertElliott, GilbertParams
 from repro.core.config import StreamProfile
-from repro.core.packet import DeliveryRecord, LinkTrace
+from repro.core.packet import LinkTrace, render_trace
 from repro.sim.random import RandomRouter
 
 
@@ -51,29 +54,20 @@ class CellularLink:
         p_outage = self._outage.loss_probability(time)
         return 1.0 - (1.0 - p_outage) * (1.0 - RESIDUAL_LOSS)
 
-    def transmit(self, seq: int, send_time: float,
-                 frame_bytes: int = 160) -> DeliveryRecord:
-        """Send one packet copy over the cellular path."""
-        lost = self._rng.random() < self.attempt_loss_prob(send_time)
-        if lost:
-            return DeliveryRecord(seq=seq, send_time=send_time,
-                                  delivered=False)
+    def transmit(self, send_time: float,
+                 size_bytes: int) -> Tuple[bool, float]:
+        """Send one packet copy over the cellular path:
+        ``(delivered, arrival_time)``, NaN arrival when lost."""
+        if self._rng.random() < self.attempt_loss_prob(send_time):
+            return False, math.nan
         delay = (BASE_DELAY_S
                  + float(self._rng_delay.lognormal(0.0, 1.0)
                          * JITTER_SCALE_S))
-        return DeliveryRecord(seq=seq, send_time=send_time, delivered=True,
-                              arrival_time=send_time + delay)
+        return True, send_time + delay
 
     def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call over the cellular link."""
-        n = profile.n_packets
-        send_times = np.arange(n) * profile.inter_packet_spacing_s
-        delivered = np.zeros(n, dtype=bool)
-        delays = np.full(n, np.nan)
-        for seq in range(n):
-            record = self.transmit(seq, float(send_times[seq]),
-                                   profile.packet_size_bytes)
-            delivered[seq] = record.delivered
-            if record.delivered:
-                delays[seq] = record.delay
-        return LinkTrace(self.name, send_times, delivered, delays)
+        send_times = (np.arange(profile.n_packets)
+                      * profile.inter_packet_spacing_s)
+        return render_trace(self, self.name, send_times,
+                            profile.packet_size_bytes)

@@ -19,8 +19,9 @@ structure that Figure 4/5 measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.channel.gilbert import GilbertElliott, GilbertParams
 from repro.channel.interference import NullInterference
 from repro.channel.mobility import Position, StaticPosition
 from repro.channel.pathloss import LogDistancePathLoss, PathLossParams
-from repro.core.packet import DeliveryRecord, LinkTrace
+from repro.core.packet import LinkTrace, render_trace
 from repro.core.config import StreamProfile
 from repro.wifi.mac import MacLayer
 from repro.sim.random import RandomRouter
@@ -211,45 +212,34 @@ class WifiLink:
     # ------------------------------------------------------------------
     # transmission
 
-    def send(self, send_time: float, frame_bytes: int) -> Tuple[bool, float]:
+    def transmit(self, send_time: float,
+                 size_bytes: int) -> Tuple[bool, float]:
         """Send one packet copy: ``(delivered, arrival_time)``.
 
         ``send_time`` is when the packet reaches the AP's transmit queue
         for this client (wired-side delay already included by the caller
         for system-mode runs; trace mode adds ``base_delay_s`` here).
-        The arrival time of a lost copy is when the MAC gave up.
+        The arrival time of a lost copy is NaN.
         """
         air_start = send_time + self.config.base_delay_s
         if not self._quiet:
             air_start += self._interference.extra_delay_s(
                 send_time, self._rng_delay)
-        if self._airtime_for != (self._mcs, frame_bytes):
-            self._airtime_for = (self._mcs, frame_bytes)
-            self._airtime_s = airtime_s(frame_bytes, self._mcs)
+        if self._airtime_for != (self._mcs, size_bytes):
+            self._airtime_for = (self._mcs, size_bytes)
+            self._airtime_s = airtime_s(size_bytes, self._mcs)
         delivered, _, service_time_s = self._mac.transmit(
             air_start, self.attempt_loss_prob, self._airtime_s)
-        return delivered, air_start + service_time_s
-
-    def transmit(self, seq: int, send_time: float,
-                 frame_bytes: int = 160) -> DeliveryRecord:
-        """Send one packet copy; returns its delivery record (see
-        :meth:`send`)."""
-        delivered, arrival = self.send(send_time, frame_bytes)
-        return DeliveryRecord(
-            seq=seq, send_time=send_time, delivered=delivered,
-            arrival_time=arrival if delivered else float("nan"))
+        if not delivered:
+            return False, math.nan
+        return True, air_start + service_time_s
 
     def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call's outcomes as a :class:`LinkTrace`."""
         send_times = (np.arange(profile.n_packets)
                       * profile.inter_packet_spacing_s)
-        delivered: List[bool] = []
-        delays: List[float] = []
-        for send_time in send_times.tolist():
-            ok, arrival = self.send(send_time, profile.packet_size_bytes)
-            delivered.append(ok)
-            delays.append(arrival - send_time if ok else np.nan)
-        return LinkTrace(self.name, send_times, delivered, delays)
+        return render_trace(self, self.name, send_times,
+                            profile.packet_size_bytes)
 
 
 def paired_links(config_a: LinkConfig, config_b: LinkConfig,

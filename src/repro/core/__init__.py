@@ -2,8 +2,8 @@
 
 This package holds the paper's primary contribution:
 
-* :mod:`repro.core.packet` — packet / delivery-record / trace types shared
-  by the whole stack.
+* :mod:`repro.core.packet` — packet and trace types shared by the whole
+  stack.
 * :mod:`repro.core.strategies` — the Section 4 strategy zoo evaluated on
   paired link traces: ``stronger``, ``better``, ``divert``, ``temporal``,
   ``cross-link``.
@@ -22,12 +22,11 @@ from repro.core.multilink import (
     make_before_break,
     render_multilink_run,
 )
-from repro.core.packet import DeliveryRecord, LinkTrace, Packet, StreamTrace
+from repro.core.packet import LinkTrace, Packet, StreamTrace
 from repro.core.uplink import UplinkDiversiFiClient, run_uplink_session
 
 __all__ = [
     "ClientConfig",
-    "DeliveryRecord",
     "FecConfig",
     "LinkTrace",
     "MultiLinkRun",

@@ -161,11 +161,9 @@ def run_session(link_factory: Callable[[RandomRouter], Tuple[Any, Any]],
         middlebox.register_flow(
             "rt0", _lan_into(sim, router, secondary_ap, "lan-s"))
     else:
-        sender.attach(_lan_into(sim, router, primary_ap, "lan-p"),
-                      link="primary")
+        sender.attach(_lan_into(sim, router, primary_ap, "lan-p"))
         if not single_link:
-            sender.attach(_lan_into(sim, router, secondary_ap, "lan-s"),
-                          link="secondary")
+            sender.attach(_lan_into(sim, router, secondary_ap, "lan-s"))
 
     # --- client ----------------------------------------------------------
     client = DiversiFiClient(

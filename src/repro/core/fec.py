@@ -105,22 +105,23 @@ def render_fec_run(link: NamedRadioLink, profile: StreamProfile,
     parity_delays = np.full(n_blocks, np.nan)
 
     for seq in range(n):
-        record = link.transmit(seq, float(send_times[seq]),
-                               profile.packet_size_bytes)
-        data_delivered[seq] = record.delivered
-        if record.delivered:
-            data_delays[seq] = record.delay
+        send_time = float(send_times[seq])
+        delivered, arrival = link.transmit(send_time,
+                                           profile.packet_size_bytes)
+        data_delivered[seq] = delivered
+        if delivered:
+            data_delays[seq] = arrival - send_time
         is_block_end = (seq % k == k - 1) or (seq == n - 1)
         if is_block_end:
             block_no = seq // k
             # Parity rides just behind the last data packet of the block.
-            p_time = float(send_times[seq]) + spacing * 0.5
+            p_time = send_time + spacing * 0.5
             parity_send[block_no] = p_time
-            p_record = link.transmit(seq, p_time,
-                                     profile.packet_size_bytes)
-            parity_delivered[block_no] = p_record.delivered
-            if p_record.delivered:
-                parity_delays[block_no] = (p_record.arrival_time - p_time)
+            delivered, arrival = link.transmit(p_time,
+                                               profile.packet_size_bytes)
+            parity_delivered[block_no] = delivered
+            if delivered:
+                parity_delays[block_no] = arrival - p_time
 
     data = LinkTrace(link.name, send_times, data_delivered, data_delays)
     parity = LinkTrace(f"{link.name}-parity", parity_send,

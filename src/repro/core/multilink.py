@@ -20,13 +20,15 @@ replication benefit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.config import StreamProfile
 from repro.core.packet import LinkTrace, merge_traces
-from repro.core.types import RadioLink
+
+if TYPE_CHECKING:
+    from repro.channel.link import WifiLink
 
 #: packets between the handoff baseline's link re-evaluations
 HANDOFF_WINDOW = 50
@@ -47,7 +49,7 @@ class MultiLinkRun:
         return len(self.traces)
 
 
-def render_multilink_run(links: Sequence[RadioLink],
+def render_multilink_run(links: Sequence["WifiLink"],
                          profile: StreamProfile) -> MultiLinkRun:
     """Transmit one stream copy per link, all in global time order."""
     if not links:
@@ -68,10 +70,10 @@ def render_multilink_run(links: Sequence[RadioLink],
                 rssi_sums[i] += link.rssi_dbm(t)
             rssi_counts += 1
         for i, link in enumerate(links):
-            record = link.transmit(seq, t, profile.packet_size_bytes)
-            columns[i]["delivered"][seq] = record.delivered
-            if record.delivered:
-                columns[i]["delays"][seq] = record.delay
+            delivered, arrival = link.transmit(t, profile.packet_size_bytes)
+            columns[i]["delivered"][seq] = delivered
+            if delivered:
+                columns[i]["delays"][seq] = arrival - t
 
     traces = [LinkTrace(getattr(link, "name", f"link{i}"), send_times,
                         columns[i]["delivered"], columns[i]["delays"])

@@ -1,9 +1,11 @@
-"""Packet, delivery-record and trace types shared across the stack.
+"""Packet and trace types shared across the stack.
 
 The Section 4 analysis operates on :class:`LinkTrace` objects — the
 per-packet outcome of sending one copy of a stream over one WiFi link —
 mirroring the paper's methodology of recording a replicated stream on both
 NICs and then replaying strategies over the recorded traces.
+:func:`render_trace` records one by calling the link's
+``transmit(send_time, size_bytes) -> (delivered, arrival_time)`` per copy.
 
 The Section 6 system evaluation produces :class:`StreamTrace` objects — the
 receiver-side view (arrival times per sequence number, possibly via the
@@ -12,51 +14,26 @@ secondary link) that the voice-quality pipeline consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.types import BoolArray, FloatArray
+from repro.core.types import BoolArray, FloatArray, RadioLink
 
 
-@dataclass
+@dataclass(frozen=True)
 class Packet:
-    """A single stream packet travelling through the simulated network."""
+    """A single stream packet travelling through the simulated network.
+
+    Frozen, so a replication point (the sender, an SDN switch) hands the
+    same object to every link.
+    """
 
     seq: int
     send_time: float
     size_bytes: int = 160
     flow_id: str = "rt0"
-    #: which link the copy travels on ("primary"/"secondary"/"wan"...)
-    link: str = ""
-    #: True for copies created by a replication point (SDN switch, source)
-    is_duplicate: bool = False
-
-    def copy_for_link(self, link: str, is_duplicate: bool = True) -> "Packet":
-        """A replica of this packet tagged for a different link."""
-        return Packet(seq=self.seq, send_time=self.send_time,
-                      size_bytes=self.size_bytes, flow_id=self.flow_id,
-                      link=link, is_duplicate=is_duplicate)
-
-
-@dataclass
-class DeliveryRecord:
-    """Outcome of one packet copy on one link."""
-
-    seq: int
-    send_time: float
-    delivered: bool
-    #: arrival time at the receiver; NaN when not delivered
-    arrival_time: float = math.nan
-
-    @property
-    def delay(self) -> float:
-        """One-way delay in seconds (NaN when lost)."""
-        if not self.delivered:
-            return math.nan
-        return self.arrival_time - self.send_time
 
 
 class LinkTrace:
@@ -96,6 +73,26 @@ class LinkTrace:
         if len(self) == 0:
             return 0.0
         return float(np.mean(~self.delivered))
+
+
+def render_trace(link: RadioLink, name: str, send_times: FloatArray,
+                 size_bytes: int) -> LinkTrace:
+    """Send one copy per entry of ``send_times`` over ``link``, in order."""
+    delivered: List[bool] = []
+    delays: List[float] = []
+    for send_time in send_times.tolist():
+        ok, arrival = link.transmit(send_time, size_bytes)
+        delivered.append(ok)
+        delays.append(arrival - send_time)   # NaN when lost
+    return LinkTrace(name, send_times, delivered, delays)
+
+
+def loss_array(trace: Union[LinkTrace, FloatArray]) -> FloatArray:
+    """The 0/1 loss series of a trace, or ``trace`` itself as floats."""
+    if isinstance(trace, LinkTrace):
+        return trace.loss_indicator
+    return np.asarray(trace, dtype=float)
+
 
 @dataclass
 class StreamTrace:

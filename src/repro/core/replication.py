@@ -98,7 +98,7 @@ def render_paired_run(link_a: "WifiLink", link_b: "WifiLink",
             rssi_samples_b.append(link_b.rssi_dbm(time))
             next_rssi_sample += rssi_sample_period
         link, delivered, delays = streams[stream]
-        ok, arrival = link.send(time, size)
+        ok, arrival = link.transmit(time, size)
         if ok:
             delivered[seq] = True
             # Delay is accounted relative to the ORIGINAL send time, so an

@@ -3,18 +3,16 @@
 Centralizes the numpy array aliases (``mypy --strict`` rejects bare
 ``np.ndarray`` under ``disallow_any_generics``) and the structural
 protocols the core algorithms are generic over — any object with a
-``transmit``/``rssi_dbm`` surface is a usable link, whether it is a
-:class:`repro.wifi.link.WifiLink`, a cellular model, or a test stub.
+``transmit(send_time, size_bytes) -> (delivered, arrival_time)`` method
+is a usable link, whether it is a :class:`repro.channel.link.WifiLink`,
+a cellular model, or a test stub.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.core.packet import DeliveryRecord
 
 try:
     import numpy.typing as npt
@@ -28,13 +26,10 @@ except ImportError:  # pragma: no cover - numpy < 1.21
 class RadioLink(Protocol):
     """Structural type of anything the core can send a packet copy over."""
 
-    def transmit(self, seq: int, time: float,
-                 size_bytes: int) -> "DeliveryRecord":
-        """Send one copy; the outcome is known immediately (MAC ACK)."""
-        ...
-
-    def rssi_dbm(self, time_s: float) -> float:
-        """Received signal strength the client would measure at ``time_s``."""
+    def transmit(self, send_time: float,
+                 size_bytes: int) -> Tuple[bool, float]:
+        """Send one copy: ``(delivered, arrival_time)``, known at once
+        (MAC ACK); a lost copy's arrival time is NaN."""
         ...
 
 

@@ -104,16 +104,15 @@ class UplinkDiversiFiClient:
         if self.sim.now > self._deadline(seq):
             self.stats.expired += 1
             return
-        record = link.transmit(seq, self.sim.now,
-                               self.profile.packet_size_bytes)
+        delivered, arrival = link.transmit(self.sim.now,
+                                           self.profile.packet_size_bytes)
         if link is self.link_primary:
             self.stats.sent_primary += 1
         else:
             self.stats.sent_secondary += 1
         if is_retry:
             self.stats.retransmissions += 1
-        if record.delivered:
-            arrival = record.arrival_time
+        if delivered:
             if arrival <= self._deadline(seq) + 1e-12:
                 self.trace.record_arrival(seq, arrival,
                                           link=link.name)

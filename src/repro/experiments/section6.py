@@ -328,11 +328,8 @@ def _measure_switch(seed: int, use_middlebox: bool,
     class InstantLink:
         name = "instant"
 
-        def transmit(self, seq, send_time, size_bytes=160):
-            from repro.core.packet import DeliveryRecord
-            return DeliveryRecord(seq=seq, send_time=send_time,
-                                  delivered=True,
-                                  arrival_time=send_time + 0.0005)
+        def transmit(self, send_time, size_bytes):
+            return True, send_time + 0.0005
 
     primary = AccessPoint(sim, "primary", InstantLink(), APConfig())
     secondary = AccessPoint(sim, "secondary", InstantLink(), APConfig())

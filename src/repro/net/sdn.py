@@ -73,16 +73,15 @@ class SdnSwitch:
     def ingress(self, packet: Packet) -> None:
         """Process an arriving packet through the rule table.
 
-        The replicate action emits a tagged copy per port; table misses are
-        dropped (counted), as DiversiFi's deployment installs a default
-        rule for all other traffic — modelled by a wildcard rule.
+        The replicate action forwards the packet to every port; table
+        misses are dropped (counted), as DiversiFi's deployment installs a
+        default rule for all other traffic — modelled by a wildcard rule.
         """
         for rule in self._rules:
             if rule.match.matches(packet):
                 rule.packets_matched += 1
-                for i, port in enumerate(rule.output_ports):
-                    copy = packet.copy_for_link(port, is_duplicate=(i > 0))
+                for port in rule.output_ports:
                     self.sim.call_in(FORWARDING_DELAY_S,
-                                     self._ports[port], copy)
+                                     self._ports[port], packet)
                 return
         self.table_misses += 1

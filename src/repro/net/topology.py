@@ -99,23 +99,20 @@ class RadioPort:
         self.name = name or link.name
         self._sink = sink
         self.stats = PortStats()
-        self._probe_seq = 0
 
     def send(self, packet: Packet) -> None:
         """Transmit one flow packet over the air."""
-        record = self.link.transmit(packet.seq, self.sim.now,
-                                    packet.size_bytes)
-        self.stats.record(record.delivered, record.delay, data=True)
-        if record.delivered:
+        delivered, arrival = self.link.transmit(self.sim.now,
+                                                packet.size_bytes)
+        self.stats.record(delivered, arrival - self.sim.now, data=True)
+        if delivered:
             self.stats.queue_depth += 1
-            self.sim.call_at(record.arrival_time, self._deliver, packet)
+            self.sim.call_at(arrival, self._deliver, packet)
 
     def probe(self, size_bytes: int = 64) -> None:
         """Transmit one controller probe (metered, never delivered)."""
-        self._probe_seq += 1
-        record = self.link.transmit(self._probe_seq, self.sim.now,
-                                    size_bytes)
-        self.stats.record(record.delivered, record.delay, data=False)
+        delivered, arrival = self.link.transmit(self.sim.now, size_bytes)
+        self.stats.record(delivered, arrival - self.sim.now, data=False)
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.queue_depth = max(self.stats.queue_depth - 1, 0)

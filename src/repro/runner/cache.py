@@ -76,11 +76,11 @@ class ResultCache:
         """
         path = self.path_for(spec.key)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            entry = json.loads(text)
+            entry = json.loads(data.decode("utf-8"))
             if (not isinstance(entry, dict)
                     or entry.get("version") != CACHE_VERSION
                     or entry.get("key") != spec.key

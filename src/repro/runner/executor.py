@@ -14,8 +14,8 @@ Execution strategy per batch:
    cache (unless ``no_cache``);
 2. the misses run on a ``concurrent.futures`` process pool with the
    **spawn** start context when ``jobs > 1`` and more than one miss
-   remains (fork would inherit sanitizer digests and any lazily created
-   RNG state — reproflow DET004 bans it project-wide);
+   remains: spawn, not fork, so a worker does not inherit the parent's
+   sanitizer digests or any lazily created RNG state;
 3. a crashed pool (``BrokenProcessPool``) is rebuilt and the unfinished
    specs resubmitted up to :data:`POOL_RETRIES` times, after which the
    remainder falls back to in-process serial execution — the batch

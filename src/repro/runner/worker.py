@@ -8,8 +8,9 @@ the same computation by construction.
 
 Worker code draws randomness exclusively through the task's own
 :mod:`repro.sim.random` streams (seeded from the spec), never from
-module-level ``random``/``numpy.random`` — reproflow's DET001/DET004
-enforce this statically.
+module-level ``random``/``numpy.random`` (reproflow's DET001).  Workers
+are spawned, not forked, so none inherits the parent's sanitizer or RNG
+state.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.packet import LinkTrace
+from repro.core.packet import LinkTrace, render_trace
 
 #: video frame rate
 FPS = 60.0
@@ -166,13 +166,5 @@ def score_game_session(stream: PacketizedGameStream,
 
 def transmit_game_stream(stream: PacketizedGameStream, link) -> LinkTrace:
     """Send the packet schedule over one link, in time order."""
-    n = stream.n_packets
-    delivered = np.zeros(n, dtype=bool)
-    delays = np.full(n, np.nan)
-    for i in range(n):
-        record = link.transmit(i, float(stream.send_times[i]), MTU_BYTES)
-        delivered[i] = record.delivered
-        if record.delivered:
-            delays[i] = record.delay
-    return LinkTrace(getattr(link, "name", "game"), stream.send_times,
-                     delivered, delays)
+    return render_trace(link, getattr(link, "name", "game"),
+                        stream.send_times, MTU_BYTES)

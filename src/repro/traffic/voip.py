@@ -27,10 +27,9 @@ class VoipSender:
         self._sinks: List[Callable[[Packet], None]] = []
         self.sent = 0
 
-    def attach(self, sink: Callable[[Packet], None],
-               link: str = "") -> None:
-        """Add a delivery target; each packet is copied to every sink."""
-        self._sinks.append((sink, link))
+    def attach(self, sink: Callable[[Packet], None]) -> None:
+        """Add a delivery target; each packet goes to every sink."""
+        self._sinks.append(sink)
 
     def start(self) -> None:
         """Schedule the whole stream."""
@@ -43,9 +42,8 @@ class VoipSender:
 
     def _emit(self, seq: int) -> None:
         self.sent += 1
-        for i, (sink, link) in enumerate(self._sinks):
-            packet = Packet(
-                seq=seq, send_time=self.sim.now,
-                size_bytes=self.profile.packet_size_bytes,
-                flow_id=self.flow_id, link=link, is_duplicate=(i > 0))
+        packet = Packet(seq=seq, send_time=self.sim.now,
+                        size_bytes=self.profile.packet_size_bytes,
+                        flow_id=self.flow_id)
+        for sink in self._sinks:
             sink(packet)

@@ -163,10 +163,10 @@ class AccessPoint:
         self.stats.air_transmissions += 1
         seq_count = self.stats.per_seq_transmissions
         seq_count[packet.seq] = seq_count.get(packet.seq, 0) + 1
-        record = self.link.transmit(packet.seq, self.sim.now,
-                                    packet.size_bytes)
-        service = max(record.arrival_time - self.sim.now, 0.0) \
-            if record.delivered else SERVICE_TIME_S
+        delivered, arrival = self.link.transmit(self.sim.now,
+                                                packet.size_bytes)
+        service = max(arrival - self.sim.now, 0.0) \
+            if delivered else SERVICE_TIME_S
         finish = self.sim.now + max(service, SERVICE_TIME_S)
 
         present = self._client_awake
@@ -174,7 +174,7 @@ class AccessPoint:
             self.stats.absent_transmissions += 1
 
         def complete():
-            if record.delivered and present and self._receiver is not None:
+            if delivered and present and self._receiver is not None:
                 self.stats.delivered += 1
                 self._receiver(packet, self.sim.now, self.name)
             self._serve_next()

@@ -127,15 +127,15 @@ class WmmAccessPoint:
         access_delay = _ACCESS_DELAY_S[ac] if self.enabled \
             else _ACCESS_DELAY_S[AC_BEST_EFFORT]
         start = self.sim.now + access_delay
-        record = self.link.transmit(packet.seq, start, packet.size_bytes)
+        delivered, arrival = self.link.transmit(start, packet.size_bytes)
         self.stats.transmitted[ac] += 1
         self.stats.queueing_delay_sum_s[ac] += self.sim.now - enqueue_time
-        service = max(record.arrival_time - start, 0.0) \
-            if record.delivered else SERVICE_TIME_S
+        service = max(arrival - start, 0.0) \
+            if delivered else SERVICE_TIME_S
         finish = start + max(service, SERVICE_TIME_S)
 
         def complete():
-            if record.delivered and self._receiver is not None:
+            if delivered and self._receiver is not None:
                 self._receiver(packet, self.sim.now, "wmm")
             self._serve()
 

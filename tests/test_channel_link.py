@@ -1,8 +1,11 @@
 """Tests for the composed WifiLink and paired-link construction."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.channel.cellular import CellularLink
 from repro.channel.gilbert import GilbertParams
 from repro.channel.interference import MicrowaveOven
 from repro.channel.link import LinkConfig, WifiLink, paired_links
@@ -274,3 +277,45 @@ def test_shadowing_redraw_refreshes_the_drift_cache():
         == twin.attempt_loss_prob(2.2 * interval)
     assert link._drift_snr_db != refreshed
     assert link._drift_snr_db == twin.mean_snr_db(2.2 * interval)
+
+
+# ------------------------------------------------ the per-copy contract
+
+#: a lossy Gilbert channel, so both outcomes occur within one call
+BURSTY = GilbertParams(mean_good_s=0.5, mean_bad_s=0.2, loss_good=0.0,
+                       loss_bad=1.0)
+
+LINK_KINDS = {
+    "wifi": lambda seed: make_link(seed=seed, gilbert=BURSTY),
+    "lte": lambda seed: CellularLink(RandomRouter(seed)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINK_KINDS))
+def test_transmit_returns_delivered_and_arrival(kind):
+    """Every copy comes back as ``(True, finite arrival >= send_time)``
+    or ``(False, nan)``."""
+    link = LINK_KINDS[kind](3)
+    outcomes = []
+    for send_time in (np.arange(20000) * 0.02).tolist():
+        delivered, arrival = link.transmit(send_time, 160)
+        assert isinstance(delivered, bool)
+        if delivered:
+            assert math.isfinite(arrival) and arrival >= send_time
+        else:
+            assert math.isnan(arrival)
+        outcomes.append(delivered)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_generate_trace_is_a_loop_of_transmit_calls():
+    trace = make_link(seed=11, gilbert=BURSTY).generate_trace(SHORT)
+    twin = make_link(seed=11, gilbert=BURSTY)
+    send_times = np.arange(SHORT.n_packets) * SHORT.inter_packet_spacing_s
+    outcomes = [(t, *twin.transmit(t, SHORT.packet_size_bytes))
+                for t in send_times.tolist()]
+    assert 0.0 < trace.loss_rate < 1.0
+    np.testing.assert_array_equal(trace.send_times, send_times)
+    assert trace.delivered.tolist() == [ok for _, ok, _ in outcomes]
+    np.testing.assert_array_equal(
+        trace.delays, [arrival - t for t, _, arrival in outcomes])

@@ -32,13 +32,6 @@ from repro.net.topology import (
 from repro.sim import Simulator
 
 
-class _StubRecord:
-    def __init__(self, delivered, arrival_time, delay):
-        self.delivered = delivered
-        self.arrival_time = arrival_time
-        self.delay = delay
-
-
 class _StubLink:
     """A WifiLink stand-in with scripted loss and fixed delay."""
 
@@ -52,14 +45,14 @@ class _StubLink:
     def rssi_dbm(self, time):
         return self.rssi
 
-    def transmit(self, seq, send_time, frame_bytes):
+    def transmit(self, send_time, size_bytes):
         # Deterministic thinning: every k-th transmission is lost when
         # loss = 1/k (exact, no RNG).
         self._count += 1
         lost = self.loss > 0 and (self._count * self.loss) % 1.0 < self.loss
         if lost:
-            return _StubRecord(False, math.nan, math.nan)
-        return _StubRecord(True, send_time + self.delay_s, self.delay_s)
+            return False, math.nan
+        return True, send_time + self.delay_s
 
 
 def build_stub_topology(sim, n=3, losses=(), rssis=()):

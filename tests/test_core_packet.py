@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.packet import (
-    DeliveryRecord,
     LinkTrace,
     Packet,
     StreamTrace,
@@ -20,23 +19,6 @@ def make_trace(name, delivered, delays=None, spacing=0.02):
     if delays is None:
         delays = [0.005 if d else math.nan for d in delivered]
     return LinkTrace(name, send_times, delivered, delays)
-
-
-# ------------------------------------------------------------------ Packet
-
-def test_packet_copy_for_link():
-    p = Packet(seq=3, send_time=1.0, size_bytes=160, flow_id="rt0")
-    c = p.copy_for_link("secondary")
-    assert c.seq == 3 and c.link == "secondary" and c.is_duplicate
-    assert p.link == ""  # original untouched
-
-
-def test_delivery_record_delay():
-    r = DeliveryRecord(seq=0, send_time=1.0, delivered=True,
-                       arrival_time=1.01)
-    assert r.delay == pytest.approx(0.01)
-    lost = DeliveryRecord(seq=1, send_time=1.0, delivered=False)
-    assert math.isnan(lost.delay)
 
 
 # --------------------------------------------------------------- LinkTrace
@@ -163,26 +145,14 @@ def test_merge_single_trace_identity():
 
 # ------------------------------------------------- lifecycle invariants
 
-def test_copy_for_link_preserves_every_field():
-    """Introspective guard: if a field is ever added to Packet,
-    copy_for_link must carry it over (a hand-rolled replica would
-    silently drop it)."""
+def test_packet_is_frozen():
+    """Replication points hand one Packet to every link, so no holder
+    may change it under another."""
     import dataclasses
 
-    p = Packet(seq=7, send_time=1.23, size_bytes=1200, flow_id="rt9",
-               link="primary", is_duplicate=False)
-    c = p.copy_for_link("secondary", is_duplicate=True)
-    overridden = {"link": "secondary", "is_duplicate": True}
-    for f in dataclasses.fields(Packet):
-        expected = overridden.get(f.name, getattr(p, f.name))
-        assert getattr(c, f.name) == expected, (
-            f"copy_for_link dropped or corrupted field {f.name!r}")
-
-
-def test_copy_for_link_returns_distinct_object():
     p = Packet(seq=0, send_time=0.0)
-    c = p.copy_for_link("secondary")
-    c.seq = 99
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.seq = 99
     assert p.seq == 0
 
 
@@ -191,11 +161,8 @@ def test_nan_delay_does_not_poison_window_aggregates():
     metrics: they are defined over the boolean delivery column."""
     from repro.analysis.windows import window_loss_rates, worst_window_loss
 
-    record = DeliveryRecord(seq=1, send_time=0.02, delivered=False)
-    assert math.isnan(record.delay)
-
     delivered = [True, False, True, False]
-    delays = [0.005, record.delay, 0.005, math.nan]
+    delays = [0.005, math.nan, 0.005, math.nan]
     trace = make_trace("lossy", delivered, delays=delays)
 
     rates = window_loss_rates(trace, window_s=0.04,

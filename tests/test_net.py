@@ -50,11 +50,11 @@ def test_sdn_replicates_to_both_ports():
     switch.attach_port("a", out_a.append)
     switch.attach_port("b", out_b.append)
     switch.install_rule(MatchAction(FlowMatch(flow_id="rt0"), ["a", "b"]))
-    sim.call_at(0.0, switch.ingress, packet(1))
+    sent = packet(1)
+    sim.call_at(0.0, switch.ingress, sent)
     sim.run()
-    assert len(out_a) == 1 and len(out_b) == 1
-    assert not out_a[0].is_duplicate
-    assert out_b[0].is_duplicate
+    assert len(out_a) == len(out_b) == 1
+    assert out_a[0] is sent and out_b[0] is sent
 
 
 def test_sdn_rule_priority():

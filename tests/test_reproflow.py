@@ -1,6 +1,6 @@
 """Tests for the project-wide semantic analysis (``tools/reproflow``).
 
-Each rule family (UNT / LIF) gets triggering, clean, and suppressed
+The UNT rule family gets triggering, clean, and suppressed
 fixtures; the index is tested for cross-module resolution and ambiguity
 guarding; and the real CLI is run over ``src/`` (must be clean), over
 seeded violations (must fail), in its output formats and on bad usage.
@@ -18,7 +18,7 @@ from tests.test_reprolint import repo_findings, run_cli
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from reproflow.engine import analyze_paths, analyze_source   # noqa: E402
+from reproflow.engine import analyze_source                  # noqa: E402
 from reproflow.index import build_index                      # noqa: E402
 from reproflow.rules import ALL_RULES                        # noqa: E402
 import ast                                                   # noqa: E402
@@ -29,13 +29,6 @@ import ast                                                   # noqa: E402
 # real tree (pass 1 must carry units and fields across files).
 CORE = textwrap.dedent('''
     from dataclasses import dataclass
-
-    @dataclass
-    class DeliveryRecord:
-        seq: int
-        send_time: float
-        delivered: bool
-        arrival_time: float = float("nan")
 
     @dataclass
     class ClientConfig:
@@ -73,23 +66,6 @@ FAMILY_FIXTURES = {
         """
         def jitter(a_ms, b_s):
             return a_ms + b_s  # reproflow: disable=UNT001
-        """,
-    ),
-    "LIF": (
-        """
-        def sample(link, seq, t):
-            r = link.transmit(seq, t, 160)
-            return r.delay
-        """,
-        """
-        def sample(link, seq, t):
-            r = link.transmit(seq, t, 160)
-            return r.delay if r.delivered else 0.0
-        """,
-        """
-        def sample(link, seq, t):
-            r = link.transmit(seq, t, 160)
-            return r.delay  # reproflow: disable=LIF003
         """,
     ),
 }
@@ -191,48 +167,6 @@ def test_unt003_learns_units_through_locals():
     assert rule_ids(found) == ["UNT003"]
 
 
-# ------------------------------------------------------------------ LIF
-
-def test_lif003_unguarded_delay_read():
-    found = analyze("""
-    def sample(link, seq, t):
-        r = link.transmit(seq, t, 160)
-        return r.delay
-    """)
-    assert rule_ids(found) == ["LIF003"]
-
-
-def test_lif003_delivered_guard_is_clean():
-    assert analyze("""
-    def sample(link, seq, t):
-        r = link.transmit(seq, t, 160)
-        if r.delivered:
-            return r.delay
-        return 0.0
-    """) == []
-
-
-def test_lif003_nan_check_counts_as_guard():
-    assert analyze("""
-    import math
-    def sample(link, seq, t):
-        r = link.transmit(seq, t, 160)
-        d = r.delay
-        return 0.0 if math.isnan(d) else d
-    """) == []
-
-
-def test_lif003_records_iteration():
-    found = analyze("""
-    def total(trace):
-        acc = 0.0
-        for r in trace.records():
-            acc += r.arrival_time
-        return acc
-    """)
-    assert rule_ids(found) == ["LIF003"]
-
-
 # ------------------------------------------------------------- the index
 
 def test_index_dataclass_units_and_rosters():
@@ -242,7 +176,7 @@ def test_index_dataclass_units_and_rosters():
     assert cfg is not None
     assert cfg.fields["inter_packet_spacing_s"] == "s"
     assert cfg.fields["playout_deadline_ms"] == "ms"
-    assert "DeliveryRecord" in index.record_classes
+    assert index.resolve_function("schedule") is not None
 
 
 def test_index_conflicting_definitions_are_ambiguous():
@@ -315,7 +249,7 @@ def test_cli_select_restricts_rules(tmp_path):
     violation."""
     bad = tmp_path / "bad.py"
     bad.write_text(UNIT_VIOLATION)
-    result = run_cli(str(bad), "--select", "LIF003", cwd=tmp_path)
+    result = run_cli(str(bad), "--select", "FLO001", cwd=tmp_path)
     assert result.returncode == 0
 
 
@@ -369,9 +303,3 @@ def test_syntax_error_reported_as_parse_finding(tmp_path):
     assert result.returncode == 1
     assert "broken.py:1:10: PARSE" in result.stdout
     assert "bad.py:2:12: UNT001" in result.stdout
-
-
-def test_tests_policy_exempts_lifecycle_families():
-    findings = analyze_paths([str(REPO / "tests" / "test_core_packet.py")],
-                             rules=["LIF003"])
-    assert [f for f in findings if f.rule == "LIF003"] == []

@@ -53,16 +53,6 @@ class RandomRouter:
         return object()
 """
 
-_RECORDS = """
-from dataclasses import dataclass
-
-@dataclass
-class DeliveryRecord:
-    seq: int
-    delivered: bool
-    arrival_time: float = float("nan")
-"""
-
 _SUBMIT = """
 def submit(runner, configs):
     return runner.map_task("pkg.module:{task}", configs)
@@ -113,11 +103,6 @@ FIXTURES = {
             spacing_s = spacing_ms
             return spacing_s
         """,
-    "LIF003": _RECORDS + """
-def sample(link, seq, t):
-    r = link.transmit(seq, t, 160)
-    return r.delay
-""",
     "FLO001": _STREAMS + """
 def build(router):
     shared = router.stream("fading")

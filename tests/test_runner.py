@@ -458,6 +458,20 @@ def test_corrupted_disk_entry_recomputed_and_rewritten(tmp_path):
     assert json.loads(path.read_text())["key"] == spec.key
 
 
+def test_non_utf8_disk_entry_recomputed_and_rewritten(tmp_path):
+    """An entry that does not decode is corrupt like one that does not
+    parse: discarded and recomputed, not a crash."""
+    spec = RunSpec.build(ADD_TASK, 1)
+    cache_config = RunnerConfig(cache_dir=tmp_path)
+    run_batch([spec], config=cache_config)
+    clear_memo()
+    path = ResultCache(tmp_path).path_for(spec.key)
+    path.write_bytes(b"\xff\xfe")
+    rerun = run_batch([spec], config=cache_config)
+    assert rerun.stats.executed == 1
+    assert json.loads(path.read_text())["key"] == spec.key
+
+
 def test_batch_hook():
     batches = []
     config = RunnerConfig(on_batch=batches.append)

@@ -30,14 +30,13 @@ def test_voip_sender_replicates_to_all_sinks():
     profile = StreamProfile(duration_s=0.1)
     a, b = [], []
     sender = VoipSender(sim, profile)
-    sender.attach(a.append, link="primary")
-    sender.attach(b.append, link="secondary")
+    sender.attach(a.append)
+    sender.attach(b.append)
     sender.start()
     sim.run()
     assert len(a) == len(b) == profile.n_packets
-    assert not a[0].is_duplicate
-    assert b[0].is_duplicate
-    assert b[0].link == "secondary"
+    assert [p.seq for p in b] == list(range(profile.n_packets))
+    assert a == b
 
 
 def test_voip_sender_without_sinks_raises():

@@ -1,6 +1,8 @@
 """Tests for the access-point model: PSM buffering, drop policies,
 hardware-queue behaviour."""
 
+import math
+
 import pytest
 
 from repro.core.config import APConfig
@@ -15,22 +17,16 @@ class PerfectLink:
 
     def __init__(self, delay=0.001):
         self.delay = delay
-        self.transmits = []
 
-    def transmit(self, seq, send_time, size_bytes=160):
-        from repro.core.packet import DeliveryRecord
-        self.transmits.append((seq, send_time))
-        return DeliveryRecord(seq=seq, send_time=send_time, delivered=True,
-                              arrival_time=send_time + self.delay)
+    def transmit(self, send_time, size_bytes):
+        return True, send_time + self.delay
 
 
 class DeadLink(PerfectLink):
     """A link that never delivers."""
 
-    def transmit(self, seq, send_time, size_bytes=160):
-        from repro.core.packet import DeliveryRecord
-        self.transmits.append((seq, send_time))
-        return DeliveryRecord(seq=seq, send_time=send_time, delivered=False)
+    def transmit(self, send_time, size_bytes):
+        return False, math.nan
 
 
 def make_ap(sim, policy="head", qlen=5, batch=1, link=None):

@@ -9,9 +9,9 @@ Every target file is parsed once and the same trees feed every pass:
   :class:`~reproflow.index.ProjectIndex` — dataclass field schemas with
   units inferred from the ``_s``/``_ms``/``_bytes``/``_dbm``/``_mw``/
   ``_hz`` suffix convention, function and method signatures, and the
-  delivery-record class roster;
-* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit family and the
-  **LIF** delay-read rule against that index;
+  attributes that hold sets;
+* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit family against
+  that index;
 * pass 3 (:mod:`reproflow.callgraph`, :mod:`reproflow.dataflow`) builds
   the project call graph with effect summaries and runs the **FLO**
   stream-flow and **ORD** ordering families, plus the runner-task rules

@@ -22,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reproflow",
         description="Static analysis for the DiversiFi simulator: "
                     "per-file determinism rules plus project-wide units, "
-                    "delivery-read, dataflow, runner-safety and "
-                    "reachability passes on one shared parse.")
+                    "dataflow, runner-safety and reachability passes on "
+                    "one shared parse.")
     parser.add_argument("paths", nargs="*", default=[],
                         help="files or directories to lint (default: src/)")
     parser.add_argument("--select", default=None,

@@ -4,7 +4,7 @@ A finding on line *n* is suppressed when line *n* carries a comment of
 the form::
 
     something()   # reproflow: disable=DET001
-    something()   # reproflow: disable=UNT001,LIF003
+    something()   # reproflow: disable=UNT001,UNT002
     something()   # reproflow: disable=all
 
 Every disable comment on a line counts: ``# reproflow: disable=GEN102  #

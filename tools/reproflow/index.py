@@ -8,8 +8,7 @@ need to reason *across* files:
   parameters, and base classes (merged on demand);
 * :class:`FuncSchema` — module-level functions and methods, with per-
   parameter units;
-* the delivery-record roster — classes with a ``delivered``/
-  ``arrival_time`` pair, which LIF003 keys on.
+* the attributes that hold sets, which pass 3's ORD family reads.
 
 Names are indexed *unqualified* (call sites rarely carry module paths);
 when two definitions of the same name disagree, the entry is marked
@@ -85,8 +84,6 @@ class ProjectIndex:
     classes: Dict[str, ClassSchema] = field(default_factory=dict)
     functions: Dict[str, FuncSchema] = field(default_factory=dict)
     methods: Dict[str, FuncSchema] = field(default_factory=dict)
-    #: classes that look like per-copy delivery records
-    record_classes: Set[str] = field(default_factory=set)
     #: instance-attribute names that hold a ``set``/``frozenset`` anywhere
     #: in the project (``self.x = set()`` or a ``Set[...]`` annotation) —
     #: pass 3's ORD family treats loads of these as unordered
@@ -206,17 +203,6 @@ def _base_name(base: ast.AST) -> Optional[str]:
     return None
 
 
-def _looks_like_record(cls: ast.ClassDef) -> bool:
-    names: Set[str] = set()
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
-                                                          ast.Name):
-            names.add(stmt.target.id)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(stmt.name)
-    return "delivered" in names and "arrival_time" in names
-
-
 def build_index(trees: Dict[str, ast.Module]) -> ProjectIndex:
     """Pass 1: index every module in ``trees`` (path -> parsed AST)."""
     index = ProjectIndex()
@@ -236,8 +222,6 @@ def _index_module(index: ProjectIndex, path: str, tree: ast.Module) -> None:
                         and not stmt.name.startswith("__"):
                     _insert_method(index,
                                    _func_schema(stmt, path, is_method=True))
-            if _looks_like_record(node):
-                index.record_classes.add(node.name)
             _collect_set_attributes(index, node)
 
     # Module-level functions only (methods were handled above).

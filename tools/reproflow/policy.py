@@ -12,8 +12,6 @@ entry covers gets every rule, so a new package needs no registration.
     * DET001/DET002 — tests legitimately build throwaway seeded RNGs and
       measure wall-clock time (e.g. performance smoke tests).
     * DET003 — test helpers freely schedule from literal collections.
-    * LIF003 — tests assert on ``delay``/``arrival_time`` of packets
-      they *know* were delivered (they arranged the loss pattern).
     * FLO003 — the paired identical-realization methodology *is* seed
       reuse: determinism tests run the same seed twice and assert
       byte-identical digests.  PUR and the other FLO rules still apply
@@ -66,6 +64,6 @@ class PathPolicy:
 
 
 DEFAULT_POLICY = PathPolicy((
-    ("tests/", ("DET001", "DET002", "DET003", "LIF003", "FLO003")),
+    ("tests/", ("DET001", "DET002", "DET003", "FLO003")),
     ("tools/", ("DET002", "DET003")),
 ))

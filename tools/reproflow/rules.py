@@ -1,4 +1,4 @@
-"""Pass 2: the semantic rule families, and the table of every rule id.
+"""Pass 2: the UNT unit family, and the table of every rule id.
 
 Every rule runs per-file but reasons with the whole-project
 :class:`~reproflow.index.ProjectIndex` in hand, so a ``_ms`` expression
@@ -20,29 +20,19 @@ UNT002      unit-mismatched-argument      a unit-suffixed expression passed to a
 UNT003      unit-mismatched-assignment    assigning a known ``_ms`` quantity to a
                                           ``_s``-suffixed name (or any other
                                           cross-unit binding)
-LIF003      unguarded-delay-read          ``record.delay`` / ``.arrival_time``
-                                          read without a ``delivered`` guard or
-                                          NaN check — NaN propagates into
-                                          quality scores
 ==========  ============================  ========================================
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from reproflow.index import ClassSchema, FuncSchema, ProjectIndex
 from reproflow.units import UnitInferrer, unit_of_identifier
 
 RawFinding = Tuple[int, int, str, str]   # (lineno, col, rule, message)
-
-#: calls that acknowledge NaN explicitly (count as a delay guard)
-_NAN_GUARDS = frozenset({
-    "isnan", "isfinite", "nan_to_num", "nanmean", "nanmedian", "nanmax",
-    "nanmin", "notna", "isfinite_mask",
-})
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                 ast.ClassDef)
@@ -88,23 +78,19 @@ class _Scope:
     """One analysis scope: the module body or one function body."""
 
     body: Sequence[ast.stmt]
-    is_nested: bool = False
     node: Optional[ast.AST] = None
 
 
 def _collect_scopes(tree: ast.Module) -> List[_Scope]:
     scopes = [_Scope(body=tree.body)]
 
-    def visit(node: ast.AST, nested: bool) -> None:
+    def visit(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(_Scope(body=child.body, is_nested=nested,
-                                     node=child))
-                visit(child, True)
-            else:
-                visit(child, nested)
+                scopes.append(_Scope(body=child.body, node=child))
+            visit(child)
 
-    visit(tree, False)
+    visit(tree)
     return scopes
 
 
@@ -131,8 +117,6 @@ class ScopeAnalyzer:
                         self._aliased.add(alias.asname)
         for scope in _collect_scopes(tree):
             self._analyze_scope(scope)
-            if scope.node is not None and not scope.is_nested:
-                self._check_lif003(scope)
         seen: Set[RawFinding] = set()
         unique = [f for f in self.findings
                   if not (f in seen or seen.add(f))]
@@ -291,66 +275,6 @@ class ScopeAnalyzer:
                        f"'{arg_unit}' expression passed to {where} "
                        f"which expects '{param_unit}'")
 
-    # -- LIF003: unguarded delay reads ---------------------------------
-
-    def _check_lif003(self, scope: _Scope) -> None:
-        func = scope.node
-        assert func is not None
-        record_vars: Set[str] = set()
-        guarded: Set[str] = set()
-        reads: List[Tuple[str, ast.Attribute]] = []
-        #: local name -> record var it was derived from (``d = r.delay``)
-        derived: Dict[str, str] = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and isinstance(node.value, ast.Call):
-                callee = _last_segment(node.value.func)
-                if callee == "transmit" \
-                        or callee in self.index.record_classes:
-                    record_vars.add(node.targets[0].id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)) \
-                    and isinstance(node.target, ast.Name) \
-                    and isinstance(node.iter, ast.Call) \
-                    and _last_segment(node.iter.func) == "records":
-                record_vars.add(node.target.id)
-        if not record_vars:
-            return
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and isinstance(node.value, ast.Attribute) \
-                    and isinstance(node.value.value, ast.Name) \
-                    and node.value.value.id in record_vars \
-                    and node.value.attr in ("delay", "arrival_time"):
-                derived[node.targets[0].id] = node.value.value.id
-        for node in ast.walk(func):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id in record_vars:
-                if node.attr == "delivered":
-                    guarded.add(node.value.id)
-                elif node.attr in ("delay", "arrival_time") \
-                        and isinstance(node.ctx, ast.Load):
-                    reads.append((node.value.id, node))
-            elif isinstance(node, ast.Call) \
-                    and _last_segment(node.func) in _NAN_GUARDS:
-                # A NaN check on the record itself, or on a local the
-                # read was stored into, both acknowledge the loss case.
-                for arg in ast.walk(node):
-                    if isinstance(arg, ast.Name):
-                        if arg.id in record_vars:
-                            guarded.add(arg.id)
-                        elif arg.id in derived:
-                            guarded.add(derived[arg.id])
-        for name, node in reads:
-            if name not in guarded:
-                self._emit(node, "LIF003",
-                           f"'{name}.{node.attr}' read without a "
-                           f"'{name}.delivered' guard or NaN check; a "
-                           "lost packet makes this NaN and it propagates "
-                           "into downstream aggregates")
-
 
 def _scope_params(scope: _Scope) -> Set[str]:
     node = scope.node
@@ -391,9 +315,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "UNT003": ("unit-mismatched-assignment",
                "Known-unit value bound to a name suffixed with a "
                "different unit."),
-    "LIF003": ("unguarded-delay-read",
-               "DeliveryRecord delay/arrival_time read without a "
-               "delivered guard or NaN check."),
     # pass 3 (interprocedural dataflow — reproflow.dataflow)
     "FLO001": ("stream-aliased",
                "One RandomRouter stream handed to two components (or "

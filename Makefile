@@ -32,7 +32,7 @@ typecheck:
 	fi
 
 # Run the simulator test files with the runtime invariant sanitizer on:
-# heap-order assertions, stream-ownership checks, determinism digests.
+# causality assertions, stream-ownership checks, determinism digests.
 sanitize-test:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sim_engine.py \
 		tests/test_sim_random.py tests/test_client_controller.py \
@@ -42,7 +42,8 @@ sanitize-test:
 		tests/test_channel_link.py tests/test_wifi_phy_mac.py \
 		tests/test_channel_gilbert.py tests/test_wifi_ap.py \
 		tests/test_wifi_wmm_beacon.py tests/test_net.py \
-		tests/test_controlplane.py -q
+		tests/test_controlplane.py tests/test_traffic.py \
+		tests/test_extensions.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

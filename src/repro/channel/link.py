@@ -147,8 +147,8 @@ class WifiLink:
 
     def distance_m(self, time: float) -> float:
         """Current AP–client distance."""
-        return self._mobility.position_at(self._clock(time)).distance_to(
-            self.config.ap_position)
+        return self._mobility.distance_at(self._clock(time),
+                                          self.config.ap_position)
 
     def rssi_dbm(self, time: float) -> float:
         """What the OS sees — drives the ``stronger`` selection policy."""

@@ -35,6 +35,10 @@ class StaticPosition:
     def position_at(self, time: float) -> Position:
         return self._position
 
+    def distance_at(self, time: float, point: Position) -> float:
+        """Distance from the client to ``point`` at ``time``."""
+        return self._position.distance_to(point)
+
     @property
     def is_moving(self) -> bool:
         return False
@@ -84,20 +88,31 @@ class RandomWaypointMobility:
         interleaved times) are clamped to the walk's current time — the
         skew is milliseconds against legs lasting tens of seconds.
         """
+        return Position(*self._coords_at(time))
+
+    def distance_at(self, time: float, point: Position) -> float:
+        """Distance from the client to ``point`` at ``time``: the float
+        ``position_at(time).distance_to(point)`` returns, without building
+        a :class:`Position` (a link asks once per MAC attempt)."""
+        x, y = self._coords_at(time)
+        return float(np.hypot(x - point.x, y - point.y))
+
+    def _coords_at(self, time: float) -> Tuple[float, float]:
         time = max(time, self._time)
         while time >= self._pause_until:
             self._position = self._target
             self._time = self._pause_until
             self._begin_leg()
         self._time = max(self._time, time)
+        target = self._target
         if time >= self._leg_end:
-            return self._target
+            return target.x, target.y
+        origin = self._leg_origin
         frac = ((time - self._leg_start)
                 / max(self._leg_end - self._leg_start, 1e-12))
         frac = min(max(frac, 0.0), 1.0)
-        return Position(
-            self._leg_origin.x + frac * (self._target.x - self._leg_origin.x),
-            self._leg_origin.y + frac * (self._target.y - self._leg_origin.y))
+        return (origin.x + frac * (target.x - origin.x),
+                origin.y + frac * (target.y - origin.y))
 
 
 #: the Section 6 office: APs at diagonal ends of a 30 m x 15 m floor

@@ -24,7 +24,7 @@ secondary AP, and a **stop** on departure (Section 5.3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.core.types import ReplicaBuffer
 from repro.obs.registry import LabelValue
 from repro.obs.runtime import active_registry
 from repro.obs.spans import Span, SpanTracker
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.tracing import EventLog
 from repro.wifi.association import WifiManager
 
@@ -109,7 +109,7 @@ class DiversiFiClient:
         self._loss_declared_at: Dict[int, float] = {}
         self._on_secondary = False
         self._visit_planned = False
-        self._return_event: Optional[Event] = None
+        self._return_event: Optional[List[Any]] = None
         self._last_secondary_visit = sim.now
         self._started = False
 
@@ -280,7 +280,7 @@ class DiversiFiClient:
             return
         self._on_secondary = False
         if self._return_event is not None:
-            self._return_event.cancel()
+            self.sim.cancel(self._return_event)
             self._return_event = None
         if self.middlebox is not None:
             self.middlebox.stop(self.flow_id)

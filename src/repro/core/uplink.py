@@ -140,7 +140,7 @@ class UplinkDiversiFiClient:
         self.stats.switches += 1
         started = self.sim.now
         if self._return_event is not None:
-            self._return_event.cancel()
+            self.sim.cancel(self._return_event)
             self._return_event = None
 
         def done():

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import MiddleboxConfig
 from repro.core.packet import Packet
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 #: base processing + LAN forwarding latency (Table 3: ~2 ms network,
 #: ~0.9 ms queuing at the middlebox)
@@ -67,7 +67,7 @@ class _FlowBuffer:
         self.queue: Deque[Packet] = deque()
         self.streaming = False
         #: forwards scheduled but not yet delivered, in delivery order
-        self.pending: Deque[Tuple[Event, Packet]] = deque()
+        self.pending: Deque[Tuple[List[Any], Packet]] = deque()
         #: absolute sim time of the last scheduled pending forward
         self.tail_time = 0.0
 
@@ -165,7 +165,7 @@ class Middlebox:
             # (the buffer is only fed while not streaming), so they go
             # back at the head, in their original order.
             for event, packet in reversed(flow.pending):
-                event.cancel()
+                self.sim.cancel(event)
                 flow.queue.appendleft(packet)
                 self.stats.rebuffered += 1
             flow.pending.clear()

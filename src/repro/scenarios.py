@@ -87,7 +87,7 @@ def _gilbert(rng: np.random.Generator,
 
 
 #: Mobility models accepted by :class:`WifiLink` (duck-typed:
-#: ``position_at(time)`` + ``is_moving``).
+#: ``position_at(time)``, ``distance_at(time, point)`` + ``is_moving``).
 MobilityModel = Union[StaticPosition, RandomWaypointMobility]
 
 

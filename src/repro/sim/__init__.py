@@ -4,7 +4,8 @@ Everything in the DiversiFi reproduction runs on this engine: channels,
 MAC/AP behaviour, the single-NIC client, middleboxes, and traffic sources.
 The engine is deliberately small — an event heap with a simulated clock and
 deterministic tie-breaking — plus named, reproducible random streams.
-Components schedule plain callbacks with ``call_at`` / ``call_in``.
+Components schedule plain callbacks with ``call_at`` / ``call_in`` and
+cancel them with ``cancel(handle)``.
 
 Public API::
 
@@ -15,7 +16,7 @@ Public API::
     sim.run(until=10.0)
 """
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.random import RandomRouter
 from repro.sim.sanitize import (
     DeterminismDigest,
@@ -27,7 +28,6 @@ from repro.sim.sanitize import (
 
 __all__ = [
     "DeterminismDigest",
-    "Event",
     "HeapOrderError",
     "RandomRouter",
     "SanitizerError",

@@ -7,10 +7,12 @@ which keeps every run bit-for-bit deterministic — a property the whole
 evaluation relies on for paired strategy comparisons.
 
 Times are floats in **seconds**.  The engine enforces causality: an event may
-never be scheduled in the past.
+never be scheduled in the past.  A scheduled event is one
+``[time, seq, callback, args]`` list, both the heap entry and the handle
+that :meth:`Simulator.cancel` takes.
 
 With ``REPRO_SANITIZE=1`` in the environment the engine additionally
-asserts heap order on every pop and maintains a determinism digest of the
+asserts causality on every pop and maintains a determinism digest of the
 executed event sequence (see :mod:`repro.sim.sanitize`).
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.sim.sanitize import (
     DeterminismDigest,
@@ -33,58 +35,32 @@ class SimulationError(RuntimeError):
     """Raised for engine misuse (scheduling in the past, running twice...)."""
 
 
-class Event:
-    """A handle for a scheduled callback.
-
-    Returned by :meth:`Simulator.call_at` / :meth:`Simulator.call_in`; the
-    holder may :meth:`cancel` it before it fires.  Cancellation is O(1): the
-    event is flagged and skipped when popped.
-
-    The queue orders events by the ``(time, seq)`` key captured when they
-    were scheduled, not by this object, so ``time`` is read-only in
-    effect: changing it afterwards does not move the event.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
-
-
 class Simulator:
     """An event-driven simulator with a float clock (seconds).
 
     Usage::
 
         sim = Simulator()
-        sim.call_in(0.02, handler, packet)
+        handle = sim.call_in(0.02, handler, packet)
+        sim.cancel(handle)          # optional, before it fires
         sim.run(until=120.0)
 
-    The queue is a binary heap of ``(time, seq, event)`` tuples, so every
-    heap comparison runs in C; ``seq`` is unique, so the event itself is
-    never compared.  Cancelled events stay in the heap until they reach
-    its head.  :attr:`peak_queue_depth` is the heap's high-water mark with
-    those cancelled-but-unpopped entries included; it is exported as the
-    ``sim.peak_queue_depth`` metric, which the benchmark's golden digests
-    cover, so compacting the heap would change recorded outputs.
+    The queue is a binary heap of ``[time, seq, callback, args]`` lists,
+    and the list that :meth:`call_at` pushes is the handle it returns:
+    there is no separate event object.  Every heap comparison runs in C
+    on ``(time, seq)``; ``seq`` is unique, so the callback is never
+    compared.  Treat a handle as opaque: :meth:`cancel` blanks its
+    callback slot, and writing to any other slot corrupts the heap.
+    Cancelled entries stay in the heap until they reach its head.
+    :attr:`peak_queue_depth` is the heap's high-water mark with those
+    cancelled-but-unpopped entries included; it is exported as the
+    ``sim.peak_queue_depth`` metric, which the benchmark's golden
+    digests cover, so compacting the heap would change recorded outputs.
     """
 
     def __init__(self):
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[List[Any]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -113,29 +89,39 @@ class Simulator:
         return self._now
 
     def call_at(self, time: float, callback: Callable[..., Any],
-                *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+                *args: Any) -> List[Any]:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        Returns the handle to pass to :meth:`cancel`.
+        """
         now = self._now
         if now > time:
             if time < now - 1e-12:
                 raise SimulationError(
                     f"cannot schedule event at t={time:.9f} < now={now:.9f}")
             time = now   # within rounding of now: clamp
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
+        entry = [time, next(self._seq), callback, args]
         queue = self._queue
-        heappush(queue, (time, seq, event))
+        heappush(queue, entry)
         depth = len(queue)
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
-        return event
+        return entry
 
     def call_in(self, delay: float, callback: Callable[..., Any],
-                *args: Any) -> Event:
+                *args: Any) -> List[Any]:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.call_at(self._now + delay, callback, *args)
+
+    def cancel(self, handle: List[Any]) -> None:
+        """Prevent a scheduled event from firing.
+
+        O(1): the entry stays in the heap and is skipped when popped.
+        Cancelling twice, or after the event fired, changes nothing.
+        """
+        handle[2] = None
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
@@ -145,7 +131,7 @@ class Simulator:
     def peek(self) -> Optional[float]:  # reproflow: disable=RCH602
         """Time of the next pending (non-cancelled) event, or ``None``."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:
             heappop(queue)
         return queue[0][0] if queue else None
 
@@ -153,13 +139,13 @@ class Simulator:
         """Execute the single next event.  Returns False if queue is empty."""
         queue = self._queue
         while queue:
-            time, seq, event = heappop(queue)
-            if event.cancelled:
+            time, seq, callback, args = heappop(queue)
+            if callback is None:
                 continue
             if self._digest is not None:
-                self._check_popped(self._digest, time, seq, event)
+                self._check_popped(self._digest, time, seq, callback)
             self._now = time
-            event.callback(*event.args)
+            callback(*args)
             self.events_executed += 1
             return True
         return False
@@ -176,15 +162,17 @@ class Simulator:
         self._running = True
         self._stopped = False
         # The same loop as peek() + step(), inlined: each heap head is
-        # inspected and popped once.
+        # inspected and popped once, and the executed count is added to
+        # events_executed once, on the way out.
         queue = self._queue
         digest = self._digest
         pop = heappop
         horizon = _INF if until is None else until
+        executed = 0
         try:
             while queue and not self._stopped:
-                time, seq, event = queue[0]
-                if event.cancelled:
+                time, seq, callback, args = queue[0]
+                if callback is None:
                     pop(queue)
                     continue
                 if time > horizon:
@@ -192,33 +180,27 @@ class Simulator:
                     break
                 pop(queue)
                 if digest is not None:
-                    self._check_popped(digest, time, seq, event)
+                    self._check_popped(digest, time, seq, callback)
                 self._now = time
-                event.callback(*event.args)
-                self.events_executed += 1
+                callback(*args)
+                executed += 1
             if until is not None and self._now < until and not queue:
                 self._now = until
         finally:
+            self.events_executed += executed
             self._running = False
         return self._now
 
     def _check_popped(self, digest: DeterminismDigest, time: float,
-                      seq: int, event: Event) -> None:
-        """Sanitizer: assert causality and key integrity of a popped
-        event, then fold it into the determinism digest."""
-        if event.time < self._now - 1e-12:
+                      seq: int, callback: Callable[..., Any]) -> None:
+        """Sanitizer: assert causality of a popped event, then fold it
+        into the determinism digest."""
+        if time < self._now - 1e-12:
             raise HeapOrderError(
-                f"event queue yielded t={event.time:.9f} after the "
-                f"clock reached t={self._now:.9f}; an Event.time "
-                "was mutated after scheduling or the heap was "
-                "corrupted")
-        # Exact on purpose: the key is a copy of Event.time, not a result.
-        if event.time != time:
-            raise HeapOrderError(
-                f"event scheduled for t={time:.9f} now reads "
-                f"t={event.time:.9f}; an Event.time was mutated after "
-                "scheduling, so it would fire at its old time")
-        digest.update(time, seq, event.callback)
+                f"event queue yielded t={time:.9f} after the clock "
+                f"reached t={self._now:.9f}; a handle's time slot was "
+                "written after scheduling or the heap was corrupted")
+        digest.update(time, seq, callback)
 
     def record_metrics(self, registry: Any, **labels: Any) -> None:
         """Flush engine telemetry into a ``MetricsRegistry``.

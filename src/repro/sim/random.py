@@ -11,8 +11,9 @@ Streams are ``numpy.random.Generator`` instances seeded by hashing the root
 seed with the stream name through ``numpy.random.SeedSequence``.
 
 A stream with a single consumer that makes many scalar draws (a link's MAC
-or fading process) can be wrapped in :class:`BufferedDraws`, which serves
-the same values from prefetched blocks at a fraction of the per-call cost.
+or fading process, the TCP loss coin, a LAN segment's jitter) can be
+wrapped in :class:`BufferedDraws`, which serves the same values from
+prefetched blocks at a fraction of the per-call cost.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ The static analysis (``tools/reproflow``) catches determinism hazards it
 can see in the source; this module catches the ones only visible at run
 time.  With ``REPRO_SANITIZE=1`` in the environment:
 
-* :class:`repro.sim.engine.Simulator` asserts causality and key
-  integrity (``Event.time`` still equal to its heap key) on every
-  popped event and folds the executed event sequence into a
-  :class:`DeterminismDigest` — two runs of the same scenario and seed must
-  produce identical digests, and a digest mismatch pinpoints the first
-  divergent run.
+* :class:`repro.sim.engine.Simulator` asserts causality (no popped
+  event earlier than the clock, which a heap entry's time slot written
+  after scheduling would cause) and folds the executed event sequence
+  into a :class:`DeterminismDigest` — two runs of the same scenario and
+  seed must produce identical digests, and a digest mismatch pinpoints
+  the first divergent run.
 * :class:`repro.sim.random.RandomRouter` records the call site that first
   requested each stream name and raises :class:`StreamSharingError` when a
   *different* call site requests the same name — two components sharing
@@ -40,7 +40,7 @@ class StreamSharingError(SanitizerError):
 
 
 class HeapOrderError(SanitizerError):
-    """A popped event is out of time order or moved off its heap key."""
+    """A popped event is earlier than the simulation clock."""
 
 
 class DeterminismDigest:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.sim.random import BufferedDraws
 
 #: bottleneck rate of the DEF link as the iperf flow sees it
 CAPACITY_BPS = 4.6e6
@@ -31,6 +32,8 @@ MSS_BYTES = 1460
 #: tail-drop bottleneck queue at the AP, in segments
 QUEUE_LIMIT = 64
 RTO_S = 0.200
+#: time one segment takes through the bottleneck
+SERVICE_S = MSS_BYTES * 8.0 / CAPACITY_BPS
 
 
 @dataclass
@@ -58,17 +61,26 @@ class TcpStats:
 
 
 class TcpReno:
-    """A greedy Reno sender over the client's DEF WiFi link."""
+    """A greedy Reno sender over the client's DEF WiFi link.
+
+    ``wireless_loss_prob`` is a probability or a callable returning the
+    probability at the current time; ``rng`` must be the sender's own
+    stream, because its loss coin is drawn from prefetched blocks.
+    """
 
     def __init__(self, sim: Simulator, rng: np.random.Generator,
                  duration_s: float = 120.0,
                  radio_present=lambda: True,
                  wireless_loss_prob=0.002):
         self.sim = sim
-        self._rng = rng
+        self._draws = BufferedDraws(rng)
         self.duration_s = duration_s
         self.radio_present = radio_present
-        self.wireless_loss_prob = wireless_loss_prob
+        if callable(wireless_loss_prob):
+            self._loss_prob = wireless_loss_prob
+        else:
+            loss_prob = float(wireless_loss_prob)
+            self._loss_prob = lambda: loss_prob
         self.stats = TcpStats(duration_s=duration_s)
 
         self._cwnd = 2.0            # segments
@@ -79,7 +91,6 @@ class TcpReno:
         self._queue: deque = deque()
         self._serving = False
         self._end_time = 0.0
-        self._last_ack_time = 0.0
         self._rto_event = None
         self._started = False
         self._in_recovery_until = -1
@@ -109,13 +120,16 @@ class TcpReno:
         """Queue new segments while the window allows."""
         if self.sim.now >= self._end_time:
             return
-        while (self._in_flight() < int(self._cwnd)
-               and len(self._queue) < QUEUE_LIMIT):
-            self._queue.append(self._next_seq)
-            self._next_seq += 1
-            self.stats.segments_sent += 1
-        if (self._in_flight() < int(self._cwnd)
-                and len(self._queue) >= QUEUE_LIMIT):
+        window = int(self._cwnd)
+        snd_una = self._snd_una
+        queue = self._queue
+        first = next_seq = self._next_seq
+        while next_seq - snd_una < window and len(queue) < QUEUE_LIMIT:
+            queue.append(next_seq)
+            next_seq += 1
+        self._next_seq = next_seq
+        self.stats.segments_sent += next_seq - first
+        if next_seq - snd_una < window and len(queue) >= QUEUE_LIMIT:
             # Window wants more than the queue can hold: tail drop.  The
             # sender notices via dup-acks later; model by capping.
             self.stats.queue_drops += 1
@@ -126,38 +140,38 @@ class TcpReno:
             self._serving = True
             self.sim.call_in(0.0, self._serve)
 
+    # The per-segment timers below use call_at(now + delay), the time
+    # call_in(delay) would compute, without call_in's extra frame.
+
     def _serve(self) -> None:
         if not self._queue:
             self._serving = False
             return
-        if self.sim.now >= self._end_time:
+        sim = self.sim
+        now = sim.now
+        if now >= self._end_time:
             self._serving = False
             return
         if not self.radio_present():
             # Client off-channel: the AP holds the frame; poll again soon.
-            self.sim.call_in(0.001, self._serve)
+            sim.call_in(0.001, self._serve)
             return
         seq = self._queue.popleft()
-        service_s = MSS_BYTES * 8.0 / CAPACITY_BPS
-        self.sim.call_in(service_s, self._delivered, seq)
-        self.sim.call_in(service_s, self._serve)
-
-    def _loss_prob_now(self) -> float:
-        if callable(self.wireless_loss_prob):
-            return float(self.wireless_loss_prob())
-        return float(self.wireless_loss_prob)
+        served = now + SERVICE_S
+        sim.call_at(served, self._delivered, seq)
+        sim.call_at(served, self._serve)
 
     def _delivered(self, seq: int) -> None:
-        if self._rng.random() < self._loss_prob_now():
+        if self._draws.random() < self._loss_prob():
             self.stats.wireless_drops += 1
             return  # receiver never sees it; dup-acks will follow
-        self.sim.call_in(BASE_RTT_S / 2.0, self._ack_arrives, seq)
+        sim = self.sim
+        sim.call_at(sim.now + BASE_RTT_S / 2.0, self._ack_arrives, seq)
 
     # ------------------------------------------------------------------
     # ACK processing
 
     def _ack_arrives(self, seq: int) -> None:
-        self._last_ack_time = self.sim.now
         if seq < self._snd_una:
             return  # stale
         if seq == self._snd_una:
@@ -197,11 +211,13 @@ class TcpReno:
         self._pump()
 
     def _arm_rto(self) -> None:
+        sim = self.sim
         if self._rto_event is not None:
-            self._rto_event.cancel()
-        if self.sim.now >= self._end_time:
+            sim.cancel(self._rto_event)
+        now = sim.now
+        if now >= self._end_time:
             return
-        self._rto_event = self.sim.call_in(RTO_S, self._rto_fired)
+        self._rto_event = sim.call_at(now + RTO_S, self._rto_fired)
 
     def _rto_fired(self) -> None:
         if self.sim.now >= self._end_time:

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import MiddleboxConfig
 from repro.core.packet import Packet
-from repro.net.lan import LanSegment
+from repro.net.lan import BASE_DELAY_S, JITTER_S, LanSegment
 from repro.net.middlebox import Middlebox
 from repro.net.sdn import FlowMatch, MatchAction, SdnSwitch
 from repro.sim import RandomRouter, Simulator
+from repro.sim.random import DRAW_BLOCK
 
 
 def rng(name="net", seed=0):
@@ -39,6 +40,27 @@ def test_lan_preserves_order():
         sim.call_at(0.001 * i, lan.send, packet(i))
     sim.run()
     assert got == [0, 1, 2, 3, 4]
+
+
+def test_lan_jitter_equals_generator_uniform_draws():
+    """The buffered jitter is, float for float, what
+    ``Generator.uniform(0.0, JITTER_S)`` draws from the same stream, and
+    nothing else draws from that stream."""
+    n = 10_000
+    sim = Simulator()
+    got = {}
+    stream = rng("lan-p.jitter", seed=6)
+    lan = LanSegment(sim, lambda p: got.__setitem__(p.seq, sim.now), stream)
+    for i in range(n):
+        lan.send(packet(i))          # sent at t=0, so arrival == delay
+    sim.run()
+    twin = rng("lan-p.jitter", seed=6)
+    want = [BASE_DELAY_S + float(twin.uniform(0.0, JITTER_S))
+            for _ in range(n)]
+    assert [got[i] for i in range(n)] == want
+    # The stream advanced by whole prefetched blocks, no word more.
+    twin.bit_generator.random_raw(-n % DRAW_BLOCK)
+    assert stream.bit_generator.state == twin.bit_generator.state
 
 
 # --------------------------------------------------------------------- SDN

@@ -78,19 +78,56 @@ def test_negative_delay_raises():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.call_at(1.0, fired.append, "nope")
-    event.cancel()
+    handle = sim.call_at(1.0, fired.append, "nope")
+    sim.cancel(handle)
     sim.run()
     assert fired == []
 
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    event = sim.call_at(1.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    handle = sim.call_at(1.0, lambda: None)
+    sim.cancel(handle)
+    sim.cancel(handle)
     sim.run()
     assert sim.events_executed == 0
+
+
+def test_cancel_after_firing_or_twice_changes_nothing():
+    sim = Simulator()
+    fired = []
+    early = sim.call_at(1.0, fired.append, "early")
+    late = sim.call_at(2.0, fired.append, "late")
+    sim.run(until=1.5)
+    assert fired == ["early"]
+    sim.cancel(early)                  # already fired
+    sim.cancel(early)
+    assert sim.peek() == 2.0
+    sim.run()
+    assert fired == ["early", "late"]
+    sim.cancel(late)                   # fired, and the queue is empty
+    assert sim.events_executed == 2
+    assert sim.step() is False
+
+
+def test_cancelled_entry_counts_in_peak_depth_until_popped():
+    sim = Simulator()
+    sim.call_at(1.0, lambda: None)
+    sim.cancel(sim.call_at(2.0, lambda: None))
+    assert sim.peak_queue_depth == 2
+    sim.step()                         # fires t=1; the cancelled t=2 stays
+    sim.call_at(3.0, lambda: None)
+    sim.call_at(4.0, lambda: None)
+    assert sim.peak_queue_depth == 3   # cancelled t=2, t=3 and t=4
+    sim.step()                         # pops t=2 unfired, fires t=3
+    assert sim.now == 3.0
+    sim.call_at(5.0, lambda: None)
+    sim.call_at(6.0, lambda: None)
+    assert sim.peak_queue_depth == 3   # t=4, 5 and 6: t=2 is gone
+    sim.call_at(7.0, lambda: None)
+    assert sim.peak_queue_depth == 4
+    sim.run()
+    assert sim.events_executed == 6
 
 
 def test_run_until_horizon_stops_clock():
@@ -160,9 +197,9 @@ def test_step_executes_one_event():
 
 def test_peek_skips_cancelled():
     sim = Simulator()
-    event = sim.call_at(1.0, lambda: None)
+    handle = sim.call_at(1.0, lambda: None)
     sim.call_at(2.0, lambda: None)
-    event.cancel()
+    sim.cancel(handle)
     assert sim.peek() == 2.0
 
 
@@ -245,57 +282,20 @@ def test_mutated_event_time_caught_by_sanitizer(monkeypatch):
     sim = Simulator()
     sim.call_at(5.0, lambda: None)
     rogue = sim.call_at(10.0, lambda: None)
-    # Corrupting a scheduled event's time violates heap order; the
+    # Corrupting a scheduled entry's time slot violates heap order; the
     # sanitizer catches it at pop time instead of silently time-travelling.
-    rogue.time = 1.0
+    rogue[0] = 1.0
     with pytest.raises(HeapOrderError):
         sim.run()
 
 
-def test_mutated_event_time_later_caught_by_sanitizer(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    for drive in (Simulator.run, Simulator.step):
-        sim = Simulator()
-        sim.call_at(5.0, lambda: None)
-        rogue = sim.call_at(1.0, lambda: None)
-        # Moving an event *later* keeps the pop order monotonic, so only
-        # the check of Event.time against its heap key can see it.
-        rogue.time = 20.0
-        with pytest.raises(HeapOrderError):
-            drive(sim)
-
-
-def test_mutated_event_time_unnoticed_without_sanitizer(monkeypatch):
-    """Documents the hazard the sanitizer exists for: without it the
-    corrupted run completes, each event firing at the time it was
-    scheduled for, whatever its ``time`` now reads."""
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    sim = Simulator()
-    order = []
-    sim.call_at(5.0, order.append, "a")
-    rogue = sim.call_at(10.0, order.append, "b")
-    rogue.time = 1.0
-    sim.run()
-    assert order == ["a", "b"]   # executed despite reading t=1.0 < 5.0
-
-
 # ------------------------------------------- equivalence with a reference model
 
-class _RefEvent:
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time, seq, callback):
-        self.time, self.seq, self.callback = time, seq, callback
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
 class _ReferenceSimulator:
-    """The engine's contract written out plainly: a list kept sorted by
-    ``(time, seq)``, cancelled entries dropped only when they reach the
-    head, and the depth high-water mark counting them."""
+    """The engine's contract written out plainly: a list of
+    ``[time, seq, callback]`` handles kept sorted by ``(time, seq)``, a
+    cancelled handle's callback blanked and the handle dropped only when
+    it reaches the head, and the depth high-water mark counting it."""
 
     def __init__(self):
         self.now = 0.0
@@ -308,30 +308,33 @@ class _ReferenceSimulator:
     def call_at(self, time, callback):
         if time < self.now - 1e-12:
             raise SimulationError("past")
-        event = _RefEvent(max(time, self.now), self.seq, callback)
+        handle = [max(time, self.now), self.seq, callback]
         self.seq += 1
-        self.pending.append(event)
-        self.pending.sort(key=lambda e: (e.time, e.seq))
+        self.pending.append(handle)
+        self.pending.sort(key=lambda h: (h[0], h[1]))
         self.peak_queue_depth = max(self.peak_queue_depth,
                                     len(self.pending))
-        return event
+        return handle
+
+    def cancel(self, handle):
+        handle[2] = None
 
     def stop(self):
         self.stopped = True
 
     def _drop_cancelled_head(self):
-        while self.pending and self.pending[0].cancelled:
+        while self.pending and self.pending[0][2] is None:
             self.pending.pop(0)
 
     def _fire_head(self):
-        event = self.pending.pop(0)
-        self.now = event.time
-        event.callback()
+        time, _, callback = self.pending.pop(0)
+        self.now = time
+        callback()
         self.events_executed += 1
 
     def peek(self):
         self._drop_cancelled_head()
-        return self.pending[0].time if self.pending else None
+        return self.pending[0][0] if self.pending else None
 
     def step(self):
         self._drop_cancelled_head()
@@ -346,7 +349,7 @@ class _ReferenceSimulator:
             self._drop_cancelled_head()
             if not self.pending:
                 break
-            if until is not None and self.pending[0].time > until:
+            if until is not None and self.pending[0][0] > until:
                 self.now = until
                 break
             self._fire_head()
@@ -385,12 +388,12 @@ def _drive(sim, actions, program):
         if op[0] == "schedule":
             schedule(sim.now + op[1])
         elif op[0] == "cancel" and handles:
-            handles[op[1] % len(handles)].cancel()
+            sim.cancel(handles[op[1] % len(handles)])
         elif op[0] == "stop":
             sim.stop()
 
     def fire(k):
-        fired.append((k, sim.now, handles[k].cancelled))
+        fired.append((k, sim.now, handles[k][2] is None))
         for op in actions[k % len(actions)]:
             apply(op)
 
@@ -404,7 +407,7 @@ def _drive(sim, actions, program):
             results.append(sim.run(until=until))
         else:
             apply(op)
-    keys = [(handles[k].time, handles[k].seq) for k, _, _ in fired]
+    keys = [(handles[k][0], handles[k][1]) for k, _, _ in fired]
     return (fired, keys, results, sim.now, sim.events_executed,
             sim.peak_queue_depth)
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import G711_PROFILE, StreamProfile
 from repro.sim import RandomRouter, Simulator
+from repro.sim.random import DRAW_BLOCK
 from repro.traffic.tcp import TcpReno
 from repro.traffic.voip import VoipSender
 
@@ -106,6 +107,39 @@ def test_tcp_double_start_rejected():
     tcp.start()
     with pytest.raises(RuntimeError):
         tcp.start()
+
+
+class _CoinRecorder:
+    """A loss probability that records every coin compared against it
+    (``coin < p`` falls back to ``p > coin``) and never drops."""
+
+    def __init__(self):
+        self.coins = []
+
+    def __gt__(self, coin):
+        self.coins.append(coin)
+        return False
+
+
+def test_tcp_loss_coin_equals_generator_random_draws():
+    """The buffered loss coin is, float for float, what
+    ``Generator.random()`` draws from the same stream, and nothing else
+    draws from that stream."""
+    recorder = _CoinRecorder()
+    sim = Simulator()
+    stream = RandomRouter(5).stream("tcp")
+    tcp = TcpReno(sim, stream, duration_s=30.0,
+                  wireless_loss_prob=lambda: recorder)
+    tcp.start()
+    sim.run(until=31.0)
+    coins = recorder.coins
+    assert len(coins) >= 10_000
+    twin = RandomRouter(5).stream("tcp")
+    assert coins == [twin.random() for _ in coins]
+    assert tcp.stats.wireless_drops == 0
+    # The stream advanced by whole prefetched blocks, no word more.
+    twin.bit_generator.random_raw(-len(coins) % DRAW_BLOCK)
+    assert stream.bit_generator.state == twin.bit_generator.state
 
 
 def test_tcp_stats_throughput_zero_without_duration():

@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test lint typecheck sanitize-test test-output \
 	bench-pytest bench-smoke batch-smoke bench-full \
-	obs-smoke sdn-smoke population-smoke examples docs clean
+	obs-smoke population-smoke examples docs clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -42,8 +42,7 @@ sanitize-test:
 		tests/test_channel_link.py tests/test_wifi_phy_mac.py \
 		tests/test_channel_gilbert.py tests/test_wifi_ap.py \
 		tests/test_wifi_wmm_beacon.py tests/test_net.py \
-		tests/test_controlplane.py tests/test_traffic.py \
-		tests/test_extensions.py -q
+		tests/test_traffic.py tests/test_extensions.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
@@ -66,8 +65,6 @@ bench-pytest:
 #                     engine (repro.batch.sanity) before its digest counts
 #   obs-smoke         a session-mode figure (counters, gauges, histograms
 #                     and span durations merged in spec order)
-#   sdn-smoke         the QoE controller head-to-head (reroutes and
-#                     middlebox schedule are part of the digested payload)
 #   population-smoke  Tables 1 and 2 on the population studies: the
 #                     provider year (4 blocks x 2 passes) and NetTest,
 #                     the streaming-sketch merge
@@ -82,9 +79,6 @@ batch-smoke:
 
 obs-smoke:
 	$(SMOKE) fig8 --runs 3
-
-sdn-smoke:
-	$(SMOKE) controller --runs 4
 
 population-smoke:
 	$(SMOKE) table1 --runs 50000

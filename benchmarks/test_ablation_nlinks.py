@@ -10,7 +10,6 @@ selection and replication.
 """
 
 import numpy as np
-import pytest
 
 from conftest import scaled
 
@@ -94,44 +93,3 @@ def test_ablation_number_of_links(benchmark):
     # Handoff helps but replication with the same two links helps more.
     assert curve[2] < mbb + 0.2
 
-
-def test_controller_head_to_head(benchmark):
-    """DiversiFi hedging vs QoE rerouting vs RAIL-style replication.
-
-    The control-plane extension: the same 3-path topologies driven by
-    the three strategies of :mod:`repro.experiments.controlplane`.
-    Expected ordering — replication is the robustness ceiling (N x
-    bandwidth), hedging recovers most of that headroom near 1x by
-    opening the middlebox valve only under loss, pure QoE rerouting
-    trails because it reacts after the counters show damage.
-    """
-    from repro.experiments.controlplane import run_controller_sweep
-
-    n_runs = scaled(6, 24)
-
-    result = benchmark.pedantic(
-        lambda: run_controller_sweep(n_runs=n_runs, seed=5),
-        rounds=1, iterations=1)
-    print("")
-    print(result.render())
-
-    hedge = result.rows["hedge"]
-    route = result.rows["qoe-route"]
-    replicate = result.rows["replicate"]
-
-    # Robustness ordering with a statistical margin: replication <=
-    # hedging <= routing on worst-window loss.
-    assert replicate["worst_pct"] <= hedge["worst_pct"] + 0.3
-    assert hedge["worst_pct"] <= route["worst_pct"] + 0.3
-    # Bandwidth cost ordering is structural, not statistical: routing
-    # is 1x, replication is N x, hedging sits strictly between.
-    assert route["copies_per_packet"] == pytest.approx(1.0, abs=0.02)
-    assert replicate["copies_per_packet"] == pytest.approx(3.0, abs=0.02)
-    assert 1.0 <= hedge["copies_per_packet"] <= 2.0
-    # The valve actually works: hedging duplicates far less than
-    # always-on replication but does open under loss.
-    assert hedge["duplicates"] < 0.6 * replicate["duplicates"]
-    assert hedge["mbox_starts"] > 0
-    # Dynamic selection earns its reroutes; the hedge pair is static.
-    assert route["reroutes"] > 0
-    assert hedge["reroutes"] == 0

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import experiments
@@ -92,9 +93,6 @@ _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
     "nlinks": (lambda runs, seed: experiments.run_nlink_sweep(
         n_runs=runs, seed=seed), 10,
         "diversity vs number of links (extension)"),
-    "controller": (lambda runs, seed: experiments.run_controller_sweep(
-        n_runs=runs, seed=seed), 8,
-        "QoE control plane: hedge vs route vs replicate (extension)"),
     "fec": (lambda runs, seed: experiments.run_fec_comparison(
         n_runs=runs, seed=seed), 10,
         "FEC coding vs replication (extension)"),
@@ -248,6 +246,20 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
         return None
     if args.command == "all" and args.metrics_out is not None:
         return "--metrics-out applies to a single command, not 'all'"
+    # Checked before the run, but the file is opened only after it, so a
+    # failed run never truncates an old metrics file.
+    if args.metrics_out not in (None, "-"):
+        target = Path(args.metrics_out)
+        if target.is_dir():
+            return f"--metrics-out: {target} is a directory"
+        if not target.parent.is_dir():
+            return f"--metrics-out: no directory {target.parent}"
+    if args.cache_dir is not None:
+        cache_dir = Path(args.cache_dir)
+        existing = next(path for path in (cache_dir, *cache_dir.parents)
+                        if path.exists())
+        if not existing.is_dir():
+            return f"--cache-dir: {existing} is not a directory"
     if args.backend != "event" and args.command not in _BATCH_COMMANDS:
         return (f"--backend {args.backend} applies to "
                 f"{', '.join(sorted(_BATCH_COMMANDS))}, "

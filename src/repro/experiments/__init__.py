@@ -37,7 +37,6 @@ from repro.experiments.section6 import (
     run_section64_scalability,
     run_table3,
 )
-from repro.experiments.controlplane import run_controller_sweep
 from repro.experiments.extensions import (
     run_fec_comparison,
     run_gaming,
@@ -56,7 +55,6 @@ __all__ = [
     "run_figure4",
     "run_figure5",
     "run_figure6",
-    "run_controller_sweep",
     "run_fec_comparison",
     "run_gaming",
     "run_figure8",

@@ -52,7 +52,6 @@ class MiddleboxStats:
 
     buffered: int = 0
     buffer_drops: int = 0
-    forwarded: int = 0
     #: drained packets put back into the buffer by a mid-drain stop
     rebuffered: int = 0
     start_messages: int = 0
@@ -195,7 +194,6 @@ class Middlebox:
         self._forward(packet)
 
     def _forward(self, packet: Packet) -> None:
-        self.stats.forwarded += 1
         sink = self._sinks.get(packet.flow_id)
         if sink is not None:
             sink(packet)

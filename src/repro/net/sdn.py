@@ -43,9 +43,8 @@ class MatchAction:
 class SdnSwitch:
     """Ordered match-action forwarding with per-rule counters."""
 
-    def __init__(self, sim: Simulator, name: str = "sw0"):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.name = name
         self._ports: Dict[str, Callable[[Packet], None]] = {}
         self._rules: List[MatchAction] = []
         self.table_misses = 0
@@ -62,13 +61,6 @@ class SdnSwitch:
                 raise ValueError(f"rule outputs to unknown port {port!r}")
         self._rules.append(rule)
         self._rules.sort(key=lambda r: -r.priority)
-
-    def remove_rules_for(self, flow_id: str) -> int:
-        """Remove all rules matching exactly this flow id."""
-        before = len(self._rules)
-        self._rules = [r for r in self._rules
-                       if r.match.flow_id != flow_id]
-        return before - len(self._rules)
 
     def ingress(self, packet: Packet) -> None:
         """Process an arriving packet through the rule table.

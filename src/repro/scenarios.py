@@ -410,121 +410,3 @@ def scenario_counts(runs: Sequence[PairedRun]) -> Dict[str, int]:
     for run in runs:
         counts[run.scenario] = counts.get(run.scenario, 0) + 1
     return counts
-
-
-# --------------------------------------------------------------------------
-# Multipath scenarios (the control-plane evaluation's N-path topologies)
-# --------------------------------------------------------------------------
-
-#: The control-plane mix: mostly plain offices, with the two conditions
-#: that differentiate the strategies (shared-fate interference, mobility)
-#: well represented.
-MULTIPATH_MIX: Sequence[ScenarioSpec] = (
-    ScenarioSpec("mp_office", 0.5),
-    ScenarioSpec("mp_oven", 0.25),
-    ScenarioSpec("mp_walk", 0.25),
-)
-
-#: AP placements for the multipath scenarios: spread across a 40 m x 16 m
-#: floor so client position induces a real RSSI ordering.
-_MP_AP_POSITIONS: Tuple[Position, ...] = (
-    Position(2.0, 2.0),
-    Position(38.0, 2.0),
-    Position(2.0, 14.0),
-    Position(38.0, 14.0),
-)
-
-
-def _mp_gilbert(rng: np.random.Generator, frac_scale: float
-                ) -> GilbertParams:
-    """Distance-scaled bursty outages for one multipath AP.
-
-    ``frac_scale`` in [0, 1] grows with client-AP distance: far APs
-    spend a larger fraction of time in near-outage BAD states.
-    """
-    median_bad_frac = 0.008 * (1.0 + 5.0 * frac_scale)
-    bad_frac = float(np.exp(rng.normal(np.log(median_bad_frac), 0.9)))
-    bad_frac = min(bad_frac, 0.4)
-    mean_bad = float(rng.uniform(0.1, 0.2 + 1.0 * frac_scale))
-    mean_good = mean_bad * (1.0 - bad_frac) / max(bad_frac, 1e-4)
-    return GilbertParams(
-        mean_good_s=mean_good, mean_bad_s=mean_bad,
-        loss_good=float(rng.uniform(0.0, 0.003)),
-        loss_bad=float(rng.uniform(0.85, 1.0)))
-
-
-def build_multipath_links(name: str, rng_router: RandomRouter,
-                          n_paths: int = 3) -> List[WifiLink]:
-    """Instantiate the ``n_paths`` candidate links for one control-plane
-    run of scenario ``name``.
-
-    Links are returned in AP order (``mp0`` .. ``mp{n-1}``); the
-    topology builder preserves that order, and the controller ranks by
-    RSSI itself.  All randomness flows through named streams of
-    ``rng_router`` (``scenario.mp.params`` for the eager parameter draws,
-    per-link streams keyed by config name after that), so a run is
-    reproducible from its router alone.
-
-    * ``mp_office`` — static client at a random spot on the floor; each
-      AP's outage prevalence scales with its distance; light independent
-      contention everywhere.
-    * ``mp_oven`` — same office, but the first two APs are 2.4 GHz
-      neighbors of a microwave oven (shared fate); the rest are 5 GHz.
-    * ``mp_walk`` — a random-waypoint walk across the floor; whichever
-      AP the client rounds away from dies, so the best path keeps
-      changing.
-    """
-    if not 2 <= n_paths <= len(_MP_AP_POSITIONS):
-        raise ValueError(
-            f"n_paths must be in [2, {len(_MP_AP_POSITIONS)}]")
-    if name not in {spec.name for spec in MULTIPATH_MIX}:
-        raise ValueError(f"unknown multipath scenario {name!r}")
-    rng = rng_router.stream("scenario.mp.params")
-    phy = _phy(1)
-    pathloss = PathLossParams(exponent=3.3, shadowing_sigma_db=4.5)
-
-    mobility: MobilityModel
-    if name == "mp_walk":
-        mobility = RandomWaypointMobility(
-            rng_router.stream("scenario.mp.mobility"),
-            floor=(40.0, 16.0), speed_range=(0.6, 1.8), pause_s=3.0)
-        anchor = Position(20.0, 8.0)  # distance scaling uses the center
-    else:
-        client_pos = Position(float(rng.uniform(2.0, 38.0)),
-                              float(rng.uniform(2.0, 14.0)))
-        mobility = StaticPosition(client_pos)
-        anchor = client_pos
-
-    oven: Optional[MicrowaveOven] = None
-    if name == "mp_oven":
-        oven = MicrowaveOven(
-            rng_router.stream("scenario.mp.oven"),
-            episode_rate_hz=1.0 / float(rng.uniform(30.0, 90.0)),
-            episode_duration_s=float(rng.uniform(20.0, 60.0)),
-            duty_cycle=float(rng.uniform(0.5, 0.65)),
-            penalty_db=float(rng.uniform(25.0, 35.0)),
-            floor_penalty_db=float(rng.uniform(10.0, 18.0)))
-
-    links: List[WifiLink] = []
-    for i in range(n_paths):
-        ap_pos = _MP_AP_POSITIONS[i]
-        frac = min(anchor.distance_to(ap_pos) / 43.0, 1.0)
-        on_24ghz = name == "mp_oven" and i < 2
-        contention = CongestionProcess(
-            rng_router.stream(f"scenario.mp.congestion.{i}"),
-            mean_busy_s=float(rng.uniform(0.2, 0.6)),
-            mean_idle_s=float(rng.uniform(3.0, 8.0)),
-            busy_delay_s=float(rng.uniform(0.004, 0.012)),
-            collision_prob=float(rng.uniform(0.1, 0.3)))
-        config = LinkConfig(
-            name=f"mp{i}",
-            channel=(1 + 5 * i) if on_24ghz else 36 + 4 * i,
-            band="2.4GHz" if on_24ghz else "5GHz",
-            ap_position=ap_pos, pathloss=pathloss,
-            gilbert=_mp_gilbert(rng, frac),
-            phy=phy,
-            shadowing_update_s=0.5 if name == "mp_walk" else 1.0)
-        links.append(WifiLink(
-            config, rng_router, mobility=mobility,
-            interference=oven if on_24ghz else contention))
-    return links

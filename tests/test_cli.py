@@ -253,13 +253,37 @@ def test_sanitized_one_run_sweep(name, backend, monkeypatch):
     *(([name, "--seed", "-1"], "--seed")
       for name in ("table1", "table2", "table3", "fig1", "fig8", "fig9",
                    "sec63", "sec64", "uplink")),
+    # Regression: each of these ran the command (or started to) and then
+    # exited 1 with a FileNotFoundError, IsADirectoryError,
+    # FileExistsError or NotADirectoryError traceback.
+    (["fig3", "--metrics-out", "{tmp}/missing/m.json"], "--metrics-out"),
+    (["fig3", "--metrics-out", "{tmp}"], "--metrics-out"),
+    (["table3", "--cache-dir", "{tmp}/a_file"], "--cache-dir"),
+    (["table3", "--cache-dir", "{tmp}/a_file/sub"], "--cache-dir"),
 ])
 def test_runner_options_reject_out_of_range_values(argv, option, tmp_path,
                                                     capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli([arg.format(tmp=tmp_path) for arg in argv])
-    assert excinfo.value.code == 2
+    (tmp_path / "a_file").write_text("")
+    try:
+        code, output = run_cli([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:   # argparse rejects a malformed value
+        code, output = exc.code, ""
+    assert code == 2
+    assert output == ""
     assert option in capsys.readouterr().err
+
+
+def test_failed_run_leaves_old_metrics_file(tmp_path, monkeypatch):
+    metrics = tmp_path / "m.json"
+    metrics.write_text("old\n")
+
+    def runner(runs, seed):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setitem(_COMMANDS, "table3", (runner, 7, "stub"))
+    with pytest.raises(RuntimeError):
+        run_cli(["table3", "--metrics-out", str(metrics)])
+    assert metrics.read_text() == "old\n"
 
 
 def test_cache_max_bytes_requires_cache_dir(capsys):

@@ -15,8 +15,7 @@ from conftest import scaled
 
 from repro.analysis.windows import worst_window_loss
 from repro.channel.cellular import CellularLink
-from repro.core import strategies
-from repro.core.config import G711_PROFILE, StreamProfile
+from repro.core.config import StreamProfile
 from repro.core.fec import FecConfig, apply_fec, render_fec_run
 from repro.core.packet import merge_traces
 from repro.scenarios import build_scenario

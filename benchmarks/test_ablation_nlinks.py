@@ -19,7 +19,6 @@ from repro.channel.link import LinkConfig, WifiLink
 from repro.channel.mobility import Position, StaticPosition
 from repro.core.config import StreamProfile
 from repro.core.multilink import (
-    best_of,
     diversity_gain_curve,
     make_before_break,
     render_multilink_run,

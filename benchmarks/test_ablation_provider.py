@@ -9,8 +9,6 @@ The Table 1 pipeline must not owe its signs to modelling artifacts:
    stops differing from the full population.
 """
 
-import numpy as np
-
 from conftest import scaled
 
 from repro.studies.population import provider_population_study

@@ -14,15 +14,13 @@ import numpy as np
 
 from conftest import scaled
 
-from repro.core.config import APConfig, G711_PROFILE
-from repro.core.controller import run_session
+from repro.core.config import APConfig
 from repro.core.packet import Packet
-from repro.scenarios import build_office_pair
 from repro.sim import Simulator
 from repro.sim.random import RandomRouter
 from repro.wifi.ap import AccessPoint
 from repro.wifi.beacon import BeaconScheduler, StandardPsmClient
-from repro.wifi.wmm import AC_BEST_EFFORT, AC_VOICE, WmmAccessPoint
+from repro.wifi.wmm import WmmAccessPoint
 
 
 def test_ablation_standard_psm_latency(benchmark):

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
-
 from repro.channel.gilbert import GilbertElliott, GilbertParams
 from repro.core.config import StreamProfile
 from repro.core.packet import LinkTrace, render_trace
@@ -67,7 +65,4 @@ class CellularLink:
 
     def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call over the cellular link."""
-        send_times = (np.arange(profile.n_packets)
-                      * profile.inter_packet_spacing_s)
-        return render_trace(self, self.name, send_times,
-                            profile.packet_size_bytes)
+        return render_trace(self, profile)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.channel.fading import (
     RayleighFading,
     RicianFading,
@@ -236,10 +234,7 @@ class WifiLink:
 
     def generate_trace(self, profile: StreamProfile) -> LinkTrace:
         """Render a whole call's outcomes as a :class:`LinkTrace`."""
-        send_times = (np.arange(profile.n_packets)
-                      * profile.inter_packet_spacing_s)
-        return render_trace(self, self.name, send_times,
-                            profile.packet_size_bytes)
+        return render_trace(self, profile)
 
 
 def paired_links(config_a: LinkConfig, config_b: LinkConfig,

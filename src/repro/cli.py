@@ -87,18 +87,6 @@ _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
         n_runs=runs, seed0=seed), 30, "duplication overhead"),
     "sec64": (lambda runs, seed: experiments.run_section64_scalability(
         n_events=runs, seed0=seed), 10, "middlebox scalability"),
-    "uplink": (lambda runs, seed: experiments.run_uplink(
-        n_runs=runs, seed=seed), 5,
-        "uplink DiversiFi (extension)"),
-    "nlinks": (lambda runs, seed: experiments.run_nlink_sweep(
-        n_runs=runs, seed=seed), 10,
-        "diversity vs number of links (extension)"),
-    "fec": (lambda runs, seed: experiments.run_fec_comparison(
-        n_runs=runs, seed=seed), 10,
-        "FEC coding vs replication (extension)"),
-    "gaming": (lambda runs, seed: experiments.run_gaming(
-        n_runs=runs, seed=seed + 11), 3,
-        "cloud-gaming frame stalls (extension)"),
 }
 
 

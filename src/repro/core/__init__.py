@@ -23,7 +23,6 @@ from repro.core.multilink import (
     render_multilink_run,
 )
 from repro.core.packet import LinkTrace, Packet, StreamTrace
-from repro.core.uplink import UplinkDiversiFiClient, run_uplink_session
 
 __all__ = [
     "ClientConfig",
@@ -33,12 +32,10 @@ __all__ = [
     "Packet",
     "StreamProfile",
     "StreamTrace",
-    "UplinkDiversiFiClient",
     "apply_fec",
     "best_of",
     "diversity_gain_curve",
     "make_before_break",
     "render_fec_run",
     "render_multilink_run",
-    "run_uplink_session",
 ]

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.config import (
     LINK_SWITCH_LATENCY_S,
+    MAX_TOLERABLE_DELAY_S,
     SECONDARY_RESIDENCY_TIME_S,
     ClientConfig,
     StreamProfile,
@@ -156,8 +157,7 @@ class DiversiFiClient:
             self._count("client.duplicates")
 
         if first_copy and via_secondary and seq in self._declared_lost:
-            deadline = (self._send_times[seq]
-                        + self.config.max_tolerable_delay_s)
+            deadline = self._send_times[seq] + MAX_TOLERABLE_DELAY_S
             if arrival_time <= deadline + 1e-9:
                 self.stats.recovered += 1
                 self._count("client.recovered")
@@ -210,8 +210,7 @@ class DiversiFiClient:
         self._loss_declared_at[seq] = self.sim.now
         self.stats.losses_declared += 1
         self._count("client.losses_declared")
-        deadline = (self._send_times[seq]
-                    + self.config.max_tolerable_delay_s)
+        deadline = self._send_times[seq] + MAX_TOLERABLE_DELAY_S
         if self.sim.now > deadline:
             return  # nothing to gain any more
         self._pending_lost[seq] = float(deadline)

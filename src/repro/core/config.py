@@ -20,8 +20,6 @@ class StreamProfile:
     packet_size_bytes: int = 160
     inter_packet_spacing_s: float = 0.020
     duration_s: float = 120.0
-    #: one-way delay budget for the WiFi hop (paper: 100 ms)
-    max_tolerable_delay_s: float = 0.100
 
     @property
     def n_packets(self) -> int:
@@ -50,6 +48,9 @@ def profile_for(highrate: bool,
 
 #: Algorithm 1's link switch latency, LSL (measured: 2.8 ms)
 LINK_SWITCH_LATENCY_S = 0.0028
+#: Algorithm 1's MaxTolerableDelay, MTD: the one-way delay budget for the
+#: WiFi hop (paper: 100 ms)
+MAX_TOLERABLE_DELAY_S = 0.100
 #: Algorithm 1's secondary residency time, SRT
 SECONDARY_RESIDENCY_TIME_S = 0.040
 #: multiplier on IPS for the packet-loss timeout (PLT = 2 * IPS)
@@ -65,7 +66,6 @@ class ClientConfig:
     """
 
     inter_packet_spacing_s: float = 0.020       # IPS
-    max_tolerable_delay_s: float = 0.100        # MTD
     association_keepalive_timeout_s: float = 30.0  # AKT
 
     @property
@@ -76,14 +76,13 @@ class ClientConfig:
     @property
     def ap_queue_len(self) -> int:
         """APQL = MTD / IPS (= 5 with defaults)."""
-        return int(round(self.max_tolerable_delay_s
+        return int(round(MAX_TOLERABLE_DELAY_S
                          / self.inter_packet_spacing_s))
 
     def for_profile(self, profile: StreamProfile) -> "ClientConfig":
         """A config whose timing constants match a stream profile."""
         return ClientConfig(
             inter_packet_spacing_s=profile.inter_packet_spacing_s,
-            max_tolerable_delay_s=profile.max_tolerable_delay_s,
             association_keepalive_timeout_s=(
                 self.association_keepalive_timeout_s))
 

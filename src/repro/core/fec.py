@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.config import StreamProfile
+from repro.core.config import MAX_TOLERABLE_DELAY_S, StreamProfile
 from repro.core.packet import LinkTrace
 from repro.core.types import NamedRadioLink
 
@@ -35,11 +35,6 @@ class FecConfig:
         if self.block_size < 1:
             raise ValueError("block size must be >= 1")
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Extra airtime relative to the data stream (always paid)."""
-        return 1.0 / self.block_size
-
 
 def apply_fec(data_trace: LinkTrace, parity_trace: LinkTrace,
               config: FecConfig = FecConfig()) -> LinkTrace:
@@ -49,9 +44,8 @@ def apply_fec(data_trace: LinkTrace, parity_trace: LinkTrace,
     parity packets' outcomes, one per block, indexed by block (only the
     first ``ceil(n/k)`` entries are used).  A lost data packet is
     recovered iff it is the only loss in its block, the block's parity
-    arrived, and the decode completes within 100 ms (the MaxTolerableDelay
-    budget) of the packet's send time (recovery must wait for the whole
-    block).
+    arrived, and the decode completes within the MaxTolerableDelay budget
+    of the packet's send time (recovery must wait for the whole block).
     """
     n = len(data_trace)
     k = config.block_size
@@ -76,24 +70,23 @@ def apply_fec(data_trace: LinkTrace, parity_trace: LinkTrace,
         decode_time = max(needed_arrivals)
         seq = int(lost[0])
         decode_delay = decode_time - data_trace.send_times[seq]
-        if decode_delay <= 0.100 + 1e-12:
+        if decode_delay <= MAX_TOLERABLE_DELAY_S + 1e-12:
             delivered[seq] = True
             delays[seq] = decode_delay
     return LinkTrace(f"{data_trace.name}+fec", data_trace.send_times,
                      delivered, delays)
 
 
-def render_fec_run(link: NamedRadioLink, profile: StreamProfile,
-                   config: FecConfig = FecConfig()
+def render_fec_run(link: NamedRadioLink, profile: StreamProfile
                    ) -> Tuple[LinkTrace, LinkTrace]:
     """Transmit a stream plus its parity packets over one link.
 
-    Parity packet for block b is sent right after the block's last data
-    packet.  Returns (data_trace, parity_trace) ready for
-    :func:`apply_fec`.
+    Blocks have :func:`apply_fec`'s default size; the parity packet for
+    block b is sent right after the block's last data packet.  Returns
+    (data_trace, parity_trace) ready for :func:`apply_fec`.
     """
     n = profile.n_packets
-    k = config.block_size
+    k = FecConfig().block_size
     spacing = profile.inter_packet_spacing_s
     send_times = np.arange(n) * spacing
 

@@ -32,8 +32,9 @@ if TYPE_CHECKING:
 
 #: packets between the handoff baseline's link re-evaluations
 HANDOFF_WINDOW = 50
-#: handoff hysteresis, read as percentage points of delivery rate
-HANDOFF_HYSTERESIS_DB = 5.0
+#: handoff hysteresis: the margin, in delivery rate, by which another
+#: link must beat the current one
+HANDOFF_HYSTERESIS = 0.05
 
 
 @dataclass
@@ -114,7 +115,7 @@ def make_before_break(run: MultiLinkRun) -> LinkTrace:
     The client listens on ONE link, re-evaluates every
     ``HANDOFF_WINDOW`` packets, and hands off to another link when that
     link's recent delivery rate beats the current one by enough to
-    overcome ``HANDOFF_HYSTERESIS_DB``.  Because associations are
+    overcome ``HANDOFF_HYSTERESIS``.  Because associations are
     pre-established (make-before-break) the handoff itself is lossless —
     but packets lost before the handoff are still gone, which is why
     replication wins.
@@ -124,7 +125,6 @@ def make_before_break(run: MultiLinkRun) -> LinkTrace:
     delays = np.full(n, np.nan)
     # Start on the strongest link.
     current = int(np.argmax(run.rssi_dbm)) if run.rssi_dbm else 0
-    hysteresis_margin = HANDOFF_HYSTERESIS_DB / 100.0  # delivery-rate units
 
     for start in range(0, n, HANDOFF_WINDOW):
         block = slice(start, min(start + HANDOFF_WINDOW, n))
@@ -135,7 +135,7 @@ def make_before_break(run: MultiLinkRun) -> LinkTrace:
         # (the pre-associated client can snoop beacons cheaply).
         rates = [float(np.mean(t.delivered[block])) for t in run.traces]
         best = int(np.argmax(rates))
-        if rates[best] > rates[current] + hysteresis_margin:
+        if rates[best] > rates[current] + HANDOFF_HYSTERESIS:
             current = best
     return LinkTrace("make-before-break", run.traces[0].send_times,
                      delivered, delays)

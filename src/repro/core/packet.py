@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.types import BoolArray, FloatArray, RadioLink
+from repro.core.config import StreamProfile
+from repro.core.types import BoolArray, FloatArray, NamedRadioLink
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,18 @@ class LinkTrace:
         return float(np.mean(~self.delivered))
 
 
-def render_trace(link: RadioLink, name: str, send_times: FloatArray,
-                 size_bytes: int) -> LinkTrace:
-    """Send one copy per entry of ``send_times`` over ``link``, in order."""
+def render_trace(link: NamedRadioLink, profile: StreamProfile) -> LinkTrace:
+    """Send one copy of every packet of a ``profile`` call over ``link``,
+    in order."""
+    send_times = np.arange(profile.n_packets) * profile.inter_packet_spacing_s
+    size_bytes = profile.packet_size_bytes
     delivered: List[bool] = []
     delays: List[float] = []
     for send_time in send_times.tolist():
         ok, arrival = link.transmit(send_time, size_bytes)
         delivered.append(ok)
         delays.append(arrival - send_time)   # NaN when lost
-    return LinkTrace(name, send_times, delivered, delays)
+    return LinkTrace(link.name, send_times, delivered, delays)
 
 
 def loss_array(trace: Union[LinkTrace, FloatArray]) -> FloatArray:

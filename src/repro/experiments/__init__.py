@@ -37,12 +37,6 @@ from repro.experiments.section6 import (
     run_section64_scalability,
     run_table3,
 )
-from repro.experiments.extensions import (
-    run_fec_comparison,
-    run_gaming,
-    run_nlink_sweep,
-    run_uplink,
-)
 
 __all__ = [
     "run_figure1",
@@ -55,16 +49,12 @@ __all__ = [
     "run_figure4",
     "run_figure5",
     "run_figure6",
-    "run_fec_comparison",
-    "run_gaming",
     "run_figure8",
     "run_figure9",
     "run_figure10",
-    "run_nlink_sweep",
     "run_section63_overhead",
     "run_section64_scalability",
     "run_table1",
     "run_table2",
     "run_table3",
-    "run_uplink",
 ]

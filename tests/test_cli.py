@@ -91,6 +91,17 @@ def test_list_and_unknown_command_exit_codes():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["uplink", "nlinks", "fec", "gaming"])
+def test_deleted_extension_commands_are_usage_errors(name):
+    # The FEC and n-link claims are tested in tests/test_extensions.py,
+    # tests/test_multilink_fitting_io.py and the ablation benchmarks.
+    _, output = run_cli(["list"])
+    assert name not in {line.split()[0] for line in output.splitlines()}
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([name])
+    assert excinfo.value.code == 2
+
+
 def test_parallel_jobs_output_matches_serial():
     clear_memo()
     _, serial = run_cli(["table3", "--runs", "4", "--no-cache"])
@@ -248,11 +259,13 @@ def test_sanitized_one_run_sweep(name, backend, monkeypatch):
     (["fig3", "--cache-max-bytes", "-1", "--cache-dir", "{tmp}"],
      "--cache-max-bytes"),
     # Regression: a negative seed ran fig3 and 13 other commands but
-    # crashed these nine with a SeedSequence traceback.
+    # crashed these eight with a SeedSequence traceback.
     (["fig3", "--seed", "-1"], "--seed"),
     *(([name, "--seed", "-1"], "--seed")
       for name in ("table1", "table2", "table3", "fig1", "fig8", "fig9",
-                   "sec63", "sec64", "uplink")),
+                   "sec63", "sec64")),
+    # `all` runs every command, so it must refuse the seed before the first.
+    (["all", "--seed", "-1"], "--seed"),
     # Regression: each of these ran the command (or started to) and then
     # exited 1 with a FileNotFoundError, IsADirectoryError,
     # FileExistsError or NotADirectoryError traceback.

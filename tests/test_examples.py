@@ -52,11 +52,6 @@ def test_measurement_studies():
     assert "Figure 1" in out
 
 
-def test_uplink_streaming():
-    out = run_example("uplink_streaming.py")
-    assert "hedged loss" in out
-
-
 def test_inspect_session():
     out = run_example("inspect_session.py", "1")
     assert "timeline" in out.lower()
@@ -67,9 +62,3 @@ def test_calibrate_from_trace():
     out = run_example("calibrate_from_trace.py")
     assert "fitted model" in out
     assert "diversity gain" in out
-
-
-def test_cloud_gaming():
-    out = run_example("cloud_gaming.py", "1")
-    assert "stalls/min" in out
-    assert "cross-link" in out

@@ -1,5 +1,5 @@
-"""Tests for the future-work extensions: FEC baseline, cellular hedging,
-uplink DiversiFi."""
+"""Tests for the future-work extensions: FEC baseline and cellular
+hedging."""
 
 import math
 
@@ -14,8 +14,6 @@ from repro.channel.mobility import Position, StaticPosition
 from repro.core.config import StreamProfile
 from repro.core.fec import FecConfig, apply_fec, render_fec_run
 from repro.core.packet import LinkTrace, merge_traces
-from repro.core.uplink import UplinkDiversiFiClient, run_uplink_session
-from repro.sim import Simulator
 from repro.sim.random import RandomRouter
 
 SHORT = StreamProfile(duration_s=10.0)
@@ -68,7 +66,6 @@ def test_fec_decode_deadline_enforced():
 
 
 def test_fec_overhead_constant():
-    assert FecConfig(block_size=5).overhead_fraction == pytest.approx(0.2)
     with pytest.raises(ValueError):
         FecConfig(block_size=0)
 
@@ -148,69 +145,3 @@ def test_cross_technology_hedging_beats_either(monkeypatch):
     assert merged.loss_rate <= wifi_trace.loss_rate
     assert merged.loss_rate <= lte_trace.loss_rate
 
-
-# ------------------------------------------------------------------ uplink
-
-def uplink_factory(primary_gilbert, secondary_gilbert=None):
-    def build(router):
-        client_pos = StaticPosition(Position(0, 0))
-        primary = WifiLink(
-            LinkConfig(name="up-p", ap_position=Position(6, 0),
-                       gilbert=primary_gilbert, base_delay_s=0.0),
-            router, mobility=client_pos)
-        secondary = WifiLink(
-            LinkConfig(name="up-s", ap_position=Position(10, 0),
-                       gilbert=secondary_gilbert or GilbertParams(
-                           mean_good_s=1e9, mean_bad_s=0.01,
-                           loss_good=0.0, loss_bad=0.0),
-                       base_delay_s=0.0),
-            router, mobility=client_pos)
-        return primary, secondary
-    return build
-
-
-def outage():
-    return GilbertParams(mean_good_s=2.0, mean_bad_s=0.4,
-                         loss_good=0.0, loss_bad=0.999)
-
-
-def test_uplink_clean_channel_lossless():
-    client = run_uplink_session(
-        uplink_factory(GilbertParams(mean_good_s=1e9, mean_bad_s=0.01,
-                                     loss_good=0.0, loss_bad=0.0)),
-        SHORT, seed=1)
-    assert client.trace.loss_rate == 0.0
-    assert client.stats.switches == 0
-
-
-def test_uplink_recovers_failures():
-    baseline = run_uplink_session(uplink_factory(outage()), SHORT,
-                                  seed=2, enabled=False)
-    hedged = run_uplink_session(uplink_factory(outage()), SHORT,
-                                seed=2, enabled=True)
-    assert hedged.stats.failures_primary > 0
-    assert hedged.trace.loss_rate < baseline.trace.loss_rate
-    assert hedged.stats.retransmissions > 0
-
-
-def test_uplink_retransmits_only_on_failure():
-    """No proactive duplication: secondary transmissions are bounded by
-    failures plus the packets that came due while off-channel."""
-    client = run_uplink_session(uplink_factory(outage()), SHORT, seed=3)
-    budget = (client.stats.failures_primary * 3
-              + client.stats.switches * 5 + 10)
-    assert client.stats.sent_secondary <= budget
-
-
-def test_uplink_respects_deadline():
-    client = run_uplink_session(uplink_factory(outage()), SHORT, seed=4)
-    eff = client.trace.effective_trace(deadline=0.100)
-    delays = eff.delays[eff.delivered]
-    if delays.size:
-        assert np.nanmax(delays) <= 0.100 + 1e-9
-
-
-def test_uplink_deterministic():
-    a = run_uplink_session(uplink_factory(outage()), SHORT, seed=5)
-    b = run_uplink_session(uplink_factory(outage()), SHORT, seed=5)
-    assert a.trace.arrivals == b.trace.arrivals

@@ -42,7 +42,8 @@ sanitize-test:
 		tests/test_channel_link.py tests/test_wifi_phy_mac.py \
 		tests/test_channel_gilbert.py tests/test_wifi_ap.py \
 		tests/test_wifi_wmm_beacon.py tests/test_net.py \
-		tests/test_traffic.py tests/test_extensions.py -q
+		tests/test_traffic.py tests/test_extensions.py \
+		tests/test_population.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -14,8 +14,8 @@ The aggregators:
 * :class:`LabeledCounts` — *exact* labeled counters: per ``(subset,
   category)`` call totals and poor-call totals.  PCR, the Table 1
   deltas and the Wilson confidence bounds are all pure functions of
-  these integers, so at any population size the table values equal the
-  scalar path's to the last bit.
+  these integers, so at any population size the table values stay equal
+  to the frozen pins in ``tests/test_population.py``, to the last bit.
 * :class:`GridCdf` — a fixed-grid CDF/quantile sketch: integer bin
   counts over ``[lo, hi)`` plus min/max and out-of-range tallies.
   Quantiles interpolate inside one bin, so the error is bounded by the
@@ -89,9 +89,9 @@ class LabeledCounts:
         return self.counts.get(label, (0, 0))[1]
 
     def pcr(self, label: Tuple[str, ...]) -> float:
-        """Poor-call rate for ``label`` — ``poor / n`` exactly as
-        ``float(np.mean([...]))`` computes it on the scalar path
-        (integer counts are exact in float64 up to 2**53)."""
+        """Poor-call rate for ``label`` — ``poor / n`` on exact integer
+        counts (exact in float64 up to 2**53), so merged tables stay
+        equal to the frozen pins in ``tests/test_population.py``."""
         n, poor = self.counts.get(label, (0, 0))
         if n == 0:
             return float("nan")

@@ -27,16 +27,16 @@ its *own* stream ``f"call-{j}"`` of block ``i // NETTEST_BLOCK``'s
 private router.  Each call's trace simulation is data-dependent (the
 Gilbert chain and busy-spell loops consume a variable number of draws),
 which is exactly why every call gets a private stream: any block — and
-any call within it — can be rendered independently, in any process, and
-:func:`run_nettest_study` and the population backend
-(:mod:`repro.studies.population`) produce bit-identical calls because
-they execute the same :func:`simulate_call` on the same streams.
+any call within it — can be rendered independently, in any process.
+:func:`repro.studies.population.nettest_population_study` shards the
+blocks through the runner and merges them into Table 2
+(``repro table2``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -75,50 +75,6 @@ class NetTestCall:
     @property
     def poor(self) -> bool:
         return self.mos < POOR_MOS_THRESHOLD
-
-
-@dataclass
-class NetTestDataset:
-    """All simulated calls plus per-user aggregates."""
-
-    calls: List[NetTestCall] = field(default_factory=list)
-
-    def pcr(self, category: Optional[str] = None) -> float:
-        subset = [c for c in self.calls
-                  if category is None or c.category == category]
-        if not subset:
-            return float("nan")
-        return float(np.mean([c.poor for c in subset]))
-
-    def table2(self) -> List[Tuple[str, int, float]]:
-        """(category, total calls, PCR %) rows plus the total."""
-        rows = []
-        for category in CATEGORY_COUNTS:
-            subset = [c for c in self.calls if c.category == category]
-            rows.append((category, len(subset),
-                         100.0 * self.pcr(category)))
-        rows.append(("Total", len(self.calls), 100.0 * self.pcr()))
-        return rows
-
-    def per_user_pcr(self) -> Dict[int, float]:
-        """PCR per participating WiFi client."""
-        per_user: Dict[int, List[bool]] = {}
-        for call in self.calls:
-            for user in (call.client_a, call.client_b):
-                if user >= 0:
-                    per_user.setdefault(user, []).append(call.poor)
-        return {u: float(np.mean(poors))
-                for u, poors in per_user.items()}
-
-    # bit-parity reference of the Table 2 population study
-    def spatial_stats(  # reproflow: disable=RCH602
-            self) -> Tuple[float, float]:
-        """(fraction of users with >= 1 poor call,
-        fraction with PCR >= 20%) — the Section 3.2 spatial numbers."""
-        per_user = self.per_user_pcr()
-        values = np.array(list(per_user.values()))
-        return (float(np.mean(values > 0.0)),
-                float(np.mean(values >= 0.20)))
 
 
 def _client_gilbert(rng: np.random.Generator) -> GilbertParams:
@@ -184,8 +140,8 @@ class ClientState:
     """Shared per-participant state (quality processes, base delays).
 
     Drawn once per population from the root router's
-    ``"nettest.clients"`` stream; every block — scalar or population
-    backend, any process — rebuilds the identical state.
+    ``"nettest.clients"`` stream; every block, in any process, rebuilds
+    the identical state.
     """
 
     quality: Tuple[GilbertParams, ...]
@@ -201,7 +157,7 @@ def client_state(seed: int) -> ClientState:
     return ClientState(quality=quality, base_delay=base_delay)
 
 
-def call_schedule(scale: float = 1.0) -> List[Tuple[str, int]]:
+def call_schedule(scale: float) -> List[Tuple[str, int]]:
     """``(category, n_calls)`` in :data:`CATEGORY_COUNTS` order.
 
     ``scale`` < 1 shrinks every category proportionally (for quick
@@ -211,12 +167,12 @@ def call_schedule(scale: float = 1.0) -> List[Tuple[str, int]]:
             for category, count in CATEGORY_COUNTS.items()]
 
 
-def schedule_size(scale: float = 1.0) -> int:
+def schedule_size(scale: float) -> int:
     """Total calls in the scaled schedule."""
     return sum(count for _, count in call_schedule(scale))
 
 
-def category_of_index(index: int, scale: float = 1.0) -> str:
+def category_of_index(index: int, scale: float) -> str:
     """Category of global call ``index`` under the scaled schedule."""
     offset = 0
     for category, count in call_schedule(scale):
@@ -275,7 +231,7 @@ def simulate_call(category: str, rng: np.random.Generator,
 
 
 def render_nettest_block(block: int, count: int, seed: int,
-                         clients: ClientState, scale: float = 1.0
+                         clients: ClientState, scale: float
                          ) -> List[NetTestCall]:
     """Render calls ``[block * NETTEST_BLOCK, ... + count)`` in order."""
     router = nettest_block_router(seed, block)
@@ -286,25 +242,3 @@ def render_nettest_block(block: int, count: int, seed: int,
         calls.append(simulate_call(
             category, router.stream(f"call-{local}"), clients))
     return calls
-
-
-# bit-parity reference of the Table 2 population study; its parity test
-# runs it at the population study's seed and test scale
-def run_nettest_study(  # reproflow: disable=RCH602
-    seed: int = 0,  # reproflow: disable=RCH603
-    scale: float = 1.0,  # reproflow: disable=RCH603
-) -> NetTestDataset:
-    """Simulate the full 9224-call study (scalar reference path).
-
-    ``scale`` < 1 shrinks every category proportionally (for quick tests).
-    """
-    clients = client_state(seed)
-    total = schedule_size(scale)
-    dataset = NetTestDataset()
-    block = 0
-    while block * NETTEST_BLOCK < total:
-        count = min(NETTEST_BLOCK, total - block * NETTEST_BLOCK)
-        dataset.calls.extend(render_nettest_block(
-            block, count, seed, clients, scale=scale))
-        block += 1
-    return dataset

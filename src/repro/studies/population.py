@@ -1,22 +1,15 @@
-"""Whole-population backends for the Section 3 studies (Tables 1 & 2).
+"""The Section 3 population studies (Tables 1 & 2).
 
-The scalar paths in :mod:`repro.studies.provider` and
-:mod:`repro.studies.nettest` are readable references: one Python object
-per call.  At the paper's scale — a *year* of provider ratings, 10^6+
-calls — that representation is the bottleneck, so this module is the
-scale path:
+At the paper's scale — a *year* of provider ratings, 10^6+ calls — one
+Python object per call is the bottleneck, so calls live only as block
+arrays and per-block sketches:
 
-* **Vectorized generation** — :func:`render_provider_block` replays a
-  provider call block as whole-array numpy draws from the *same* named
-  substreams as :func:`repro.studies.provider.synthesize_provider_block`.
-  Because a batched ``Generator`` draw consumes the bit stream exactly
-  like the equivalent sequence of scalar draws, the E-model in
-  :mod:`repro.voice.quality` is elementwise (one code path for scalars
-  and arrays), and the remaining arithmetic mirrors the scalar
-  expressions op for op (half-even rating rounding), the rendered calls
-  are **bit-identical** to the scalar loop (pinned by
-  ``tests/test_population.py``).  Table 1 (``repro table1``) is built
-  on this path.
+* **Vectorized generation** — :func:`render_provider_block` renders a
+  provider call block as one whole-array numpy draw per named substream
+  of the block protocol (:mod:`repro.studies.provider`), scored through
+  the elementwise E-model in :mod:`repro.voice.quality`.  Table 1
+  (``repro table1``) is built on this path; ``tests/test_population.py``
+  pins its blocks and tables to frozen digests.
 
 * **Runner sharding** — blocks are mapped through
   :func:`repro.runner.map_configs` as module-level tasks
@@ -44,11 +37,11 @@ passes over the same blocks:
 1. :func:`provider_pass1_metrics` returns the All/PC counters plus
    sparse per-pair EE/WW tallies (all calls and PC-only calls);
 2. the driver adds the pass-1 rows in spec order into ``int64``
-   per-pair totals, computes the balanced pair sets exactly like the
-   scalar ``provider._balanced_pairs`` (pairs with at least one EE rated call
-   and #EE >= #WW), and hands them to :func:`provider_pass2_metrics`
-   as sorted lists **inside the task config** — part of the cache key,
-   so a pass-2 result can never pair with the wrong filter.
+   per-pair totals, computes the balanced pair sets (pairs with at
+   least one EE rated call and #EE >= #WW), and hands them to
+   :func:`provider_pass2_metrics` as sorted lists **inside the task
+   config** — part of the cache key, so a pass-2 result can never pair
+   with the wrong filter.
 
 Observability: each task wraps its phases in ``population.render`` /
 ``population.reduce`` spans on a :class:`repro.obs.SimulatedClock`
@@ -87,14 +80,13 @@ from repro.studies.provider import (
     WIFI_LOSS_MEDIAN,
     WIFI_LOSS_SIGMA,
     PairState,
-    RatedCall,
     Table1Row,
-    _CATEGORY_BY_WIFI_COUNT,
     _PC_GIVEN_ETHERNET,
     _relative_delta,
     block_router,
     n_call_blocks,
     pair_state,
+    poor_rating,
 )
 from repro.voice.quality import emodel_r_factor, r_to_mos
 
@@ -108,7 +100,6 @@ __all__ = [
     "ProviderPopulationTables",
     "nettest_block_metrics",
     "nettest_population_study",
-    "provider_block_calls",
     "provider_pass1_metrics",
     "provider_pass2_metrics",
     "provider_population_study",
@@ -128,7 +119,7 @@ _CATEGORIES = ("EE", "EW", "WW")
 
 
 # ---------------------------------------------------------------------------
-# vectorized provider rendering (bit-exact vs the scalar reference)
+# vectorized provider rendering
 
 @dataclass(frozen=True)
 class ProviderBlockArrays:
@@ -157,14 +148,17 @@ def render_provider_block(block: int, count: int, seed: int,
                           GLITCH_PENALTY_SCALE,
                           response_bias: bool = True
                           ) -> ProviderBlockArrays:
-    """Render one call block as arrays, bit-identical to the scalar loop.
+    """Render one call block as arrays.
 
-    Consumes exactly the draw layout documented on
-    :func:`repro.studies.provider.synthesize_provider_block`, one
-    whole-block array draw per named substream, scores with the same
-    elementwise E-model, and mirrors the remaining scalar arithmetic op
-    for op (the half-even rating rounding), so every field equals the
-    scalar path's to the last bit.
+    Draw layout (one call consumes, in order, from each named
+    substream of :func:`repro.studies.provider.block_router`): ``pair``
+    1 bounded integer; ``wifi`` and ``pc`` 2 uniforms each;
+    ``access-loss`` 2 lognormals (drawn for both endpoints, applied only
+    to WiFi ones); ``delay`` 1 exponential; ``device`` 1 exponential
+    (applied only to non-PC calls); ``glitch`` 1 exponential;
+    ``rating-noise`` 1 normal; ``respond`` 1 uniform.  Each substream
+    is drawn once, as a whole-block array; the fixed per-call draw count
+    is what makes a truncated block a prefix of the full one.
     """
     router = block_router(seed, block)
     n_subnet_pairs = len(pairs.archetype)
@@ -190,9 +184,8 @@ def render_provider_block(block: int, count: int, seed: int,
     wifi_count = on_wifi.sum(axis=1)
     pc_class = pc[:, 0] & pc[:, 1]
 
-    # Adding 0.0 for an Ethernet endpoint is a bitwise no-op (loss > 0),
-    # so drawing unconditionally and applying conditionally preserves
-    # the scalar accumulation order: (base + access0) + access1.
+    # Access loss is drawn for both endpoints and applied to WiFi ones
+    # only (the fixed draw layout); adding 0.0 leaves the sum bit-exact.
     loss = pairs.backhaul_loss[archetype] * pairs.backhaul[pair]
     loss = loss + np.where(on_wifi[:, 0], access[:, 0], 0.0)
     loss = loss + np.where(on_wifi[:, 1], access[:, 1], 0.0)
@@ -213,17 +206,6 @@ def render_provider_block(block: int, count: int, seed: int,
     return ProviderBlockArrays(pair=pair, wifi_count=wifi_count,
                                pc_class=pc_class, mos=mos,
                                rating=rating, rated=rated)
-
-
-def provider_block_calls(arrays: ProviderBlockArrays) -> List[RatedCall]:
-    """The block's rated calls as scalar objects (parity tests and any
-    caller that wants the reference representation back)."""
-    return [RatedCall(
-        subnet_pair=int(arrays.pair[i]),
-        category=_CATEGORY_BY_WIFI_COUNT[int(arrays.wifi_count[i])],
-        pc_class=bool(arrays.pc_class[i]),
-        rating=int(arrays.rating[i]))
-        for i in np.nonzero(arrays.rated)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +240,8 @@ def _add_pair_rows(ee: np.ndarray, ww: np.ndarray,
 
 
 def _balanced(ee: np.ndarray, ww: np.ndarray) -> List[int]:
-    """Exactly ``provider._balanced_pairs`` on merged totals: pairs with
-    at least one EE rated call and #EE >= #WW, sorted."""
+    """Balanced pairs on merged totals: pairs with at least one EE
+    rated call and #EE >= #WW, sorted."""
     return np.nonzero((ee > 0) & (ee >= ww))[0].tolist()
 
 
@@ -320,7 +302,7 @@ def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
     span = _phase_span(tracker, "population.reduce", block)
     rated = arrays.rated
     cat = arrays.wifi_count[rated]
-    poor = arrays.rating[rated] <= 2
+    poor = poor_rating(arrays.rating[rated])
     pair = arrays.pair[rated]
     pc = arrays.pc_class[rated]
     everything = np.ones(cat.shape, dtype=bool)
@@ -387,7 +369,7 @@ def provider_pass2_metrics(block: int, *, count: int, root_seed: int,
     span = _phase_span(tracker, "population.reduce", block)
     rated = arrays.rated
     cat = arrays.wifi_count[rated]
-    poor = arrays.rating[rated] <= 2
+    poor = poor_rating(arrays.rating[rated])
     pair = arrays.pair[rated]
     pc = arrays.pc_class[rated]
     in_balanced = np.isin(pair, np.asarray(list(balanced),
@@ -441,11 +423,8 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
 
     Shards the population into :data:`~repro.studies.provider.CALL_BLOCK`
     blocks, maps the two passes through the runner, and folds the sketch
-    payloads in spec order.  For any ``n_calls`` the resulting rows are
-    exactly equal to :func:`~repro.studies.provider.analyze_table1` over
-    the scalar :func:`~repro.studies.provider.synthesize_provider_block`
-    calls — the counters are exact, and every division happens in the
-    same order on the same integers.
+    payloads in spec order.  The counters are exact integers, so the
+    rows do not depend on how the blocks were scheduled or cached.
     """
     base: Dict[str, Any] = {
         "root_seed": seed,
@@ -539,8 +518,7 @@ def nettest_block_metrics(block: int, *, count: int, root_seed: int,
         n_poor += poor
         table.observe((call.category,), 1, poor)
         # Endpoint *slots*, not distinct users: a WW call that drew the
-        # same client twice counts it twice, matching the scalar
-        # NetTestDataset.per_user_pcr exactly.
+        # same client twice counts it twice.
         for user in (call.client_a, call.client_b):
             if user >= 0:
                 slots, poors = users.get(user, (0, 0))
@@ -584,11 +562,11 @@ def nettest_population_study(
     # test seam: tests run the study with a throwaway cache and jobs setting
     runner_config: Optional[RunnerConfig] = None,  # reproflow: disable=RCH603
 ) -> NetTestPopulationTables:
-    """Run the NetTest study sharded over runner blocks.
+    """Run the NetTest study (Table 2) sharded over runner blocks.
 
-    Table 2 rows and the spatial stats are exactly equal to the scalar
-    ``run_nettest_study`` path for any ``scale``: the counters are
-    exact and the divisions identical.
+    ``scale`` < 1 shrinks every category proportionally (for quick
+    runs).  The counters are exact integers, so the rows and the spatial
+    stats do not depend on how the blocks were scheduled or cached.
     """
     total = schedule_size(scale)
     items = [(block, {"root_seed": seed, "scale": scale,

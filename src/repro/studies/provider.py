@@ -36,72 +36,32 @@ with a **fixed draw count per call** — conditional quantities (the
 per-endpoint WiFi access loss, the non-PC device penalty) are drawn
 unconditionally and applied conditionally.  Two consequences:
 
-* the vectorized backend (:mod:`repro.studies.population`) renders a
-  block as numpy arrays from the *same* substreams and — because a
-  batched ``Generator`` draw consumes the bit stream exactly like the
-  equivalent sequence of scalar draws — produces **bit-identical**
-  calls to this scalar loop;
+* the renderer (:func:`repro.studies.population.render_provider_block`)
+  draws a whole block as one array per substream — a batched
+  ``Generator`` draw consumes the bit stream exactly like the
+  equivalent sequence of per-call draws — and a block renders the same
+  in any process and in any order;
 * a truncated final block is a prefix of the full block, so the first
   ``n`` calls of a population are a prefix of any larger population
   with the same seed.
 
-:func:`synthesize_provider_block` remains the readable scalar
-reference; the population backend
-(:func:`repro.studies.population.provider_population_study`, which
-backs Table 1) is the production path, and ``tests/test_population.py``
-pins their exact equality.
+This module holds the population's shared state and the Table 1
+arithmetic; :mod:`repro.studies.population` renders the blocks and runs
+the study (``repro table1``).  ``tests/test_population.py`` pins the
+rendered blocks and the merged tables to frozen digests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sim.random import RandomRouter
-from repro.voice.quality import emodel_r_factor, r_to_mos
 
 #: calls per protocol block — the unit of randomness derivation (and the
 #: unit the population backend renders, shards and caches).
 CALL_BLOCK = 16_384
-
-
-@dataclass
-class RatedCall:
-    """One user-rated call in the provider dataset."""
-
-    subnet_pair: int
-    category: str        # "EE" / "EW" / "WW"
-    pc_class: bool       # both endpoints PC-class devices?
-    rating: int          # 1..5
-    @property
-    def poor(self) -> bool:
-        return self.rating <= 2
-
-
-@dataclass
-class ProviderDataset:
-    """A year's worth of rated calls."""
-
-    calls: List[RatedCall] = field(default_factory=list)
-
-    def pcr(self, calls: Optional[Iterable[RatedCall]] = None) -> float:
-        """Poor-call rate over ``calls`` (default: the whole dataset).
-
-        Single pass, so any iterable — including a generator — works
-        without materializing a copy.
-        """
-        source: Iterable[RatedCall] = self.calls if calls is None \
-            else calls
-        n = 0
-        poor = 0
-        for call in source:
-            n += 1
-            poor += call.poor
-        if n == 0:
-            return float("nan")
-        return poor / n
 
 
 @dataclass
@@ -149,8 +109,7 @@ class PairState:
 
     Drawn once per population from the root router's
     ``"provider.pairs"`` stream (never from a block router), so every
-    block — rendered scalar or vectorized, in any process — sees the
-    same pairs.
+    block, rendered in any process, sees the same pairs.
     """
 
     archetype: np.ndarray      # archetype index per pair
@@ -162,7 +121,7 @@ class PairState:
 
 
 def pair_state(seed: int, n_subnet_pairs: int) -> PairState:
-    """Draw the population's subnet-pair state (both backends call this)."""
+    """Draw the population's subnet-pair state."""
     stream = RandomRouter(seed).stream("provider.pairs")
     names = list(_ARCHETYPES)
     shares = np.array([_ARCHETYPES[n][0] for n in names])
@@ -190,152 +149,14 @@ def n_call_blocks(n_calls: int) -> int:
     return (n_calls + CALL_BLOCK - 1) // CALL_BLOCK
 
 
-_CATEGORY_BY_WIFI_COUNT = {0: "EE", 1: "EW", 2: "WW"}
-
-
-# bit-parity reference of population.render_provider_block; its parity
-# test runs it at the response bias the population block is given
-def synthesize_provider_block(  # reproflow: disable=RCH602
-    block: int, count: int, seed: int, pairs: PairState,
-    response_bias: bool = True,  # reproflow: disable=RCH603
-) -> List[RatedCall]:
-    """Scalar reference rendering of one call block's *rated* calls.
-
-    Draw layout (one call consumes, in order, from each named
-    substream): ``pair`` 1 bounded integer; ``wifi`` and ``pc`` 2
-    uniforms each; ``access-loss`` 2 lognormals (drawn for both
-    endpoints, applied only to WiFi ones); ``delay`` 1 exponential;
-    ``device`` 1 exponential (applied only to non-PC calls);
-    ``glitch`` 1 exponential; ``rating-noise`` 1 normal; ``respond`` 1
-    uniform.  The fixed per-call draw count is what lets
-    :func:`repro.studies.population.render_provider_block` replay the
-    block as whole-array draws, bit for bit.
-    """
-    router = block_router(seed, block)
-    s_pair = router.stream("pair")
-    s_wifi = router.stream("wifi")
-    s_pc = router.stream("pc")
-    s_access = router.stream("access-loss")
-    s_delay = router.stream("delay")
-    s_device = router.stream("device")
-    s_glitch = router.stream("glitch")
-    s_noise = router.stream("rating-noise")
-    s_respond = router.stream("respond")
-
-    n_subnet_pairs = len(pairs.archetype)
-    log_median = np.log(WIFI_LOSS_MEDIAN)
-    rated: List[RatedCall] = []
-    for _ in range(count):
-        pair = int(s_pair.integers(0, n_subnet_pairs))
-        archetype = int(pairs.archetype[pair])
-        p_wifi = float(pairs.p_wifi[archetype])
-        p_pc_wifi = float(pairs.p_pc_wifi[archetype])
-
-        endpoints = []
-        for _endpoint in range(2):
-            on_wifi = s_wifi.random() < p_wifi
-            pc = s_pc.random() < (p_pc_wifi if on_wifi
-                                  else _PC_GIVEN_ETHERNET)
-            access = float(s_access.lognormal(log_median,
-                                              WIFI_LOSS_SIGMA))
-            endpoints.append((on_wifi, pc, access))
-        n_wifi = sum(1 for w, _, _ in endpoints if w)
-        category = _CATEGORY_BY_WIFI_COUNT[n_wifi]
-        pc_class = all(pc for _, pc, _ in endpoints)
-
-        # Network impairments: backhaul + per-WiFi-endpoint access loss.
-        loss = float(pairs.backhaul_loss[archetype]
-                     * pairs.backhaul[pair])
-        for on_wifi, _, access in endpoints:
-            if on_wifi:
-                loss += access
-        loss = min(loss, 0.6)
-        burst = 1.0 + 2.5 * min(loss * 10.0, 1.0)  # WiFi loss is bursty
-        delay = float(pairs.base_delay[archetype]) \
-            + float(s_delay.exponential(0.040))
-
-        r = emodel_r_factor(loss, delay, mean_burst_len=burst)
-        mos = r_to_mos(r)
-        # Cheap hardware degrades what the user *hears*, not the network.
-        device = float(s_device.exponential(DEVICE_PENALTY_SCALE))
-        if not pc_class:
-            mos -= device
-        # Non-network glitches everyone suffers regardless of access type:
-        # echo, background noise, far-end problems, app hiccups.  Without
-        # this floor the synthetic EE population would be implausibly
-        # perfect and every relative delta would saturate.
-        mos -= float(s_glitch.exponential(GLITCH_PENALTY_SCALE))
-        rating = int(np.clip(round(mos + s_noise.normal(0.0, 0.55)),
-                             1, 5))
-
-        # Response bias: the annoyed rate more readily (disable via
-        # ``response_bias=False`` for the robustness ablation).
-        if response_bias:
-            p_respond = 0.10 if rating > 2 else 0.16
-        else:
-            p_respond = 0.12
-        if s_respond.random() >= p_respond:
-            continue
-        rated.append(RatedCall(
-            subnet_pair=pair, category=category,
-            pc_class=pc_class, rating=rating))
-    return rated
-
-
 # ---------------------------------------------------------------------------
 # Table 1 analysis (the paper's machinery, verbatim)
+
+def poor_rating(rating: np.ndarray) -> np.ndarray:
+    """Table 1's poor-call rule: a user rating of 1 or 2 (of 5)."""
+    return rating <= 2
+
 
 def _relative_delta(pcr_all: float, pcr_subset: float) -> float:
     """PCR_delta = (PCR_all - PCR_X) / PCR_all * 100 (positive = better)."""
     return (pcr_all - pcr_subset) / pcr_all * 100.0
-
-
-def _balanced_pairs(calls: Iterable[RatedCall]) -> Set[int]:
-    """Subnet pairs with at least as many EE as WW rated calls."""
-    ee: Dict[int, int] = {}
-    ww: Dict[int, int] = {}
-    for call in calls:
-        if call.category == "EE":
-            ee[call.subnet_pair] = ee.get(call.subnet_pair, 0) + 1
-        elif call.category == "WW":
-            ww[call.subnet_pair] = ww.get(call.subnet_pair, 0) + 1
-    return {pair for pair, n_ee in ee.items()
-            if n_ee >= ww.get(pair, 0)}
-
-
-def _row(label: str, calls: List[RatedCall],
-         pcr_all: float) -> Table1Row:
-    def pcr_of(category: str) -> float:
-        subset = [c for c in calls if c.category == category]
-        if not subset:
-            return float("nan")
-        return float(np.mean([c.poor for c in subset]))
-
-    return Table1Row(
-        label=label,
-        delta_ee_pct=_relative_delta(pcr_all, pcr_of("EE")),
-        delta_ew_pct=_relative_delta(pcr_all, pcr_of("EW")),
-        delta_ww_pct=_relative_delta(pcr_all, pcr_of("WW")),
-        n_calls=len(calls))
-
-
-# bit-parity reference of the Table 1 population study
-def analyze_table1(  # reproflow: disable=RCH602
-        dataset: ProviderDataset) -> List[Table1Row]:
-    """The four rows of Table 1."""
-    calls = dataset.calls
-    pcr_all = dataset.pcr()
-
-    balanced = _balanced_pairs(calls)
-    balanced_calls = [c for c in calls if c.subnet_pair in balanced]
-    pc_calls = [c for c in calls if c.pc_class]
-    pc_balanced_pairs = _balanced_pairs(pc_calls)
-    pc_balanced = [c for c in pc_calls
-                   if c.subnet_pair in pc_balanced_pairs]
-
-    return [
-        _row("All", calls, pcr_all),
-        _row("/24s with #E>=#W", balanced_calls, pcr_all),
-        _row("PC", pc_calls, pcr_all),
-        _row("PC, /24s with #E>=#W", pc_balanced, pcr_all),
-    ]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.windows import worst_window_loss
 from repro.channel import cellular
 from repro.channel.cellular import CellularLink
 from repro.channel.gilbert import GilbertParams
@@ -14,6 +15,7 @@ from repro.channel.mobility import Position, StaticPosition
 from repro.core.config import StreamProfile
 from repro.core.fec import FecConfig, apply_fec, render_fec_run
 from repro.core.packet import LinkTrace, merge_traces
+from repro.scenarios import build_scenario
 from repro.sim.random import RandomRouter
 
 SHORT = StreamProfile(duration_s=10.0)
@@ -129,19 +131,23 @@ def test_cellular_outages_are_long(monkeypatch):
     assert bursts and max(bursts) > 20      # multi-second outage
 
 
-def test_cross_technology_hedging_beats_either(monkeypatch):
-    wifi_config = LinkConfig(
-        name="wifi", ap_position=Position(0, 0),
-        gilbert=GilbertParams(mean_good_s=2.0, mean_bad_s=0.5,
-                              loss_good=0.0, loss_bad=0.98))
-    wifi = WifiLink(wifi_config, RandomRouter(4),
-                    mobility=StaticPosition(Position(12, 0)))
-    monkeypatch.setattr(cellular, "OUTAGE", GilbertParams(
-        mean_good_s=20.0, mean_bad_s=1.0, loss_good=0.0, loss_bad=1.0))
-    lte = CellularLink(RandomRouter(5))
-    wifi_trace = wifi.generate_trace(SHORT)
-    lte_trace = lte.generate_trace(SHORT)
-    merged = merge_traces([wifi_trace, lte_trace])
-    assert merged.loss_rate <= wifi_trace.loss_rate
-    assert merged.loss_rate <= lte_trace.loss_rate
-
+def test_cross_technology_hedging_beats_either():
+    """Under the microwave scenario both 2.4 GHz WiFi links share the
+    oven's fate, so WiFi+WiFi replication gains little; an LTE secondary
+    escapes the impairment (the ``test_ablation_cross_technology``
+    setup, shortened).  Measured: worst-5 s loss 15.9% for WiFi+WiFi
+    and 0.3% for WiFi+LTE."""
+    profile = StreamProfile(duration_s=60.0)
+    root = RandomRouter(22)
+    wifi_only, with_lte = [], []
+    for i in range(4):
+        router = root.fork(f"xtech-{i}")
+        link_a, link_b = build_scenario("microwave", router)
+        lte = CellularLink(router)
+        trace_a = link_a.generate_trace(profile)
+        wifi_only.append(100 * worst_window_loss(
+            merge_traces([trace_a, link_b.generate_trace(profile)])))
+        with_lte.append(100 * worst_window_loss(
+            merge_traces([trace_a, lte.generate_trace(profile)])))
+    assert np.mean(wifi_only) > 10.0
+    assert np.mean(with_lte) < np.mean(wifi_only) / 4

@@ -79,6 +79,7 @@ def test_diversity_diminishing_returns():
     curve = diversity_gain_curve(runs, metric=lambda t: t.loss_rate)
     first_gain = curve[1] - curve[2]
     later_gain = curve[3] - curve[4]
+    assert curve[2] < curve[1]     # the second link pays
     assert first_gain >= later_gain - 1e-9
 
 

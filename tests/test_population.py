@@ -1,91 +1,113 @@
-"""Population backend (repro.studies.population) vs the scalar paths.
+"""Population studies (repro.studies.population): frozen pins and
+determinism.
 
-The contract under test: the vectorized, runner-sharded population
-studies are *exactly* equal to the scalar per-call loops — bit-level at
-the block-render layer, value-level for every Table 1 / Table 2 row —
-and their batch digests are identical serial vs ``--jobs 2``.
+The per-call scalar references these studies were built against are
+gone.  The pins below freeze the outputs at the configurations the old
+parity tests ran, and were recorded at the commit where those tests
+still proved the vectorized, runner-sharded studies equal to the scalar
+loops — bit for bit at the block-render layer, value for value in every
+Table 1 / Table 2 row.  The pin tests keep the parity tests' names,
+since they stand in for them.  A pin failure means an output moved:
+either a bug, or a deliberate model change that must re-record the
+digest and say why.  The remaining tests check that batch digests are identical
+serial vs ``--jobs 2`` vs warm cache.
 """
 
+import dataclasses
+import hashlib
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.runner import RunnerConfig
-from repro.studies.nettest import run_nettest_study
 from repro.studies.population import (
     nettest_population_study,
-    provider_block_calls,
     provider_population_study,
     render_provider_block,
 )
-from repro.studies.provider import (
-    CALL_BLOCK,
-    ProviderDataset,
-    analyze_table1,
-    pair_state,
-    synthesize_provider_block,
-)
+from repro.studies.provider import pair_state
 
-# ------------------------------------------------------- block bit parity
+
+def _block_digest(arrays) -> str:
+    """Every field's name, dtype, shape and bytes, in field order."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(arrays):
+        a = getattr(arrays, f.name)
+        h.update(f"{f.name}:{a.dtype.str}:{a.shape};".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _tables_digest(tables) -> str:
+    """Every field of a merged study table, sketches as their payloads
+    (JSON floats round-trip exactly)."""
+    payload = {f.name: getattr(tables, f.name)
+               for f in dataclasses.fields(tables)}
+    payload["rows"] = [dataclasses.asdict(r) if dataclasses.is_dataclass(r)
+                       else r for r in tables.rows]
+    payload["mos_cdf"] = tables.mos_cdf.to_payload()
+    payload["mos_moments"] = tables.mos_moments.to_payload()
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# ------------------------------------------------------- block pins
+
+#: (seed, block, count) -> (rated calls, block digest)
+BLOCK_PINS = {
+    (0, 0, 2000): (219, "9faa08835d065977"),
+    (0, 1, 513): (60, "c8c0d13600b362c7"),
+    (7, 0, 2000): (207, "610d6d3bb1bb3d77"),
+    (7, 1, 513): (57, "fdc132445b998d51"),
+}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("block,count", [(0, 2000), (1, 513)])
 def test_render_block_bit_exact_vs_scalar(seed, block, count):
-    """The vectorized renderer consumes the same named substreams as the
-    scalar loop and must reproduce every call bit-for-bit — including a
-    truncated final block."""
-    pairs = pair_state(seed, 3000)
-    scalar = synthesize_provider_block(block, count, seed, pairs)
-    vector = provider_block_calls(
-        render_provider_block(block, count, seed, pairs))
-    assert len(scalar) == len(vector)       # rated subset of `count`
-    assert 0 < len(scalar) < count
-    for s, v in zip(scalar, vector):
-        assert (s.subnet_pair, s.category, s.pc_class, s.rating) == \
-            (v.subnet_pair, v.category, v.pc_class, v.rating)
+    """Every field of a rendered block — including a truncated final
+    block — matches the digest recorded while the scalar loop agreed
+    with it bit for bit."""
+    arrays = render_provider_block(block, count, seed,
+                                   pair_state(seed, 3000))
+    n_rated = int(arrays.rated.sum())
+    assert 0 < n_rated < count
+    assert (n_rated, _block_digest(arrays)) == BLOCK_PINS[
+        (seed, block, count)]
 
 
 def test_render_block_response_bias_off_parity():
-    pairs = pair_state(1, 3000)
-    scalar = synthesize_provider_block(0, 800, 1, pairs,
-                                       response_bias=False)
-    vector = provider_block_calls(
-        render_provider_block(0, 800, 1, pairs, response_bias=False))
-    assert [(s.subnet_pair, s.rating) for s in scalar] == \
-        [(v.subnet_pair, v.rating) for v in vector]
+    arrays = render_provider_block(0, 800, 1, pair_state(1, 3000),
+                                   response_bias=False)
+    assert (int(arrays.rated.sum()), _block_digest(arrays)) == \
+        (84, "866171d22cd54002")
 
 
-# ------------------------------------------------- Table 1 exact parity
+# ------------------------------------------------- Table 1 pins
+
+#: seed -> (rated calls, tables digest) at n_calls = 30_000
+TABLE1_PINS = {
+    0: (3155, "b268599c99019074"),
+    3: (3206, "c3a20df2f0c19f4d"),
+}
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_table1_exact_parity_vs_scalar(seed):
-    """Whole-study equality at small N against the scalar reference
-    blocks: same rows (labels, deltas, counts), same overall PCR —
-    exactly, not approximately."""
+    """The merged study — rows, overall PCR, Wilson interval, counts and
+    the MOS sketches — matches the digest recorded while the scalar
+    Table 1 analysis agreed with it exactly."""
     n_calls = 30_000
-    pairs = pair_state(seed, 3000)
-    scalar = ProviderDataset()
-    for block, start in enumerate(range(0, n_calls, CALL_BLOCK)):
-        scalar.calls.extend(synthesize_provider_block(
-            block, min(CALL_BLOCK, n_calls - start), seed, pairs))
-    scalar_rows = analyze_table1(scalar)
     tables = provider_population_study(n_calls=n_calls, seed=seed)
-    assert len(tables.rows) == len(scalar_rows)
-    for got, want in zip(tables.rows, scalar_rows):
-        assert got.label == want.label
-        assert got.n_calls == want.n_calls
-        for field in ("delta_ee_pct", "delta_ew_pct", "delta_ww_pct"):
-            g, w = getattr(got, field), getattr(want, field)
-            assert g == w or (np.isnan(g) and np.isnan(w))
     assert tables.n_calls == n_calls
-    assert tables.n_rated_calls == scalar_rows[0].n_calls
+    assert tables.n_rated_calls == tables.rows[0].n_calls
+    assert tables.mos_cdf.count == tables.n_rated_calls
     assert 0.0 <= tables.pcr_wilson[0] <= tables.overall_pcr \
         <= tables.pcr_wilson[1] <= 1.0
+    assert (tables.n_rated_calls, _tables_digest(tables)) == \
+        TABLE1_PINS[seed]
 
 
 def test_provider_population_sketches_cover_rated_calls():
@@ -95,21 +117,25 @@ def test_provider_population_sketches_cover_rated_calls():
     assert 1.0 <= tables.mos_moments.mean <= 4.5
 
 
-# ------------------------------------------------- Table 2 exact parity
+# ------------------------------------------------- Table 2 pins
+
+#: (seed, scale) -> (calls, tables digest)
+TABLE2_PINS = {
+    (0, 0.05): (462, "9464f1e48d1f27d9"),
+    (5, 0.02): (185, "a62befaf7b7a9135"),
+}
 
 
 @pytest.mark.parametrize("seed,scale", [(0, 0.05), (5, 0.02)])
 def test_nettest_exact_parity_vs_scalar(seed, scale):
-    dataset = run_nettest_study(seed=seed, scale=scale)
+    """Rows, spatial stats and MOS sketches match the digest recorded
+    while the scalar NetTest study agreed with them exactly."""
     tables = nettest_population_study(seed=seed, scale=scale)
-
-    assert tables.rows == dataset.table2()
-    assert tables.overall_pcr == dataset.pcr()
-    assert tables.n_calls == len(dataset.calls)
-    frac_any, frac_20 = dataset.spatial_stats()
-    assert tables.frac_users_any_poor == frac_any
-    assert tables.frac_users_pcr20 == frac_20
-    assert tables.mos_cdf.count == len(dataset.calls)
+    assert tables.mos_cdf.count == tables.n_calls
+    assert 0.0 <= tables.pcr_wilson[0] <= tables.overall_pcr \
+        <= tables.pcr_wilson[1] <= 1.0
+    assert (tables.n_calls, _tables_digest(tables)) == \
+        TABLE2_PINS[(seed, scale)]
 
 
 # --------------------------------------- scheduling/caching determinism

@@ -6,15 +6,12 @@ import pytest
 from repro.channel.gilbert import GilbertParams, sample_loss_array
 from repro.runner import RunnerConfig
 from repro.sim import RandomRouter
-from repro.studies.nettest import (
-    CATEGORY_COUNTS,
-    run_nettest_study,
+from repro.studies.nettest import CATEGORY_COUNTS
+from repro.studies.population import (
+    nettest_population_study,
+    provider_population_study,
 )
-from repro.studies.population import provider_population_study
-from repro.studies.provider import (
-    ProviderDataset,
-    RatedCall,
-)
+from repro.studies.provider import poor_rating
 from repro.studies.scan import (
     SURVEY_LOCATIONS,
     VENUE_CLASSES,
@@ -52,8 +49,8 @@ def test_sample_loss_array_length():
 
 # ----------------------------------------------------------- provider study
 #
-# Table 1 runs on the population study; its rows equal the scalar
-# ``analyze_table1`` path exactly (tests/test_population.py).
+# Table 1 runs on the population study; tests/test_population.py pins
+# its blocks and tables to frozen digests.
 
 @pytest.fixture(scope="module")
 def provider_tables():
@@ -113,87 +110,70 @@ def test_provider_deterministic():
     assert a.mos_moments.to_payload() == b.mos_moments.to_payload()
 
 
-def test_provider_pcr_empty_subset_nan():
-    ds = ProviderDataset()
-    assert np.isnan(ds.pcr())
-
-
-def test_provider_pcr_none_vs_empty_subset():
-    """``calls=None`` means "the whole dataset", never "no calls": a
-    dataset with rated calls must score them, while an explicitly empty
-    subset (e.g. a filter that matched nothing) is NaN."""
-    ds = ProviderDataset(calls=[RatedCall(0, "EE", True, 1),
-                                RatedCall(0, "EE", True, 5)])
-    assert ds.pcr() == pytest.approx(0.5)
-    assert ds.pcr(None) == pytest.approx(0.5)
-    assert np.isnan(ds.pcr([]))
-    assert ds.pcr(ds.calls[:1]) == pytest.approx(1.0)
-    assert ds.pcr([c for c in ds.calls if not c.poor]) == pytest.approx(0.0)
-
-
-def test_provider_pcr_accepts_generator():
-    """Regression: pcr() is single-pass, so a one-shot generator must
-    give the same answer as the equivalent list (the old two-pass
-    implementation silently consumed generators and returned NaN)."""
-    ds = ProviderDataset(calls=[RatedCall(0, "EE", True, 1),
-                                RatedCall(0, "WW", False, 2),
-                                RatedCall(1, "EE", True, 4),
-                                RatedCall(1, "EW", True, 5)])
-    from_list = ds.pcr([c for c in ds.calls if c.category == "EE"])
-    from_gen = ds.pcr(c for c in ds.calls if c.category == "EE")
-    assert from_gen == from_list == pytest.approx(0.5)
-    assert np.isnan(ds.pcr(c for c in ds.calls if c.category == "XX"))
-
-
 def test_rated_call_poor_definition():
-    assert RatedCall(0, "EE", True, 1).poor
-    assert RatedCall(0, "EE", True, 2).poor
-    assert not RatedCall(0, "EE", True, 3).poor
+    """A rating of 1 or 2 (of 5) is a poor call."""
+    assert poor_rating(np.arange(1, 6)).tolist() == \
+        [True, True, False, False, False]
 
 
 # ------------------------------------------------------------ NetTest study
 
 @pytest.fixture(scope="module")
-def nettest_dataset():
-    return run_nettest_study(seed=0, scale=0.1)
+def nettest_tables():
+    return nettest_population_study(seed=0, scale=0.1)
 
 
-def test_nettest_category_sizes(nettest_dataset):
-    rows = dict((r[0], r[1]) for r in nettest_dataset.table2())
+def _pcr_pct(tables, category):
+    """Table 2's PCR (%) of one category row."""
+    return {row[0]: row[2] for row in tables.rows}[category]
+
+
+def test_nettest_category_sizes(nettest_tables):
+    rows = {row[0]: row[1] for row in nettest_tables.rows}
     for category, count in CATEGORY_COUNTS.items():
         assert rows[category] == pytest.approx(count * 0.1, abs=1)
 
 
-def test_nettest_ww_worse_than_ew(nettest_dataset):
-    assert (nettest_dataset.pcr("WW") > nettest_dataset.pcr("EW"))
+def test_nettest_ww_worse_than_ew(nettest_tables):
+    assert _pcr_pct(nettest_tables, "WW") > _pcr_pct(nettest_tables, "EW")
 
 
-def test_nettest_relayed_much_worse(nettest_dataset):
+def test_nettest_relayed_much_worse(nettest_tables):
     """The overloaded-relay artifact: relayed PCR dwarfs direct PCR.
 
     At scale 0.1 the WW-Relayed bucket holds only ~23 calls, so the
     ratio is compared at 2x (not the ~5x the full study shows) to stay
     robust to realization noise across stream-layout changes.
     """
-    assert nettest_dataset.pcr("EW-Relayed") > 3 * nettest_dataset.pcr("EW")
-    assert nettest_dataset.pcr("WW-Relayed") > 2 * nettest_dataset.pcr("WW")
+    assert _pcr_pct(nettest_tables, "EW-Relayed") > \
+        3 * _pcr_pct(nettest_tables, "EW")
+    assert _pcr_pct(nettest_tables, "WW-Relayed") > \
+        2 * _pcr_pct(nettest_tables, "WW")
 
 
-def test_nettest_overall_pcr_plausible(nettest_dataset):
+def test_nettest_overall_pcr_plausible(nettest_tables):
     # Paper: 10.23% overall.
-    assert 0.05 < nettest_dataset.pcr() < 0.20
+    assert 0.05 < nettest_tables.overall_pcr < 0.20
 
 
-def test_nettest_spatial_stats(nettest_dataset):
-    frac_any, frac_20 = nettest_dataset.spatial_stats()
+def test_nettest_spatial_stats(nettest_tables):
+    frac_any = nettest_tables.frac_users_any_poor
+    frac_20 = nettest_tables.frac_users_pcr20
     assert 0.0 < frac_any <= 1.0
     assert frac_20 <= frac_any
 
 
 def test_nettest_deterministic():
-    a = run_nettest_study(seed=7, scale=0.02)
-    b = run_nettest_study(seed=7, scale=0.02)
-    assert [c.mos for c in a.calls] == [c.mos for c in b.calls]
+    """Two same-seed runs, recomputed rather than served from the
+    in-process memo, give the same rows, spatial stats and sketches."""
+    a, b = (nettest_population_study(
+        seed=7, scale=0.02, runner_config=RunnerConfig(memo=False))
+        for _ in range(2))
+    assert a.rows == b.rows
+    assert (a.frac_users_any_poor, a.frac_users_pcr20) == \
+        (b.frac_users_any_poor, b.frac_users_pcr20)
+    assert a.mos_cdf.to_payload() == b.mos_cdf.to_payload()
+    assert a.mos_moments.to_payload() == b.mos_moments.to_payload()
 
 
 # --------------------------------------------------------------- site survey

@@ -12,11 +12,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/ -q
 
-# Static analysis (tools/reproflow): per-file determinism rules plus
-# project-wide passes on one shared parse — pass 1 index, pass 2
-# units, pass 3 interprocedural dataflow and runner-task
-# safety (FLO/ORD/PUR/SER/KEY), and the RCH reachability family (what of src/repro only tests reach, judged against
-# `python -m repro`, examples/, benchmarks/ and bench/).  Fails on any
+# Static analysis (tools/reproflow): per-file determinism, hygiene,
+# observability and unit rules (DET/GEN/OBS/UNT), an interprocedural
+# call-graph pass for stream flow, ordering and runner-task safety
+# (FLO/ORD/PUR/SER/KEY), and the RCH reachability family (what of
+# src/repro only tests reach, judged against `python -m repro`,
+# examples/, benchmarks/ and bench/), all on one shared parse.  Fails on any
 # finding not silenced by an inline disable comment or the directory
 # policy; see CONTRIBUTING.md for the rule tables and suppression syntax.
 lint:

@@ -399,8 +399,6 @@ class ProviderPopulationTables:
     pcr_wilson: Tuple[float, float]
     n_rated_calls: int
     n_calls: int
-    n_balanced_pairs: int
-    n_pc_balanced_pairs: int
     mos_cdf: GridCdf
     mos_moments: MomentSketch
 
@@ -481,8 +479,6 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
         rows=rows, overall_pcr=pcr_all,
         pcr_wilson=table.wilson(("all", "all")),
         n_rated_calls=table.n(("all", "all")), n_calls=n_calls,
-        n_balanced_pairs=len(balanced),
-        n_pc_balanced_pairs=len(pc_balanced),
         mos_cdf=cdf, mos_moments=moments)
 
 

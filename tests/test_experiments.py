@@ -92,10 +92,33 @@ def test_table3_components_sum():
     assert result.mbox_total_ms > result.ap_total_ms
 
 
+def test_table3_middlebox_breakdown_matches_paper_queuing():
+    """Table 3's middlebox row splits its total as switching + network +
+    queuing (paper: 5.2 = 2.3 + 2.0 + 0.9 ms).  Queuing is the
+    middlebox's fixed 0.9 ms base; a seconds-valued queuing term read
+    0.0 ms and moved its 0.9 ms into the network column."""
+    result = run_table3(n_events=5)
+    assert result.mbox_queuing_ms == pytest.approx(0.9)
+    assert result.mbox_network_ms == pytest.approx(
+        result.mbox_total_ms - result.mbox_switching_ms
+        - result.mbox_queuing_ms)
+    assert result.mbox_network_ms > 0.0
+
+
 def test_scalability_monotone():
     result = run_section64_scalability(loads=(0, 1000), n_events=5)
     assert result.total_delay_ms[1] > result.total_delay_ms[0]
     assert "6.4" in result.render()
+
+
+def test_scalability_extra_delay_at_1000_streams():
+    """The extra retrieval delay at 1000 streams (paper: ~1.1 ms).  Over
+    40 disjoint seed sets (``seed0`` = 0, 5, ..., 195, 5 events each)
+    it read 1.1 ms with zero spread: the per-stream latency is
+    deterministic and the seed-dependent switch latency cancels in the
+    difference, so the band is float rounding only."""
+    result = run_section64_scalability(loads=(0, 1000), n_events=5)
+    assert result.extra_at_max_load_ms() == pytest.approx(1.1, abs=1e-6)
 
 
 def test_figure10_paired_runs():

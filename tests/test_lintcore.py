@@ -31,9 +31,9 @@ def test_suppression_disable_all():
 
 def test_suppression_reads_every_disable_comment_on_a_line():
     sup = parse_suppressions([
-        "t = time.time()  # reproflow: disable=GEN102  "
+        "t = time.time()  # reproflow: disable=GEN101  "
         "# reproflow: disable=DET002,DET001"])
-    for rule in ("GEN102", "DET002", "DET001"):
+    for rule in ("GEN101", "DET002", "DET001"):
         assert is_suppressed(sup, 1, rule), rule
     assert not is_suppressed(sup, 1, "OBS001")
 

@@ -1,9 +1,10 @@
-"""Tests for the project-wide semantic analysis (``tools/reproflow``).
+"""Tests for the unit rule and the CLI of ``tools/reproflow``.
 
-The UNT rule family gets triggering, clean, and suppressed
-fixtures; the index is tested for cross-module resolution and ambiguity
-guarding; and the real CLI is run over ``src/`` (must be clean), over
-seeded violations (must fail), in its output formats and on bad usage.
+UNT001 gets triggering, clean, and suppressed fixtures plus focused
+tests of its unit algebra; an import alias is shown to drop its
+call-graph edge; and the real CLI is run over ``src/`` (must be clean),
+over seeded violations (must fail), in its output formats and on bad
+usage.
 """
 
 import json
@@ -19,30 +20,11 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from reproflow.engine import analyze_source                  # noqa: E402
-from reproflow.index import build_index                      # noqa: E402
 from reproflow.rules import ALL_RULES                        # noqa: E402
-import ast                                                   # noqa: E402
-
-
-# A miniature project the fixtures resolve against: schemas live in a
-# *different* module than the code under analysis, exactly as in the
-# real tree (pass 1 must carry units and fields across files).
-CORE = textwrap.dedent('''
-    from dataclasses import dataclass
-
-    @dataclass
-    class ClientConfig:
-        inter_packet_spacing_s: float = 0.02
-        playout_deadline_ms: float = 150.0
-
-    def schedule(timeout_s: float) -> float:
-        return timeout_s
-''')
 
 
 def analyze(source, path="pkg/module.py", rules=None):
-    return analyze_source(textwrap.dedent(source), path, rules=rules,
-                          extra={"core/schema.py": CORE})
+    return analyze_source(textwrap.dedent(source), path, rules=rules)
 
 
 def rule_ids(findings):
@@ -117,97 +99,39 @@ def test_unt001_dbm_plus_db_is_legal_rf_math():
     """) == []
 
 
-def test_unt002_keyword_argument_cross_module():
+def test_unt001_learns_units_through_locals():
     found = analyze("""
-    def arm(delay_ms):
-        return schedule(timeout_s=delay_ms)
-    """)
-    assert rule_ids(found) == ["UNT002"]
-
-
-def test_unt002_positional_argument():
-    found = analyze("""
-    def arm(delay_ms):
-        return schedule(delay_ms)
-    """)
-    assert rule_ids(found) == ["UNT002"]
-
-
-def test_unt002_dataclass_field_cross_module():
-    found = analyze("""
-    def build(deadline_s):
-        return ClientConfig(playout_deadline_ms=deadline_s)
-    """)
-    assert rule_ids(found) == ["UNT002"]
-
-
-def test_unt002_unknown_unit_never_flags():
-    assert analyze("""
-    def arm(delay):
-        return schedule(timeout_s=delay)
-    """) == []
-
-
-def test_unt003_assignment():
-    found = analyze("""
-    def convert(spacing_ms):
-        spacing_s = spacing_ms
-        return spacing_s
-    """)
-    assert rule_ids(found) == ["UNT003"]
-
-
-def test_unt003_learns_units_through_locals():
-    found = analyze("""
-    def gap(config):
+    def gap(config, gap_ms):
         spacing = config.inter_packet_spacing_s
-        gap_ms = spacing
-        return gap_ms
+        return gap_ms + spacing
     """)
-    assert rule_ids(found) == ["UNT003"]
+    assert rule_ids(found) == ["UNT001"]
 
 
-# ------------------------------------------------------------- the index
-
-def test_index_dataclass_units_and_rosters():
-    tree = ast.parse(CORE)
-    index = build_index({"core/schema.py": tree})
-    cfg = index.resolve_class("ClientConfig")
-    assert cfg is not None
-    assert cfg.fields["inter_packet_spacing_s"] == "s"
-    assert cfg.fields["playout_deadline_ms"] == "ms"
-    assert index.resolve_function("schedule") is not None
-
-
-def test_index_conflicting_definitions_are_ambiguous():
-    a = ast.parse("def helper(x_s):\n    return x_s\n")
-    b = ast.parse("def helper(a, b, c):\n    return a\n")
-    index = build_index({"m1.py": a, "m2.py": b})
-    assert index.resolve_function("helper") is None
-
-
-def test_ambiguous_schema_is_never_checked():
-    # Two different ClientConfig definitions: the analysis must not
-    # guess which one a call site means, so the unit mismatch against
-    # the CORE definition goes unreported.
-    other = "class ClientConfig:\n    def __init__(self, totally):\n        pass\n"
-    found = analyze_source(
-        "def build(deadline_s):\n"
-        "    return ClientConfig(playout_deadline_ms=deadline_s)\n",
-        "pkg/module.py",
-        extra={"core/schema.py": CORE, "alt/schema.py": other})
-    assert found == []
-
+# ------------------------------------------------------ name resolution
 
 def test_import_alias_is_not_resolved():
-    # `from x import f as schedule` makes the local name a stranger to
-    # the indexed `schedule` — no checks may apply.
-    found = analyze("""
-    from somewhere import other as schedule
-    def arm(delay_ms):
-        return schedule(timeout_s=delay_ms)
-    """)
-    assert found == []
+    # `from x import other as helper` makes the local name a stranger to
+    # the project-wide `helper`: the call graph drops the edge, so the
+    # helper's module-state write never reaches the task.
+    helper = "STATE = []\n\ndef helper():\n    STATE.append(1)\n"
+    task = textwrap.dedent("""
+        from somewhere import other as helper
+
+        def task(seed, config=None):
+            return helper()
+
+        def submit(runner, configs):
+            return runner.map_task("pkg.module:task", configs)
+        """)
+
+    def lint(source):
+        return rule_ids(analyze_source(source, "pkg/module.py",
+                                       extra={"core/state.py": helper}))
+
+    assert lint(task) == []
+    assert lint(task.replace("from somewhere import other as helper\n",
+                             "")) == ["PUR101"]
 
 
 # ----------------------------------------------------------------- CLI
@@ -230,26 +154,12 @@ def test_cli_fails_on_seeded_unit_violation(tmp_path):
     assert "UNT001" in result.stdout
 
 
-def test_cli_seeded_violation_resolves_against_src_schemas(tmp_path):
-    # The fixture file lives outside src/ but passes milliseconds to a
-    # seconds field of a core config: pass 1 must have indexed src/ anyway.
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "from repro.core.config import ClientConfig\n"
-        "spacing_ms = 20.0\n"
-        "cfg = ClientConfig(inter_packet_spacing_s=spacing_ms)\n")
-    result = run_cli(str(bad))
-    assert result.returncode == 1, result.stdout + result.stderr
-    assert "UNT002" in result.stdout
-    assert "inter_packet_spacing_s" in result.stdout
-
-
 def test_cli_select_restricts_rules(tmp_path):
     """A project-wide rule selected alone ignores the other family's
     violation."""
     bad = tmp_path / "bad.py"
     bad.write_text(UNIT_VIOLATION)
-    result = run_cli(str(bad), "--select", "FLO001", cwd=tmp_path)
+    result = run_cli(str(bad), "--select", "FLO002", cwd=tmp_path)
     assert result.returncode == 0
 
 

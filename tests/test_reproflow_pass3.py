@@ -29,7 +29,6 @@ from reproflow.callgraph import (                             # noqa: E402
 )
 from reproflow.dataflow import propagate_effects              # noqa: E402
 from reproflow.engine import analyze_source                   # noqa: E402
-from reproflow.index import build_index                       # noqa: E402
 from reproflow.policy import DEFAULT_POLICY                   # noqa: E402
 
 
@@ -43,10 +42,10 @@ def rule_ids(findings):
 
 
 def graph_of(modules):
-    """Build index + call graph from ``{path: source}``."""
+    """Build the call graph from ``{path: source}``."""
     sources = {p: textwrap.dedent(s) for p, s in modules.items()}
     trees = {p: ast.parse(s, filename=p) for p, s in sources.items()}
-    return build_callgraph(trees, build_index(trees))
+    return build_callgraph(trees)
 
 
 # ------------------------------------------------------------------
@@ -169,7 +168,7 @@ def test_family_suppressed(family):
 
 
 # ------------------------------------------------------------------
-# FLO001: stream aliasing.
+# The stream factory the FLO fixtures below build on.
 # ------------------------------------------------------------------
 
 STREAM_PRELUDE = """
@@ -179,57 +178,6 @@ STREAM_PRELUDE = """
         def stream(self, name):
             return object()
 """
-
-
-def test_flo001_stream_handed_to_two_components():
-    findings = analyze(STREAM_PRELUDE + """
-        def build(router):
-            shared = router.stream("fading")
-            first = FadingProcess(shared)
-            second = MacLayer(shared)
-            return first, second
-    """)
-    assert "FLO001" in rule_ids(findings)
-
-
-def test_flo001_exclusive_branches_are_clean():
-    findings = analyze(STREAM_PRELUDE + """
-        def build(router, rician):
-            shared = router.stream("fading")
-            if rician:
-                fading = RicianFading(shared)
-            else:
-                fading = RayleighFading(shared)
-            return fading
-    """)
-    assert "FLO001" not in rule_ids(findings)
-
-
-def test_flo001_stream_retained_inside_loop():
-    findings = analyze(STREAM_PRELUDE + """
-        def build(router, links):
-            shared = router.stream("loss")
-            out = []
-            for link in links:
-                out.append(LinkProcess(shared))
-            return out
-    """)
-    assert "FLO001" in rule_ids(findings)
-
-
-def test_flo001_drawing_helper_calls_are_clean():
-    # Sequential draws through one stream (lowercase helpers that
-    # consume and return) are deterministic — not aliasing.
-    findings = analyze(STREAM_PRELUDE + """
-        def sample_a(rng):
-            return rng
-        def sample_b(rng):
-            return rng
-        def build(router):
-            rng = router.stream("params")
-            return sample_a(rng), sample_b(rng)
-    """)
-    assert "FLO001" not in rule_ids(findings)
 
 
 # ------------------------------------------------------------------
@@ -586,5 +534,5 @@ def test_cli_fails_on_seeded_flo_violation(tmp_path):
 
 def test_cli_lists_pass3_rules():
     result = run_cli("--list-rules")
-    for rule in ("FLO001", "FLO002", "FLO003", "PUR101", "ORD201"):
+    for rule in ("FLO002", "FLO003", "PUR101", "ORD201"):
         assert rule in result.stdout

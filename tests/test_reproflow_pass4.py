@@ -28,7 +28,6 @@ from reproflow.callgraph import (                             # noqa: E402
 )
 from reproflow.dataflow import propagate_effects              # noqa: E402
 from reproflow.engine import analyze_source                   # noqa: E402
-from reproflow.index import build_index                       # noqa: E402
 from reproflow.policy import DEFAULT_POLICY                   # noqa: E402
 
 
@@ -45,7 +44,7 @@ def graph_and_summaries(modules):
     """Build the call graph and its summaries from ``{path: source}``."""
     sources = {p: textwrap.dedent(s) for p, s in modules.items()}
     trees = {p: ast.parse(s, filename=p) for p, s in sources.items()}
-    graph = build_callgraph(trees, build_index(trees))
+    graph = build_callgraph(trees)
     return graph, propagate_effects(graph)
 
 

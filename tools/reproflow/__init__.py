@@ -2,21 +2,17 @@
 
 Every target file is parsed once and the same trees feed every pass:
 
-* the per-file family (:mod:`reproflow.filerules`) — **DET** determinism
-  (routed RNG, no wall clocks, ordered scheduling), **GEN**
-  hygiene and **OBS** observability rules that need one module only;
-* pass 1 (:mod:`reproflow.index`) builds a
-  :class:`~reproflow.index.ProjectIndex` — dataclass field schemas with
-  units inferred from the ``_s``/``_ms``/``_bytes``/``_dbm``/``_mw``/
-  ``_hz`` suffix convention, function and method signatures, and the
-  attributes that hold sets;
-* pass 2 (:mod:`reproflow.rules`) runs the **UNT** unit family against
-  that index;
-* pass 3 (:mod:`reproflow.callgraph`, :mod:`reproflow.dataflow`) builds
-  the project call graph with effect summaries and runs the **FLO**
-  stream-flow and **ORD** ordering families, plus the runner-task rules
-  read off each task's summary: **PUR** (module state), **SER**
-  (module-level handles) and **KEY** (inputs the cache key omits);
+* the per-file family (:mod:`reproflow.filerules`) — **DET**
+  determinism (routed RNG, no wall clocks), **GEN** hygiene, **OBS**
+  observability and the **UNT** unit rule (:mod:`reproflow.units`,
+  units read off the ``_s``/``_ms``/``_bytes``/``_dbm``/``_mw``/``_hz``
+  suffix convention) — rules that need one module only;
+* the project pass (:mod:`reproflow.callgraph`,
+  :mod:`reproflow.dataflow`) builds the call graph with effect
+  summaries and runs the **FLO** stream-flow and **ORD** ordering
+  families, plus the runner-task rules read off each task's summary:
+  **PUR** (module state), **SER** (module-level handles) and **KEY**
+  (inputs the cache key omits);
 * the **RCH** family (:mod:`reproflow.reach`) reports what of
   ``src/repro`` only tests reach, judged against the program files the
   same parse folds in (``python -m repro``, ``examples/``,
@@ -32,14 +28,11 @@ keyword (Python's ``TypeError``), and a task that is not a
 """
 
 from reproflow.engine import analyze_paths, analyze_source
-from reproflow.index import ProjectIndex, build_index
 from reproflow.rules import ALL_RULES, rule_table
 
 __all__ = [
     "ALL_RULES",
-    "ProjectIndex",
     "analyze_paths",
     "analyze_source",
-    "build_index",
     "rule_table",
 ]

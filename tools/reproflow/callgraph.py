@@ -1,15 +1,15 @@
 """Pass 3a: the project-wide call graph with per-function effect summaries.
 
-Built once per analysis run on top of the pass-1 :class:`ProjectIndex`
-(the trees are parsed exactly once and shared by passes 1–3).  Every
-function and method in every module becomes a :class:`FunctionNode`
-carrying:
+Built once per analysis run on the trees every rule shares (each file
+is parsed exactly once).  Every function and method in every module
+becomes a :class:`FunctionNode` carrying:
 
-* **call edges** — resolved the same way pass 2 resolves schemas:
-  same-module definitions first, then the unique project-wide definition
-  of that name; two *different* definitions make the name ambiguous and
-  the edge is dropped rather than guessed.  ``self.m(...)`` prefers the
-  enclosing class's own method.
+* **call edges** — same-module definitions first, then the unique
+  project-wide definition of that name; two *different* definitions
+  make the name ambiguous and the edge is dropped rather than guessed.
+  ``self.m(...)`` prefers the enclosing class's own method.  A name a
+  module binds by an import alias (``from m import f as g``) is never
+  resolved.
 * **local effect sites** — the determinism-relevant things the function
   does *directly*: writing module/global state, reading a task input the
   ``RunSpec`` key omits (an environment variable, a file opened at call
@@ -22,6 +22,9 @@ The import model (:class:`ImportInfo`) and the clock/RNG classifier
 (:func:`classify_call`) defined here are the only ones in the tool: the
 per-file DET001/DET002 rules and the env-read collector read the same
 per-module :class:`ImportInfo`.
+
+It also records which attribute names any class binds to a set
+(:attr:`CallGraph.set_attributes`), which ORD201 treats as unordered.
 
 Task roots — the ``"module:function"`` entry points handed to
 ``repro.runner.map_task`` / ``map_configs`` / ``RunSpec.build`` — are
@@ -39,9 +42,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-from reproflow.index import ProjectIndex
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: what :func:`classify_call` says of one call
 CLOCK_READ = "clock-read"
@@ -137,8 +138,7 @@ class TaskRoot:
 class CallGraph:
     """Every function in the project plus resolved call edges."""
 
-    def __init__(self, index: ProjectIndex):
-        self.index = index
+    def __init__(self) -> None:
         self.nodes: Dict[str, FunctionNode] = {}
         self.task_roots: List[TaskRoot] = []
         #: unqualified name -> node ids (module-level functions)
@@ -161,6 +161,10 @@ class CallGraph:
         self._handles: Dict[str, Dict[str, str]] = {}
         #: path -> the module's import model (shared by every pass)
         self.imports: Dict[str, ImportInfo] = {}
+        #: instance-attribute names that hold a ``set``/``frozenset``
+        #: anywhere in the project — ORD201 treats loads of these as
+        #: unordered
+        self.set_attributes: Set[str] = set()
 
     # -- queries -------------------------------------------------------
 
@@ -212,12 +216,12 @@ def dotted_module_name(path: str) -> str:
     return posix.replace("/", ".")
 
 
-def build_callgraph(trees: Dict[str, ast.Module],
-                    index: ProjectIndex) -> CallGraph:
+def build_callgraph(trees: Dict[str, ast.Module]) -> CallGraph:
     """Build nodes, effects, and resolved edges for every module."""
-    graph = CallGraph(index)
+    graph = CallGraph()
     for path in sorted(trees):
         _collect_module(graph, path, trees[path])
+        _collect_set_attributes(graph, trees[path])
     # a module global is rebound at runtime when another module assigns
     # it, which only the complete module table can tell
     poked: Set[Tuple[str, str]] = set()
@@ -424,6 +428,21 @@ def _own_body(func: ast.AST):
             stack.append(child)
 
 
+def _scope_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements of one scope in source order, entering control flow
+    but not nested function/class scopes."""
+    for stmt in body:
+        if isinstance(stmt, _SCOPE_NODES):
+            continue
+        yield stmt
+        for attr in ("body", "orelse", "finalbody"):
+            inner = getattr(stmt, attr, None)
+            if isinstance(inner, list):
+                yield from _scope_statements(inner)
+        for handler in getattr(stmt, "handlers", ()):
+            yield from _scope_statements(handler.body)
+
+
 def _collect_effects(fn: FunctionNode, func: ast.AST,
                      module_names: Set[str]) -> None:
     global_names: Set[str] = set()
@@ -516,17 +535,57 @@ def _call_effects(fn: FunctionNode, call: ast.Call,
                 f".{call.func.attr}()", symbol=base.id))
 
 
-def _is_set_expr(node: Optional[ast.expr]) -> bool:
-    if node is None:
-        return False
+def _is_set_literal(node: Optional[ast.AST]) -> bool:
+    """A set display or comprehension, or a ``set()``/``frozenset()``
+    call."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in ("set", "frozenset")
+
+
+def _is_set_expr(node: Optional[ast.expr]) -> bool:
+    if _is_set_literal(node):
+        return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         return node.func.attr in ("union", "intersection", "difference",
                                   "symmetric_difference")
     return False
+
+
+_SET_ANNOTATION_NAMES = {"Set", "FrozenSet", "MutableSet", "set",
+                         "frozenset", "AbstractSet"}
+
+
+def _is_set_annotation(annotation: Optional[ast.AST]) -> bool:
+    node = annotation
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr in _SET_ANNOTATION_NAMES
+    return isinstance(node, ast.Name) and node.id in _SET_ANNOTATION_NAMES
+
+
+def _collect_set_attributes(graph: CallGraph, tree: ast.Module) -> None:
+    """Record attribute names bound to sets in a class (a ``Set[...]``
+    annotation, or ``self.x = set()`` anywhere in its body)."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name) \
+                    and _is_set_annotation(stmt.annotation):
+                graph.set_attributes.add(stmt.target.id)
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Attribute) \
+                    and _is_set_literal(node.value):
+                graph.set_attributes.add(node.targets[0].attr)
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Attribute) \
+                    and _is_set_annotation(node.annotation):
+                graph.set_attributes.add(node.target.attr)
 
 
 def _returns_matching(func: ast.AST, predicate) -> bool:

@@ -10,7 +10,7 @@ Two layers on top of the :mod:`reproflow.callgraph`:
   (``task → helper → offender``).
 
 * :class:`Pass3Analyzer` — the per-file rule families, evaluated against
-  the whole-project graph.  Like pass 2, every resolution is
+  the whole-project graph.  Like the call graph, every resolution is
   ambiguity-guarded: an entry point that cannot be resolved to exactly
   one function, or a name whose meaning is unclear, is skipped rather
   than guessed at.
@@ -18,9 +18,6 @@ Two layers on top of the :mod:`reproflow.callgraph`:
 ==========  ============================  =========================================
 id          name                          what it flags
 ==========  ============================  =========================================
-FLO001      stream-aliased                one ``RandomRouter`` stream object handed
-                                          to two components (two call sites, or a
-                                          call inside a loop over links/sessions)
 FLO002      stream-escapes-module-state   a stream (possibly returned through
                                           helpers in other modules) stored into a
                                           module-level name, ``global``, or
@@ -62,7 +59,7 @@ at runtime, so two runs with different effective configs share one key.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from reproflow.callgraph import (
     GLOBAL_WRITE,
@@ -72,8 +69,8 @@ from reproflow.callgraph import (
     CallGraph,
     EffectSite,
     _own_body,
+    _scope_statements,
 )
-from reproflow.index import ProjectIndex
 
 RawFinding = Tuple[int, int, str, str]   # (lineno, col, rule, message)
 
@@ -89,17 +86,6 @@ _ORDER_SINK_CALLS = frozenset({
     "append", "appendleft", "extend", "insert", "push", "put", "enqueue",
     "send", "schedule", "call_at", "call_in", "emit", "update",
     "write", "writerow", "add_row",
-})
-#: callables a stream may harmlessly be passed to (introspection)
-_BENIGN_STREAM_SINKS = frozenset({
-    "isinstance", "type", "id", "repr", "str", "len", "print",
-    "getattr", "hasattr",
-})
-#: method names that retain (store) an argument for later use — handing
-#: a stream to one of these aliases it just like a constructor does
-_RETAIN_METHODS = frozenset({
-    "attach", "register", "bind", "set_rng", "set_stream",
-    "add_component", "install",
 })
 
 
@@ -202,10 +188,8 @@ def _names_in(node: Optional[ast.AST]) -> Set[str]:
 class Pass3Analyzer:
     """Runs the FLO / PUR / ORD / SER / KEY families over one file."""
 
-    def __init__(self, path: str, index: ProjectIndex, graph: CallGraph,
-                 summaries: Summaries):
+    def __init__(self, path: str, graph: CallGraph, summaries: Summaries):
         self.path = path
-        self.index = index
         self.graph = graph
         self.summaries = summaries
         self.findings: List[RawFinding] = []
@@ -230,8 +214,8 @@ class Pass3Analyzer:
 
         self._check_tasks()
         # module body is a scope of its own (stream leaked at import time)
-        self._check_flo_scope(tree, is_module_scope=True,
-                              global_names=set())
+        self._check_flo002_scope(tree, is_module_scope=True,
+                                 global_names=set())
         self._check_ord_scope(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -239,8 +223,8 @@ class Pass3Analyzer:
                                 for stmt in _own_body(node)
                                 if isinstance(stmt, ast.Global)
                                 for name in stmt.names}
-                self._check_flo_scope(node, is_module_scope=False,
-                                      global_names=globals_here)
+                self._check_flo002_scope(node, is_module_scope=False,
+                                         global_names=globals_here)
                 self._check_flo003(node)
                 self._check_ord_scope(node)
             elif isinstance(node, ast.ClassDef):
@@ -313,75 +297,36 @@ class Pass3Analyzer:
                 return node is not None and node.returns_stream
         return False
 
-    def _retaining_callee(self, call: ast.Call) -> bool:
-        """True when the callee plausibly *keeps* the argument: class
-        constructors store streams as component state; drawing helpers
-        (lowercase functions) consume values and return.  Sequential
-        draws through one stream are deterministic — only retention
-        aliases realizations across components."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            return func.id in self.index.classes or func.id[:1].isupper()
-        if isinstance(func, ast.Attribute):
-            return (func.attr in _RETAIN_METHODS
-                    or func.attr[:1].isupper())
-        return False
-
-    @staticmethod
-    def _exclusive_branches(first: Tuple[Tuple[int, int], ...],
-                            second: Tuple[Tuple[int, int], ...]) -> bool:
-        """Two sites in different arms of the same ``if`` never both
-        run — they share one stream only syntactically."""
-        for (if_a, arm_a), (if_b, arm_b) in zip(first, second):
-            if if_a != if_b:
-                return False
-            if arm_a != arm_b:
-                return True
-        return False
-
-    def _check_flo_scope(self, scope: ast.AST, is_module_scope: bool,
-                         global_names: Set[str]) -> None:
-        tainted: Set[str] = set()
-        bound_outside_loop: Set[str] = set()
-        BranchPath = Tuple[Tuple[int, int], ...]
-        passed_at: Dict[str, List[Tuple[int, int, BranchPath]]] = {}
-
-        def handle_assign(stmt: ast.stmt, loop_depth: int) -> None:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
+    def _check_flo002_scope(self, scope: ast.AST, is_module_scope: bool,
+                            global_names: Set[str]) -> None:
+        for stmt in _scope_statements(getattr(scope, "body", [])):
             if isinstance(stmt, ast.Assign):
                 targets, value = stmt.targets, stmt.value
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 targets, value = [stmt.target], stmt.value
-            if value is None:
-                return
-            is_stream = isinstance(value, ast.Call) \
-                and self._stream_tainted_call(value)
+            else:
+                continue
+            if not (isinstance(value, ast.Call)
+                    and self._stream_tainted_call(value)):
+                continue
             for target in targets:
                 if isinstance(target, ast.Name):
-                    if is_stream:
-                        tainted.add(target.id)
-                        if loop_depth == 0:
-                            bound_outside_loop.add(target.id)
-                        if is_module_scope:
-                            self._emit(
-                                stmt, "FLO002",
-                                f"stream bound to module-level name "
-                                f"'{target.id}'; draws through it are "
-                                "shared by every session in the process "
-                                "— route streams through the session's "
-                                "own RandomRouter")
-                        elif target.id in global_names:
-                            self._emit(
-                                stmt, "FLO002",
-                                f"stream stored into global "
-                                f"'{target.id}'; stream state escapes "
-                                "the session that owns it")
-                    else:
-                        tainted.discard(target.id)
-                        bound_outside_loop.discard(target.id)
+                    if is_module_scope:
+                        self._emit(
+                            stmt, "FLO002",
+                            f"stream bound to module-level name "
+                            f"'{target.id}'; draws through it are "
+                            "shared by every session in the process "
+                            "— route streams through the session's "
+                            "own RandomRouter")
+                    elif target.id in global_names:
+                        self._emit(
+                            stmt, "FLO002",
+                            f"stream stored into global "
+                            f"'{target.id}'; stream state escapes "
+                            "the session that owns it")
                 elif isinstance(target, (ast.Attribute, ast.Subscript)) \
-                        and is_stream and not is_module_scope:
+                        and not is_module_scope:
                     base = target
                     while isinstance(base, (ast.Attribute, ast.Subscript)):
                         base = base.value
@@ -392,97 +337,6 @@ class Pass3Analyzer:
                             f"stream stored into module-level object "
                             f"'{base.id}'; stream state escapes the "
                             "session that owns it")
-
-        def handle_call(call: ast.Call, loop_depth: int,
-                        branch_path: BranchPath) -> None:
-            callee = _last_segment(call.func)
-            if callee in _BENIGN_STREAM_SINKS:
-                return
-            # method call *on* the stream is a draw, not an alias
-            if isinstance(call.func, ast.Attribute) \
-                    and isinstance(call.func.value, ast.Name) \
-                    and call.func.value.id in tainted:
-                return
-            if not self._retaining_callee(call):
-                return
-            for arg in list(call.args) + [k.value for k in call.keywords]:
-                if not (isinstance(arg, ast.Name) and arg.id in tainted):
-                    continue
-                name = arg.id
-                prior = passed_at.setdefault(name, [])
-                in_loop = loop_depth > 0 and name in bound_outside_loop
-                conflict = next(
-                    (p for p in prior
-                     if p[0] != call.lineno
-                     and not self._exclusive_branches(p[2], branch_path)),
-                    None)
-                if conflict is not None:
-                    self._emit(
-                        call, "FLO001",
-                        f"stream '{name}' already handed to a component "
-                        f"at line {conflict[0]}; two components sharing "
-                        "one generator couple their realizations — give "
-                        "each its own named stream")
-                elif in_loop:
-                    self._emit(
-                        call, "FLO001",
-                        f"stream '{name}' created outside the loop is "
-                        "retained by a component built inside it; every "
-                        "iteration (link/session) shares one generator "
-                        "— create a per-iteration stream instead")
-                prior.append((call.lineno, call.col_offset, branch_path))
-
-        self._walk_scope(scope, handle_assign, handle_call)
-
-    def _walk_scope(self, scope: ast.AST, handle_assign,
-                    handle_call) -> None:
-        """Source-order statement walk with loop depth and branch path
-        (which ``if`` arms enclose a site), own scope only."""
-
-        def visit(stmts: Sequence[ast.stmt], loop_depth: int,
-                  branch_path: tuple) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, _SCOPE_NODES):
-                    continue
-                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                    handle_assign(stmt, loop_depth)
-                for node in self._shallow_exprs(stmt):
-                    for call in ast.walk(node):
-                        if isinstance(call, ast.Call):
-                            handle_call(call, loop_depth, branch_path)
-                if isinstance(stmt, ast.If):
-                    visit(stmt.body, loop_depth,
-                          branch_path + ((id(stmt), 0),))
-                    visit(stmt.orelse, loop_depth,
-                          branch_path + ((id(stmt), 1),))
-                    continue
-                is_loop = isinstance(stmt, (ast.For, ast.AsyncFor,
-                                            ast.While))
-                for attr in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, attr, None)
-                    if inner and isinstance(inner, list):
-                        visit(inner,
-                              loop_depth + 1 if is_loop
-                              and attr == "body" else loop_depth,
-                              branch_path)
-                for handler in getattr(stmt, "handlers", ()):
-                    visit(handler.body, loop_depth, branch_path)
-
-        body = scope.body if hasattr(scope, "body") else []
-        visit(body, 0, ())
-
-    def _shallow_exprs(self, stmt: ast.stmt) -> Iterable[ast.expr]:
-        for attr in ("value", "test", "iter", "exc", "msg", "targets",
-                     "target"):
-            node = getattr(stmt, attr, None)
-            if isinstance(node, ast.expr):
-                yield node
-            elif isinstance(node, list):
-                for item in node:
-                    if isinstance(item, ast.expr):
-                        yield item
-        for item in getattr(stmt, "items", ()) or ():
-            yield item.context_expr
 
     def _check_flo_class_body(self, cls: ast.ClassDef) -> None:
         for stmt in cls.body:
@@ -611,7 +465,7 @@ class Pass3Analyzer:
                     return fn is not None and fn.returns_set
             return False
         if isinstance(node, ast.Attribute) \
-                and node.attr in self.index.set_attributes \
+                and node.attr in self.graph.set_attributes \
                 and isinstance(node.ctx, ast.Load):
             return True
         return False

@@ -1,17 +1,17 @@
-"""Multi-pass driver: parse everything once, index, graph, then analyze.
+"""Driver: parse everything once, build the call graph, then analyze.
 
-One parse feeds all passes: pass 1 builds the :class:`ProjectIndex`,
-pass 3a builds the :class:`CallGraph` (with effect summaries propagated
-to fixpoint) on the *same* trees, and the per-file DET/GEN/OBS rules and
-the analyzers of passes 2 and 3b all run off that shared state — ``make lint`` pays for the filesystem walk
-and parsing exactly once no matter how many passes run.
+One parse feeds every rule: the :class:`CallGraph` (with effect
+summaries propagated to fixpoint) is built on the *same* trees that the
+per-file DET/GEN/OBS/UNT rules, the pass-3 analyzer and the RCH family
+read — ``make lint`` pays for the filesystem walk and parsing exactly
+once no matter how many rules run.
 
 ``analyze_paths`` always folds ``src/`` and the program roots
 (``examples/``, ``benchmarks/``, ``bench/``) into the one parse (when
 they exist) even if only a subset of files was asked for — cross-module
-resolution is the whole point: a ``Packet`` constructed in a test must
-still be checked against the schema defined in ``src/repro/core``, and
-the RCH family (:mod:`reproflow.reach`) asks what the program reaches.
+resolution is the whole point: a runner task defined in ``src/repro``
+and submitted from a test is still followed into its callees, and the
+RCH family (:mod:`reproflow.reach`) asks what the program reaches.
 PARSE and rule findings are only *reported* for the files actually
 requested.
 """
@@ -26,11 +26,10 @@ from reproflow.callgraph import CallGraph, build_callgraph
 from reproflow.dataflow import Pass3Analyzer, Summaries, propagate_effects
 from reproflow.filerules import check_file
 from reproflow.findings import Finding, is_suppressed, parse_suppressions
-from reproflow.index import ProjectIndex, build_index
 from reproflow.policy import DEFAULT_POLICY
 from reproflow.reach import (PROGRAM_ROOTS, RCH_RULES, RawFinding,
                              reachability, stale_disables)
-from reproflow.rules import ALL_RULES, ScopeAnalyzer
+from reproflow.rules import ALL_RULES
 
 __all__ = ["Finding", "analyze_paths", "analyze_source"]
 
@@ -62,14 +61,13 @@ def _parse(source: str, path: str
 
 
 def _analyze_tree(path: str, tree: ast.Module, source: str,
-                  index: ProjectIndex, selected: Set[str],
+                  selected: Set[str],
                   graph: CallGraph, summaries: Summaries,
                   reach: Dict[str, List[RawFinding]]) -> List[Finding]:
     lines = source.splitlines()
     suppressions = parse_suppressions(lines)
     raw = check_file(tree, path, graph.imports[path], selected)
-    raw += ScopeAnalyzer(path, index).analyze(tree)
-    raw += Pass3Analyzer(path, index, graph, summaries).analyze(tree)
+    raw += Pass3Analyzer(path, graph, summaries).analyze(tree)
     family = reach.get(path)
     kept = [finding for finding in raw + (family or [])
             if finding[2] in selected
@@ -96,8 +94,8 @@ def analyze_source(source: str, path: str,
     """Analyze one file's source text (unit-test entry point).
 
     ``extra`` maps path -> source for additional modules that should be
-    part of the pass-1 index (schemas defined "elsewhere") without being
-    analyzed themselves.
+    part of the call graph (callees and task roots defined "elsewhere")
+    without being analyzed themselves.
     """
     tree, parse_error = _parse(source, path)
     if parse_error is not None:
@@ -108,13 +106,12 @@ def analyze_source(source: str, path: str,
         extra_tree, _ = _parse(extra_source, extra_path)
         if extra_tree is not None:
             trees[extra_path] = extra_tree
-    index = build_index(trees)
-    graph = build_callgraph(trees, index)
+    graph = build_callgraph(trees)
     summaries = propagate_effects(graph)
     selected = _selection(rules)
     reach = reachability(trees, graph.imports) \
         if RCH_RULES & selected else {}
-    findings = _analyze_tree(path, tree, source, index, selected,
+    findings = _analyze_tree(path, tree, source, selected,
                              graph, summaries, reach)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
@@ -123,7 +120,7 @@ def analyze_source(source: str, path: str,
 def analyze_paths(paths: Iterable[str],
                   rules: Optional[Sequence[str]] = None) -> List[Finding]:
     """Analyze every ``.py`` file under ``paths`` against a project-wide
-    index that always includes ``src/`` and the program roots when
+    call graph that always includes ``src/`` and the program roots when
     present, dropping findings the
     :data:`~reproflow.policy.DEFAULT_POLICY` exempts."""
     targets = list(iter_python_files(paths))
@@ -136,15 +133,15 @@ def analyze_paths(paths: Iterable[str],
                     [root for root in roots if os.path.isdir(root)])
                 if os.path.realpath(path) not in seen]
 
-    index_files = targets + fold(["src"])
+    graph_files = targets + fold(["src"])
     # program files feed the RCH family alone, so a definition in bench/
-    # cannot make a src schema ambiguous to the other passes
+    # cannot make a src name ambiguous to the other passes
     program_only = fold(PROGRAM_ROOTS)
 
     sources: Dict[str, str] = {}
     trees: Dict[str, ast.Module] = {}
     parse_findings: List[Finding] = []
-    for path in index_files + program_only:
+    for path in graph_files + program_only:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 sources[path] = handle.read()
@@ -158,8 +155,7 @@ def analyze_paths(paths: Iterable[str],
 
     program = {path: trees.pop(path) for path in program_only
                if path in trees}
-    index = build_index(trees)
-    graph = build_callgraph(trees, index)
+    graph = build_callgraph(trees)
     summaries = propagate_effects(graph)
     selected = _selection(rules)
     reach = reachability({**trees, **program}, graph.imports) \
@@ -169,7 +165,7 @@ def analyze_paths(paths: Iterable[str],
         if path not in trees:
             continue
         findings.extend(
-            _analyze_tree(path, trees[path], sources[path], index, selected,
+            _analyze_tree(path, trees[path], sources[path], selected,
                           graph, summaries, reach))
     findings = [f for f in findings
                 if not DEFAULT_POLICY.exempt(f.path, f.rule)]

@@ -1,5 +1,6 @@
-"""The per-file rule family: determinism (DET), hygiene (GEN), and
-observability (OBS) checks that need only one module's tree.
+"""The per-file rule family: determinism (DET), hygiene (GEN),
+observability (OBS) and unit (UNT001) checks that need only one
+module's tree.
 
 They run off the same parse as every other pass, and DET001/DET002
 classify calls with the call graph's :func:`~reproflow.callgraph.
@@ -18,14 +19,13 @@ DET002      wall-clock                     wall/monotonic clock or OS entropy
                                            (``time.time``, ``time.perf_counter``,
                                            ``datetime.now``, ``time.sleep``,
                                            ``os.urandom``) in simulation code
-DET003      unordered-iteration            iteration over sets inside functions
-                                           that schedule events
 GEN101      mutable-default-arg            ``def f(x=[])`` and friends
-GEN102      overbroad-except               bare ``except:`` / ``except Exception``
 OBS001      adhoc-observability            ``print`` / stdout-stderr writes /
                                            module-global ad-hoc counters inside
                                            the instrumented simulation packages
                                            (route through ``repro.obs``)
+UNT001      mixed-unit-expression          ``a_ms + b_s``, ``a_ms < b_s`` — see
+                                           :mod:`reproflow.units`
 ==========  =============================  =======================================
 """
 
@@ -36,6 +36,7 @@ from typing import AbstractSet, Callable, Dict, Iterator, List, Tuple
 
 from reproflow.callgraph import (CLOCK_READ, UNROUTED_RNG, ImportInfo,
                                  _dotted, classify_call)
+from reproflow.units import check_unt001
 
 RawFinding = Tuple[int, int, str, str]   # (lineno, col, rule, message)
 _Hit = Tuple[int, int, str]              # (lineno, col, message)
@@ -68,49 +69,6 @@ def check_det002(tree: ast.Module, path: str, imports: ImportInfo
                    "RandomRouter")
 
 
-_SCHEDULING_CALLS = {"call_at", "call_in", "schedule"}
-
-
-def _function_schedules(func: ast.AST) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name and name.rsplit(".", 1)[-1] in _SCHEDULING_CALLS:
-                return True
-    return False
-
-
-def _is_unordered_iterable(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    return False
-
-
-def check_det003(tree: ast.Module, path: str, imports: ImportInfo
-                 ) -> Iterator[_Hit]:
-    """Set iteration order is hash-salted; scheduling from it diverges."""
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not _function_schedules(func):
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, (ast.For, ast.AsyncFor)) \
-                    and _is_unordered_iterable(node.iter):
-                yield (node.lineno, node.col_offset,
-                       "iterating an unordered set in a function that "
-                       "schedules events; sort it first")
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-                for comp in node.generators:
-                    if _is_unordered_iterable(comp.iter):
-                        yield (node.lineno, node.col_offset,
-                               "comprehension over an unordered set in a "
-                               "function that schedules events; sort it "
-                               "first")
-
-
 def _is_mutable_literal(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set,
                          ast.ListComp, ast.DictComp, ast.SetComp)):
@@ -135,23 +93,6 @@ def check_gen101(tree: ast.Module, path: str, imports: ImportInfo
                 yield (default.lineno, default.col_offset,
                        f"mutable default argument in '{label}'; "
                        "use None and create inside")
-
-
-def check_gen102(tree: ast.Module, path: str, imports: ImportInfo
-                 ) -> Iterator[_Hit]:
-    """Catching everything swallows SimulationError and sanitizer faults."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        if node.type is None:
-            yield (node.lineno, node.col_offset,
-                   "bare 'except:' swallows every error including "
-                   "engine invariant failures")
-        elif isinstance(node.type, ast.Name) \
-                and node.type.id in ("Exception", "BaseException"):
-            yield (node.lineno, node.col_offset,
-                   f"overbroad 'except {node.type.id}' hides engine "
-                   "invariant failures; catch the specific error")
 
 
 #: Subpackages of src/repro that carry repro.obs instrumentation.  Code
@@ -214,10 +155,9 @@ FILE_CHECKERS: Dict[str, Callable[[ast.Module, str, ImportInfo],
                                   Iterator[_Hit]]] = {
     "DET001": check_det001,
     "DET002": check_det002,
-    "DET003": check_det003,
     "GEN101": check_gen101,
-    "GEN102": check_gen102,
     "OBS001": check_obs001,
+    "UNT001": check_unt001,
 }
 
 

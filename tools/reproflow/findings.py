@@ -4,10 +4,10 @@ A finding on line *n* is suppressed when line *n* carries a comment of
 the form::
 
     something()   # reproflow: disable=DET001
-    something()   # reproflow: disable=UNT001,UNT002
+    something()   # reproflow: disable=UNT001,OBS001
     something()   # reproflow: disable=all
 
-Every disable comment on a line counts: ``# reproflow: disable=GEN102  #
+Every disable comment on a line counts: ``# reproflow: disable=GEN101  #
 reproflow: disable=DET002`` silences both rules.  Suppressions are deliberately line-scoped (the flagged statement's first
 physical line) so that every exception is visible right where the rule
 fires — there is no file- or block-level escape hatch.  They and the

@@ -11,15 +11,13 @@ entry covers gets every rule, so a new package needs no registration.
 ``tests/``
     * DET001/DET002 — tests legitimately build throwaway seeded RNGs and
       measure wall-clock time (e.g. performance smoke tests).
-    * DET003 — test helpers freely schedule from literal collections.
     * FLO003 — the paired identical-realization methodology *is* seed
       reuse: determinism tests run the same seed twice and assert
       byte-identical digests.  PUR and the other FLO rules still apply
       in full — a test that submits an impure task is a real bug.
 
 ``tools/``
-    * DET002/DET003 — developer tooling runs in real time and schedules
-      nothing on the event heap.
+    * DET002 — developer tooling runs in real time.
 
 Everything else applies everywhere, including to this tool itself.  The
 runner, batch, control-plane and studies packages get no exemption at
@@ -64,6 +62,6 @@ class PathPolicy:
 
 
 DEFAULT_POLICY = PathPolicy((
-    ("tests/", ("DET001", "DET002", "DET003", "FLO003")),
-    ("tools/", ("DET002", "DET003")),
+    ("tests/", ("DET001", "DET002", "FLO003")),
+    ("tools/", ("DET002",)),
 ))

@@ -16,12 +16,21 @@ algebra:
 
 Unknown units are ``None`` and never participate in mismatches — the
 analysis only speaks up when both sides are provably unit-suffixed.
+
+:func:`check_unt001` is the one rule built on it, UNT001
+(mixed-unit-expression): it walks the module body and every function
+body in source order, learning the units of suffix-less locals from
+their assignments, and reports arithmetic, comparisons and in-place
+updates that mix two different known units.  It needs one module only,
+so it runs with the per-file family (:mod:`reproflow.filerules`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from reproflow.callgraph import ImportInfo, _scope_statements
 
 #: longest suffixes first so ``_dbm`` wins over ``_db``, ``_bps`` over ``_s``
 _SUFFIXES: Tuple[Tuple[str, str], ...] = (
@@ -241,3 +250,54 @@ class UnitInferrer:
             return
         if unit_of_identifier(target.id) is None:
             self.env[target.id] = unit
+
+
+# -- the UNT001 rule ---------------------------------------------------
+
+def _scope_bodies(tree: ast.Module) -> List[Sequence[ast.stmt]]:
+    """The module body, then every function body (methods included)."""
+    return [tree.body] + [
+        node.body for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _expression_roots(stmt: ast.stmt) -> List[ast.expr]:
+    roots: List[ast.expr] = []
+    for attr in ("value", "test", "iter", "exc", "msg"):
+        node = getattr(stmt, attr, None)
+        if isinstance(node, ast.expr):
+            roots.append(node)
+    for item in getattr(stmt, "items", ()) or ():
+        roots.append(item.context_expr)
+    return roots
+
+
+def check_unt001(tree: ast.Module, path: str, imports: ImportInfo
+                 ) -> Iterator[Tuple[int, int, str]]:
+    """Arithmetic, comparison or in-place update across two units."""
+    hits: List[Tuple[int, int, str]] = []
+    for body in _scope_bodies(tree):
+        inferrer = UnitInferrer(report=lambda node, message: hits.append(
+            (node.lineno, node.col_offset, message)))
+        muted = UnitInferrer(env=inferrer.env)
+        for stmt in _scope_statements(body):
+            if isinstance(stmt, ast.Assign):
+                value_unit = inferrer.infer(stmt.value)
+                for target in stmt.targets:
+                    inferrer.learn(target, value_unit)
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                inferrer.learn(stmt.target, inferrer.infer(stmt.value))
+            elif isinstance(stmt, ast.AugAssign):
+                target_unit = muted.infer(stmt.target)
+                value_unit = inferrer.infer(stmt.value)
+                if isinstance(stmt.op, (ast.Add, ast.Sub)) \
+                        and target_unit and value_unit \
+                        and target_unit != value_unit \
+                        and {target_unit, value_unit} != {"dbm", "db"}:
+                    hits.append((stmt.lineno, stmt.col_offset,
+                                 "mixed-unit in-place arithmetic: "
+                                 f"'{target_unit}' op '{value_unit}'"))
+            else:
+                for expr in _expression_roots(stmt):
+                    inferrer.infer(expr)
+    yield from sorted(set(hits))
